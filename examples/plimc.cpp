@@ -15,7 +15,8 @@
 ///                 [--cache-mb N] [options]
 /// Options:
 ///   -o <file>        write the program there (default: stdout)
-///   --effort N       rewriting iterations (default 4, 0 disables)
+///   --effort N       maximum rewriting cycles; stops early at a fixed
+///                    point (default 4, 0 disables)
 ///   --naive          index-order candidates (Table-1 naïve column)
 ///   --alloc fifo|lifo|fresh
 ///   --cap N          RRAM capacity bound (fails if infeasible)
@@ -195,6 +196,10 @@ void print_stats(const plim::CompileOutcome& outcome) {
               << s.refine_moves_kept << " kept, " << s.refine_steps_saved
               << " steps saved (" << s.schedule_ms << " ms scheduling)\n";
   }
+  std::cerr << "schedule phases (ms): assign " << s.assign_ms << ", refine "
+            << s.refine_ms << ", pack " << s.pack_ms << ", alloc "
+            << s.alloc_ms << ", sync " << s.sync_ms << ", stream order "
+            << s.stream_order_ms << " (total " << s.schedule_ms << ")\n";
   if (s.bus_width > 0) {
     std::cerr << "bus: width " << s.bus_width << ", " << s.bus_stalls
               << " stalled bank-steps\n";

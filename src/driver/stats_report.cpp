@@ -14,8 +14,12 @@ void StatsReport::normalize_timing() {
   metrics.schedule_verify_ms = 0.0;
   if (schedule) {
     schedule->schedule_ms = 0.0;
+    schedule->assign_ms = 0.0;
     schedule->refine_ms = 0.0;
+    schedule->pack_ms = 0.0;
+    schedule->alloc_ms = 0.0;
     schedule->sync_ms = 0.0;
+    schedule->stream_order_ms = 0.0;
   }
 }
 

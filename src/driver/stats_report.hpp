@@ -62,7 +62,7 @@ struct StatsReport {
   } metrics;
 
   /// Zeroes *every* wall-clock field (metrics.*_ms plus the schedule's
-  /// schedule_ms / refine_ms / sync_ms) so reports are byte-stable
+  /// schedule_ms and its sub-phases) so reports are byte-stable
   /// across runs and thread counts — batch determinism diffs and
   /// golden-file tests depend on this.
   void normalize_timing();

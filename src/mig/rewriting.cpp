@@ -1,6 +1,7 @@
 #include "mig/rewriting.hpp"
 
 #include <array>
+#include <utility>
 #include <vector>
 
 #include "mig/algebra.hpp"
@@ -329,6 +330,62 @@ Mig rewrite_depth(const Mig& mig, unsigned effort, RewriteStats* stats) {
   return cur;
 }
 
+namespace {
+
+/// Whether two networks have the same nodes with the same fanins, the
+/// same PI order and the same POs. Every pass is a deterministic
+/// function of exactly this structure (names pass through unchanged), so
+/// a cycle that reproduces its input has reached a fixed point.
+bool same_structure(const Mig& x, const Mig& y) {
+  if (x.size() != y.size() || x.num_pis() != y.num_pis() ||
+      x.num_pos() != y.num_pos()) {
+    return false;
+  }
+  for (node n = 0; n < x.size(); ++n) {
+    if (x.kind(n) != y.kind(n) ||
+        (x.is_gate(n) && x.fanins(n) != y.fanins(n))) {
+      return false;
+    }
+  }
+  for (std::uint32_t i = 0; i < x.num_pis(); ++i) {
+    if (x.pi_at(i) != y.pi_at(i)) {
+      return false;
+    }
+  }
+  for (std::uint32_t i = 0; i < x.num_pos(); ++i) {
+    if (x.po_at(i) != y.po_at(i)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// One Algorithm 1 cycle over `in`; at least one rule group must be on.
+Mig rewrite_cycle(const Mig& in, const RewriteOptions& opts) {
+  const Mig* src = &in;
+  Mig out;
+  const auto apply = [&](Mig next) {
+    out = std::move(next);
+    src = &out;
+  };
+  if (opts.size_rules) {
+    apply(pass_size(*src));  // Ω.M; Ω.D_R→L
+  }
+  if (opts.reshaping) {
+    apply(pass_reshape(*src));  // Ω.A; Ω.C
+  }
+  if (opts.size_rules) {
+    apply(pass_size(*src));  // Ω.M; Ω.D_R→L
+  }
+  if (opts.inverter_rules) {
+    apply(pass_inverters(*src, /*conditional=*/true));   // Ω.I_R→L(1-3)
+    apply(pass_inverters(*src, /*conditional=*/false));  // Ω.I_R→L
+  }
+  return out;
+}
+
+}  // namespace
+
 Mig rewrite_for_plim(const Mig& mig, const RewriteOptions& opts,
                      RewriteStats* stats) {
   Mig cur = cleanup_dangling(mig);
@@ -337,25 +394,23 @@ Mig rewrite_for_plim(const Mig& mig, const RewriteOptions& opts,
     stats->depth_before = cur.depth();
     stats->multi_complement_before = count_multi_complement(cur);
   }
-  for (unsigned cycle = 0; cycle < opts.effort; ++cycle) {
-    if (opts.size_rules) {
-      cur = pass_size(cur);  // Ω.M; Ω.D_R→L
-    }
-    if (opts.reshaping) {
-      cur = pass_reshape(cur);  // Ω.A; Ω.C
-    }
-    if (opts.size_rules) {
-      cur = pass_size(cur);  // Ω.M; Ω.D_R→L
-    }
-    if (opts.inverter_rules) {
-      cur = pass_inverters(cur, /*conditional=*/true);   // Ω.I_R→L(1-3)
-      cur = pass_inverters(cur, /*conditional=*/false);  // Ω.I_R→L
+  const bool any_rules =
+      opts.size_rules || opts.reshaping || opts.inverter_rules;
+  std::uint32_t cycles = 0;
+  while (any_rules && cycles < opts.effort) {
+    auto next = rewrite_cycle(cur, opts);
+    ++cycles;
+    const bool fixed_point = same_structure(next, cur);
+    cur = std::move(next);
+    if (fixed_point) {
+      break;  // every further cycle would reproduce `cur`
     }
   }
   if (stats != nullptr) {
     stats->gates_after = cur.num_gates();
     stats->depth_after = cur.depth();
     stats->multi_complement_after = count_multi_complement(cur);
+    stats->cycles = cycles;
   }
   return cur;
 }

@@ -9,8 +9,10 @@ namespace plim::mig {
 /// Knobs for the PLiM-oriented rewriting (Algorithm 1 of the DAC'16
 /// paper). Individual rule groups can be disabled for ablation studies.
 struct RewriteOptions {
-  /// Number of iterations of the full rewriting cycle (the paper's
-  /// `effort`; the experiments use 4).
+  /// Maximum number of iterations of the full rewriting cycle (the
+  /// paper's `effort`; the experiments use 4). The loop stops earlier at
+  /// a fixed point: once a cycle returns its input unchanged, further
+  /// cycles could not change it either.
   unsigned effort = 4;
   /// Ω.M and Ω.D (right-to-left) node-elimination rules.
   bool size_rules = true;
@@ -29,10 +31,16 @@ struct RewriteStats {
   std::uint32_t depth_after = 0;
   std::uint32_t multi_complement_before = 0;
   std::uint32_t multi_complement_after = 0;
+  /// Rewriting cycles run: at most `effort`, and one past the last cycle
+  /// that changed the network.
+  std::uint32_t cycles = 0;
 };
 
 /// Algorithm 1: for (cycles < effort) { Ω.M; Ω.D_R→L; Ω.A; Ω.C; Ω.M;
-/// Ω.D_R→L; Ω.I_R→L(1–3); Ω.I_R→L; }. Returns a functionally equivalent
+/// Ω.D_R→L; Ω.I_R→L(1–3); Ω.I_R→L; }, stopping early at a fixed point —
+/// when a cycle returns a structurally identical network (same nodes,
+/// fanins, PI order and POs). Every pass is deterministic, so the result
+/// equals running all `effort` cycles. Returns a functionally equivalent
 /// network optimized for PLiM compilation (small, few multi-complement
 /// gates).
 [[nodiscard]] Mig rewrite_for_plim(const Mig& mig,

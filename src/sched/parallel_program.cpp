@@ -57,8 +57,12 @@ void write_json_fields(const ScheduleStats& stats, util::JsonWriter& json) {
   json.field("refine_transfers_saved",
              static_cast<double>(stats.refine_transfers_saved));
   json.field("schedule_ms", stats.schedule_ms);
+  json.field("assign_ms", stats.assign_ms);
   json.field("refine_ms", stats.refine_ms);
+  json.field("pack_ms", stats.pack_ms);
+  json.field("alloc_ms", stats.alloc_ms);
   json.field("sync_ms", stats.sync_ms);
+  json.field("stream_order_ms", stats.stream_order_ms);
 }
 
 std::uint32_t ParallelProgram::add_input(std::string name) {

@@ -278,8 +278,16 @@ struct ScheduleStats {
   double utilization = 0.0;  ///< parallel_instructions / (steps × banks)
   double speedup = 0.0;      ///< serial_instructions / steps
   double schedule_ms = 0.0;  ///< scheduler wall-clock, refinement included
-  double refine_ms = 0.0;    ///< of which: KL refinement passes
-  double sync_ms = 0.0;      ///< of which: sync derivation + decoupled timing
+  /// Of which: dependence-graph build, clustering and the greedy seed
+  /// trials.
+  double assign_ms = 0.0;
+  double refine_ms = 0.0;  ///< of which: KL refinement passes
+  /// Of which: the final expansion + list scheduling (near 0 when the
+  /// last exact evaluation already packed the final assignment).
+  double pack_ms = 0.0;
+  double alloc_ms = 0.0;  ///< of which: physical cell allocation + emission
+  double sync_ms = 0.0;   ///< of which: sync derivation + decoupled timing
+  double stream_order_ms = 0.0;  ///< of which: the stream-reorder pass
 };
 
 /// Emits the stats as fields of the currently open JSON object — the one

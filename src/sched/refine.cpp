@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <optional>
 #include <unordered_set>
@@ -486,8 +484,6 @@ RefineStats refine(const DependenceGraph& graph,
                                                   static_cast<double>(xfer1));
   };
 
-  const bool debug = std::getenv("PLIM_REFINE_DEBUG") != nullptr;
-
   // Per-pass budget counters (reset each pass; lambdas below close over
   // them).
   std::uint32_t tried = 0;
@@ -551,17 +547,8 @@ RefineStats refine(const DependenceGraph& graph,
     ++stats.full_evals;
     ++stats.resyncs;
     if (improves(r)) {
-      if (debug) {
-        std::fprintf(stderr, "refine: resync CONFIRMED %u pending -> %u/%u\n",
-                     pending, r.steps, r.transfers);
-      }
       adopt_anchor(std::move(r));
       return;
-    }
-    if (debug) {
-      std::fprintf(stderr,
-                   "refine: resync ROLLBACK %u pending (%u/%u vs %u/%u)\n",
-                   pending, r.steps, r.transfers, best.steps, best.transfers);
     }
     seg_bank = anchor_bank;
     bank_load.assign(banks, 0);
@@ -617,17 +604,6 @@ RefineStats refine(const DependenceGraph& graph,
     auto r = evaluate(seg_bank);
     ++full_used;
     ++stats.full_evals;
-    if (debug) {
-      const auto& m = g.front();
-      std::fprintf(stderr,
-                   "refine: group size=%zu first=(c%u b%u s%d)%s -> steps %u "
-                   "xfer %u (best %u/%u) %s\n",
-                   g.size(), m.cluster, m.bank,
-                   m.seg == npos ? -1 : static_cast<int>(m.seg),
-                   screened ? " [screened]" : "", r.steps, r.transfers,
-                   best.steps, best.transfers,
-                   improves(r) ? "KEEP" : "reject");
-    }
     if (improves(r)) {
       record_trial(best.steps, best.transfers, r.steps, r.transfers, true,
                    false);

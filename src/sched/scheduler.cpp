@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <queue>
+#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -47,19 +46,51 @@ struct VirtualInstr {
   std::uint32_t src_seg = npos;  ///< transfer copies: producing segment
   bool is_transfer = false;
   bool uses_bus = false;  ///< transfer copy reading a remote cell
-  std::vector<std::uint32_t> deps;  ///< predecessor virtual instructions
 };
 
 /// The renamed multi-bank program before step packing: what the list
-/// scheduler and the refinement evaluator both consume.
+/// scheduler and the refinement evaluator both consume. Dependences are
+/// CSR: the predecessors of virtual instruction i are
+/// deps[dep_off[i], dep_off[i + 1]), sorted and distinct.
 struct Expansion {
   std::vector<VirtualInstr> virt;
+  std::vector<std::uint32_t> dep_off;
+  std::vector<std::uint32_t> deps;
   std::uint32_t num_segments = 0;  ///< virtual cells below this are segments
   std::uint32_t num_vcells = 0;
   std::vector<std::uint32_t> vcell_bank;
   std::uint32_t transfers = 0;
   std::uint32_t duplicates = 0;
   std::uint32_t duplicated_instructions = 0;
+
+  [[nodiscard]] std::span<const std::uint32_t> deps_of(std::uint32_t i) const {
+    return {deps.data() + dep_off[i], deps.data() + dep_off[i + 1]};
+  }
+};
+
+/// expand()'s working arrays, kept across calls so an exact evaluation
+/// allocates nothing once the first one has sized them.
+struct ExpandScratch {
+  /// Per-(def, bank) cache of the local replica, flat over defs: a short
+  /// intrusive chain per def (most remotely-read values reach one or two
+  /// foreign banks) instead of a std::map on the hot path.
+  struct Remote {
+    std::uint32_t bank;
+    std::uint32_t vidx;  ///< instruction producing the local replica
+    std::uint32_t cell;  ///< local virtual cell holding it
+    std::uint32_t next;  ///< next cache entry of the same def
+  };
+  /// One entry of a virtual cell's reader list (index-linked pool).
+  struct Reader {
+    std::uint32_t vidx;
+    std::uint32_t next;
+  };
+  std::vector<std::uint32_t> vidx_of;  ///< serial → virtual instruction
+  std::vector<std::uint32_t> remote_head;  ///< def → first Remote entry
+  std::vector<Remote> remote;
+  std::vector<std::uint32_t> reader_head;  ///< vcell → first Reader entry
+  std::vector<Reader> readers;
+  std::vector<std::uint32_t> pending;  ///< deps of the instruction at hand
 };
 
 /// Post-hoc cluster→bank assignment: greedy over clusters, each taking
@@ -209,33 +240,52 @@ std::vector<std::uint32_t> assign_clusters(
 /// Renames the serial program onto virtual cells under a fixed
 /// segment→bank assignment and materializes every cross-bank operand as
 /// a transfer copy or a local recomputation (see scheduler.hpp, step 3).
-Expansion expand(const DependenceGraph& graph, const arch::Program& serial,
-                 const std::vector<std::uint32_t>& seg_bank,
-                 const CostModel& cost) {
+/// Overwrites `ex`; `scratch` only carries capacity between calls.
+void expand(const DependenceGraph& graph, const arch::Program& serial,
+            const std::vector<std::uint32_t>& seg_bank, const CostModel& cost,
+            Expansion& ex, ExpandScratch& scratch) {
   const auto n = graph.num_instructions();
-  Expansion ex;
+  ex.virt.clear();
+  ex.virt.reserve(n + n / 8);
+  ex.deps.clear();
+  ex.dep_off.assign(1, 0);
   ex.num_segments = graph.num_segments();
   ex.num_vcells = graph.num_segments();
-  ex.virt.reserve(n + n / 8);
   ex.vcell_bank.assign(seg_bank.begin(), seg_bank.end());
+  ex.transfers = 0;
+  ex.duplicates = 0;
+  ex.duplicated_instructions = 0;
 
-  std::vector<std::uint32_t> vidx_of(n, npos);
+  auto& vidx_of = scratch.vidx_of;
+  vidx_of.assign(n, npos);
+  auto& remote_head = scratch.remote_head;
+  remote_head.assign(n, npos);
+  auto& remote = scratch.remote;
+  remote.clear();
   // Readers of each virtual cell's *current* value: the next chain-write
   // must wait for them (the one WAR hazard renaming does not remove).
-  std::vector<std::vector<std::uint32_t>> vreaders(ex.num_vcells);
+  auto& reader_head = scratch.reader_head;
+  reader_head.assign(ex.num_vcells, npos);
+  auto& readers = scratch.readers;
+  readers.clear();
+  auto& pending = scratch.pending;
 
-  // Per-(def, bank) cache of the local replica, flat over defs: a short
-  // intrusive chain per def (most remotely-read values reach one or two
-  // foreign banks) instead of a std::map on the hot path.
-  struct Remote {
-    std::uint32_t bank;
-    std::uint32_t vidx;  ///< instruction producing the local replica
-    std::uint32_t cell;  ///< local virtual cell holding it
-    std::uint32_t next;  ///< next cache entry of the same def
+  // Appends one virtual instruction whose predecessors are [first,
+  // last) — sorted and deduplicated in place — and returns its index.
+  const auto emit = [&](const VirtualInstr& v, std::uint32_t* first,
+                        std::uint32_t* last) {
+    std::sort(first, last);
+    last = std::unique(first, last);
+    ex.deps.insert(ex.deps.end(), first, last);
+    ex.dep_off.push_back(static_cast<std::uint32_t>(ex.deps.size()));
+    ex.virt.push_back(v);
+    return static_cast<std::uint32_t>(ex.virt.size() - 1);
   };
-  std::vector<std::uint32_t> remote_head(n, npos);
-  std::vector<Remote> remote_entries;
-  remote_entries.reserve(n / 8);
+  const auto new_vcell = [&](std::uint32_t bank) {
+    ex.vcell_bank.push_back(bank);
+    reader_head.push_back(npos);
+    return ex.num_vcells++;
+  };
 
   // Length of the producing chain prefix of `def` within its segment,
   // and whether it reads only inputs/constants (then it can be
@@ -274,15 +324,17 @@ Expansion expand(const DependenceGraph& graph, const arch::Program& serial,
     VirtualInstr v;
     v.bank = bank;
     v.z = seg;
+    pending.clear();
     if (!graph.is_reset(i)) {
-      v.deps.push_back(vidx_of[graph.def_of_z(i)]);
+      pending.push_back(vidx_of[graph.def_of_z(i)]);
     }
 
     // Virtual cells this instruction reads; the final index of the
     // instruction is only known after both operands resolved (resolving
     // may emit transfer/duplicate instructions), so reader registration
     // is deferred.
-    std::vector<std::uint32_t> read_cells;
+    std::uint32_t read_cells[2];
+    std::uint32_t num_read = 0;
 
     const auto resolve = [&](arch::Operand op,
                              std::uint32_t def) -> arch::Operand {
@@ -291,13 +343,13 @@ Expansion expand(const DependenceGraph& graph, const arch::Program& serial,
       }
       const auto pseg = graph.segment_of(def);
       if (seg_bank[pseg] == bank) {
-        v.deps.push_back(vidx_of[def]);
-        read_cells.push_back(pseg);
+        pending.push_back(vidx_of[def]);
+        read_cells[num_read++] = pseg;
         return arch::Operand::rram(pseg);
       }
       auto entry = remote_head[def];
-      while (entry != npos && remote_entries[entry].bank != bank) {
-        entry = remote_entries[entry].next;
+      while (entry != npos && remote[entry].bank != bank) {
+        entry = remote[entry].next;
       }
       if (entry == npos) {
         const auto prefix = chain_prefix(def);
@@ -305,9 +357,7 @@ Expansion expand(const DependenceGraph& graph, const arch::Program& serial,
           // Recompute the producing chain locally: same instruction
           // count as a transfer when the chain is short, but no bus
           // slot and no cross-bank dependence.
-          const auto dcell = ex.num_vcells++;
-          ex.vcell_bank.push_back(bank);
-          vreaders.emplace_back();
+          const auto dcell = new_vcell(bank);
           std::uint32_t prev = npos;
           for (std::uint32_t j = prefix.first; j <= def; ++j) {
             if (graph.segment_of(j) != pseg) {
@@ -318,29 +368,24 @@ Expansion expand(const DependenceGraph& graph, const arch::Program& serial,
             dup.a = serial[j].a;
             dup.b = serial[j].b;
             dup.z = dcell;
-            if (prev != npos && !graph.is_reset(j)) {
-              dup.deps.push_back(prev);
-            }
-            prev = static_cast<std::uint32_t>(ex.virt.size());
-            ex.virt.push_back(std::move(dup));
+            std::uint32_t dep = prev;
+            const bool chained = prev != npos && !graph.is_reset(j);
+            prev = emit(dup, &dep, &dep + (chained ? 1 : 0));
             ++ex.duplicated_instructions;
           }
           ++ex.duplicates;
-          entry = static_cast<std::uint32_t>(remote_entries.size());
-          remote_entries.push_back({bank, prev, dcell, remote_head[def]});
+          entry = static_cast<std::uint32_t>(remote.size());
+          remote.push_back({bank, prev, dcell, remote_head[def]});
           remote_head[def] = entry;
         } else {
-          const auto tcell = ex.num_vcells++;
-          ex.vcell_bank.push_back(bank);
-          vreaders.emplace_back();
+          const auto tcell = new_vcell(bank);
           VirtualInstr reset;
           reset.bank = bank;
           reset.a = arch::Operand::constant(false);
           reset.b = arch::Operand::constant(true);
           reset.z = tcell;
           reset.is_transfer = true;
-          const auto reset_idx = static_cast<std::uint32_t>(ex.virt.size());
-          ex.virt.push_back(std::move(reset));
+          const auto reset_idx = emit(reset, nullptr, nullptr);
           VirtualInstr copy;  // with the cell reset to 0: tcell ← src ∨ 0
           copy.bank = bank;
           copy.a = arch::Operand::rram(pseg);
@@ -349,19 +394,19 @@ Expansion expand(const DependenceGraph& graph, const arch::Program& serial,
           copy.src_seg = pseg;
           copy.is_transfer = true;
           copy.uses_bus = true;
-          copy.deps = {reset_idx, vidx_of[def]};
-          const auto copy_idx = static_cast<std::uint32_t>(ex.virt.size());
-          vreaders[pseg].push_back(copy_idx);
-          ex.virt.push_back(std::move(copy));
-          entry = static_cast<std::uint32_t>(remote_entries.size());
-          remote_entries.push_back({bank, copy_idx, tcell, remote_head[def]});
+          std::uint32_t copy_deps[2] = {reset_idx, vidx_of[def]};
+          const auto copy_idx = emit(copy, copy_deps, copy_deps + 2);
+          readers.push_back({copy_idx, reader_head[pseg]});
+          reader_head[pseg] = static_cast<std::uint32_t>(readers.size() - 1);
+          entry = static_cast<std::uint32_t>(remote.size());
+          remote.push_back({bank, copy_idx, tcell, remote_head[def]});
           remote_head[def] = entry;
           ++ex.transfers;
         }
       }
-      v.deps.push_back(remote_entries[entry].vidx);
-      read_cells.push_back(remote_entries[entry].cell);
-      return arch::Operand::rram(remote_entries[entry].cell);
+      pending.push_back(remote[entry].vidx);
+      read_cells[num_read++] = remote[entry].cell;
+      return arch::Operand::rram(remote[entry].cell);
     };
     v.a = resolve(ins.a, graph.def_of_a(i));
     v.b = resolve(ins.b, graph.def_of_b(i));
@@ -371,27 +416,23 @@ Expansion expand(const DependenceGraph& graph, const arch::Program& serial,
     // The instruction itself is not yet registered as a reader, so no
     // self-edge can arise.
     if (!graph.is_reset(i)) {
-      for (const auto r : vreaders[seg]) {
-        v.deps.push_back(r);
+      for (auto r = reader_head[seg]; r != npos; r = readers[r].next) {
+        pending.push_back(readers[r].vidx);
       }
-      vreaders[seg].clear();
+      reader_head[seg] = npos;
     }
 
     const auto self = static_cast<std::uint32_t>(ex.virt.size());
-    for (const auto cell : read_cells) {
+    for (std::uint32_t k = 0; k < num_read; ++k) {
+      const auto cell = read_cells[k];
       if (cell != seg) {  // a chain-write's own Z read needs no WAR edge
-        vreaders[cell].push_back(self);
+        readers.push_back({self, reader_head[cell]});
+        reader_head[cell] = static_cast<std::uint32_t>(readers.size() - 1);
       }
     }
     vidx_of[i] = self;
-    ex.virt.push_back(std::move(v));
+    emit(v, pending.data(), pending.data() + pending.size());
   }
-
-  for (auto& v : ex.virt) {
-    std::sort(v.deps.begin(), v.deps.end());
-    v.deps.erase(std::unique(v.deps.begin(), v.deps.end()), v.deps.end());
-  }
-  return ex;
 }
 
 /// A packed schedule of the expanded program: step assignment per virtual
@@ -399,11 +440,56 @@ Expansion expand(const DependenceGraph& graph, const arch::Program& serial,
 /// critical transfer edges refinement targets).
 struct ListSchedule {
   std::vector<std::uint32_t> step_of;
-  std::vector<std::vector<std::uint32_t>> step_instrs;
+  /// Steps as CSR, each in ascending bank order: step t issues
+  /// step_instrs[step_off[t], step_off[t + 1]).
+  std::vector<std::uint32_t> step_off;
+  std::vector<std::uint32_t> step_instrs;
   std::uint32_t virtual_critical_path = 0;
   std::uint32_t bus_stalls = 0;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> critical_cross_edges;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> critical_local_edges;
+
+  [[nodiscard]] std::uint32_t num_steps() const {
+    return static_cast<std::uint32_t>(step_off.size() - 1);
+  }
+  [[nodiscard]] std::span<const std::uint32_t> step(std::uint32_t t) const {
+    return {step_instrs.data() + step_off[t],
+            step_instrs.data() + step_off[t + 1]};
+  }
+};
+
+/// List-scheduler priority: least slack, then tallest, then serial order.
+/// Slack and height share one 64-bit rank so most comparisons decide on
+/// a single integer compare.
+struct Prio {
+  std::uint64_t rank;  ///< (~slack << 32) | height: higher is more urgent
+  std::uint32_t vidx;
+
+  static Prio of(std::uint32_t slack, std::uint32_t height,
+                 std::uint32_t vidx) {
+    return {(std::uint64_t{~slack} << 32) | height, vidx};
+  }
+  bool operator<(const Prio& o) const {  // "worse-than" for the max-heap
+    return rank < o.rank || (rank == o.rank && vidx > o.vidx);
+  }
+};
+
+/// list_schedule()'s and projected_makespan()'s working arrays, kept
+/// across calls like ExpandScratch.
+struct ListScratch {
+  std::vector<std::uint32_t> depth;
+  std::vector<std::uint32_t> height;
+  std::vector<std::uint32_t> slack;
+  std::vector<std::uint32_t> succ_off;
+  std::vector<std::uint32_t> succ;
+  std::vector<std::uint32_t> cursor;
+  std::vector<std::uint32_t> remaining;
+  /// Per-bank ready max-heaps, split by bus use so a full bus skips its
+  /// copies without popping them.
+  std::vector<std::vector<Prio>> ready_local;
+  std::vector<std::vector<Prio>> ready_bus;
+  std::vector<std::pair<Prio, std::uint32_t>> bank_order;  ///< (top, bank)
+  std::vector<std::uint64_t> start;  ///< projected_makespan start cycles
 };
 
 /// Slack-driven list scheduling into steps of at most one instruction
@@ -413,77 +499,80 @@ struct ListSchedule {
 /// height (then serial order) breaks remaining ties. On a bounded bus,
 /// banks are served most-critical-first each step and — with lookahead —
 /// off-chain copies leave bus slots to ready zero-slack copies, so the
-/// critical chain never waits behind bulk transfers.
-ListSchedule list_schedule(const Expansion& ex, std::uint32_t banks,
-                           const CostModel& cost, bool lookahead,
-                           bool want_critical_edges) {
+/// critical chain never waits behind bulk transfers. Overwrites `ls`.
+void list_schedule(const Expansion& ex, std::uint32_t banks,
+                   const CostModel& cost, bool lookahead,
+                   bool want_critical_edges, ListSchedule& ls,
+                   ListScratch& scratch) {
   const auto& virt = ex.virt;
   const auto vn = static_cast<std::uint32_t>(virt.size());
-  ListSchedule ls;
+  ls.step_instrs.clear();
+  ls.step_off.assign(1, 0);
+  ls.bus_stalls = 0;
+  ls.critical_cross_edges.clear();
+  ls.critical_local_edges.clear();
 
   // ASAP depth (deps always point backwards) and ALAP height, flat.
-  std::vector<std::uint32_t> depth(vn, 1);
+  auto& depth = scratch.depth;
+  depth.assign(vn, 1);
   for (std::uint32_t i = 0; i < vn; ++i) {
-    for (const auto p : virt[i].deps) {
+    for (const auto p : ex.deps_of(i)) {
       depth[i] = std::max(depth[i], depth[p] + 1);
     }
   }
-  std::vector<std::uint32_t> height(vn, 1);
+  auto& height = scratch.height;
+  height.assign(vn, 1);
   std::uint32_t cp = 0;
   for (std::uint32_t i = vn; i-- > 0;) {
     cp = std::max(cp, depth[i] + height[i] - 1);
-    for (const auto p : virt[i].deps) {
+    for (const auto p : ex.deps_of(i)) {
       height[p] = std::max(height[p], height[i] + 1);
     }
   }
-  std::vector<std::uint32_t> slack(vn, 0);
+  auto& slack = scratch.slack;
+  slack.resize(vn);
   for (std::uint32_t i = 0; i < vn; ++i) {
     slack[i] = cp - (depth[i] + height[i] - 1);
   }
   ls.virtual_critical_path = cp;
 
-  // Successors as CSR (flat, counted then filled).
-  std::vector<std::uint32_t> succ_off(vn + 1, 0);
-  for (std::uint32_t i = 0; i < vn; ++i) {
-    for (const auto p : virt[i].deps) {
-      ++succ_off[p + 1];
-    }
+  // Successors as CSR (flat, counted then filled; each list ascending).
+  auto& succ_off = scratch.succ_off;
+  succ_off.assign(vn + 1, 0);
+  for (const auto p : ex.deps) {
+    ++succ_off[p + 1];
   }
   for (std::uint32_t i = 0; i < vn; ++i) {
     succ_off[i + 1] += succ_off[i];
   }
-  std::vector<std::uint32_t> succ(succ_off[vn]);
-  {
-    auto cursor = succ_off;
-    for (std::uint32_t i = 0; i < vn; ++i) {
-      for (const auto p : virt[i].deps) {
-        succ[cursor[p]++] = i;
-      }
+  auto& succ = scratch.succ;
+  succ.resize(succ_off[vn]);
+  auto& cursor = scratch.cursor;
+  cursor.assign(succ_off.begin(), succ_off.end() - 1);
+  for (std::uint32_t i = 0; i < vn; ++i) {
+    for (const auto p : ex.deps_of(i)) {
+      succ[cursor[p]++] = i;
     }
   }
 
-  // Max-heap per bank: least slack, then tallest, then serial order.
-  struct Prio {
-    std::uint32_t slack;
-    std::uint32_t height;
-    std::uint32_t vidx;
-    bool operator<(const Prio& o) const {  // "worse-than" for the max-heap
-      if (slack != o.slack) {
-        return slack > o.slack;
-      }
-      if (height != o.height) {
-        return height < o.height;
-      }
-      return vidx > o.vidx;
-    }
-  };
-  std::vector<std::priority_queue<Prio>> ready(banks);
-  std::vector<std::uint32_t> remaining(vn, 0);
+  auto& ready_local = scratch.ready_local;
+  auto& ready_bus = scratch.ready_bus;
+  ready_local.resize(banks);
+  ready_bus.resize(banks);
+  for (std::uint32_t b = 0; b < banks; ++b) {
+    ready_local[b].clear();
+    ready_bus[b].clear();
+  }
+  auto& remaining = scratch.remaining;
+  remaining.resize(vn);
   const auto push_ready = [&](std::uint32_t i) {
-    ready[virt[i].bank].push({slack[i], height[i], i});
+    auto& heap = virt[i].uses_bus ? ready_bus[virt[i].bank]
+                                  : ready_local[virt[i].bank];
+    heap.push_back(Prio::of(slack[i], height[i], i));
+    std::push_heap(heap.begin(), heap.end());
   };
   for (std::uint32_t i = 0; i < vn; ++i) {
-    remaining[i] = static_cast<std::uint32_t>(virt[i].deps.size());
+    remaining[i] = ex.dep_off[i + 1] - ex.dep_off[i];
     if (remaining[i] == 0) {
       push_ready(i);
     }
@@ -491,8 +580,7 @@ ListSchedule list_schedule(const Expansion& ex, std::uint32_t banks,
 
   const auto bus_width = cost.bus_width;
   ls.step_of.assign(vn, npos);
-  std::vector<Prio> deferred;
-  std::vector<std::pair<Prio, std::uint32_t>> bank_order;  // (top, bank)
+  auto& bank_order = scratch.bank_order;
   std::uint32_t scheduled = 0;
   // Ready-queue occupancy, aggregated locally so the registry (one mutex
   // per call) is touched exactly once per run, not per step — this loop
@@ -501,16 +589,16 @@ ListSchedule list_schedule(const Expansion& ex, std::uint32_t banks,
   std::uint64_t ready_depth_sum = 0;
   std::uint64_t ready_depth_max = 0;
   while (scheduled < vn) {
-    const auto t = static_cast<std::uint32_t>(ls.step_instrs.size());
-    auto& step = ls.step_instrs.emplace_back();
+    const auto t = ls.num_steps();
+    const auto step_begin = ls.step_instrs.size();
     std::uint32_t bus_used = 0;
     if (metrics_on) {
-      std::uint64_t depth = 0;
+      std::uint64_t depth_now = 0;
       for (std::uint32_t b = 0; b < banks; ++b) {
-        depth += ready[b].size();
+        depth_now += ready_local[b].size() + ready_bus[b].size();
       }
-      ready_depth_sum += depth;
-      ready_depth_max = std::max(ready_depth_max, depth);
+      ready_depth_sum += depth_now;
+      ready_depth_max = std::max(ready_depth_max, depth_now);
     }
 
     // The critical-chain lookahead: serve banks most-critical-first, so
@@ -521,68 +609,67 @@ ListSchedule list_schedule(const Expansion& ex, std::uint32_t banks,
     // already been served, and the bus resets next step.)
     bank_order.clear();
     for (std::uint32_t b = 0; b < banks; ++b) {
-      if (!ready[b].empty()) {
-        bank_order.emplace_back(ready[b].top(), b);
+      const auto& local = ready_local[b];
+      const auto& bus = ready_bus[b];
+      if (local.empty() && bus.empty()) {
+        continue;
       }
+      const bool local_top =
+          bus.empty() || (!local.empty() && bus.front() < local.front());
+      bank_order.emplace_back(local_top ? local.front() : bus.front(), b);
     }
     if (lookahead) {
       std::sort(bank_order.begin(), bank_order.end(),
                 [](const auto& x, const auto& y) {
-                  if (x.first.slack != y.first.slack ||
-                      x.first.height != y.first.height ||
-                      x.first.vidx != y.first.vidx) {
-                    return y.first < x.first;  // better candidate first
-                  }
-                  return x.second < y.second;
+                  return y.first < x.first;  // better candidate first
                 });
     }
 
-    for (const auto& [top_unused, b] : bank_order) {
-      (void)top_unused;
-      deferred.clear();
-      std::uint32_t picked = npos;
-      while (!ready[b].empty()) {
-        const auto top = ready[b].top();
-        const auto vidx = top.vidx;
-        if (bus_width > 0 && virt[vidx].uses_bus && bus_used >= bus_width) {
-          deferred.push_back(top);
-          ready[b].pop();
-          continue;
-        }
-        ready[b].pop();
-        picked = vidx;
-        break;
-      }
-      for (const auto& d : deferred) {
-        ready[b].push(d);
-      }
-      if (picked == npos) {
-        if (!deferred.empty()) {
-          ++ls.bus_stalls;  // the bank idles waiting for the bus
-        }
+    // Each bank issues its best ready instruction, except that a copy
+    // waits while the bus is full: the bank then issues its best local
+    // instruction, or idles (a bus stall) when it has none.
+    for (const auto& [top, b] : bank_order) {
+      auto& local = ready_local[b];
+      auto& bus = ready_bus[b];
+      const bool bus_open = bus_width == 0 || bus_used < bus_width;
+      std::vector<Prio>* heap = nullptr;
+      if (bus_open && !bus.empty() &&
+          (local.empty() || local.front() < bus.front())) {
+        heap = &bus;
+        ++bus_used;
+      } else if (!local.empty()) {
+        heap = &local;
+      } else {
+        ++ls.bus_stalls;  // the bank idles waiting for the bus
         continue;
       }
-      if (virt[picked].uses_bus) {
-        ++bus_used;
-      }
+      std::pop_heap(heap->begin(), heap->end());
+      const auto picked = heap->back().vidx;
+      heap->pop_back();
       ls.step_of[picked] = t;
-      step.push_back(picked);
+      ls.step_instrs.push_back(picked);
     }
-    if (step.empty()) {
+    if (ls.step_instrs.size() == step_begin) {
       throw std::logic_error("sched: dependence cycle in virtual program");
     }
-    scheduled += static_cast<std::uint32_t>(step.size());
-    for (const auto vidx : step) {
-      for (auto k = succ_off[vidx]; k < succ_off[vidx + 1]; ++k) {
-        if (--remaining[succ[k]] == 0) {
-          push_ready(succ[k]);
+    std::sort(ls.step_instrs.begin() + static_cast<std::ptrdiff_t>(step_begin),
+              ls.step_instrs.end(), [&](std::uint32_t x, std::uint32_t y) {
+                return virt[x].bank < virt[y].bank;
+              });
+    ls.step_off.push_back(static_cast<std::uint32_t>(ls.step_instrs.size()));
+    scheduled += static_cast<std::uint32_t>(ls.step_instrs.size() - step_begin);
+    for (auto k = step_begin; k < ls.step_instrs.size(); ++k) {
+      const auto vidx = ls.step_instrs[k];
+      for (auto e = succ_off[vidx]; e < succ_off[vidx + 1]; ++e) {
+        if (--remaining[succ[e]] == 0) {
+          push_ready(succ[e]);
         }
       }
     }
   }
   if (metrics_on) {
     auto& reg = util::MetricsRegistry::global();
-    const auto steps = ls.step_instrs.size();
+    const auto steps = ls.num_steps();
     reg.counter_add("sched.list.runs");
     reg.counter_add("sched.list.bus_stalls", ls.bus_stalls);
     reg.observe("sched.list.ready_depth_mean",
@@ -640,7 +727,7 @@ ListSchedule list_schedule(const Expansion& ex, std::uint32_t banks,
       if (slack[w] > 0 || virt[w].is_transfer || virt[w].z >= ex.num_segments) {
         continue;
       }
-      for (const auto p : virt[w].deps) {
+      for (const auto p : ex.deps_of(w)) {
         if (slack[p] == 0 && !virt[p].is_transfer &&
             virt[p].bank == virt[w].bank && virt[p].z != virt[w].z &&
             virt[p].z < ex.num_segments && reads_cell(virt[p], virt[w].z)) {
@@ -653,7 +740,6 @@ ListSchedule list_schedule(const Expansion& ex, std::uint32_t banks,
                                               ls.critical_local_edges.end()),
                                   ls.critical_local_edges.end());
   }
-  return ls;
 }
 
 /// Projected decoupled makespan of a packed virtual schedule, before
@@ -667,27 +753,16 @@ ListSchedule list_schedule(const Expansion& ex, std::uint32_t banks,
 /// with exactly the quantities refinement moves (chain shape, bank
 /// loads, transfer placement) — the right objective surrogate.
 std::uint64_t projected_makespan(const Expansion& ex, const ListSchedule& ls,
-                                 std::uint32_t banks,
-                                 std::uint32_t bus_width) {
+                                 std::uint32_t banks, std::uint32_t bus_width,
+                                 ListScratch& scratch) {
   constexpr std::uint64_t phases = arch::Machine::phases_per_instruction;
   const auto& virt = ex.virt;
   const auto vn = static_cast<std::uint32_t>(virt.size());
   if (vn == 0) {
     return 0;
   }
-  // (step, bank) program order — topological (deps sit at earlier
-  // steps) and the bus arbiter's grant order.
-  std::vector<std::uint32_t> order;
-  order.reserve(vn);
-  for (const auto& step : ls.step_instrs) {
-    auto slots = step;
-    std::sort(slots.begin(), slots.end(),
-              [&](std::uint32_t x, std::uint32_t y) {
-                return virt[x].bank < virt[y].bank;
-              });
-    order.insert(order.end(), slots.begin(), slots.end());
-  }
-  std::vector<std::uint64_t> start(vn, 0);
+  auto& start = scratch.start;
+  start.assign(vn, 0);
   std::vector<std::uint64_t> bank_free(banks, 0);
   std::vector<bool> bank_issued(banks, false);
   std::priority_queue<std::uint64_t, std::vector<std::uint64_t>,
@@ -698,10 +773,12 @@ std::uint64_t projected_makespan(const Expansion& ex, const ListSchedule& ls,
   }
   std::uint64_t last_bus_start = 0;
   std::uint64_t makespan = 0;
-  for (const auto i : order) {
+  // (step, bank) program order — topological (deps sit at earlier
+  // steps) and the bus arbiter's grant order.
+  for (const auto i : ls.step_instrs) {
     const auto& v = virt[i];
     auto s = bank_issued[v.bank] ? bank_free[v.bank] : 0;
-    for (const auto p : virt[i].deps) {
+    for (const auto p : ex.deps_of(i)) {
       if (virt[p].bank == v.bank) {
         continue;  // same-bank deps ride the stream cadence
       }
@@ -735,6 +812,26 @@ std::uint64_t projected_makespan(const Expansion& ex, const ListSchedule& ls,
   return makespan;
 }
 
+/// Everything one exact evaluation writes, reused across the whole
+/// compile: the expansion and packing of the most recently evaluated
+/// assignment `sb` (the final emission reuses them when the assignment
+/// matches) plus the scratch both phases run on.
+struct Workspace {
+  std::vector<std::uint32_t> sb;
+  bool valid = false;
+  Expansion ex;
+  ListSchedule ls;
+  ExpandScratch expand_scratch;
+  ListScratch list_scratch;
+
+  /// Frees the scratch, keeping only what emission reads.
+  void release_scratch() {
+    expand_scratch = {};
+    list_scratch = {};
+    sb = {};
+  }
+};
+
 }  // namespace
 
 ScheduleResult schedule(const arch::Program& serial,
@@ -743,6 +840,11 @@ ScheduleResult schedule(const arch::Program& serial,
   if (opts.banks == 0) {
     throw std::invalid_argument("sched: banks must be >= 1");
   }
+  // assign_ms runs from here through the seed trials: graph build,
+  // clustering and the greedy starts' trial schedules.
+  double assign_ms = 0.0;
+  std::optional<util::ScopedPhase> assign_phase;
+  assign_phase.emplace("sched.assign", &assign_ms);
   const auto graph = DependenceGraph::build(serial);
   if (graph.reads_initial_state()) {
     throw std::invalid_argument(
@@ -776,29 +878,27 @@ ScheduleResult schedule(const arch::Program& serial,
     }
     return id;
   };
-  // Trial-schedule evaluator. The most recent expansion + packing are
-  // cached so the final emission can reuse them instead of re-running
-  // the two most expensive phases on an assignment that was already
-  // scheduled (the last kept refinement move, or the unrefined start).
-  struct EvalCache {
-    std::vector<std::uint32_t> sb;
-    Expansion ex;
-    ListSchedule ls;
-    bool valid = false;
-  } cache;
+  // Trial-schedule evaluator. Every exact evaluation writes into one
+  // workspace, so the final emission can reuse the last expansion +
+  // packing instead of re-running the two most expensive phases on an
+  // assignment that was already scheduled (the last kept refinement
+  // move, or the unrefined start).
+  Workspace ws;
   const auto evaluate = [&](const std::vector<std::uint32_t>& sb) {
-    cache.ex = expand(graph, serial, sb, opts.cost);
-    cache.ls = list_schedule(cache.ex, banks, opts.cost, opts.lookahead, true);
-    cache.sb = sb;
-    cache.valid = true;
-    RefineEval eval{
-        static_cast<std::uint32_t>(cache.ls.step_instrs.size()),
-        cache.ex.transfers, cache.ls.virtual_critical_path,
-        cache.ls.bus_stalls, cache.ls.critical_cross_edges,
-        cache.ls.critical_local_edges};
+    expand(graph, serial, sb, opts.cost, ws.ex, ws.expand_scratch);
+    list_schedule(ws.ex, banks, opts.cost, opts.lookahead, true, ws.ls,
+                  ws.list_scratch);
+    ws.sb = sb;
+    ws.valid = true;
+    RefineEval eval{ws.ls.num_steps(),
+                    ws.ex.transfers,
+                    ws.ls.virtual_critical_path,
+                    ws.ls.bus_stalls,
+                    std::move(ws.ls.critical_cross_edges),
+                    std::move(ws.ls.critical_local_edges)};
     if (makespan_objective) {
-      eval.makespan =
-          projected_makespan(cache.ex, cache.ls, banks, opts.cost.bus_width);
+      eval.makespan = projected_makespan(ws.ex, ws.ls, banks,
+                                         opts.cost.bus_width, ws.list_scratch);
     }
     return eval;
   };
@@ -812,7 +912,6 @@ ScheduleResult schedule(const arch::Program& serial,
   };
 
   if (banks > 1) {
-    const util::TraceSpan assign_span("sched.assign");
     if (!opts.placement_hints.empty()) {
       if (opts.placement_hints.size() < serial.num_rrams()) {
         throw std::invalid_argument(
@@ -837,7 +936,6 @@ ScheduleResult schedule(const arch::Program& serial,
           RefineEval eval;
         };
         std::vector<Start> starts;
-        const bool seed_debug = std::getenv("PLIM_SEED_DEBUG") != nullptr;
         for (const auto order :
              {SeedOrder::producer, SeedOrder::lpt, SeedOrder::chain_segment,
               SeedOrder::chain_height}) {
@@ -852,10 +950,6 @@ ScheduleResult schedule(const arch::Program& serial,
             continue;
           }
           auto eval = evaluate(cand);
-          if (seed_debug) {
-            std::fprintf(stderr, "seed %d: steps %u xfer %u\n",
-                         static_cast<int>(order), eval.steps, eval.transfers);
-          }
           starts.push_back({std::move(cand), std::move(eval)});
         }
         std::sort(starts.begin(), starts.end(),
@@ -871,6 +965,7 @@ ScheduleResult schedule(const arch::Program& serial,
       }
     }
   }
+  assign_phase.reset();
 
   // ---- KL refinement ----------------------------------------------------
   // Two legs, probe-then-commit: the best and the runner-up seed each get
@@ -956,26 +1051,27 @@ ScheduleResult schedule(const arch::Program& serial,
   // ---- expansion + list scheduling --------------------------------------
   // The final assignment has usually just been trial-scheduled (the last
   // kept refinement move, or the dual-start winner) — reuse that run.
-  Expansion ex;
-  ListSchedule ls;
+  // The scratch goes before allocation and emission allocate theirs.
+  double pack_ms = 0.0;
   {
-    const util::TraceSpan pack_span("sched.pack");
-    if (cache.valid && cache.sb == seg_bank) {
-      ex = std::move(cache.ex);
-      ls = std::move(cache.ls);
-    } else {
-      ex = expand(graph, serial, seg_bank, opts.cost);
-      ls = list_schedule(ex, banks, opts.cost, opts.lookahead, false);
+    const util::ScopedPhase pack_phase("sched.pack", &pack_ms);
+    if (!ws.valid || ws.sb != seg_bank) {
+      expand(graph, serial, seg_bank, opts.cost, ws.ex, ws.expand_scratch);
+      list_schedule(ws.ex, banks, opts.cost, opts.lookahead, false, ws.ls,
+                    ws.list_scratch);
     }
+    ws.release_scratch();
   }
+  const auto& ex = ws.ex;
+  const auto& ls = ws.ls;
   const auto& virt = ex.virt;
   const auto vn = static_cast<std::uint32_t>(virt.size());
-  const auto num_steps = static_cast<std::uint32_t>(ls.step_instrs.size());
   const auto num_vcells = ex.num_vcells;
 
   // ---- physical allocation: disjoint per-bank ranges, FIFO recycling ----
-  std::optional<util::TraceSpan> alloc_span;
-  alloc_span.emplace("sched.alloc");
+  double alloc_ms = 0.0;
+  std::optional<util::ScopedPhase> alloc_phase;
+  alloc_phase.emplace("sched.alloc", &alloc_ms);
   std::vector<std::uint32_t> first_step(num_vcells, npos);
   std::vector<std::uint32_t> last_step(num_vcells, 0);
   // Virtual cells read from another bank (transfer sources). Recycling
@@ -1073,14 +1169,9 @@ ScheduleResult schedule(const arch::Program& serial,
     return op.is_rram() ? arch::Operand::rram(final_cell(op.address())) : op;
   };
   std::vector<std::uint32_t> bank_load(banks, 0);
-  for (const auto& step : ls.step_instrs) {
-    auto slots = step;
-    std::sort(slots.begin(), slots.end(),
-              [&](std::uint32_t x, std::uint32_t y) {
-                return virt[x].bank < virt[y].bank;
-              });
+  for (std::uint32_t t = 0; t < ls.num_steps(); ++t) {
     pp.begin_step();
-    for (const auto vidx : slots) {
+    for (const auto vidx : ls.step(t)) {
       const auto& v = virt[vidx];
       ++bank_load[v.bank];
       pp.add_slot({v.bank,
@@ -1092,7 +1183,7 @@ ScheduleResult schedule(const arch::Program& serial,
     pp.add_output(serial.output_name(o),
                   final_cell(last_segment_of_cell[serial.output_cell(o)]));
   }
-  alloc_span.reset();
+  alloc_phase.reset();
 
   // Sync tokens for decoupled execution: one coalesced signal/wait pair
   // per surviving cross-bank transfer edge (see sched/decoupled.hpp).
@@ -1109,8 +1200,10 @@ ScheduleResult schedule(const arch::Program& serial,
   // sched/stream_order.hpp), with sync tokens re-derived for the new
   // streams.
   StreamOrderResult reorder;
+  double stream_order_ms = 0.0;
   if (makespan_objective && banks > 1) {
-    const util::TraceSpan reorder_span("sched.stream_order");
+    const util::ScopedPhase reorder_phase("sched.stream_order",
+                                          &stream_order_ms);
     reorder = reorder_streams(pp, opts.cost.bus_width,
                               arch::Machine::phases_per_instruction);
   }
@@ -1199,8 +1292,12 @@ ScheduleResult schedule(const arch::Program& serial,
           (std::uint64_t{final_steps} - stats.bank_load[b]) * phases;
     }
   }
+  stats.assign_ms = assign_ms;
   stats.refine_ms = refine_ms;
+  stats.pack_ms = pack_ms;
+  stats.alloc_ms = alloc_ms;
   stats.sync_ms = sync_ms;
+  stats.stream_order_ms = stream_order_ms;
   stats.schedule_ms =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - t0)

@@ -165,16 +165,32 @@ StreamOrderResult reorder_streams(ParallelProgram& program,
   // time, the one with the greatest critical-path height goes first;
   // across banks, the globally earliest feasible issue goes first (ties
   // to the taller candidate, then the lower flat id for determinism).
+  //
+  // Each bank keeps two heaps: `waiting` holds released ops keyed by
+  // dep_ready, `startable` the ones whose dep_ready is at or below the
+  // bank's issue time, keyed by (height desc, id asc). A bank's issue
+  // times strictly grow (every issue pushes bank_free past it), so an op
+  // that was startable stays startable and each op crosses over once.
   const auto stream_latency = phases > 1 ? phases - 1 : phases;
   std::vector<std::uint64_t> dep_ready(ops.total, 0);
   std::vector<std::uint64_t> bank_free(ops.banks, 0);
   using Pending = std::pair<std::uint64_t, std::uint32_t>;  // (dep_ready, id)
   std::vector<std::priority_queue<Pending, std::vector<Pending>,
                                   std::greater<>>>
-      pending(ops.banks);
+      waiting(ops.banks);
+  const auto shorter = [&](std::uint32_t x, std::uint32_t y) {
+    return height[x] < height[y] || (height[x] == height[y] && x > y);
+  };
+  std::vector<std::priority_queue<std::uint32_t, std::vector<std::uint32_t>,
+                                  decltype(shorter)>>
+      startable;
+  startable.reserve(ops.banks);
+  for (std::uint32_t b = 0; b < ops.banks; ++b) {
+    startable.emplace_back(shorter);
+  }
   for (std::uint32_t i = 0; i < ops.total; ++i) {
     if (indeg[i] == 0) {
-      pending[ops.bank_of[i]].push({0, i});
+      waiting[ops.bank_of[i]].push({0, i});
     }
   }
   std::priority_queue<std::uint64_t, std::vector<std::uint64_t>,
@@ -186,16 +202,20 @@ StreamOrderResult reorder_streams(ParallelProgram& program,
   std::uint64_t last_bus_start = 0;
   std::vector<std::uint32_t> issue_order;
   issue_order.reserve(ops.total);
-  std::vector<Pending> stash;  // scratch for the per-bank height pick
   while (issue_order.size() < ops.total) {
-    // The bank that can issue earliest.
+    // The bank that can issue earliest. A non-empty startable heap holds
+    // ops released before the bank's last issue, so its time is
+    // bank_free.
     std::uint32_t best_bank = ops.banks;
     std::uint64_t best_time = 0;
     for (std::uint32_t b = 0; b < ops.banks; ++b) {
-      if (pending[b].empty()) {
-        continue;
+      std::uint64_t t = bank_free[b];
+      if (startable[b].empty()) {
+        if (waiting[b].empty()) {
+          continue;
+        }
+        t = std::max(t, waiting[b].top().first);
       }
-      const auto t = std::max(bank_free[b], pending[b].top().first);
       if (best_bank == ops.banks || t < best_time) {
         best_bank = b;
         best_time = t;
@@ -207,25 +227,14 @@ StreamOrderResult reorder_streams(ParallelProgram& program,
       return result;
     }
     // Tallest candidate among this bank's ops startable at best_time.
-    auto& heap = pending[best_bank];
-    stash.clear();
-    std::uint32_t pick = ops.total;
+    auto& ready = startable[best_bank];
+    auto& heap = waiting[best_bank];
     while (!heap.empty() && heap.top().first <= best_time) {
-      const auto cand = heap.top().second;
+      ready.push(heap.top().second);
       heap.pop();
-      if (pick == ops.total || height[cand] > height[pick] ||
-          (height[cand] == height[pick] && cand < pick)) {
-        if (pick != ops.total) {
-          stash.push_back({dep_ready[pick], pick});
-        }
-        pick = cand;
-      } else {
-        stash.push_back({dep_ready[cand], cand});
-      }
     }
-    for (const auto& s : stash) {
-      heap.push(s);
-    }
+    const auto pick = ready.top();
+    ready.pop();
     auto start = best_time;
     if (uses_bus[pick]) {
       start = std::max(start, last_bus_start);  // in-order grant chain
@@ -243,7 +252,7 @@ StreamOrderResult reorder_streams(ParallelProgram& program,
       const auto [j, latency] = succ[k];
       dep_ready[j] = std::max(dep_ready[j], start + latency);
       if (--indeg[j] == 0) {
-        pending[ops.bank_of[j]].push({dep_ready[j], j});
+        waiting[ops.bank_of[j]].push({dep_ready[j], j});
       }
     }
   }

@@ -24,7 +24,8 @@ struct StreamOrderResult {
 /// latencies) with the in-order bus arbiter modelled, prioritising by
 /// critical-path height, then repacks the new streams into lockstep
 /// steps (so the program stays a valid ParallelProgram — the lockstep
-/// view is the canonical storage) and re-derives sync tokens.
+/// view is the canonical storage) and re-derives sync tokens. The list
+/// scheduling costs O(n log n) in the program's n ops.
 ///
 /// The reordered program is adopted only when its decoupled makespan is
 /// strictly smaller and its lockstep step count did not grow — a guard

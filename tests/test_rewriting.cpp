@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
+#include "circuits/epfl.hpp"
 #include "expr/parser.hpp"
+#include "mig/cleanup.hpp"
 #include "mig/random.hpp"
 #include "mig/simulation.hpp"
 
@@ -167,6 +172,58 @@ TEST(Rewrite, IsIdempotentAfterConvergence) {
   const auto r2 = rewrite_for_plim(r1, opts);
   EXPECT_EQ(r2.num_gates(), r1.num_gates());
   EXPECT_EQ(count_multi_complement(r2), count_multi_complement(r1));
+}
+
+/// Same nodes with the same fanins, same PI order, same POs.
+bool same_structure(const Mig& x, const Mig& y) {
+  if (x.size() != y.size() || x.num_pis() != y.num_pis() ||
+      x.num_pos() != y.num_pos()) {
+    return false;
+  }
+  for (node n = 0; n < x.size(); ++n) {
+    if (x.kind(n) != y.kind(n) ||
+        (x.is_gate(n) && x.fanins(n) != y.fanins(n))) {
+      return false;
+    }
+  }
+  for (std::uint32_t i = 0; i < x.num_pis(); ++i) {
+    if (x.pi_at(i) != y.pi_at(i)) {
+      return false;
+    }
+  }
+  for (std::uint32_t i = 0; i < x.num_pos(); ++i) {
+    if (x.po_at(i) != y.po_at(i)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// The effort loop stops at a fixed point without changing the result:
+/// effort 4 equals four chained effort-1 runs, and it runs exactly one
+/// cycle past the last one that changed the network.
+TEST(Rewrite, StopsAtFixedPointWithTheSameResult) {
+  for (const auto* name : {"ctrl", "int2float", "i2c", "mem_ctrl"}) {
+    const auto m = circuits::build_benchmark(name);
+    RewriteStats stats;
+    const auto full = rewrite_for_plim(m, {}, &stats);
+
+    RewriteOptions one;
+    one.effort = 1;
+    auto chained = cleanup_dangling(m);
+    std::uint32_t last_change = 0;
+    for (std::uint32_t cycle = 1; cycle <= 4; ++cycle) {
+      auto next = rewrite_for_plim(chained, one);
+      if (!same_structure(next, chained)) {
+        last_change = cycle;
+      }
+      chained = std::move(next);
+    }
+    EXPECT_TRUE(same_structure(full, chained)) << name;
+    EXPECT_EQ(stats.cycles, std::min<std::uint32_t>(last_change + 1, 4))
+        << name;
+    EXPECT_LT(stats.cycles, 4u) << name << " never reached a fixed point";
+  }
 }
 
 TEST(Rewrite, StatsReportBeforeAndAfter) {

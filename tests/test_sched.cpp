@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "arch/machine.hpp"
@@ -9,12 +13,14 @@
 #include "circuits/epfl.hpp"
 #include "core/compiler.hpp"
 #include "core/pipeline.hpp"
+#include "driver/driver.hpp"
 #include "mig/random.hpp"
 #include "sched/depgraph.hpp"
 #include "sched/scheduler.hpp"
 #include "sched/text.hpp"
 #include "sched/verify.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace plim::sched {
 namespace {
@@ -744,6 +750,151 @@ TEST(Pipeline, OptionalSchedulingStage) {
   EXPECT_EQ(with.schedule->stats.banks, 4u);
   EXPECT_EQ(with.schedule->program.validate(), "");
   expect_equivalent(with.compiled.program, with.schedule->program, 99);
+}
+
+// ---- schedule phase timing --------------------------------------------------
+
+/// Every millisecond of a schedule belongs to a named sub-phase: assign,
+/// refine, pack, alloc, sync and stream order together cover the
+/// scheduler's wall-clock.
+TEST(ScheduleStats, SubPhasesCoverScheduleTime) {
+  const auto compiled = core::compile(circuits::build_benchmark("i2c"));
+  auto opts = with_banks(4);
+  opts.execution = ExecutionModel::decoupled;
+  opts.cost.bus_width = 1;
+  const auto s = schedule(compiled.program, opts).stats;
+  const double phases = s.assign_ms + s.refine_ms + s.pack_ms + s.alloc_ms +
+                        s.sync_ms + s.stream_order_ms;
+  EXPECT_GT(s.refine_ms, 0.0);
+  EXPECT_GT(s.stream_order_ms, 0.0);
+  EXPECT_LE(phases, s.schedule_ms);
+  EXPECT_GE(phases, 0.95 * s.schedule_ms)
+      << "assign " << s.assign_ms << " refine " << s.refine_ms << " pack "
+      << s.pack_ms << " alloc " << s.alloc_ms << " sync " << s.sync_ms
+      << " stream order " << s.stream_order_ms << " of " << s.schedule_ms;
+}
+
+// ---- golden schedules -------------------------------------------------------
+
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : text) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// One golden line: the schedule's quality figures plus a hash of its
+/// full listing, so any change to the emitted program shows up.
+std::string golden_line(const std::string& config,
+                        const CompileOutcome& outcome) {
+  const auto& s = *outcome.stats.schedule;
+  char hash[17];
+  std::snprintf(hash, sizeof hash, "%016llx",
+                static_cast<unsigned long long>(
+                    fnv1a(to_text(*outcome.parallel))));
+  util::JsonWriter json;
+  json.begin_object();
+  json.field("config", config);
+  json.field("steps", s.steps);
+  json.field("transfers", s.transfers);
+  json.field("parallel_instructions", s.parallel_instructions);
+  json.field("rrams", s.parallel_rrams);
+  json.field("makespan_cycles", s.makespan_cycles);
+  json.field("sync_tokens", s.sync_tokens);
+  json.field("stream_reorder_saved_cycles", s.stream_reorder_saved_cycles);
+  json.field("text_fnv1a", std::string(hash));
+  json.end_object();
+  return json.str();
+}
+
+/// Pins the emitted schedules — lockstep on an unbounded bus and
+/// decoupled on a one-wide bus (bus deferral, makespan objective, stream
+/// reorder), plus random networks at 2 and 8 banks — through the full
+/// default pipeline. When a change intentionally alters the scheduler's
+/// output, regenerate with
+///   PLIM_REGEN_GOLDEN=1 ./test_sched --gtest_filter=Golden.*
+/// from the build directory and commit the diff.
+TEST(Golden, SchedulesMatchGoldenFile) {
+  struct Config {
+    std::string label;
+    CompileRequest request;
+    std::uint32_t banks;
+    ExecutionModel execution;
+    std::uint32_t bus_width;
+  };
+  std::vector<Config> configs;
+  for (const auto* name :
+       {"ctrl", "router", "cavlc", "int2float", "dec", "priority", "i2c"}) {
+    const auto request = CompileRequest::from_benchmark(name);
+    configs.push_back({name, request, 4, ExecutionModel::lockstep, 0});
+    configs.push_back({name, request, 4, ExecutionModel::decoupled, 1});
+  }
+  // A config whose stream-reorder pass is adopted (it saves cycles).
+  configs.push_back({"i2c", CompileRequest::from_benchmark("i2c"), 4,
+                     ExecutionModel::decoupled, 2});
+  for (const std::uint64_t seed : {7, 8}) {
+    mig::RandomMigOptions ropts;
+    ropts.num_pis = 10;
+    ropts.num_gates = 250;
+    ropts.num_pos = 6;
+    const auto request = CompileRequest::from_mig(
+        mig::random_mig(ropts, seed), "random" + std::to_string(seed));
+    for (const std::uint32_t banks : {2, 8}) {
+      configs.push_back({request.label(), request, banks,
+                         ExecutionModel::lockstep, 0});
+      configs.push_back({request.label(), request, banks,
+                         ExecutionModel::decoupled, 1});
+    }
+  }
+
+  std::vector<std::string> lines;
+  for (const auto& c : configs) {
+    Options options;
+    options.banks = c.banks;
+    options.schedule.execution = c.execution;
+    options.schedule.cost.bus_width = c.bus_width;
+    const auto outcome = Driver(options).run(c.request);
+    const auto config =
+        c.label + "@" + std::to_string(c.banks) +
+        (c.execution == ExecutionModel::decoupled ? " decoupled" : " lockstep") +
+        " bus" + std::to_string(c.bus_width);
+    ASSERT_TRUE(outcome.ok()) << config << ": " << outcome.error_summary();
+    lines.push_back(golden_line(config, outcome));
+  }
+
+  const std::string golden_path =
+      std::string(PLIM_SOURCE_DIR) + "/tests/golden/schedules.json";
+  if (std::getenv("PLIM_REGEN_GOLDEN") != nullptr) {
+    std::ofstream out(golden_path);
+    ASSERT_TRUE(out.good()) << "cannot write " << golden_path;
+    out << "[\n";
+    for (std::size_t k = 0; k < lines.size(); ++k) {
+      out << "  " << lines[k] << (k + 1 < lines.size() ? ",\n" : "\n");
+    }
+    out << "]\n";
+    GTEST_SKIP() << "regenerated " << golden_path;
+  }
+  std::ifstream in(golden_path);
+  ASSERT_TRUE(in.good()) << "missing " << golden_path;
+  std::vector<std::string> expected;
+  for (std::string line; std::getline(in, line);) {
+    if (line.size() > 2 && line.front() == ' ') {
+      line.erase(0, 2);
+      if (line.back() == ',') {
+        line.pop_back();
+      }
+      expected.push_back(line);
+    }
+  }
+  ASSERT_EQ(expected.size(), lines.size())
+      << "golden schedule set changed — regenerate with PLIM_REGEN_GOLDEN=1";
+  for (std::size_t k = 0; k < lines.size(); ++k) {
+    EXPECT_EQ(lines[k], expected[k])
+        << "schedule drifted — if intentional, regenerate with "
+           "PLIM_REGEN_GOLDEN=1 (see test comment)";
+  }
 }
 
 }  // namespace
