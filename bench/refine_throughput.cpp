@@ -4,7 +4,7 @@
 /// (O(window) delta estimate, exact confirmation) evaluators and
 /// reports what each trial move costs.
 ///
-/// Two sweeps per benchmark, 4 banks, post-hoc placement:
+/// Two sweeps per benchmark, 4 banks:
 ///
 ///   evaluators  full vs incremental (resync every accept) vs
 ///               incremental with deferred resync (every 4th accept) at
@@ -131,7 +131,6 @@ int main(int argc, char** argv) {
     plim::Options options;
     options.rewrite.effort = 0;  // the network below is pre-rewritten
     options.banks = kBanks;
-    options.placement = plim::PlacementMode::post;
     options.schedule.refine_incremental = incremental;
     options.schedule.refine_resync = resync;
     options.schedule.refine_passes = passes;

@@ -1,33 +1,24 @@
 /// Multi-bank scheduling sweep over the EPFL benchmarks, driven entirely
 /// through the plim::Driver facade: compiles every circuit with the full
-/// DAC'16 pipeline and schedules it onto 1/2/4/8 PLiM banks under both
-/// placement modes —
-///
-///   post      the serial program is re-partitioned after the fact
-///             (heavy-edge clustering + cost-model bank assignment), and
-///   compiler  the compiler places node values into per-bank cell ranges
-///             (core::BankedAllocator) and the scheduler follows its
-///             placement hints —
-///
-/// plus a bounded-bus sweep (widths 1, 2, unbounded) at 4 banks for both
-/// modes. Every schedule is cross-checked against its serial program on
-/// random 64-lane patterns — under the lockstep machine *and* under
-/// decoupled execution — by the driver's built-in verification, and the
-/// whole trajectory is emitted as JSON (BENCH_sched.json in CI) so
-/// scheduler performance is tracked across PRs. Every JSON block is one
-/// plim::StatsReport — the same schema `plimc --json` emits and
-/// `tools/diff_bench.py` consumes.
+/// DAC'16 pipeline and schedules it onto 1/2/4/8 PLiM banks — the
+/// serial program is re-partitioned after the fact (heavy-edge
+/// clustering + cost-model bank assignment; the "post" block of the
+/// JSON) — plus a bounded-bus sweep (widths 1, 2, unbounded) at 4 banks
+/// and the un-clustered, unrefined 4-bank baseline. Every schedule is
+/// cross-checked against its serial program on random 64-lane patterns
+/// — under the lockstep machine *and* under decoupled execution — by the
+/// driver's built-in verification, and the whole trajectory is emitted
+/// as JSON (BENCH_sched.json in CI) so scheduler performance is tracked
+/// across PRs. Every JSON block is one plim::StatsReport — the same
+/// schema `plimc --json` emits and `tools/diff_bench.py` consumes.
 ///
 /// Exits non-zero when any schedule diverges from its serial program or
 /// when a regression bar breaks:
-///   - average post-placement 4-bank speedup must stay above 1.2x,
+///   - average 4-bank speedup must stay above 1.2x,
 ///   - voter at 8 banks must take fewer steps than at 4 banks (the
 ///     majority-subtree clustering guarantee),
-///   - compiler-side placement must need fewer total 4-bank transfers
-///     than the un-clustered post-hoc assignment (PR 1's scheme),
-///   - compiler-side placement must match or beat post-hoc clustering on
-///     average 4-bank step speedup (placement + interleaving +
-///     refinement must not trail the post-hoc scheme it subsumes),
+///   - clustered, refined bank assignment must need fewer total 4-bank
+///     transfers than the un-clustered, unrefined baseline,
 ///   - decoupled makespan must never exceed the lockstep steps × phases
 ///     bound on any configuration (the step barrier only ever
 ///     over-synchronizes), and
@@ -45,7 +36,6 @@
 #include <cstdio>
 #include <cstring>
 #include <iostream>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -68,12 +58,6 @@ std::string fixed2(double v) {
   std::snprintf(buf, sizeof buf, "%.2f", v);
   return buf;
 }
-
-struct ModeTotals {
-  double speedup4_sum = 0.0;
-  double decoupled4_sum = 0.0;
-  std::uint64_t transfers4 = 0;
-};
 
 }  // namespace
 
@@ -122,13 +106,10 @@ int main(int argc, char** argv) {
   // Every configuration of the sweep is one driver run over the
   // pre-rewritten network (rewriting runs once per benchmark, outside
   // the bank/bus sweeps, so the trajectory isolates scheduling effects).
-  const auto config_options = [&](std::uint32_t banks, bool compiler_placement,
-                                  std::uint64_t seed) {
+  const auto config_options = [&](std::uint32_t banks, std::uint64_t seed) {
     plim::Options options;
     options.rewrite.effort = 0;
     options.banks = banks;
-    options.placement = compiler_placement ? plim::PlacementMode::compiler
-                                           : plim::PlacementMode::post;
     // Default refinement budget (incremental evaluator, 20 passes):
     // passes stop early once a pass finds nothing new, so small circuits
     // pay almost nothing.
@@ -143,10 +124,8 @@ int main(int argc, char** argv) {
     return options;
   };
 
-  // #I@4: instruction count of the serial program the 4-bank schedule
-  // runs on (compiler placement recompiles per bank count, so the serial
-  // stream differs across columns; 4 banks is the headline config).
-  std::vector<std::string> header = {"Benchmark", "Mode", "#I@4"};
+  // #I@4: instruction count of the serial program the schedules run on.
+  std::vector<std::string> header = {"Benchmark", "#I@4"};
   for (const auto banks : kBankCounts) {
     const auto b = std::to_string(banks);
     header.push_back("steps@" + b);
@@ -164,7 +143,9 @@ int main(int argc, char** argv) {
   json.field("smoke", smoke);
   json.begin_array("benchmarks");
 
-  std::map<std::string, ModeTotals> totals;  // "post" / "compiler"
+  double speedup4_sum = 0.0;
+  double decoupled4_sum = 0.0;
+  std::uint64_t transfers4 = 0;
   std::uint64_t unclustered_transfers4 = 0;
   std::uint32_t voter_steps4 = 0;
   std::uint32_t voter_steps8 = 0;
@@ -224,10 +205,10 @@ int main(int argc, char** argv) {
     json.begin_object();
     json.field("benchmark", spec.name);
 
-    // PR 1's scheme as the in-tree baseline: flat compile, per-segment
-    // cost assignment without clustering or refinement, 4 banks.
+    // The in-tree baseline: per-segment cost assignment without
+    // clustering or refinement, 4 banks.
     {
-      auto options = config_options(4, false, 4001 + circuits);
+      auto options = config_options(4, 4001 + circuits);
       options.schedule.cluster = false;
       options.schedule.refine_passes = 0;
       const auto outcome = plim::Driver(options).run(request);
@@ -242,10 +223,9 @@ int main(int argc, char** argv) {
       json.end_object();
     }
 
-    for (const auto* mode : {"post", "compiler"}) {
-      const bool compiler_placement = std::strcmp(mode, "compiler") == 0;
-      json.begin_object(mode);
-      std::vector<std::string> row = {spec.name, mode};
+    {
+      json.begin_object("post");
+      std::vector<std::string> row = {spec.name};
       std::string bus1_cell = "-";
 
       // The 4-bank report is reused by the bus sweep below.
@@ -253,17 +233,16 @@ int main(int argc, char** argv) {
 
       json.begin_array("banks");
       for (const auto banks : kBankCounts) {
-        const auto options = config_options(
-            banks, compiler_placement, banks * 7919 + circuits);
+        const auto options = config_options(banks, banks * 7919 + circuits);
         const auto outcome = plim::Driver(options).run(request);
         if (!outcome.ok()) {
-          std::cerr << spec.name << " (" << mode << ") @ " << banks
+          std::cerr << spec.name << " @ " << banks
                     << " banks: " << outcome.error_summary() << '\n';
           return 1;
         }
         const auto& s = *outcome.stats.schedule;
-        check_decoupled(s, spec.name + " (" + mode + ") @ " +
-                               std::to_string(banks) + " banks");
+        check_decoupled(s, spec.name + " (post) @ " + std::to_string(banks) +
+                               " banks");
         row.push_back(std::to_string(s.steps));
         row.push_back(std::to_string(s.transfers));
         row.push_back(fixed2(s.speedup) + "x");
@@ -271,14 +250,14 @@ int main(int argc, char** argv) {
         outcome.stats.write_json_fields(json);
         json.end_object();
         if (banks == 4) {
-          totals[mode].speedup4_sum += s.speedup;
-          totals[mode].decoupled4_sum += s.decoupled_speedup;
-          totals[mode].transfers4 += s.transfers;
-          row.insert(row.begin() + 2,
+          speedup4_sum += s.speedup;
+          decoupled4_sum += s.decoupled_speedup;
+          transfers4 += s.transfers;
+          row.insert(row.begin() + 1,
                      std::to_string(outcome.program.num_instructions()));
           report4 = outcome.stats;
         }
-        if (!compiler_placement && spec.name == "voter") {
+        if (spec.name == "voter") {
           if (banks == 4) {
             voter_steps4 = s.steps;
           } else if (banks == 8) {
@@ -300,18 +279,16 @@ int main(int argc, char** argv) {
           json.end_object();
           continue;
         }
-        auto options =
-            config_options(4, compiler_placement, width * 131 + circuits);
+        auto options = config_options(4, width * 131 + circuits);
         options.schedule.cost.bus_width = width;
         const auto bounded = plim::Driver(options).run(request);
         if (!bounded.ok()) {
-          std::cerr << spec.name << " (" << mode << ") bus " << width
-                    << ": " << bounded.error_summary() << '\n';
+          std::cerr << spec.name << " bus " << width << ": "
+                    << bounded.error_summary() << '\n';
           return 1;
         }
         check_decoupled(*bounded.stats.schedule,
-                        spec.name + " (" + mode + ") bus " +
-                            std::to_string(width));
+                        spec.name + " (post) bus " + std::to_string(width));
         json.begin_object();
         bounded.stats.write_json_fields(json);
         json.end_object();
@@ -320,7 +297,7 @@ int main(int argc, char** argv) {
         }
       }
       json.end_array();  // bus_4banks
-      json.end_object();  // mode
+      json.end_object();  // post
       row.push_back(bus1_cell);
       row.push_back(fixed2(report4.schedule->decoupled_speedup) + "x");
       table.add_row(std::move(row));
@@ -334,25 +311,18 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const auto avg4_post = totals["post"].speedup4_sum / circuits;
-  const auto avg4_compiler = totals["compiler"].speedup4_sum / circuits;
+  const auto avg4_post = speedup4_sum / circuits;
+  const auto avg4_dec_post = decoupled4_sum / circuits;
   const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
                            std::chrono::steady_clock::now() - t0)
                            .count();
 
-  const auto avg4_dec_post = totals["post"].decoupled4_sum / circuits;
-  const auto avg4_dec_compiler = totals["compiler"].decoupled4_sum / circuits;
-
   json.end_array();
   json.field("average_speedup_4_banks", avg4_post);
-  json.field("average_speedup_4_banks_compiler", avg4_compiler);
   json.field("average_decoupled_speedup_4_banks", avg4_dec_post);
-  json.field("average_decoupled_speedup_4_banks_compiler", avg4_dec_compiler);
   json.field("max_decoupling_cycle_reduction", best_decoupling);
   json.field("max_decoupling_config", best_decoupling_config);
-  json.field("total_transfers_4_banks_post", totals["post"].transfers4);
-  json.field("total_transfers_4_banks_compiler",
-             totals["compiler"].transfers4);
+  json.field("total_transfers_4_banks_post", transfers4);
   json.field("total_transfers_4_banks_unclustered", unclustered_transfers4);
   if (voter_steps4 > 0) {
     json.field("voter_steps_4_banks", voter_steps4);
@@ -366,20 +336,16 @@ int main(int argc, char** argv) {
                        : "")
             << (smoke ? ", smoke set" : "") << ")\n\n";
   table.print(std::cout);
-  std::cout << "\naverage 4-bank speedup: post " << fixed2(avg4_post)
-            << "x, compiler-placement " << fixed2(avg4_compiler) << "x over "
+  std::cout << "\naverage 4-bank speedup: " << fixed2(avg4_post) << "x over "
             << circuits << " circuits\n"
-            << "decoupled execution at 4 banks: post "
-            << fixed2(avg4_dec_post) << "x, compiler-placement "
-            << fixed2(avg4_dec_compiler)
+            << "decoupled execution at 4 banks: " << fixed2(avg4_dec_post)
             << "x cycle speedup over lockstep (best single config "
             << fixed2(100.0 * best_decoupling) << "% at "
             << (best_decoupling_config.empty() ? "-" : best_decoupling_config)
             << ")\n"
-            << "total 4-bank transfers: unclustered (PR 1 scheme) "
-            << unclustered_transfers4 << ", post "
-            << totals["post"].transfers4 << ", compiler-placement "
-            << totals["compiler"].transfers4 << "\n"
+            << "total 4-bank transfers: unclustered "
+            << unclustered_transfers4 << ", clustered and refined "
+            << transfers4 << "\n"
             << "total time " << elapsed << " ms\n";
 
   if (!json_path.empty() &&
@@ -389,16 +355,14 @@ int main(int argc, char** argv) {
 
   bool ok = true;
   if (only.empty() && avg4_post <= 1.2) {
-    std::cerr << "sched_speedup: average post 4-bank speedup "
+    std::cerr << "sched_speedup: average 4-bank speedup "
               << fixed2(avg4_post) << "x is below the 1.2x regression bar\n";
     ok = false;
   }
-  if (only.empty() &&
-      totals["compiler"].transfers4 >= unclustered_transfers4) {
-    std::cerr << "sched_speedup: compiler placement needs "
-              << totals["compiler"].transfers4
+  if (only.empty() && transfers4 >= unclustered_transfers4) {
+    std::cerr << "sched_speedup: clustered assignment needs " << transfers4
               << " transfers at 4 banks, not below the un-clustered "
-                 "post-hoc baseline of "
+                 "baseline of "
               << unclustered_transfers4 << "\n";
     ok = false;
   }
@@ -406,13 +370,6 @@ int main(int argc, char** argv) {
     std::cerr << "sched_speedup: voter takes " << voter_steps8
               << " steps at 8 banks vs " << voter_steps4
               << " at 4 — subtree clustering regressed\n";
-    ok = false;
-  }
-  if (only.empty() && avg4_compiler < avg4_post) {
-    std::cerr << "sched_speedup: compiler placement averages "
-              << fixed2(avg4_compiler)
-              << "x at 4 banks, behind the post-hoc average of "
-              << fixed2(avg4_post) << "x\n";
     ok = false;
   }
   if (!decoupled_bound_ok) {

@@ -135,8 +135,8 @@ int main(int argc, char** argv) {
     reps = std::min(reps, 10u);
   }
 
-  // The daemon's compile configuration: the 4-bank post-placement
-  // config BENCH_sched.json tracks, verification off (bench, not test).
+  // The daemon's compile configuration: the 4-bank config BENCH_sched.json
+  // tracks, verification off (bench, not test).
   plim::Options options;
   options.banks = 4;
   options.rewrite.effort = 2;

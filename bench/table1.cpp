@@ -15,11 +15,12 @@
 #include <chrono>
 #include <cstring>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "circuits/epfl.hpp"
-#include "core/pipeline.hpp"
 #include "core/verify.hpp"
+#include "driver/driver.hpp"
 #include "mig/simulation.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -34,6 +35,24 @@ struct Row {
 };
 
 std::string pct(double improvement) { return plim::util::percent(improvement); }
+
+/// One Table-1 configuration through the driver. Verification is left
+/// to the caller, which checks each program against the network that
+/// was actually compiled.
+plim::CompileOutcome run_config(const plim::mig::Mig& mig,
+                                unsigned rewrite_effort,
+                                bool smart_candidates) {
+  plim::Options options;
+  options.rewrite.effort = rewrite_effort;
+  options.compile.smart_candidates = smart_candidates;
+  options.verify.enabled = false;
+  auto outcome = plim::Driver(options).run(
+      plim::CompileRequest::from_mig(mig, "table1"));
+  if (!outcome.ok()) {
+    throw std::runtime_error(outcome.error_summary());
+  }
+  return outcome;
+}
 
 }  // namespace
 
@@ -79,11 +98,11 @@ int main(int argc, char** argv) {
       return 1;
     }
 
-    using plim::core::PipelineConfig;
-    const auto naive = run_pipeline(mig, PipelineConfig::naive, ropts);
-    const auto rw = run_pipeline(mig, PipelineConfig::rewriting, ropts);
-    const auto cmp =
-        run_pipeline(mig, PipelineConfig::rewriting_and_compilation, ropts);
+    // naive: no rewriting, index order; rewriting: index order; full:
+    // rewriting + smart candidate selection.
+    const auto naive = run_config(mig, 0, false);
+    const auto rw = run_config(mig, effort, false);
+    const auto cmp = run_config(mig, effort, true);
 
     if (verify) {
       for (const auto* result : {&naive, &rw, &cmp}) {
@@ -93,7 +112,7 @@ int main(int argc, char** argv) {
         const auto& compiled_for =
             result == &naive ? mig : plim::mig::rewrite_for_plim(mig, ropts);
         const auto v = plim::core::verify_program(
-            compiled_for, result->compiled.program, 2, 42);
+            compiled_for, result->program, 2, 42);
         if (!v.ok) {
           std::cerr << spec.name << ": VERIFICATION FAILED: " << v.message
                     << '\n';
@@ -110,14 +129,14 @@ int main(int argc, char** argv) {
 
     Row row;
     row.name = spec.name;
-    row.n_naive = naive.mig_gates;
-    row.i_naive = naive.compiled.stats.num_instructions;
-    row.r_naive = naive.compiled.stats.num_rrams;
-    row.n_rw = rw.mig_gates;
-    row.i_rw = rw.compiled.stats.num_instructions;
-    row.r_rw = rw.compiled.stats.num_rrams;
-    row.i_cmp = cmp.compiled.stats.num_instructions;
-    row.r_cmp = cmp.compiled.stats.num_rrams;
+    row.n_naive = naive.stats.gates;
+    row.i_naive = naive.stats.compile.num_instructions;
+    row.r_naive = naive.stats.compile.num_rrams;
+    row.n_rw = rw.stats.gates;
+    row.i_rw = rw.stats.compile.num_instructions;
+    row.r_rw = rw.stats.compile.num_rrams;
+    row.i_cmp = cmp.stats.compile.num_instructions;
+    row.r_cmp = cmp.stats.compile.num_rrams;
 
     const auto impr = [](std::uint32_t before, std::uint32_t after) {
       return plim::util::improvement(before, after);

@@ -42,7 +42,6 @@
 ///                    K > 1 accepts up to K moves on the estimate
 ///                    between exact resyncs (rolled back when the exact
 ///                    evaluation disagrees)
-///   --placement M    post | compiler (see plim::PlacementMode)
 ///   --execution M    lockstep | decoupled (see sched::ExecutionModel)
 ///   --objective M    auto | steps | makespan (see sched::Objective) —
 ///                    what the scheduler optimizes; auto follows
@@ -130,9 +129,8 @@ int usage() {
                "[--refine-passes N]\n"
                "             [--refine-eval incremental|full] "
                "[--refine-resync K]\n"
-               "             [--placement post|compiler] "
-               "[--execution lockstep|decoupled]\n"
-               "             [--objective auto|steps|makespan]\n"
+               "             [--execution lockstep|decoupled] "
+               "[--objective auto|steps|makespan]\n"
                "             [--threads N] [--json <file|->] "
                "[--trace <file>] [--metrics]\n"
                "             [--no-verify] [--stats]\n"
@@ -178,9 +176,7 @@ void print_stats(const plim::CompileOutcome& outcome) {
     return;
   }
   const auto& s = *stats.schedule;
-  std::cerr << "schedule: " << s.banks << " banks ("
-            << (s.placement_hints_used ? "compiler" : "post")
-            << " placement), " << s.steps << " steps, "
+  std::cerr << "schedule: " << s.banks << " banks, " << s.steps << " steps, "
             << s.parallel_instructions << " instructions (" << s.transfers
             << " transfers, " << s.duplicates
             << " duplicated values), utilization " << s.utilization
@@ -371,18 +367,6 @@ int main(int argc, char** argv) {
       if (const char* v = next()) {
         options.schedule.refine_resync =
             static_cast<std::uint32_t>(std::stoul(v));
-      } else {
-        return usage();
-      }
-    } else if (arg == "--placement") {
-      const char* v = next();
-      if (v == nullptr) {
-        return usage();
-      }
-      if (std::strcmp(v, "compiler") == 0) {
-        options.placement = plim::PlacementMode::compiler;
-      } else if (std::strcmp(v, "post") == 0) {
-        options.placement = plim::PlacementMode::post;
       } else {
         return usage();
       }

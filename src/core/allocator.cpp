@@ -4,37 +4,30 @@
 
 namespace plim::core {
 
-void RramAllocator::count_request() noexcept {
-  ++live_;
-  peak_ = std::max(peak_, live_);
-}
-
-std::optional<std::uint32_t> RramAllocator::take_free(
-    std::deque<std::uint32_t>& free) {
-  if (policy_ == AllocationPolicy::fresh || free.empty()) {
+std::optional<std::uint32_t> RramAllocator::take_free() {
+  if (policy_ == AllocationPolicy::fresh || free_.empty()) {
     return std::nullopt;
   }
   std::uint32_t cell;
   if (policy_ == AllocationPolicy::fifo) {
-    cell = free.front();
-    free.pop_front();
+    cell = free_.front();
+    free_.pop_front();
   } else {
-    cell = free.back();
-    free.pop_back();
+    cell = free_.back();
+    free_.pop_back();
   }
   return cell;
 }
 
-bool RramAllocator::evict_until(std::uint32_t bank,
-                                const std::function<bool()>& stop) {
+bool RramAllocator::evict_until_free() {
   // Under `fresh`, released cells are never reused, so evicting live
   // values can never satisfy a pending request — fail immediately
   // instead of looping while the handler sheds cells for nothing.
   if (!evict_ || policy_ == AllocationPolicy::fresh) {
     return false;
   }
-  while (!stop()) {
-    if (!evict_(bank)) {
+  while (free_.empty()) {
+    if (!evict_()) {
       return false;
     }
     ++evictions_;
@@ -43,95 +36,24 @@ bool RramAllocator::evict_until(std::uint32_t bank,
 }
 
 std::uint32_t RramAllocator::request() {
-  std::uint32_t cell;
-  if (auto reused = take_free(free_)) {
-    cell = *reused;
-  } else if (cap_ && next_ >= *cap_ &&
-             !evict_until(kAnyBank, [&] { return !free_.empty(); })) {
-    throw RramCapExceeded(*cap_);
-  } else if (auto evicted = take_free(free_)) {
-    cell = *evicted;
-  } else {
-    if (cap_ && next_ >= *cap_) {
+  auto cell = take_free();
+  if (!cell) {
+    if (!cap_ || next_ < *cap_) {
+      cell = next_++;
+    } else if (evict_until_free()) {
+      cell = take_free();
+    } else {
       throw RramCapExceeded(*cap_);
     }
-    cell = next_++;
   }
-  count_request();
-  return cell;
+  ++live_;
+  peak_ = std::max(peak_, live_);
+  return *cell;
 }
 
 void RramAllocator::release(std::uint32_t cell) {
   free_.push_back(cell);
-  count_release();
-}
-
-BankedAllocator::BankedAllocator(std::uint32_t num_banks,
-                                 AllocationPolicy policy,
-                                 std::optional<std::uint32_t> cap)
-    : RramAllocator(policy, cap),
-      next_local_(num_banks == 0 ? 1 : num_banks, 0),
-      bank_live_(num_banks == 0 ? 1 : num_banks, 0),
-      bank_peak_(num_banks == 0 ? 1 : num_banks, 0),
-      free_(num_banks == 0 ? 1 : num_banks) {}
-
-std::uint32_t BankedAllocator::request() {
-  std::uint32_t best = 0;
-  for (std::uint32_t b = 1; b < num_banks(); ++b) {
-    if (bank_live_[b] < bank_live_[best]) {
-      best = b;
-    }
-  }
-  return request_in(best);
-}
-
-std::uint32_t BankedAllocator::request_in(std::uint32_t bank) {
-  if (bank >= num_banks()) {
-    throw std::out_of_range("BankedAllocator: bank index out of range");
-  }
-  // A fresh cell is blocked by the global cap *or* the bank budget; a
-  // reused cell is always fine. Eviction can only help via reuse, and
-  // only a cell of this very bank lands on this bank's free list.
-  const auto fresh_blocked = [&] {
-    return (cap() && total_ >= *cap()) ||
-           (bank_budget_ && next_local_[bank] >= *bank_budget_);
-  };
-  std::uint32_t cell;
-  if (auto reused = take_free(free_[bank])) {
-    cell = *reused;
-  } else if (fresh_blocked() &&
-             !evict_until(bank, [&] { return !free_[bank].empty(); })) {
-    throw RramCapExceeded(cap() ? *cap() : *bank_budget_);
-  } else if (auto evicted = take_free(free_[bank])) {
-    cell = *evicted;
-  } else {
-    if (fresh_blocked()) {
-      throw RramCapExceeded(cap() ? *cap() : *bank_budget_);
-    }
-    cell = next_local_[bank]++ * num_banks() + bank;
-    ++total_;
-  }
-  ++bank_live_[bank];
-  bank_peak_[bank] = std::max(bank_peak_[bank], bank_live_[bank]);
-  count_request();
-  return cell;
-}
-
-void BankedAllocator::release(std::uint32_t cell) {
-  const auto bank = bank_of(cell);
-  free_[bank].push_back(cell);
-  --bank_live_[bank];
-  count_release();
-}
-
-Placement BankedAllocator::placement(std::uint32_t num_cells) const {
-  Placement p;
-  p.num_banks = num_banks();
-  p.cell_bank.resize(num_cells);
-  for (std::uint32_t c = 0; c < num_cells; ++c) {
-    p.cell_bank[c] = bank_of(c);
-  }
-  return p;
+  --live_;
 }
 
 }  // namespace plim::core

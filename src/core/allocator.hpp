@@ -6,7 +6,6 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 namespace plim::core {
 
@@ -54,20 +53,15 @@ class RramCapExceeded : public std::runtime_error {
   std::uint32_t live_lower_bound_;
 };
 
-/// Sentinel bank passed to an EvictionHandler when any bank's cell would
-/// satisfy the pending request (flat, un-banked allocation).
-inline constexpr std::uint32_t kAnyBank = 0xffffffffu;
-
 /// Called when a request would exceed the capacity: the handler should
-/// `release()` at least one live cell owned by `bank` (kAnyBank: any
-/// cell) and return true, or return false when it cannot — the request
-/// then fails with RramCapExceeded. Handlers must not request cells.
-using EvictionHandler = std::function<bool(std::uint32_t bank)>;
+/// `release()` at least one live cell and return true, or return false
+/// when it cannot — the request then fails with RramCapExceeded.
+/// Handlers must not request cells.
+using EvictionHandler = std::function<bool()>;
 
-/// The RRAM allocation interface of §4.2.3: `request` returns a ready
-/// cell (reusing released ones per policy), `release` returns a cell to
-/// the free list. The base class is the paper's flat single-bank array;
-/// BankedAllocator refines it with per-bank placement. Under an
+/// The RRAM allocation interface of §4.2.3 over the paper's flat
+/// single-bank array: `request` returns a ready cell (reusing released
+/// ones per policy), `release` returns a cell to the free list. Under an
 /// `rram_cap`, an optional eviction handler turns the hard capacity
 /// cliff into a callback: the compiler picks a victim live cell to spill
 /// (recompute-on-evict) instead of aborting.
@@ -76,17 +70,16 @@ class RramAllocator {
   explicit RramAllocator(AllocationPolicy policy = AllocationPolicy::fifo,
                          std::optional<std::uint32_t> cap = std::nullopt)
       : policy_(policy), cap_(cap) {}
-  virtual ~RramAllocator() = default;
 
   /// Returns a cell id ready for use. When a fresh cell would exceed the
   /// configured capacity, the eviction handler (if any) is consulted
   /// until a reusable cell appears; RramCapExceeded is thrown only when
   /// no handler is set or the handler gives up.
-  [[nodiscard]] virtual std::uint32_t request();
+  [[nodiscard]] std::uint32_t request();
 
   /// Returns a cell to the free list. The caller guarantees the cell's
   /// value is dead.
-  virtual void release(std::uint32_t cell);
+  void release(std::uint32_t cell);
 
   /// Installs (or clears, with nullptr) the capacity-pressure callback.
   void set_eviction_handler(EvictionHandler handler) {
@@ -98,7 +91,7 @@ class RramAllocator {
   }
 
   /// Total distinct cells ever allocated — the paper's #R metric.
-  [[nodiscard]] virtual std::uint32_t total_allocated() const noexcept {
+  [[nodiscard]] std::uint32_t total_allocated() const noexcept {
     return next_;
   }
   /// Cells currently holding live values.
@@ -108,27 +101,17 @@ class RramAllocator {
 
   [[nodiscard]] AllocationPolicy policy() const noexcept { return policy_; }
 
- protected:
-  [[nodiscard]] std::optional<std::uint32_t> cap() const noexcept {
-    return cap_;
-  }
-  /// Pops a reusable cell from `free` per the configured policy (FIFO:
-  /// oldest released, LIFO: newest; nullopt under `fresh` or when the
-  /// list is empty) — the one place the reuse discipline lives, shared
-  /// by the flat and the banked allocator.
-  [[nodiscard]] std::optional<std::uint32_t> take_free(
-      std::deque<std::uint32_t>& free);
-  /// Runs the eviction handler for `bank` until it surrenders or
-  /// `stop()` (re-checked after every successful eviction) says the
-  /// pressure is gone. Returns true when `stop()` was satisfied. Under
+ private:
+  /// Pops a reusable cell per the configured policy (FIFO: oldest
+  /// released, LIFO: newest; nullopt under `fresh` or when the free list
+  /// is empty) — the one place the reuse discipline lives.
+  [[nodiscard]] std::optional<std::uint32_t> take_free();
+  /// Runs the eviction handler until it surrenders or a released cell
+  /// appears on the free list. Returns true in the latter case. Under
   /// the `fresh` policy eviction is pointless (released cells are never
   /// reused) and the call fails immediately.
-  bool evict_until(std::uint32_t bank, const std::function<bool()>& stop);
-  /// Accounts one successful request / release in the live statistics.
-  void count_request() noexcept;
-  void count_release() noexcept { --live_; }
+  bool evict_until_free();
 
- private:
   AllocationPolicy policy_;
   std::optional<std::uint32_t> cap_;
   EvictionHandler evict_;
@@ -137,84 +120,6 @@ class RramAllocator {
   std::uint32_t live_ = 0;
   std::uint32_t peak_ = 0;
   std::uint32_t evictions_ = 0;
-};
-
-/// Bank-aware placement of the compiled program (serial cell → bank),
-/// produced by compiling with a BankedAllocator and consumed by the
-/// scheduler as placement hints.
-struct Placement {
-  std::uint32_t num_banks = 0;
-  std::vector<std::uint32_t> cell_bank;  ///< serial RRAM cell id → bank
-};
-
-/// Bank-aware RRAM allocator: the global cell space is partitioned into
-/// `num_banks` disjoint modular ranges — bank b owns exactly the cells
-/// {c : c ≡ b (mod num_banks)} — so every cell's bank is a static
-/// property of its address and per-bank cell sets can never overlap.
-/// `request_in(bank)` places a value into a specific bank (per-bank free
-/// lists follow the configured policy); the inherited `request()` places
-/// into the bank with the fewest live cells. The capacity bound applies
-/// to the total number of distinct cells across all banks; an optional
-/// per-bank budget additionally caps every single bank's distinct cells.
-class BankedAllocator final : public RramAllocator {
- public:
-  explicit BankedAllocator(std::uint32_t num_banks,
-                           AllocationPolicy policy = AllocationPolicy::fifo,
-                           std::optional<std::uint32_t> cap = std::nullopt);
-
-  /// Places into the bank with the fewest live cells (ties: lowest bank).
-  [[nodiscard]] std::uint32_t request() override;
-
-  /// Returns a ready cell owned by `bank` (cell % num_banks() == bank).
-  [[nodiscard]] std::uint32_t request_in(std::uint32_t bank);
-
-  void release(std::uint32_t cell) override;
-
-  [[nodiscard]] std::uint32_t total_allocated() const noexcept override {
-    return total_;
-  }
-
-  /// Caps the distinct cells of every individual bank (the per-bank
-  /// capacity budget); std::nullopt removes the budget. The total `cap`
-  /// stays in force independently.
-  void set_bank_budget(std::optional<std::uint32_t> cells_per_bank) {
-    bank_budget_ = cells_per_bank;
-  }
-  [[nodiscard]] std::optional<std::uint32_t> bank_budget() const noexcept {
-    return bank_budget_;
-  }
-
-  [[nodiscard]] std::uint32_t num_banks() const noexcept {
-    return static_cast<std::uint32_t>(next_local_.size());
-  }
-  /// Owning bank of a cell — a pure address property.
-  [[nodiscard]] std::uint32_t bank_of(std::uint32_t cell) const noexcept {
-    return cell % num_banks();
-  }
-  /// Cells of `bank` currently holding live values.
-  [[nodiscard]] std::uint32_t bank_live(std::uint32_t bank) const {
-    return bank_live_[bank];
-  }
-  /// High-water mark of `bank`'s simultaneously live cells.
-  [[nodiscard]] std::uint32_t bank_peak_live(std::uint32_t bank) const {
-    return bank_peak_[bank];
-  }
-  /// Distinct cells ever allocated in `bank`.
-  [[nodiscard]] std::uint32_t bank_allocated(std::uint32_t bank) const {
-    return next_local_[bank];
-  }
-
-  /// The serial-cell → bank map for every cell id below `num_cells`
-  /// (cells never allocated still map to their modular owner).
-  [[nodiscard]] Placement placement(std::uint32_t num_cells) const;
-
- private:
-  std::uint32_t total_ = 0;
-  std::optional<std::uint32_t> bank_budget_;
-  std::vector<std::uint32_t> next_local_;  ///< fresh cells handed out per bank
-  std::vector<std::uint32_t> bank_live_;
-  std::vector<std::uint32_t> bank_peak_;
-  std::vector<std::deque<std::uint32_t>> free_;  ///< per-bank free lists
 };
 
 }  // namespace plim::core

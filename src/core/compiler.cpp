@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
-#include <memory>
 #include <queue>
 #include <set>
 #include <unordered_map>
 #include <vector>
 
 #include "mig/views.hpp"
-#include "sched/clustering.hpp"
 
 namespace plim::core {
 
@@ -105,6 +103,7 @@ class Compiler {
       : mig_(m),
         opts_(opts),
         fanout_(m),
+        alloc_(opts.allocation, opts.rram_cap),
         level_(m.levels()),
         reach_(m.size(), false),
         remaining_uses_(m.size(), 0),
@@ -113,17 +112,7 @@ class Compiler {
         compl_cell_(m.size(), -1),
         computed_(m.size(), false),
         max_parent_level_(m.size(), 0),
-        pin_(m.size(), 0) {
-    if (opts_.placement_banks > 0) {
-      auto banked = std::make_unique<BankedAllocator>(
-          opts_.placement_banks, opts_.allocation, opts_.rram_cap);
-      banked_ = banked.get();
-      alloc_ = std::move(banked);
-    } else {
-      alloc_ = std::make_unique<RramAllocator>(opts_.allocation,
-                                               opts_.rram_cap);
-    }
-  }
+        pin_(m.size(), 0) {}
 
   CompileResult run() {
     prepare();
@@ -145,11 +134,7 @@ class Compiler {
       std::uint32_t gates = 0;
       mig_.foreach_gate([&](mig::node n) { gates += reach_[n] ? 1 : 0; });
       replay_budget_ = 128ull * std::max(gates, 1u);
-      alloc_->set_eviction_handler(
-          [this](std::uint32_t bank) { return evict_one(bank); });
-    }
-    if (banked_ != nullptr) {
-      prepare_placement();
+      alloc_.set_eviction_handler([this] { return evict_one(); });
     }
     mig_.foreach_pi(
         [&](mig::node n) { program_.add_input(mig_.pi_name(mig_.pi_index(n))); });
@@ -173,24 +158,16 @@ class Compiler {
     CompileStats stats;
     stats.num_instructions =
         static_cast<std::uint32_t>(program_.num_instructions());
-    stats.num_rrams = alloc_->total_allocated();
+    stats.num_rrams = alloc_.total_allocated();
     stats.num_gates = translated_;
-    stats.peak_live_rrams = alloc_->peak_live();
+    stats.peak_live_rrams = alloc_.peak_live();
     stats.complement_materializations = complement_materializations_;
     stats.rram_cap = opts_.rram_cap.value_or(0);
     stats.live_lower_bound = bound_;
     stats.cells_evicted = cells_evicted_;
     stats.ops_recomputed = ops_recomputed_;
     stats.replay_max_depth = replay_max_depth_;
-    std::optional<Placement> placement;
-    if (banked_ != nullptr) {
-      stats.bank_peak_live.resize(banked_->num_banks());
-      for (std::uint32_t b = 0; b < banked_->num_banks(); ++b) {
-        stats.bank_peak_live[b] = banked_->bank_peak_live(b);
-      }
-      placement = banked_->placement(program_.num_rrams());
-    }
-    return CompileResult{std::move(program_), stats, std::move(placement)};
+    return CompileResult{std::move(program_), stats};
   }
 
  private:
@@ -253,21 +230,16 @@ class Compiler {
 
   struct Key {
     std::uint32_t releasing;
-    std::uint32_t bank_locality;  ///< 0 unless bank-aware placement is on
     std::uint32_t max_parent_level;
     mig::node index;
 
     friend bool operator==(const Key&, const Key&) = default;
 
-    /// "worse-than" for a max-heap: fewer releasing children, then fewer
-    /// operands clustered in one bank, then higher fanout level, then
-    /// higher index.
+    /// "worse-than" for a max-heap: fewer releasing children, then
+    /// higher fanout level, then higher index.
     bool operator<(const Key& o) const {
       if (releasing != o.releasing) {
         return releasing < o.releasing;
-      }
-      if (bank_locality != o.bank_locality) {
-        return bank_locality < o.bank_locality;
       }
       if (max_parent_level != o.max_parent_level) {
         return max_parent_level > o.max_parent_level;
@@ -276,43 +248,11 @@ class Compiler {
     }
   };
 
-  /// How many of v's operand values already cluster in a single bank —
-  /// translating such nodes while the cluster is together keeps their
-  /// RM3 bank-local (the §4.2.1 criteria extended for placement).
-  std::uint32_t bank_locality(mig::node v) const {
-    if (banked_ == nullptr) {
-      return 0;
-    }
-    std::array<std::uint32_t, 3> banks{};
-    std::uint32_t count = 0;
-    for (const auto f : mig_.fanins(v)) {
-      const auto n = f.index();
-      if (mig_.is_gate(n) && computed_[n] && value_cell_[n] >= 0) {
-        banks[count++] =
-            banked_->bank_of(static_cast<std::uint32_t>(value_cell_[n]));
-      }
-    }
-    std::uint32_t best = 0;
-    for (std::uint32_t i = 0; i < count; ++i) {
-      std::uint32_t same = 0;
-      for (std::uint32_t j = 0; j < count; ++j) {
-        same += banks[j] == banks[i] ? 1 : 0;
-      }
-      best = std::max(best, same);
-    }
-    return best;
-  }
-
   Key make_key(mig::node v) const {
-    return Key{releasing_children(v), bank_locality(v), max_parent_level_[v],
-               v};
+    return Key{releasing_children(v), max_parent_level_[v], v};
   }
 
   void run_smart_order() {
-    if (banked_ != nullptr) {
-      run_smart_order_interleaved();
-      return;
-    }
     // Lazy priority queue: keys are snapshots; stale entries are re-keyed
     // at pop time (the paper's criteria change as RRAMs are released).
     std::priority_queue<std::pair<Key, mig::node>> queue;
@@ -341,56 +281,6 @@ class Compiler {
     }
   }
 
-  /// Bank-aware candidate selection: one lazy priority queue per bank
-  /// (each node's bank is its cluster's, committed when the node first
-  /// becomes ready) drained round-robin, so the serial RM3 stream
-  /// interleaves bank-local groups instead of emitting one bank's work
-  /// in long runs. The scheduler inherits an order whose neighbourhoods
-  /// already parallelize across banks, recovering the step speedup that
-  /// compiler placement otherwise loses to the serial stream.
-  void run_smart_order_interleaved() {
-    const auto num_banks = banked_->num_banks();
-    std::vector<std::priority_queue<std::pair<Key, mig::node>>> queues(
-        num_banks);
-    const auto enqueue = [&](mig::node n) {
-      queues[pick_bank(n)].emplace(make_key(n), n);
-    };
-    mig_.foreach_gate([&](mig::node n) {
-      if (reach_[n] && pending_children_[n] == 0) {
-        enqueue(n);
-      }
-    });
-    std::uint32_t cursor = 0;
-    while (true) {
-      std::uint32_t scanned = 0;
-      while (scanned < num_banks && queues[cursor].empty()) {
-        cursor = (cursor + 1) % num_banks;
-        ++scanned;
-      }
-      if (scanned == num_banks) {
-        break;  // every queue drained
-      }
-      auto& queue = queues[cursor];
-      const auto [key, v] = queue.top();
-      queue.pop();
-      if (computed_[v]) {
-        continue;  // duplicate entry
-      }
-      const Key fresh = make_key(v);
-      if (fresh != key) {
-        queue.emplace(fresh, v);  // bank is committed, key is stale
-        continue;
-      }
-      translate(v);
-      for (const auto p : fanout_.parents(v)) {
-        if (reach_[p] && --pending_children_[p] == 0) {
-          enqueue(p);
-        }
-      }
-      cursor = (cursor + 1) % num_banks;
-    }
-  }
-
   void run_index_order() {
     // Node indices are a topological order, so translating gates in index
     // order is always feasible — this is the paper's "naïve" schedule.
@@ -405,124 +295,6 @@ class Compiler {
 
   void emit(Operand a, Operand b, std::uint32_t z) { program_.append(a, b, z); }
 
-  /// A ready cell for the value being built: bank-aware placement requests
-  /// it in the current node's bank, flat allocation from the global pool.
-  std::uint32_t request_cell() {
-    return banked_ != nullptr ? banked_->request_in(current_bank_)
-                              : alloc_->request();
-  }
-
-  /// Whether a cell may serve as destination for the current node — with
-  /// placement on, reusing a cell of another bank would silently move the
-  /// value out of its chosen bank.
-  bool reusable_here(std::uint32_t cell) const {
-    return banked_ == nullptr || banked_->bank_of(cell) == current_bank_;
-  }
-
-  /// Picks the bank for node v's value: v's MIG cluster decides. The
-  /// cluster's bank is chosen on first use with the shared cost model —
-  /// every external operand cluster already placed elsewhere costs one
-  /// transfer, landing on a busy bank costs its load surplus — and all
-  /// later nodes of the cluster inherit it, so operand clusters stay
-  /// bank-local by construction. Crucially, the chosen bank is charged
-  /// the *whole cluster's* expected load up front: charging only emitted
-  /// instructions lets every cluster commit to the same near-empty bank
-  /// long before its load materializes, and chain-structured circuits
-  /// (sqrt) ratchet the entire program into one bank.
-  std::uint32_t pick_bank(mig::node v) {
-    const auto c = cluster_of_[v];
-    if (cluster_bank_[c] != kNoBank) {
-      return cluster_bank_[c];
-    }
-    const auto banks = banked_->num_banks();
-    const auto min_load =
-        *std::min_element(bank_committed_.begin(), bank_committed_.end());
-    std::uint32_t best = 0;
-    double best_cost = 0.0;
-    for (std::uint32_t b = 0; b < banks; ++b) {
-      std::uint32_t transfers = 0;
-      for (const auto ext : cluster_ext_[c]) {
-        const auto pc = cluster_of_[ext];
-        if (cluster_bank_[pc] != kNoBank && cluster_bank_[pc] != b) {
-          ++transfers;
-        }
-      }
-      const auto cost =
-          opts_.cost.placement_cost(transfers, bank_committed_[b], min_load);
-      if (b == 0 || cost < best_cost) {
-        best = b;
-        best_cost = cost;
-      }
-    }
-    cluster_bank_[c] = best;
-    bank_committed_[best] += cluster_gates_[c];
-    return best;
-  }
-
-  /// Partitions the reachable gates into clusters along their heaviest
-  /// fanin edges — the same structure-preserving agglomeration the
-  /// post-hoc scheduler applies to segments (sched/clustering.hpp), done
-  /// here on the MIG where majority subtrees are explicit.
-  void prepare_placement() {
-    const auto size = mig_.size();
-    cluster_bank_.assign(size, kNoBank);
-
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
-    std::uint32_t num_gates = 0;
-    mig_.foreach_gate([&](mig::node v) {
-      if (!reach_[v]) {
-        return;
-      }
-      ++num_gates;
-      for (const auto f : mig_.fanins(v)) {
-        if (mig_.is_gate(f.index()) && reach_[f.index()]) {
-          pairs.emplace_back(f.index(), v);
-        }
-      }
-    });
-    sched::HeavyEdgeClusters clusters(std::vector<std::uint32_t>(size, 1));
-    clusters.agglomerate(
-        std::move(pairs),
-        sched::cluster_budget(num_gates, opts_.placement_banks));
-    cluster_of_.resize(size);
-    cluster_gates_.assign(size, 0);
-    for (mig::node v = 0; v < size; ++v) {
-      cluster_of_[v] = clusters.find(v);
-      cluster_gates_[cluster_of_[v]] += mig_.is_gate(v) && reach_[v] ? 1 : 0;
-    }
-    bank_committed_.assign(opts_.placement_banks, 0);
-
-    // External gate operands per cluster (deduplicated), for the
-    // first-use bank decision.
-    cluster_ext_.assign(size, {});
-    std::vector<std::pair<mig::node, mig::node>> ext;  // (cluster, fanin)
-    mig_.foreach_gate([&](mig::node v) {
-      if (!reach_[v]) {
-        return;
-      }
-      for (const auto f : mig_.fanins(v)) {
-        if (mig_.is_gate(f.index()) &&
-            cluster_of_[f.index()] != cluster_of_[v]) {
-          ext.emplace_back(cluster_of_[v], f.index());
-        }
-      }
-    });
-    std::sort(ext.begin(), ext.end());
-    ext.erase(std::unique(ext.begin(), ext.end()), ext.end());
-    for (const auto& [c, fanin] : ext) {
-      cluster_ext_[c].push_back(fanin);
-    }
-  }
-
-  /// Places follow-up emissions (output copies, complements) next to the
-  /// node's value so they stay bank-local.
-  void set_bank_near(mig::node n) {
-    if (banked_ != nullptr && mig_.is_gate(n) && value_cell_[n] >= 0) {
-      current_bank_ =
-          banked_->bank_of(static_cast<std::uint32_t>(value_cell_[n]));
-    }
-  }
-
   Operand value_operand(mig::node n) const {
     if (mig_.is_pi(n)) {
       return Operand::input(mig_.pi_index(n));
@@ -534,7 +306,7 @@ class Compiler {
   /// Fresh cell loaded with a constant: Z←⟨0 1̄ Z⟩=0 or Z←⟨1 0̄ Z⟩=1.
   /// Works for any previous cell content, so reused cells are fine.
   std::uint32_t emit_const_cell(bool v) {
-    const auto cell = request_cell();
+    const auto cell = alloc_.request();
     if (v) {
       emit(Operand::constant(true), Operand::constant(false), cell);
     } else {
@@ -546,7 +318,7 @@ class Compiler {
   /// Fresh cell loaded with the complement of a node's value
   /// (cases (g)/(h) of Fig. 5): Z←0; Z←⟨1 v̄ 0⟩ = v̄.
   std::uint32_t emit_complement_of(mig::node n) {
-    const auto cell = request_cell();
+    const auto cell = alloc_.request();
     emit(Operand::constant(false), Operand::constant(true), cell);
     emit(Operand::constant(true), value_operand(n), cell);
     ++complement_materializations_;
@@ -556,7 +328,7 @@ class Compiler {
   /// Fresh cell loaded with a copy of a node's value
   /// (case (e) of Fig. 6): Z←1; Z←⟨v 1̄ 1⟩ = v.
   std::uint32_t emit_copy_of(mig::node n) {
-    const auto cell = request_cell();
+    const auto cell = alloc_.request();
     emit(Operand::constant(true), Operand::constant(false), cell);
     emit(value_operand(n), Operand::constant(true), cell);
     return cell;
@@ -596,9 +368,6 @@ class Compiler {
       }
       pin(c.n);
     }
-    if (banked_ != nullptr) {
-      current_bank_ = pick_bank(v);
-    }
     std::vector<std::uint32_t> temps;
     Operand a_op;
     Operand b_op;
@@ -619,7 +388,7 @@ class Compiler {
     ++translated_;
 
     for (const auto t : temps) {
-      alloc_->release(t);
+      alloc_.release(t);
     }
     for (const auto& c : ch) {
       if (!c.is_const) {
@@ -639,11 +408,11 @@ class Compiler {
 
   void release_node(mig::node n) {
     if (value_cell_[n] >= 0 && mig_.is_gate(n)) {
-      alloc_->release(static_cast<std::uint32_t>(value_cell_[n]));
+      alloc_.release(static_cast<std::uint32_t>(value_cell_[n]));
       value_cell_[n] = -1;
     }
     if (compl_cell_[n] >= 0) {
-      alloc_->release(static_cast<std::uint32_t>(compl_cell_[n]));
+      alloc_.release(static_cast<std::uint32_t>(compl_cell_[n]));
       compl_cell_[n] = -1;
     }
   }
@@ -660,11 +429,6 @@ class Compiler {
 
   [[nodiscard]] bool cell_is_output(std::uint32_t cell) const {
     return output_cells_.count(cell) > 0;
-  }
-  [[nodiscard]] bool bank_matches(std::uint32_t cell,
-                                  std::uint32_t bank) const {
-    return bank == kAnyBank || banked_ == nullptr ||
-           banked_->bank_of(cell) == bank;
   }
 
   /// When will this value be needed next? A static proxy: the lowest
@@ -712,11 +476,10 @@ class Compiler {
   }
 
   /// The allocator's capacity-pressure callback: releases one victim cell
-  /// of `bank` (kAnyBank: any) or returns false when every cell is
-  /// load-bearing. Victim order: complement caches first (pure caches —
+  /// or returns false when every cell is load-bearing. Victim order: complement caches first (pure caches —
   /// dropping one costs at most a future re-materialization), then live
   /// gate values by (cheapest replay, farthest next use, lowest index).
-  bool evict_one(std::uint32_t bank) {
+  bool evict_one() {
     // Pass 0: zombies — dead values kept resident after a replay. Their
     // cells are pure caches (no pending use), so they go first. The list
     // may hold stale entries (already evicted, or revived into a live
@@ -730,11 +493,11 @@ class Compiler {
         continue;
       }
       const auto cell = static_cast<std::uint32_t>(value_cell_[n]);
-      if (pin_[n] > 0 || cell_is_output(cell) || !bank_matches(cell, bank)) {
+      if (pin_[n] > 0 || cell_is_output(cell)) {
         ++i;
         continue;
       }
-      alloc_->release(cell);
+      alloc_.release(cell);
       value_cell_[n] = -1;
       zombies_[i] = zombies_.back();
       zombies_.pop_back();
@@ -750,7 +513,7 @@ class Compiler {
         continue;
       }
       const auto cell = static_cast<std::uint32_t>(compl_cell_[n]);
-      if (cell_is_output(cell) || !bank_matches(cell, bank)) {
+      if (cell_is_output(cell)) {
         continue;
       }
       const auto nu = next_use_estimate(n);
@@ -761,7 +524,7 @@ class Compiler {
       }
     }
     if (found) {
-      alloc_->release(static_cast<std::uint32_t>(compl_cell_[best]));
+      alloc_.release(static_cast<std::uint32_t>(compl_cell_[best]));
       compl_cell_[best] = -1;
       ++cells_evicted_;
       return true;
@@ -781,7 +544,7 @@ class Compiler {
         continue;
       }
       const auto cell = static_cast<std::uint32_t>(value_cell_[n]);
-      if (cell_is_output(cell) || !bank_matches(cell, bank)) {
+      if (cell_is_output(cell)) {
         continue;
       }
       const auto nu = next_use_estimate(n);
@@ -812,7 +575,7 @@ class Compiler {
     if (!found) {
       return false;
     }
-    alloc_->release(static_cast<std::uint32_t>(value_cell_[best]));
+    alloc_.release(static_cast<std::uint32_t>(value_cell_[best]));
     value_cell_[best] = -1;
     ++cells_evicted_;
     return true;
@@ -887,9 +650,6 @@ class Compiler {
       }
       pin(c.n);
     }
-    if (banked_ != nullptr) {
-      current_bank_ = pick_bank(v);
-    }
     std::vector<std::uint32_t> temps;
     std::array<bool, 3> taken{false, false, false};
     const Operand b_op = select_operand_b(ch, taken, temps);
@@ -906,7 +666,7 @@ class Compiler {
     }
     replay_max_depth_ = std::max(replay_max_depth_, depth);
     for (const auto t : temps) {
-      alloc_->release(t);
+      alloc_.release(t);
     }
     for (int i = 0; i < 3; ++i) {
       if (ch[i].is_const) {
@@ -1009,15 +769,11 @@ class Compiler {
                                      std::vector<std::uint32_t>& temps) {
     (void)temps;
     // (a) complemented child on its last use whose complement is cached:
-    //     that cell holds the edge value and is safe to overwrite. With
-    //     bank-aware placement, only cells of the node's own bank may be
-    //     reused — a foreign cell would silently move the value out of
-    //     its chosen bank.
+    //     that cell holds the edge value and is safe to overwrite.
     for (int i = 0; i < 3; ++i) {
       const auto& c = ch[i];
       if (!taken[i] && !c.is_const && c.compl_edge &&
-          remaining_uses_[c.n] == 1 && compl_cell_[c.n] >= 0 &&
-          reusable_here(static_cast<std::uint32_t>(compl_cell_[c.n]))) {
+          remaining_uses_[c.n] == 1 && compl_cell_[c.n] >= 0) {
         taken[i] = true;
         const auto cell = static_cast<std::uint32_t>(compl_cell_[c.n]);
         compl_cell_[c.n] = -1;  // consumed: the RM3 overwrites it
@@ -1028,8 +784,7 @@ class Compiler {
     for (int i = 0; i < 3; ++i) {
       const auto& c = ch[i];
       if (!taken[i] && c.is_gate && !c.compl_edge &&
-          remaining_uses_[c.n] == 1 && value_cell_[c.n] >= 0 &&
-          reusable_here(static_cast<std::uint32_t>(value_cell_[c.n]))) {
+          remaining_uses_[c.n] == 1 && value_cell_[c.n] >= 0) {
         taken[i] = true;
         const auto cell = static_cast<std::uint32_t>(value_cell_[c.n]);
         value_cell_[c.n] = -1;  // overwritten by the RM3
@@ -1100,8 +855,7 @@ class Compiler {
     // Destination from the third child.
     const auto& zc = ch[2];
     if (zc.is_gate && !zc.compl_edge && remaining_uses_[zc.n] == 1 &&
-        value_cell_[zc.n] >= 0 &&
-        reusable_here(static_cast<std::uint32_t>(value_cell_[zc.n]))) {
+        value_cell_[zc.n] >= 0) {
       z_cell = static_cast<std::uint32_t>(value_cell_[zc.n]);
       value_cell_[zc.n] = -1;
     } else if (zc.is_const) {
@@ -1151,7 +905,6 @@ class Compiler {
     if (mig_.is_gate(n)) {
       ensure_live(n);  // the PO value itself may have been evicted
     }
-    set_bank_near(n);
     if (mig_.is_constant(n)) {
       const bool v = f.complemented();
       auto& cached = v ? const_one_cell_ : const_zero_cell_;
@@ -1198,17 +951,7 @@ class Compiler {
   const Mig& mig_;
   CompileOptions opts_;
   mig::FanoutView fanout_;
-  static constexpr std::uint32_t kNoBank = 0xffffffffu;
-  std::unique_ptr<RramAllocator> alloc_;
-  BankedAllocator* banked_ = nullptr;  ///< non-null iff placement is on
-  /// Gate load committed per bank at cluster-decision time (clusters are
-  /// charged up front, before their instructions are emitted).
-  std::vector<std::uint64_t> bank_committed_;
-  std::uint32_t current_bank_ = 0;
-  std::vector<mig::node> cluster_of_;
-  std::vector<std::uint32_t> cluster_gates_;  ///< reachable gates per cluster
-  std::vector<std::uint32_t> cluster_bank_;
-  std::vector<std::vector<mig::node>> cluster_ext_;
+  RramAllocator alloc_;
   arch::Program program_;
   std::vector<std::uint32_t> level_;
   std::vector<bool> reach_;

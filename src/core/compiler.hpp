@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "arch/program.hpp"
 #include "core/allocator.hpp"
@@ -61,18 +60,7 @@ struct CompileOptions {
   /// with that bound attached to the RramCapExceeded.
   DegradationOptions degradation;
 
-  /// Bank-aware placement: when > 0, node values are placed directly into
-  /// per-bank cell ranges by a BankedAllocator — each node picks the bank
-  /// that keeps its operand cluster local (per `cost`) while balancing
-  /// per-bank load, candidate selection prefers nodes whose operands
-  /// already cluster in one bank, and the result carries a Placement the
-  /// scheduler consumes as bank-assignment hints. 0 keeps the paper's
-  /// flat single-bank allocation.
-  std::uint32_t placement_banks = 0;
-
-  /// Cost model for bank placement decisions (only read when
-  /// `placement_banks` > 0); shared with the scheduler so compile-time
-  /// hints and post-hoc bank assignment price transfers identically.
+  /// Ignored by compile(); kept until perfbench/ stops assigning it.
   sched::CostModel cost;
 };
 
@@ -97,18 +85,11 @@ struct CompileStats {
   std::uint32_t cells_evicted = 0;   ///< live values spilled under pressure
   std::uint32_t ops_recomputed = 0;  ///< gate replays emitted on next use
   std::uint32_t replay_max_depth = 0;  ///< deepest recompute cascade
-  /// Per-bank high-water marks of live cells (empty under flat
-  /// allocation) — the true per-bank capacity need under reuse, which
-  /// `num_rrams` overstates.
-  std::vector<std::uint32_t> bank_peak_live;
 };
 
 struct CompileResult {
   arch::Program program;
   CompileStats stats;
-  /// Serial-cell → bank map; engaged only when the compiler placed values
-  /// bank-aware (CompileOptions::placement_banks > 0).
-  std::optional<Placement> placement;
 };
 
 /// Compiles an MIG into a PLiM program (Algorithm 2): candidates are

@@ -150,10 +150,6 @@ CompileOutcome Driver::run_impl(const CompileRequest& request) const {
   copts.textbook_slots = options_.compile.textbook_slots;
   copts.allocation = options_.compile.allocation;
   copts.rram_cap = options_.compile.rram_cap;
-  copts.cost = options_.schedule.cost;
-  if (options_.placement == PlacementMode::compiler) {
-    copts.placement_banks = options_.banks;
-  }
 
   // Ladder levels, attempted in order until one fits the cap:
   //   0  plain compile (exactly the non-degraded behavior);
@@ -240,16 +236,11 @@ CompileOutcome Driver::run_impl(const CompileRequest& request) const {
     }
   }
   out.program = std::move(compiled.program);
-  out.placement = std::move(compiled.placement);
   out.stats.compile = compiled.stats;
   // The true capacity need under reuse (num_rrams overstates it) — the
   // gauges a capacity planner watches.
   registry.gauge_set("compile.peak_live_rrams",
                      compiled.stats.peak_live_rrams);
-  for (std::size_t b = 0; b < compiled.stats.bank_peak_live.size(); ++b) {
-    registry.gauge_set("compile.bank_peak_live." + std::to_string(b),
-                       compiled.stats.bank_peak_live[b]);
-  }
 
   // ---- verify the serial program -------------------------------------------
   // Against the *original* network, not the rewritten one: the facade's
@@ -287,9 +278,6 @@ CompileOutcome Driver::run_impl(const CompileRequest& request) const {
     sopts.objective = options_.schedule.objective;
     sopts.trace_label = request.label();
     sopts.trace_timeline = options_.trace.timeline;
-    if (out.placement) {
-      sopts.placement_hints = out.placement->cell_bank;
-    }
     sched::ScheduleResult scheduled;
     try {
       const util::ScopedPhase phase("schedule", &metrics.schedule_ms);

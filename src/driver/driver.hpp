@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "arch/program.hpp"
-#include "core/allocator.hpp"
 #include "driver/diagnostic.hpp"
 #include "driver/options.hpp"
 #include "driver/request.hpp"
@@ -24,8 +23,6 @@ struct CompileOutcome {
   std::vector<Diagnostic> diagnostics;
   /// The serial RM3 program.
   arch::Program program;
-  /// Serial-cell → bank map; engaged under compiler placement.
-  std::optional<core::Placement> placement;
   /// Multi-bank schedule of `program`; engaged when Options::banks > 0.
   std::optional<sched::ParallelProgram> parallel;
   /// Unified quality metrics (the JSON schema of `plimc --json`).

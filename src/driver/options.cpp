@@ -29,13 +29,6 @@ std::vector<Diagnostic> Options::validate() const {
         "banks = " + std::to_string(banks) + " exceeds the supported maximum "
             "of " + std::to_string(kMaxBanks)));
   }
-  if (placement == PlacementMode::compiler && banks == 0) {
-    diags.push_back(Diagnostic::error(
-        "placement-needs-banks",
-        "compiler placement places values into per-bank cell ranges, but "
-        "banks = 0 requests a serial program — set Options::banks (plimc: "
-        "--banks N or --schedule) or use post-hoc placement"));
-  }
   if (schedule.execution == sched::ExecutionModel::decoupled && banks == 0) {
     diags.push_back(Diagnostic::error(
         "execution-needs-banks",

@@ -12,29 +12,15 @@
 
 namespace plim {
 
-/// Who decides which bank a value lives in (only meaningful with
-/// `Options::banks` > 0):
-///  - post:     the serial program is re-partitioned after compilation
-///              (heavy-edge clustering + cost-model bank assignment);
-///  - compiler: the compiler places node values into per-bank cell ranges
-///              (core::BankedAllocator) and the scheduler follows its
-///              placement hints.
-enum class PlacementMode { post, compiler };
-
-/// The single options surface of the plim::Driver facade. One `banks`
-/// knob drives both compile-time placement and scheduling — the old
-/// `CompileOptions::placement_banks` / `ScheduleOptions::banks` /
-/// `run_pipeline(schedule_banks)` trio, whose silent-override and
-/// mismatch foot-guns `validate()` now rejects with actionable
-/// diagnostics instead.
+/// The single options surface of the plim::Driver facade: one option
+/// set per compile, checked for contradictions by `validate()`.
 struct Options {
   /// PLiM banks the program is scheduled onto. 0 compiles the serial
   /// program only (no scheduling stage); 1 degenerates to the serial
-  /// program modulo cell renaming. Hard API bound: 1024.
+  /// program modulo cell renaming. The scheduler assigns every value its
+  /// bank after compilation (heavy-edge clustering + cost-model bank
+  /// assignment). Hard API bound: 1024.
   std::uint32_t banks = 0;
-
-  /// Bank-placement authority when `banks` > 0 (see PlacementMode).
-  PlacementMode placement = PlacementMode::post;
 
   /// MIG rewriting stage (Algorithm 1). `rewrite.effort` == 0 disables
   /// rewriting entirely — the network is only cleaned of dangling gates
@@ -82,15 +68,12 @@ struct Options {
     } degradation;
   } compile;
 
-  /// Multi-bank scheduling stage (engaged when `banks` > 0). The cost
-  /// model is shared with compile-time placement, so both layers price
-  /// transfers identically — there is no second knob to de-synchronize.
+  /// Multi-bank scheduling stage (engaged when `banks` > 0).
   struct Schedule {
     /// Transfer / bus / duplication economics. `cost.bus_width` > 0
     /// bounds cross-bank copies per step (the bounded inter-bank bus).
     sched::CostModel cost;
-    /// Heavy-edge clustering before bank assignment (ignored under
-    /// compiler placement, whose hints already cluster).
+    /// Heavy-edge clustering before bank assignment.
     bool cluster = true;
     /// KL refinement passes over the cluster→bank assignment (0
     /// disables; the compile-time budget knob). The default assumes the

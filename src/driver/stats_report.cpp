@@ -37,13 +37,6 @@ void StatsReport::write_json_fields(util::JsonWriter& json) const {
   json.field("cells_evicted", compile.cells_evicted);
   json.field("ops_recomputed", compile.ops_recomputed);
   json.field("replay_max_depth", compile.replay_max_depth);
-  if (!compile.bank_peak_live.empty()) {
-    json.begin_array("bank_peak_live");
-    for (const auto peak : compile.bank_peak_live) {
-      json.value(peak);
-    }
-    json.end_array();
-  }
   json.field("verified", verified);
   json.begin_object("rewrite");
   json.field("gates_before", rewrite.gates_before);

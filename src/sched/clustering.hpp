@@ -1,64 +1,23 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 namespace plim::sched {
 
-/// Heavy-edge agglomerative clustering — the partitioning primitive of
-/// the placement layer, shared by the compiler (over MIG gates) and the
-/// scheduler (over value-lifetime segments). Raw dependence pairs are
-/// aggregated into weighted edges; merging the heaviest edges first
-/// (Kruskal-style, capped at a per-cluster size budget) keeps majority
-/// subtrees *and* long RAW chains — whose nodes typically have
-/// fanout > 1 — inside one cluster, so only cluster boundaries ever
-/// cross the inter-bank bus.
-class HeavyEdgeClusters {
- public:
-  /// One entry per node; `node_size[v]` is the load (in instructions)
-  /// node v contributes to its cluster.
-  explicit HeavyEdgeClusters(std::vector<std::uint32_t> node_size);
-
-  /// Aggregates duplicate (producer, consumer) pairs into edge weights
-  /// and merges along the heaviest edges (ties: lowest pair) while the
-  /// union stays within `budget` total size. Call at most once.
-  void agglomerate(std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs,
-                   std::uint32_t budget);
-
-  /// Cluster representative of node v (path-halving union-find). Roots
-  /// sit at the smallest member id, so cluster ids ascend like node ids.
-  [[nodiscard]] std::uint32_t find(std::uint32_t v);
-
-  /// Total size of the cluster rooted at `root`.
-  [[nodiscard]] std::uint32_t size(std::uint32_t root) const {
-    return size_[root];
-  }
-
- private:
-  bool merge(std::uint32_t x, std::uint32_t y, std::uint32_t budget);
-
-  std::vector<std::uint32_t> parent_;
-  std::vector<std::uint32_t> size_;
-};
-
 class DependenceGraph;
 
-/// Heavy-edge clusters of a program's value-lifetime segments: segments
-/// are weighted by their instruction count, producer→consumer operand
-/// reads become edges, and whole majority subtrees / RAW chains merge up
-/// to the shared budget. Returns segment → cluster root (roots at the
-/// smallest member id). This is the cluster granularity both the
-/// post-hoc bank assignment and the KL refinement pass move around.
+/// Heavy-edge agglomerative clusters of a program's value-lifetime
+/// segments: segments are weighted by their instruction count,
+/// producer→consumer operand reads become edges, and merging the
+/// heaviest edges first (Kruskal-style, capped at a per-cluster size
+/// budget) keeps majority subtrees *and* long RAW chains — whose nodes
+/// typically have fanout > 1 — inside one cluster, so only cluster
+/// boundaries ever cross the inter-bank bus. Returns segment → cluster
+/// root (roots at the smallest member id). This is the cluster
+/// granularity both the bank assignment and the KL refinement pass move
+/// around.
 [[nodiscard]] std::vector<std::uint32_t> cluster_segments(
     const DependenceGraph& graph, std::uint32_t banks);
-
-/// The shared cluster-size budget: a quarter of a bank's fair share of
-/// `total` load. Coarse enough that chains rarely cross clusters, fine
-/// enough that bank assignment can still balance (picked empirically on
-/// the EPFL suite — larger clusters starve balancing, smaller ones
-/// re-create the transfer chains clustering exists to avoid).
-[[nodiscard]] std::uint32_t cluster_budget(std::uint32_t total,
-                                           std::uint32_t banks);
 
 }  // namespace plim::sched

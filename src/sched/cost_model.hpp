@@ -4,11 +4,9 @@
 
 namespace plim::sched {
 
-/// The placement cost model shared by the compiler's bank-aware allocator
-/// and the scheduler's bank assignment. Both layers face the same
-/// question — "what does it cost to put this value in bank b?" — and
-/// answering it with one model keeps compile-time placement hints and
-/// post-hoc scheduling decisions consistent.
+/// The placement cost model of the scheduler's bank assignment: "what
+/// does it cost to put this cluster in bank b?", plus the bus and
+/// duplication economics the list scheduler and refinement price.
 ///
 /// Costs are expressed in *instructions*: a cross-bank value transfer
 /// materializes as `transfer_instructions` RM3 operations in the

@@ -22,7 +22,6 @@ void write_json_fields(const ScheduleStats& stats, util::JsonWriter& json) {
   json.field("virtual_critical_path", stats.virtual_critical_path);
   json.field("bus_width", stats.bus_width);
   json.field("bus_stalls", stats.bus_stalls);
-  json.field("placement", stats.placement_hints_used ? "compiler" : "post");
   json.field("execution", stats.execution == ExecutionModel::decoupled
                               ? "decoupled"
                               : "lockstep");

@@ -231,7 +231,6 @@ struct ScheduleStats {
   std::uint32_t parallel_rrams = 0;  ///< sum over banks after remapping
   std::uint32_t bus_width = 0;   ///< bounded bus the schedule honours (0 = ∞)
   std::uint32_t bus_stalls = 0;  ///< bank-steps idled waiting for the bus
-  bool placement_hints_used = false;  ///< banks came from the compiler
   /// Execution model the headline cycle figures below were chosen for.
   ExecutionModel execution = ExecutionModel::lockstep;
   std::uint32_t sync_tokens = 0;  ///< signal/wait pairs materialized

@@ -244,8 +244,7 @@ RefineStats refine(const DependenceGraph& graph,
   const auto t0 = std::chrono::steady_clock::now();
 
   // Per-bank instruction loads (throughput-bound surrogate) and, per
-  // cluster, the per-member load split by bank — clusters may straddle
-  // banks under compiler placement hints until a kept move homes them.
+  // cluster, the per-member load split by bank.
   std::vector<std::uint32_t> seg_size(graph.num_segments(), 0);
   for (std::uint32_t i = 0; i < graph.num_instructions(); ++i) {
     ++seg_size[graph.segment_of(i)];

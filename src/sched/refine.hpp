@@ -125,8 +125,7 @@ struct RefineStats {
 ///
 /// `cluster_of` maps every segment to a cluster root (see
 /// cluster_segments()); `seg_bank` is updated in place with the refined
-/// assignment. Clusters whose segments straddle banks (possible under
-/// compiler placement hints) are moved as a whole.
+/// assignment.
 /// `baseline`, when given, is the already-computed evaluation of the
 /// incoming `seg_bank` (e.g. from the scheduler's dual-start trial), so
 /// refinement does not re-schedule the starting point.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <numeric>
 #include <optional>
 #include <queue>
 #include <span>
@@ -871,13 +872,6 @@ ScheduleResult schedule(const arch::Program& serial,
   // so the best two distinct starts both get refined.
   std::optional<std::vector<std::uint32_t>> second_start;
   std::optional<RefineEval> second_eval;
-  const auto identity_clusters = [&] {
-    std::vector<std::uint32_t> id(num_segments);
-    for (std::uint32_t s = 0; s < num_segments; ++s) {
-      id[s] = s;
-    }
-    return id;
-  };
   // Trial-schedule evaluator. Every exact evaluation writes into one
   // workspace, so the final emission can reuse the last expansion +
   // packing instead of re-running the two most expensive phases on an
@@ -912,56 +906,49 @@ ScheduleResult schedule(const arch::Program& serial,
   };
 
   if (banks > 1) {
-    if (!opts.placement_hints.empty()) {
-      if (opts.placement_hints.size() < serial.num_rrams()) {
-        throw std::invalid_argument(
-            "sched: placement hints do not cover every serial cell");
-      }
-      for (std::uint32_t s = 0; s < num_segments; ++s) {
-        seg_bank[s] = opts.placement_hints[graph.segment(s).cell] % banks;
-      }
+    if (opts.cluster) {
+      cluster_of = cluster_segments(graph, banks);
     } else {
-      cluster_of = opts.cluster ? cluster_segments(graph, banks)
-                                : identity_clusters();
-      seg_bank =
-          assign_clusters(graph, cluster_of, opts, SeedOrder::producer);
-      if (opts.refine_passes > 0 && num_segments > 1) {
-        // Trial-schedule all four greedy seeds and keep the two best
-        // distinct starts — producer order protects transfer chains
-        // (adder), LPT protects the throughput bound (max), and the two
-        // chain-aware seeds protect the longest renamed chains (sin's
-        // mega-segments, square's tall RAW carriers).
-        struct Start {
-          std::vector<std::uint32_t> sb;
-          RefineEval eval;
-        };
-        std::vector<Start> starts;
-        for (const auto order :
-             {SeedOrder::producer, SeedOrder::lpt, SeedOrder::chain_segment,
-              SeedOrder::chain_height}) {
-          auto cand = order == SeedOrder::producer
-                          ? seg_bank
-                          : assign_clusters(graph, cluster_of, opts, order);
-          bool duplicate = false;
-          for (const auto& s : starts) {
-            duplicate = duplicate || s.sb == cand;
-          }
-          if (duplicate) {
-            continue;
-          }
-          auto eval = evaluate(cand);
-          starts.push_back({std::move(cand), std::move(eval)});
+      cluster_of.resize(num_segments);
+      std::iota(cluster_of.begin(), cluster_of.end(), 0u);
+    }
+    seg_bank = assign_clusters(graph, cluster_of, opts, SeedOrder::producer);
+    if (opts.refine_passes > 0 && num_segments > 1) {
+      // Trial-schedule all four greedy seeds and keep the two best
+      // distinct starts — producer order protects transfer chains
+      // (adder), LPT protects the throughput bound (max), and the two
+      // chain-aware seeds protect the longest renamed chains (sin's
+      // mega-segments, square's tall RAW carriers).
+      struct Start {
+        std::vector<std::uint32_t> sb;
+        RefineEval eval;
+      };
+      std::vector<Start> starts;
+      for (const auto order :
+           {SeedOrder::producer, SeedOrder::lpt, SeedOrder::chain_segment,
+            SeedOrder::chain_height}) {
+        auto cand = order == SeedOrder::producer
+                        ? seg_bank
+                        : assign_clusters(graph, cluster_of, opts, order);
+        bool duplicate = false;
+        for (const auto& s : starts) {
+          duplicate = duplicate || s.sb == cand;
         }
-        std::sort(starts.begin(), starts.end(),
-                  [&](const Start& x, const Start& y) {
-                    return lexicographically_better(x.eval, y.eval);
-                  });
-        seg_bank = starts[0].sb;
-        start_eval = std::move(starts[0].eval);
-        if (starts.size() > 1) {
-          second_start = std::move(starts[1].sb);
-          second_eval = std::move(starts[1].eval);
+        if (duplicate) {
+          continue;
         }
+        auto eval = evaluate(cand);
+        starts.push_back({std::move(cand), std::move(eval)});
+      }
+      std::sort(starts.begin(), starts.end(),
+                [&](const Start& x, const Start& y) {
+                  return lexicographically_better(x.eval, y.eval);
+                });
+      seg_bank = starts[0].sb;
+      start_eval = std::move(starts[0].eval);
+      if (starts.size() > 1) {
+        second_start = std::move(starts[1].sb);
+        second_eval = std::move(starts[1].eval);
       }
     }
   }
@@ -979,12 +966,6 @@ ScheduleResult schedule(const arch::Program& serial,
   double refine_ms = 0.0;
   if (banks > 1 && opts.refine_passes > 0 && num_segments > 1) {
     const util::ScopedPhase refine_phase("sched.refine", &refine_ms);
-    if (cluster_of.empty()) {
-      // Hint mode still refines at heavy-edge cluster granularity; the
-      // hints are the starting assignment.
-      cluster_of = opts.cluster ? cluster_segments(graph, banks)
-                                : identity_clusters();
-    }
     RefineOptions ropts{opts.refine_passes, opts.refine_incremental,
                         opts.refine_resync};
     ropts.makespan_objective = makespan_objective;
@@ -1232,7 +1213,6 @@ ScheduleResult schedule(const arch::Program& serial,
   stats.parallel_rrams = pp.num_rrams();
   stats.bus_width = opts.cost.bus_width;
   stats.bus_stalls = ls.bus_stalls;
-  stats.placement_hints_used = !opts.placement_hints.empty();
   stats.refine_passes = rstats.passes_run;
   stats.refine_moves_tried = rstats.moves_tried;
   stats.refine_moves_kept = rstats.moves_kept;

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "arch/program.hpp"
 #include "sched/cost_model.hpp"
@@ -21,18 +20,10 @@ struct ScheduleOptions {
   /// cross-bank copies any step may issue (the bounded inter-bank bus).
   CostModel cost;
 
-  /// Compiler-side placement hints: serial cell → bank, as produced by
-  /// compiling with CompileOptions::placement_banks (see
-  /// core::Placement::cell_bank). When non-empty, segments are assigned
-  /// to `hint % banks` of their serial cell instead of running the
-  /// post-hoc clustering + cost-model assignment; must cover every
-  /// serial cell (throws std::invalid_argument otherwise).
-  std::vector<std::uint32_t> placement_hints;
-
   /// Agglomerate segments along their heaviest producer→consumer edges
   /// (majority subtrees, RAW chains) before bank assignment, so whole
   /// subtrees land in one bank and only cluster boundaries cross the
-  /// bus. Ignored when placement hints are given.
+  /// bus.
   bool cluster = true;
 
   /// Kernighan–Lin-style refinement passes over the cluster→bank
@@ -41,10 +32,9 @@ struct ScheduleOptions {
   /// transfers regress, so refinement is monotone — it can only improve
   /// the schedule. 0 disables; each pass is bounded by O(banks) exact
   /// re-schedules, so this is the compile-time budget knob
-  /// (`plimc --refine-passes`). Applies on top of placement hints too.
-  /// The default assumes the incremental screen (refine_incremental) —
-  /// 20 screened passes cost less wall-clock than 2 pre-incremental
-  /// ones.
+  /// (`plimc --refine-passes`). The default assumes the incremental
+  /// screen (refine_incremental) — 20 screened passes cost less
+  /// wall-clock than 2 pre-incremental ones.
   std::uint32_t refine_passes = 20;
 
   /// Screen refinement trial moves with the O(window) incremental delta
@@ -104,8 +94,7 @@ struct ScheduleResult {
 ///
 ///  1. builds the register-level dependence graph and splits the program
 ///     into value-lifetime segments (see sched/depgraph.hpp);
-///  2. assigns each segment to a bank: either directly from compiler
-///     placement hints, or post hoc — segments are first agglomerated
+///  2. assigns each segment to a bank: segments are first agglomerated
 ///     into clusters along their heaviest producer→consumer edges
 ///     (majority subtrees, RAW chains), then each cluster goes to the
 ///     bank minimizing the CostModel's transfer + load-imbalance cost;
@@ -138,8 +127,7 @@ struct ScheduleResult {
 /// Throws std::invalid_argument when the program reads memory it never
 /// wrote (its behaviour would depend on pre-existing RRAM content, which
 /// a bank-remapped program cannot reproduce), when an output cell is
-/// never written, when `opts.banks` is 0, and when placement hints do
-/// not cover every serial cell.
+/// never written, and when `opts.banks` is 0.
 [[nodiscard]] ScheduleResult schedule(const arch::Program& serial,
                                       const ScheduleOptions& opts = {});
 

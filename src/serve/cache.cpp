@@ -60,9 +60,6 @@ std::size_t CompileCache::approx_bytes(const CompileOutcome& outcome) {
   constexpr std::size_t kEntryOverhead = 1024;  // stats, diags, bookkeeping
   std::size_t bytes = kEntryOverhead;
   bytes += outcome.program.num_instructions() * sizeof(arch::Instruction);
-  if (outcome.placement) {
-    bytes += outcome.placement->cell_bank.size() * sizeof(std::uint32_t);
-  }
   if (outcome.parallel) {
     const auto& parallel = *outcome.parallel;
     for (std::uint32_t s = 0; s < parallel.num_steps(); ++s) {

@@ -11,6 +11,8 @@
 #include <cerrno>
 #include <cstring>
 #include <iostream>
+#include <string>
+#include <utility>
 
 #include "util/metrics.hpp"
 
@@ -23,6 +25,10 @@ namespace {
 constexpr int kPollMs = 200;
 /// Latency ring size behind the stats command's exact percentiles.
 constexpr std::size_t kLatencyWindow = 4096;
+/// Longest request line a reader buffers. A request names a benchmark
+/// or a file path, so a longer line is a misbehaving client; capping it
+/// bounds the daemon's memory per connection.
+constexpr std::size_t kMaxLineBytes = std::size_t{64} << 10;
 
 double ms_since(std::chrono::steady_clock::time_point from,
                 std::chrono::steady_clock::time_point to) {
@@ -229,6 +235,13 @@ void Server::handle_line(const std::string& line,
 
 void Server::reader_loop(const std::shared_ptr<Connection>& conn) {
   std::string buffer;
+  bool discarding = false;  // dropping an oversized line through its '\n'
+  const auto reject_oversized = [&] {
+    conn->write_line(error_response(
+        "", "request-too-large",
+        "request line exceeds " + std::to_string(kMaxLineBytes) +
+            " bytes; input dropped through the next newline"));
+  };
   char chunk[4096];
   while (!shutdown_requested()) {
     struct pollfd pfd = {conn->fd_in, POLLIN, 0};
@@ -257,6 +270,13 @@ void Server::reader_loop(const std::shared_ptr<Connection>& conn) {
     while ((pos = buffer.find('\n')) != std::string::npos) {
       std::string line = buffer.substr(0, pos);
       buffer.erase(0, pos + 1);
+      if (std::exchange(discarding, false)) {
+        continue;  // the tail of a line already answered as too large
+      }
+      if (line.size() > kMaxLineBytes) {
+        reject_oversized();
+        continue;
+      }
       if (!line.empty() && line.back() == '\r') {
         line.pop_back();
       }
@@ -264,6 +284,13 @@ void Server::reader_loop(const std::shared_ptr<Connection>& conn) {
         continue;
       }
       handle_line(line, conn);
+    }
+    if (!discarding && buffer.size() > kMaxLineBytes) {
+      reject_oversized();
+      discarding = true;
+    }
+    if (discarding) {
+      buffer.clear();
     }
   }
 }

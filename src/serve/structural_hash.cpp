@@ -96,7 +96,6 @@ void hash_options(StructuralHasher& h, const Options& options) {
   // when a new field is forgotten here.
   h.mix(0x0517);  // options fence
   h.mix(options.banks);
-  h.mix(static_cast<std::uint64_t>(options.placement));
 
   h.mix(0x0521);  // rewrite
   h.mix(options.rewrite.effort);

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <set>
 #include <vector>
 
 namespace plim::core {
@@ -99,131 +97,6 @@ TEST(Allocator, FifoSpreadsWearAcrossCells) {
   }
 }
 
-// ---- banked allocator -------------------------------------------------------
-
-TEST(BankedAllocator, DisjointModularRanges) {
-  // The invariant the scheduler's bank-local compute model rests on:
-  // bank b owns exactly the cells {c : c ≡ b (mod B)}, so per-bank cell
-  // sets can never overlap, no matter the request/release history.
-  BankedAllocator alloc(4);
-  std::vector<std::set<std::uint32_t>> per_bank(4);
-  for (std::uint32_t round = 0; round < 3; ++round) {
-    std::vector<std::uint32_t> cells;
-    for (std::uint32_t b = 0; b < 4; ++b) {
-      for (int k = 0; k < 5; ++k) {
-        const auto c = alloc.request_in(b);
-        EXPECT_EQ(c % 4, b) << "cell " << c;
-        EXPECT_EQ(alloc.bank_of(c), b);
-        per_bank[b].insert(c);
-        cells.push_back(c);
-      }
-    }
-    for (const auto c : cells) {
-      alloc.release(c);
-    }
-  }
-  for (std::uint32_t b = 0; b < 4; ++b) {
-    for (std::uint32_t o = b + 1; o < 4; ++o) {
-      for (const auto c : per_bank[b]) {
-        EXPECT_EQ(per_bank[o].count(c), 0u);
-      }
-    }
-  }
-}
-
-TEST(BankedAllocator, ReleaseReturnsCellToItsOwningBank) {
-  BankedAllocator alloc(2);
-  const auto c0 = alloc.request_in(0);
-  const auto c1 = alloc.request_in(1);
-  alloc.release(c0);
-  alloc.release(c1);
-  // Bank 1 reuses its own released cell, never bank 0's.
-  EXPECT_EQ(alloc.request_in(1), c1);
-  EXPECT_EQ(alloc.request_in(0), c0);
-  EXPECT_EQ(alloc.total_allocated(), 2u);
-}
-
-TEST(BankedAllocator, PerBankPolicyOrdering) {
-  BankedAllocator fifo(2, AllocationPolicy::fifo);
-  const auto a = fifo.request_in(0);
-  const auto b = fifo.request_in(0);
-  fifo.release(a);
-  fifo.release(b);
-  EXPECT_EQ(fifo.request_in(0), a);  // oldest released first
-
-  BankedAllocator lifo(2, AllocationPolicy::lifo);
-  const auto c = lifo.request_in(0);
-  const auto d = lifo.request_in(0);
-  lifo.release(c);
-  lifo.release(d);
-  EXPECT_EQ(lifo.request_in(0), d);  // newest released first
-
-  BankedAllocator fresh(2, AllocationPolicy::fresh);
-  const auto e = fresh.request_in(1);
-  fresh.release(e);
-  EXPECT_NE(fresh.request_in(1), e);  // never reuses
-  EXPECT_EQ(fresh.total_allocated(), 2u);
-}
-
-TEST(BankedAllocator, DefaultRequestBalancesLiveCells) {
-  BankedAllocator alloc(3);
-  // Pre-load bank 0 and 1; the next unconstrained requests go to the
-  // emptiest banks.
-  (void)alloc.request_in(0);
-  (void)alloc.request_in(0);
-  (void)alloc.request_in(1);
-  const auto c = alloc.request();
-  EXPECT_EQ(alloc.bank_of(c), 2u);
-  const auto d = alloc.request();
-  EXPECT_EQ(alloc.bank_of(d), 1u);
-  EXPECT_EQ(alloc.bank_live(0), 2u);
-  EXPECT_EQ(alloc.bank_live(1), 2u);
-  EXPECT_EQ(alloc.bank_live(2), 1u);
-}
-
-TEST(BankedAllocator, CapBoundsTotalAcrossBanks) {
-  BankedAllocator alloc(2, AllocationPolicy::fifo, 3);
-  const auto a = alloc.request_in(0);
-  (void)alloc.request_in(1);
-  (void)alloc.request_in(0);
-  EXPECT_THROW((void)alloc.request_in(1), RramCapExceeded);
-  alloc.release(a);
-  EXPECT_EQ(alloc.request_in(0), a);  // reuse within cap is fine
-  EXPECT_EQ(alloc.total_allocated(), 3u);
-}
-
-TEST(BankedAllocator, RejectsOutOfRangeBank) {
-  BankedAllocator alloc(2);
-  EXPECT_THROW((void)alloc.request_in(2), std::out_of_range);
-}
-
-TEST(BankedAllocator, WorksThroughBaseInterface) {
-  // The compiler holds the allocator behind the RramAllocator interface;
-  // request/release must dispatch virtually.
-  std::unique_ptr<RramAllocator> alloc =
-      std::make_unique<BankedAllocator>(4, AllocationPolicy::fifo);
-  const auto a = alloc->request();
-  const auto b = alloc->request();
-  EXPECT_NE(a % 4, b % 4);  // balancing spreads across banks
-  alloc->release(a);
-  EXPECT_EQ(alloc->request(), a);  // fifo reuse through the base pointer
-  EXPECT_EQ(alloc->total_allocated(), 2u);
-  EXPECT_EQ(alloc->peak_live(), 2u);
-}
-
-TEST(BankedAllocator, PlacementCoversEveryCell) {
-  BankedAllocator alloc(3);
-  for (int i = 0; i < 7; ++i) {
-    (void)alloc.request();
-  }
-  const auto p = alloc.placement(9);
-  EXPECT_EQ(p.num_banks, 3u);
-  ASSERT_EQ(p.cell_bank.size(), 9u);
-  for (std::uint32_t c = 0; c < 9; ++c) {
-    EXPECT_EQ(p.cell_bank[c], c % 3);
-  }
-}
-
 // ---- eviction under capacity pressure ---------------------------------------
 
 TEST(Allocator, EvictionHandlerTurnsTheCliffIntoACallback) {
@@ -233,19 +106,16 @@ TEST(Allocator, EvictionHandlerTurnsTheCliffIntoACallback) {
 
   // The handler spills `a` (the compiler would pick a recomputable
   // victim); the pending request then reuses it instead of throwing.
-  std::uint32_t handler_bank = 0;
-  alloc.set_eviction_handler([&](std::uint32_t bank) {
-    handler_bank = bank;
+  alloc.set_eviction_handler([&] {
     alloc.release(a);
     return true;
   });
   EXPECT_EQ(alloc.request(), a);
-  EXPECT_EQ(handler_bank, kAnyBank);  // flat allocation: any bank works
   EXPECT_EQ(alloc.evictions(), 1u);
   EXPECT_EQ(alloc.total_allocated(), 2u);  // #R never grew past the cap
 
   // A surrendering handler restores the hard-failure behavior.
-  alloc.set_eviction_handler([](std::uint32_t) { return false; });
+  alloc.set_eviction_handler([] { return false; });
   EXPECT_THROW((void)alloc.request(), RramCapExceeded);
 }
 
@@ -255,66 +125,13 @@ TEST(Allocator, FreshPolicyCannotEvict) {
   RramAllocator alloc(AllocationPolicy::fresh, 1);
   const auto a = alloc.request();
   bool consulted = false;
-  alloc.set_eviction_handler([&](std::uint32_t) {
+  alloc.set_eviction_handler([&] {
     consulted = true;
     alloc.release(a);
     return true;
   });
   EXPECT_THROW((void)alloc.request(), RramCapExceeded);
   EXPECT_FALSE(consulted);
-}
-
-TEST(BankedAllocator, EvictionHandlerReceivesThePressuredBank) {
-  BankedAllocator alloc(2, AllocationPolicy::fifo, 2);
-  const auto a0 = alloc.request_in(0);  // cell 0
-  (void)alloc.request_in(1);            // cell 1 — global cap now full
-  std::vector<std::uint32_t> asked;
-  alloc.set_eviction_handler([&](std::uint32_t bank) {
-    asked.push_back(bank);
-    if (bank != 0) {
-      return false;
-    }
-    alloc.release(a0);
-    return true;
-  });
-  // Bank 0 is full at the global cap: only a bank-0 cell helps, and the
-  // handler is told exactly that.
-  EXPECT_EQ(alloc.request_in(0), a0);
-  ASSERT_EQ(asked.size(), 1u);
-  EXPECT_EQ(asked[0], 0u);
-  EXPECT_EQ(alloc.evictions(), 1u);
-}
-
-TEST(BankedAllocator, BankBudgetCapsEachBankIndependently) {
-  BankedAllocator alloc(2, AllocationPolicy::fifo);
-  alloc.set_bank_budget(2);
-  ASSERT_TRUE(alloc.bank_budget().has_value());
-  const auto a = alloc.request_in(0);
-  (void)alloc.request_in(0);
-  // Bank 0 exhausted its budget; bank 1 is untouched.
-  EXPECT_THROW((void)alloc.request_in(0), RramCapExceeded);
-  EXPECT_NO_THROW((void)alloc.request_in(1));
-  // Reuse within the budget is fine; fresh cells are not.
-  alloc.release(a);
-  EXPECT_EQ(alloc.request_in(0), a);
-  EXPECT_EQ(alloc.bank_allocated(0), 2u);
-  // Dropping the budget reopens the bank.
-  alloc.set_bank_budget(std::nullopt);
-  EXPECT_NO_THROW((void)alloc.request_in(0));
-}
-
-TEST(BankedAllocator, TracksPerBankHighWaterMarks) {
-  BankedAllocator alloc(2);
-  const auto a = alloc.request_in(0);
-  (void)alloc.request_in(0);
-  alloc.release(a);
-  (void)alloc.request_in(1);
-  EXPECT_EQ(alloc.bank_peak_live(0), 2u);
-  EXPECT_EQ(alloc.bank_live(0), 1u);
-  EXPECT_EQ(alloc.bank_peak_live(1), 1u);
-  // The global peak is the max of the *total* live set, not a sum of
-  // per-bank peaks (they can occur at different times).
-  EXPECT_EQ(alloc.peak_live(), 2u);
 }
 
 }  // namespace

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "circuits/epfl.hpp"
-#include "core/pipeline.hpp"
 #include "io/blif.hpp"
 #include "util/metrics.hpp"
 
@@ -31,18 +30,9 @@ TEST(OptionsValidate, DefaultsAreClean) {
   EXPECT_TRUE(Options{}.validate().empty());
   Options banked;
   banked.banks = 4;
-  banked.placement = PlacementMode::compiler;
   banked.schedule.execution = sched::ExecutionModel::decoupled;
   EXPECT_TRUE(banked.validate().empty());
   EXPECT_TRUE(Options::textbook_naive().validate().empty());
-}
-
-TEST(OptionsValidate, CompilerPlacementNeedsBanks) {
-  Options options;
-  options.placement = PlacementMode::compiler;
-  const auto diags = options.validate();
-  EXPECT_TRUE(has_errors(diags));
-  EXPECT_TRUE(has_code(diags, "placement-needs-banks"));
 }
 
 TEST(OptionsValidate, DecoupledExecutionNeedsBanks) {
@@ -95,11 +85,34 @@ TEST(OptionsValidate, InertBusWidthIsOnlyAWarning) {
 
 TEST(Driver, RefusesContradictoryOptionsPerOutcome) {
   Options options;
-  options.placement = PlacementMode::compiler;  // banks == 0
+  options.schedule.execution = sched::ExecutionModel::decoupled;  // banks == 0
   const Driver driver(options);
   const auto outcome = driver.run(CompileRequest::from_benchmark("ctrl"));
   EXPECT_FALSE(outcome.ok());
-  EXPECT_TRUE(has_code(outcome.diagnostics, "placement-needs-banks"));
+  EXPECT_TRUE(has_code(outcome.diagnostics, "execution-needs-banks"));
+}
+
+/// Every millisecond of a request belongs to a named top-level phase:
+/// load, rewrite, compile, verify, schedule and schedule verification
+/// together cover the request's wall-clock.
+TEST(Driver, PhasesCoverTotalTime) {
+  Options options;
+  options.banks = 4;
+  options.schedule.execution = sched::ExecutionModel::decoupled;
+  const auto outcome =
+      Driver(options).run(CompileRequest::from_benchmark("i2c"));
+  ASSERT_TRUE(outcome.ok()) << outcome.error_summary();
+  ASSERT_TRUE(outcome.stats.verified);
+  const auto& m = outcome.stats.metrics;
+  const double phases = m.load_ms + m.rewrite_ms + m.compile_ms +
+                        m.verify_ms + m.schedule_ms + m.schedule_verify_ms;
+  EXPECT_GT(m.schedule_verify_ms, 0.0);
+  EXPECT_LE(phases, m.total_ms);
+  EXPECT_GE(phases, 0.95 * m.total_ms)
+      << "load " << m.load_ms << " rewrite " << m.rewrite_ms << " compile "
+      << m.compile_ms << " verify " << m.verify_ms << " schedule "
+      << m.schedule_ms << " schedule verify " << m.schedule_verify_ms
+      << " of " << m.total_ms;
 }
 
 // ---- request kinds ----------------------------------------------------------
@@ -307,19 +320,6 @@ TEST(RetryLadder, DegradedStatsReachTheReport) {
   EXPECT_NE(json.find("\"cells_evicted\""), std::string::npos);
   EXPECT_NE(json.find("\"ops_recomputed\""), std::string::npos);
   EXPECT_NE(json.find("\"live_lower_bound\":7"), std::string::npos) << json;
-}
-
-TEST(PipelineShim, PreservesRramCapExceptionContract) {
-  // core::run_pipeline is a shim over the driver, but its documented
-  // exception contract survives: capacity infeasibility still throws
-  // core::RramCapExceeded, not a generic invalid_argument.
-  core::CompileOptions copts;
-  copts.rram_cap = 2;
-  EXPECT_THROW(
-      (void)core::run_pipeline(circuits::build_benchmark("ctrl"),
-                               core::PipelineConfig::rewriting_and_compilation,
-                               {}, copts),
-      core::RramCapExceeded);
 }
 
 // ---- manifests --------------------------------------------------------------

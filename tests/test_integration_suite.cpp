@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "circuits/epfl.hpp"
-#include "core/pipeline.hpp"
 #include "core/verify.hpp"
+#include "driver/driver.hpp"
 #include "mig/cleanup.hpp"
 #include "mig/random.hpp"
 #include "mig/rewriting.hpp"
@@ -38,22 +40,30 @@ mig::Mig int2float_full() { return circuits::make_int2float(); }
 
 class ScaledSuite : public ::testing::TestWithParam<Scaled> {};
 
-TEST_P(ScaledSuite, AllPipelineConfigsVerifyAndSatCertify) {
+TEST_P(ScaledSuite, AllTable1ConfigsVerifyAndSatCertify) {
   const auto& param = GetParam();
   // Shuffle like the registry does, so the naïve order is realistic.
   const auto m = mig::shuffle_topological(param.build(), 0xbeef);
 
-  for (const auto config :
-       {core::PipelineConfig::naive, core::PipelineConfig::rewriting,
-        core::PipelineConfig::rewriting_and_compilation}) {
-    const auto r = core::run_pipeline(m, config);
-    const auto compiled_for = config == core::PipelineConfig::naive
-                                  ? mig::cleanup_dangling(m)
-                                  : mig::rewrite_for_plim(m);
-    const auto v = core::verify_program(compiled_for, r.compiled.program, 4,
-                                        0x5eed);
+  // Table 1's naïve, rewriting and full configurations: rewriting on or
+  // off, smart candidate selection on or off.
+  for (const auto& [rewrite, smart] :
+       {std::pair{false, false}, std::pair{true, false},
+        std::pair{true, true}}) {
+    Options options;
+    if (!rewrite) {
+      options.rewrite.effort = 0;
+    }
+    options.compile.smart_candidates = smart;
+    options.verify.enabled = false;  // verified below, against SAT too
+    const auto r =
+        Driver(options).run(CompileRequest::from_mig(m, param.name));
+    ASSERT_TRUE(r.ok()) << param.name << ": " << r.error_summary();
+    const auto compiled_for =
+        rewrite ? mig::rewrite_for_plim(m) : mig::cleanup_dangling(m);
+    const auto v = core::verify_program(compiled_for, r.program, 4, 0x5eed);
     ASSERT_TRUE(v.ok) << param.name << ": " << v.message;
-    EXPECT_GE(r.compiled.stats.num_instructions, r.mig_gates)
+    EXPECT_GE(r.stats.compile.num_instructions, r.stats.gates)
         << param.name << ": fewer instructions than gates is impossible";
   }
 

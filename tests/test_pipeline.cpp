@@ -1,5 +1,3 @@
-#include "core/pipeline.hpp"
-
 #include <gtest/gtest.h>
 
 #include <array>
@@ -10,25 +8,47 @@
 
 #include "circuits/epfl.hpp"
 #include "core/verify.hpp"
+#include "driver/driver.hpp"
 #include "mig/cleanup.hpp"
 #include "mig/simulation.hpp"
 #include "util/rng.hpp"
 
-namespace plim::core {
+namespace plim {
 namespace {
+
+/// The three configurations of Table 1: the naïve column disables MIG
+/// rewriting and candidate selection, the rewriting column only
+/// candidate selection, and the full compiler runs both.
+enum class Config { naive, rewriting, full };
+
+Options table1_options(Config config) {
+  Options options;
+  if (config == Config::naive) {
+    options.rewrite.effort = 0;
+  }
+  options.compile.smart_candidates = config == Config::full;
+  options.verify.enabled = false;  // the tests check programs themselves
+  return options;
+}
+
+CompileOutcome run(const mig::Mig& m, const Options& options) {
+  auto outcome = Driver(options).run(CompileRequest::from_mig(m, "test"));
+  EXPECT_TRUE(outcome.ok()) << outcome.error_summary();
+  return outcome;
+}
 
 TEST(Pipeline, NaiveConfigUsesUnrewrittenNetwork) {
   const auto m = circuits::build_benchmark("ctrl");
-  const auto r = run_pipeline(m, PipelineConfig::naive);
-  EXPECT_EQ(r.mig_gates, mig::cleanup_dangling(m).num_gates());
-  EXPECT_EQ(r.rewrite_stats.gates_before, 0u);  // untouched
+  const auto r = run(m, table1_options(Config::naive));
+  EXPECT_EQ(r.stats.gates, mig::cleanup_dangling(m).num_gates());
+  EXPECT_EQ(r.stats.rewrite.cycles, 0u);  // rewriting never ran
 }
 
 TEST(Pipeline, RewritingConfigsReportStats) {
   const auto m = circuits::build_benchmark("ctrl");
-  const auto r = run_pipeline(m, PipelineConfig::rewriting);
-  EXPECT_GT(r.rewrite_stats.gates_before, 0u);
-  EXPECT_EQ(r.mig_gates, r.rewrite_stats.gates_after);
+  const auto r = run(m, table1_options(Config::rewriting));
+  EXPECT_GT(r.stats.rewrite.gates_before, 0u);
+  EXPECT_EQ(r.stats.gates, r.stats.rewrite.gates_after);
 }
 
 TEST(Pipeline, FullPipelineBeatsNaiveOnTheSuiteAggregate) {
@@ -42,13 +62,12 @@ TEST(Pipeline, FullPipelineBeatsNaiveOnTheSuiteAggregate) {
   std::uint64_t r_full = 0;
   for (const char* name : {"cavlc", "ctrl", "router", "int2float", "i2c"}) {
     const auto m = circuits::build_benchmark(name);
-    const auto naive = run_pipeline(m, PipelineConfig::naive);
-    const auto full =
-        run_pipeline(m, PipelineConfig::rewriting_and_compilation);
-    i_naive += naive.compiled.stats.num_instructions;
-    i_full += full.compiled.stats.num_instructions;
-    r_naive += naive.compiled.stats.num_rrams;
-    r_full += full.compiled.stats.num_rrams;
+    const auto naive = run(m, table1_options(Config::naive));
+    const auto full = run(m, table1_options(Config::full));
+    i_naive += naive.stats.compile.num_instructions;
+    i_full += full.stats.compile.num_instructions;
+    r_naive += naive.stats.compile.num_rrams;
+    r_full += full.stats.compile.num_rrams;
   }
   EXPECT_LT(i_full, i_naive);
   EXPECT_LT(r_full, r_naive);
@@ -57,17 +76,15 @@ TEST(Pipeline, FullPipelineBeatsNaiveOnTheSuiteAggregate) {
 TEST(Pipeline, AllConfigsVerifyOnBenchmarks) {
   for (const char* name : {"cavlc", "router", "int2float"}) {
     const auto m = circuits::build_benchmark(name);
-    for (const auto config :
-         {PipelineConfig::naive, PipelineConfig::rewriting,
-          PipelineConfig::rewriting_and_compilation}) {
-      const auto r = run_pipeline(m, config);
+    for (const auto config : {Config::naive, Config::rewriting, Config::full}) {
+      const auto r = run(m, table1_options(config));
       // Verify against the network that was compiled (rewritten or not),
       // then tie the rewritten network back to the original by random
       // co-simulation.
-      const auto compiled_for = config == PipelineConfig::naive
+      const auto compiled_for = config == Config::naive
                                     ? mig::cleanup_dangling(m)
                                     : mig::rewrite_for_plim(m);
-      const auto v = verify_program(compiled_for, r.compiled.program, 4, 9);
+      const auto v = core::verify_program(compiled_for, r.program, 4, 9);
       EXPECT_TRUE(v.ok) << name << ": " << v.message;
       util::Rng rng(13);
       EXPECT_TRUE(mig::random_equivalence_check(m, compiled_for, 8, rng))
@@ -78,12 +95,12 @@ TEST(Pipeline, AllConfigsVerifyOnBenchmarks) {
 
 TEST(Pipeline, ForwardsExecutionModelToScheduler) {
   const auto m = circuits::build_benchmark("int2float");
-  sched::ScheduleOptions sopts;
-  sopts.execution = sched::ExecutionModel::decoupled;
-  const auto r = run_pipeline(m, PipelineConfig::rewriting_and_compilation,
-                              {}, {}, 4, sopts);
-  ASSERT_TRUE(r.schedule.has_value());
-  const auto& s = r.schedule->stats;
+  auto options = table1_options(Config::full);
+  options.banks = 4;
+  options.schedule.execution = sched::ExecutionModel::decoupled;
+  const auto r = run(m, options);
+  ASSERT_TRUE(r.stats.schedule.has_value());
+  const auto& s = *r.stats.schedule;
   EXPECT_EQ(s.execution, sched::ExecutionModel::decoupled);
   EXPECT_EQ(s.makespan_cycles, s.decoupled_cycles);
   EXPECT_LE(s.decoupled_cycles, s.lockstep_cycles);
@@ -246,17 +263,15 @@ TEST(PlimcCli, WarningsGoToStderrAndKeepExitZero) {
 
 TEST(Pipeline, CustomRewriteEffortIsHonored) {
   const auto m = circuits::build_benchmark("cavlc");
-  mig::RewriteOptions fast;
-  fast.effort = 1;
-  const auto r1 = run_pipeline(m, PipelineConfig::rewriting_and_compilation,
-                               fast);
-  mig::RewriteOptions thorough;
-  thorough.effort = 6;
-  const auto r6 = run_pipeline(m, PipelineConfig::rewriting_and_compilation,
-                               thorough);
-  EXPECT_LE(r6.compiled.stats.num_instructions,
-            r1.compiled.stats.num_instructions + 8);
+  auto fast = table1_options(Config::full);
+  fast.rewrite.effort = 1;
+  const auto r1 = run(m, fast);
+  auto thorough = table1_options(Config::full);
+  thorough.rewrite.effort = 6;
+  const auto r6 = run(m, thorough);
+  EXPECT_LE(r6.stats.compile.num_instructions,
+            r1.stats.compile.num_instructions + 8);
 }
 
 }  // namespace
-}  // namespace plim::core
+}  // namespace plim

@@ -130,19 +130,6 @@ TEST(Refine, RandomizedEquivalenceAfterRefinement) {
   }
 }
 
-TEST(Refine, EquivalenceWithCompilerPlacementHints) {
-  core::CompileOptions copts;
-  copts.placement_banks = 4;
-  const auto compiled = core::compile(circuits::make_cavlc(), copts);
-  ASSERT_TRUE(compiled.placement.has_value());
-  auto opts = with_refinement(4, 8);
-  opts.placement_hints = compiled.placement->cell_bank;
-  const auto result = schedule(compiled.program, opts);
-  ASSERT_EQ(result.program.validate(), "");
-  EXPECT_TRUE(result.stats.placement_hints_used);
-  EXPECT_TRUE(equivalent_to_serial(compiled.program, result.program, 4, 99));
-}
-
 // ---- evaluator exactness ----------------------------------------------------
 
 /// Deterministic stand-in for the scheduler's exact evaluator: steps is

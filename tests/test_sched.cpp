@@ -12,7 +12,6 @@
 #include "arch/program.hpp"
 #include "circuits/epfl.hpp"
 #include "core/compiler.hpp"
-#include "core/pipeline.hpp"
 #include "driver/driver.hpp"
 #include "mig/random.hpp"
 #include "sched/depgraph.hpp"
@@ -588,11 +587,13 @@ TEST(Duplication, RecomputesShortInputOnlyChains) {
   p.add_output("h", 0);
 
   auto opts = with_banks(2);
-  // Pin the producer and the first consumer into different banks via
-  // explicit hints (cost-model assignment and refinement would rightly
-  // merge this tiny program into one bank) so the remote read is forced.
-  opts.placement_hints = {0, 1, 0};
+  // Split the producer and the first consumer across banks so a remote
+  // read is forced (the default cost model and refinement would rightly
+  // merge this tiny program into one bank): with transfers priced at
+  // zero, load balance alone puts segments 0, 1 and 2 in banks 0, 1, 0.
+  opts.cluster = false;
   opts.refine_passes = 0;
+  opts.cost.transfer_instructions = 0;
   opts.cost.duplicate_max_instructions = 2;
   const auto dup = schedule(p, opts);
   EXPECT_EQ(dup.program.validate(), "");
@@ -647,70 +648,6 @@ TEST(Duplication, NeverDuplicatesChainsReadingCells) {
   }
 }
 
-// ---- placement hints --------------------------------------------------------
-
-TEST(PlacementHints, SegmentsFollowTheirCellHints) {
-  const auto compiled = core::compile(circuits::make_int2float());
-  const auto& serial = compiled.program;
-  // Hint every serial cell to a bank by a fixed rule, then check every
-  // non-transfer instruction landed in the hinted bank. Refinement is
-  // allowed to move segments away from their hints (that is its job), so
-  // pin it off to observe the raw hint-following behaviour.
-  auto opts = with_banks(3);
-  opts.refine_passes = 0;
-  opts.cost.duplicate_max_instructions = 0;  // keep compute counts exact
-  opts.placement_hints.resize(serial.num_rrams());
-  for (std::uint32_t c = 0; c < serial.num_rrams(); ++c) {
-    opts.placement_hints[c] = (c * 7 + 1) % 3;
-  }
-  const auto result = schedule(serial, opts);
-  EXPECT_EQ(result.program.validate(), "");
-  EXPECT_TRUE(result.stats.placement_hints_used);
-  expect_equivalent(serial, result.program, 31337);
-
-  const auto graph = DependenceGraph::build(serial);
-  // Per-bank compute-instruction counts must match the hints exactly
-  // (duplicated chains would shift them, so pin that case away first).
-  ASSERT_EQ(result.stats.duplicated_instructions, 0u);
-  std::vector<std::uint32_t> hinted(3, 0);
-  for (std::uint32_t i = 0; i < graph.num_instructions(); ++i) {
-    const auto cell = graph.segment(graph.segment_of(i)).cell;
-    ++hinted[opts.placement_hints[cell] % 3];
-  }
-  std::vector<std::uint32_t> actual(3, 0);
-  for (std::uint32_t s = 0; s < result.program.num_steps(); ++s) {
-    for (const auto& slot : result.program.step(s)) {
-      if (!slot.is_transfer) {
-        ++actual[slot.bank];
-      }
-    }
-  }
-  for (std::uint32_t b = 0; b < 3; ++b) {
-    EXPECT_EQ(actual[b], hinted[b]) << "bank " << b;
-  }
-}
-
-TEST(PlacementHints, RejectsIncompleteHints) {
-  const auto compiled = core::compile(circuits::make_ctrl());
-  auto opts = with_banks(2);
-  opts.placement_hints = {0};  // far fewer entries than serial cells
-  EXPECT_THROW((void)schedule(compiled.program, opts), std::invalid_argument);
-}
-
-TEST(PlacementHints, CompilerPlacementFlowsThroughPipeline) {
-  core::CompileOptions copts;
-  copts.placement_banks = 4;
-  const auto with = core::run_pipeline(
-      circuits::make_cavlc(), core::PipelineConfig::rewriting_and_compilation,
-      {}, copts, 4);
-  ASSERT_TRUE(with.compiled.placement.has_value());
-  EXPECT_EQ(with.compiled.placement->num_banks, 4u);
-  ASSERT_TRUE(with.schedule.has_value());
-  EXPECT_TRUE(with.schedule->stats.placement_hints_used);
-  EXPECT_EQ(with.schedule->program.validate(), "");
-  expect_equivalent(with.compiled.program, with.schedule->program, 60601);
-}
-
 // ---- majority-subtree clustering --------------------------------------------
 
 /// The voter-style regression the clustering exists for: the majority
@@ -740,16 +677,20 @@ TEST(Clustering, CutsTransfersOnComponentCircuits) {
 // ---- pipeline integration ---------------------------------------------------
 
 TEST(Pipeline, OptionalSchedulingStage) {
-  const auto network = circuits::make_cavlc();
-  const auto without = core::run_pipeline(
-      network, core::PipelineConfig::rewriting_and_compilation);
-  EXPECT_FALSE(without.schedule.has_value());
-  const auto with = core::run_pipeline(
-      network, core::PipelineConfig::rewriting_and_compilation, {}, {}, 4);
-  ASSERT_TRUE(with.schedule.has_value());
-  EXPECT_EQ(with.schedule->stats.banks, 4u);
-  EXPECT_EQ(with.schedule->program.validate(), "");
-  expect_equivalent(with.compiled.program, with.schedule->program, 99);
+  const auto request =
+      CompileRequest::from_mig(circuits::make_cavlc(), "cavlc");
+  Options options;
+  options.verify.enabled = false;  // checked below
+  const auto without = Driver(options).run(request);
+  ASSERT_TRUE(without.ok()) << without.error_summary();
+  EXPECT_FALSE(without.parallel.has_value());
+  options.banks = 4;
+  const auto with = Driver(options).run(request);
+  ASSERT_TRUE(with.ok()) << with.error_summary();
+  ASSERT_TRUE(with.parallel.has_value());
+  EXPECT_EQ(with.stats.schedule->banks, 4u);
+  EXPECT_EQ(with.parallel->validate(), "");
+  expect_equivalent(with.program, *with.parallel, 99);
 }
 
 // ---- schedule phase timing --------------------------------------------------

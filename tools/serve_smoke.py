@@ -5,7 +5,9 @@ Spawns the daemon, then drives the JSON-lines protocol the way a build
 farm would:
 
   1. ping over stdin and over a Unix socket (both transports must serve
-     the same protocol);
+     the same protocol), then a 1 MiB request line without a newline on
+     the socket: it must get one `request-too-large` error, and a ping
+     after the next newline must still answer on that connection;
   2. wave 1 — the six EPFL smoke benchmarks fired back-to-back (the
      worker pool compiles them concurrently), all cold;
   3. wave 2 — the same six again: at least 50% of the repeated half
@@ -57,6 +59,21 @@ def read_responses(proc, count, timeout_s=120):
     return responses
 
 
+def recv_lines(sock, count):
+    """Reads from `sock` until `count` complete lines have arrived."""
+    buffer = b""
+    sock.settimeout(60)
+    while buffer.count(b"\n") < count:
+        try:
+            chunk = sock.recv(65536)
+        except socket.timeout:
+            fail(f"timed out waiting for {count} line(s) on the socket")
+        if not chunk:
+            fail("socket closed early")
+        buffer += chunk
+    return [json.loads(line) for line in buffer.splitlines()]
+
+
 def main():
     plimc = sys.argv[1] if len(sys.argv) > 1 else "./build/plimc"
     socket_path = os.path.join(tempfile.mkdtemp(prefix="plim_serve_"),
@@ -82,18 +99,28 @@ def main():
             sock.connect(socket_path)
             sock.sendall(b'{"cmd":"ping","id":"sock"}\n'
                          b'{"id":"sock-c","benchmark":"ctrl"}\n')
-            buffer = b""
-            while buffer.count(b"\n") < 2:
-                chunk = sock.recv(65536)
-                if not chunk:
-                    fail("socket closed early")
-                buffer += chunk
-        sock_lines = [json.loads(l) for l in buffer.splitlines()]
+            sock_lines = recv_lines(sock, 2)
         by_id = {r.get("id"): r for r in sock_lines}
         if not by_id.get("sock", {}).get("pong"):
             fail(f"bad socket pong: {sock_lines}")
         if not by_id.get("sock-c", {}).get("ok"):
             fail(f"socket compile failed: {by_id.get('sock-c')}")
+
+        # An unterminated 1 MiB line: one error, no unbounded buffering,
+        # and the connection keeps serving after the next newline.
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+            sock.connect(socket_path)
+            sock.sendall(b"x" * (1 << 20))
+            too_large = recv_lines(sock, 1)
+            if (len(too_large) != 1 or too_large[0].get("ok") is not False
+                    or too_large[0].get("error", {}).get("code")
+                    != "request-too-large"):
+                fail(f"oversized line not rejected: {too_large}")
+            sock.sendall(b'\n{"cmd":"ping","id":"after-big"}\n')
+            after = recv_lines(sock, 1)
+            if len(after) != 1 or not (after[0].get("id") == "after-big"
+                                       and after[0].get("pong")):
+                fail(f"no pong after an oversized line: {after}")
 
         # 2. wave 1: all six benchmarks, fired before reading anything —
         # the worker pool runs them concurrently.
