@@ -32,16 +32,6 @@
 ///                    per step (default unbounded)
 ///   --refine-passes N  KL refinement passes over the cluster→bank
 ///                    assignment (default 20, 0 disables)
-///   --refine-eval M  incremental | full — screen trial moves with the
-///                    O(window) delta evaluator and spend exact
-///                    re-schedules only on promising candidates
-///                    (default incremental), or re-schedule every trial
-///                    exactly
-///   --refine-resync K  exact-confirmation cadence on the incremental
-///                    path: 1 confirms every accepted move (default);
-///                    K > 1 accepts up to K moves on the estimate
-///                    between exact resyncs (rolled back when the exact
-///                    evaluation disagrees)
 ///   --execution M    lockstep | decoupled (see sched::ExecutionModel)
 ///   --objective M    auto | steps | makespan (see sched::Objective) —
 ///                    what the scheduler optimizes; auto follows
@@ -127,8 +117,6 @@ int usage() {
                "             [--degrade]\n"
                "             [--banks N] [--schedule] [--bus-width K] "
                "[--refine-passes N]\n"
-               "             [--refine-eval incremental|full] "
-               "[--refine-resync K]\n"
                "             [--execution lockstep|decoupled] "
                "[--objective auto|steps|makespan]\n"
                "             [--threads N] [--json <file|->] "
@@ -184,9 +172,8 @@ void print_stats(const plim::CompileOutcome& outcome) {
             << s.critical_path << ", lower bound " << s.step_lower_bound
             << ")\n";
   if (s.refine_passes > 0) {
-    std::cerr << "refinement: " << s.refine_passes << " passes ("
-              << (s.refine_incremental ? "incremental" : "full")
-              << " evaluator), " << s.refine_moves_tried << " moves tried ("
+    std::cerr << "refinement: " << s.refine_passes << " passes, "
+              << s.refine_moves_tried << " moves tried ("
               << s.refine_moves_screened << " screened, "
               << s.refine_full_evals << " exact re-schedules), "
               << s.refine_moves_kept << " kept, " << s.refine_steps_saved
@@ -347,25 +334,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--refine-passes") {
       if (const char* v = next()) {
         options.schedule.refine_passes =
-            static_cast<std::uint32_t>(std::stoul(v));
-      } else {
-        return usage();
-      }
-    } else if (arg == "--refine-eval") {
-      const char* v = next();
-      if (v == nullptr) {
-        return usage();
-      }
-      if (std::strcmp(v, "incremental") == 0) {
-        options.schedule.refine_incremental = true;
-      } else if (std::strcmp(v, "full") == 0) {
-        options.schedule.refine_incremental = false;
-      } else {
-        return usage();
-      }
-    } else if (arg == "--refine-resync") {
-      if (const char* v = next()) {
-        options.schedule.refine_resync =
             static_cast<std::uint32_t>(std::stoul(v));
       } else {
         return usage();

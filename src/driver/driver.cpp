@@ -271,13 +271,9 @@ CompileOutcome Driver::run_impl(const CompileRequest& request) const {
     sopts.cost = options_.schedule.cost;
     sopts.cluster = options_.schedule.cluster;
     sopts.refine_passes = options_.schedule.refine_passes;
-    sopts.refine_incremental = options_.schedule.refine_incremental;
-    sopts.refine_resync = options_.schedule.refine_resync;
-    sopts.lookahead = options_.schedule.lookahead;
     sopts.execution = options_.schedule.execution;
     sopts.objective = options_.schedule.objective;
     sopts.trace_label = request.label();
-    sopts.trace_timeline = options_.trace.timeline;
     sched::ScheduleResult scheduled;
     try {
       const util::ScopedPhase phase("schedule", &metrics.schedule_ms);

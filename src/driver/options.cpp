@@ -66,13 +66,6 @@ std::vector<Diagnostic> Options::validate() const {
         "without a cap it is inert — set rram_cap (plimc: --cap N) "
         "or drop --degrade"));
   }
-  if (schedule.refine_resync == 0) {
-    diags.push_back(Diagnostic::error(
-        "refine-resync-zero",
-        "refine_resync = 0 would never confirm accepted moves against the "
-        "exact evaluator — use 1 (confirm every accept, the default) or a "
-        "larger interval for deferred resync"));
-  }
   if (verify.enabled && verify.rounds == 0) {
     diags.push_back(Diagnostic::error(
         "verify-rounds-zero",

@@ -76,23 +76,13 @@ struct Options {
     /// Heavy-edge clustering before bank assignment.
     bool cluster = true;
     /// KL refinement passes over the cluster→bank assignment (0
-    /// disables; the compile-time budget knob). The default assumes the
-    /// incremental screen below — 20 screened passes cost less
-    /// wall-clock than the 2 full-evaluation passes that used to be the
-    /// default.
+    /// disables; the compile-time budget knob).
     std::uint32_t refine_passes = 20;
-    /// Screen refinement trial moves with the O(window) incremental
-    /// delta evaluator and spend exact re-schedules only on promising
-    /// candidates (plimc --refine-eval {incremental,full}). false
-    /// re-schedules every trial exactly.
+    /// Ignored by the Driver; kept until perfbench/ stops reading it.
     bool refine_incremental = true;
-    /// Exact-confirmation cadence on the incremental path (plimc
-    /// --refine-resync K): 1 confirms every accepted move with a full
-    /// re-schedule; K > 1 accepts up to K moves on the estimate between
-    /// resyncs, rolling back when the exact evaluation disagrees. Must
-    /// be ≥ 1 (validate() rejects 0).
+    /// Ignored by the Driver; kept until perfbench/ stops reading it.
     std::uint32_t refine_resync = 1;
-    /// Critical-first bus allocation in the list scheduler.
+    /// Ignored by the Driver; kept until perfbench/ stops reading it.
     bool lookahead = true;
     /// Execution model the headline cycle figures are reported for; the
     /// emitted program always carries both views (steps + sync tokens).
@@ -118,15 +108,14 @@ struct Options {
   /// Observability: when enabled, the driver switches on the process-wide
   /// tracer + metrics registry (util::Tracer / util::MetricsRegistry) and
   /// emits one span per pipeline phase per request — under run_batch the
-  /// trace shows per-thread worklist occupancy. `timeline` additionally
-  /// renders cycle-accurate per-bank execution timelines for decoupled
-  /// schedules. The per-phase wall-clock metrics in StatsReport are
-  /// measured regardless of this switch; only trace-event collection is
-  /// gated. Export via util::Tracer::global().write_chrome_trace()
-  /// (plimc --trace does both).
+  /// trace shows per-thread worklist occupancy — plus cycle-accurate
+  /// per-bank execution timelines for decoupled schedules. The per-phase
+  /// wall-clock metrics in StatsReport are measured regardless of this
+  /// switch; only trace-event collection is gated. Export via
+  /// util::Tracer::global().write_chrome_trace() (plimc --trace does
+  /// both).
   struct Trace {
     bool enabled = false;
-    bool timeline = true;
   } trace;
 
   /// The §3 textbook-naïve translation preset (index order, left-to-right

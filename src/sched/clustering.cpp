@@ -97,13 +97,14 @@ std::vector<std::uint32_t> cluster_segments(const DependenceGraph& graph,
   const auto n = graph.num_instructions();
   const auto num_segments = graph.num_segments();
 
-  std::vector<std::uint32_t> seg_size(num_segments, 0);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    ++seg_size[graph.segment_of(i)];
+  std::vector<std::uint32_t> seg_size(num_segments);
+  for (std::uint32_t s = 0; s < num_segments; ++s) {
+    seg_size[s] = graph.segment_size(s);
   }
 
-  // Producer→consumer operand reads between segments, one pair per read:
-  // duplicate pairs aggregate into edge weights inside agglomerate().
+  // Producer→consumer operand reads between segments, one pair per read
+  // (not the graph's deduplicated read graph: repeat reads are what
+  // agglomerate() weighs edges by).
   std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
   pairs.reserve(std::size_t{2} * n);
   for (std::uint32_t i = 0; i < n; ++i) {

@@ -1,8 +1,29 @@
 #include "sched/depgraph.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace plim::sched {
+
+namespace {
+
+/// Fills a CSR (`off`, `flat`) with `rows` rows from the (row, value)
+/// pairs `for_each(emit)` emits; each row keeps emission order.
+template <typename ForEach>
+void fill_rows(std::uint32_t rows, const ForEach& for_each,
+               std::vector<std::uint32_t>& off,
+               std::vector<std::uint32_t>& flat) {
+  off.assign(rows + 1, 0);
+  for_each([&](std::uint32_t r, std::uint32_t) { ++off[r + 1]; });
+  for (std::uint32_t r = 0; r < rows; ++r) {
+    off[r + 1] += off[r];
+  }
+  flat.resize(off[rows]);
+  auto cursor = off;
+  for_each([&](std::uint32_t r, std::uint32_t v) { flat[cursor[r]++] = v; });
+}
+
+}  // namespace
 
 DependenceGraph DependenceGraph::build(const arch::Program& program) {
   DependenceGraph g;
@@ -80,6 +101,53 @@ DependenceGraph DependenceGraph::build(const arch::Program& program) {
     last_write[z] = i;
     readers[z].clear();
   }
+
+  // Read graph: the distinct cross-segment (def, reader segment) pairs,
+  // grouped by def. The per-segment rows are filled in def order, so
+  // every row ascends.
+  const auto num_segments = static_cast<std::uint32_t>(g.segments_.size());
+  g.segment_size_.assign(num_segments, 0);
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
+  pairs.reserve(std::size_t{2} * n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const auto s = g.segment_of_[i];
+    ++g.segment_size_[s];
+    for (const auto def : {g.a_def_[i], g.b_def_[i]}) {
+      if (def != npos && g.segment_of_[def] != s) {
+        pairs.emplace_back(def, s);
+      }
+    }
+  }
+  std::sort(pairs.begin(), pairs.end());
+  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+  g.reader_off_.push_back(0);
+  for (std::size_t k = 0; k < pairs.size(); ++k) {
+    g.reader_seg_.push_back(pairs[k].second);
+    if (k + 1 == pairs.size() || pairs[k + 1].first != pairs[k].first) {
+      g.producer_seg_.push_back(g.segment_of_[pairs[k].first]);
+      g.reader_off_.push_back(
+          static_cast<std::uint32_t>(g.reader_seg_.size()));
+    }
+  }
+  const auto num_defs = g.num_read_defs();
+  fill_rows(
+      num_segments,
+      [&](const auto& emit) {
+        for (std::uint32_t d = 0; d < num_defs; ++d) {
+          emit(g.producer_seg_[d], d);
+        }
+      },
+      g.produced_off_, g.produced_def_);
+  fill_rows(
+      num_segments,
+      [&](const auto& emit) {
+        for (std::uint32_t d = 0; d < num_defs; ++d) {
+          for (const auto s : g.reader_segments(d)) {
+            emit(s, d);
+          }
+        }
+      },
+      g.read_off_, g.read_def_of_);
 
   // Heights over RAW edges: sweep backwards; every successor of i has
   // already pushed its height into heights_[i] when i is visited. The

@@ -34,6 +34,12 @@ struct Dep {
 /// dependence. A reset starts a new segment, so a segment corresponds to
 /// one value lifetime of a cell — the unit the multi-bank scheduler
 /// assigns to banks and renames onto physical cells.
+///
+/// Over segments it keeps the *read graph* every bank-assignment cost is
+/// priced on: the values read across segments (read defs, dense in
+/// instruction order), each with its distinct reader segments. A bank
+/// assignment pays one transfer per distinct (read def, foreign reader
+/// bank) pair.
 class DependenceGraph {
  public:
   static constexpr std::uint32_t npos = 0xffffffffu;
@@ -91,6 +97,36 @@ class DependenceGraph {
   [[nodiscard]] const Segment& segment(std::uint32_t s) const {
     return segments_[s];
   }
+  /// Instructions of segment `s`.
+  [[nodiscard]] std::uint32_t segment_size(std::uint32_t s) const {
+    return segment_size_[s];
+  }
+
+  /// Read defs: instructions whose value some other segment reads
+  /// through an A or B operand, numbered densely in instruction order.
+  [[nodiscard]] std::uint32_t num_read_defs() const noexcept {
+    return static_cast<std::uint32_t>(producer_seg_.size());
+  }
+  /// Segment producing read def `d`.
+  [[nodiscard]] std::uint32_t producer_segment(std::uint32_t d) const {
+    return producer_seg_[d];
+  }
+  /// Distinct segments reading read def `d`, ascending; never the
+  /// producing segment itself.
+  [[nodiscard]] std::span<const std::uint32_t> reader_segments(
+      std::uint32_t d) const {
+    return row(reader_off_, reader_seg_, d);
+  }
+  /// Read defs segment `s` produces, ascending.
+  [[nodiscard]] std::span<const std::uint32_t> defs_produced_by(
+      std::uint32_t s) const {
+    return row(produced_off_, produced_def_, s);
+  }
+  /// Read defs segment `s` reads, ascending.
+  [[nodiscard]] std::span<const std::uint32_t> defs_read_by(
+      std::uint32_t s) const {
+    return row(read_off_, read_def_of_, s);
+  }
 
   /// True when some instruction reads a cell (via A, B or a non-reset Z)
   /// before any instruction has written it, i.e. the program depends on
@@ -126,6 +162,12 @@ class DependenceGraph {
   }
 
  private:
+  static std::span<const std::uint32_t> row(
+      const std::vector<std::uint32_t>& off,
+      const std::vector<std::uint32_t>& flat, std::uint32_t k) {
+    return {flat.data() + off[k], flat.data() + off[k + 1]};
+  }
+
   std::vector<Dep> dep_flat_;            ///< CSR payload
   std::vector<std::uint32_t> dep_offset_;  ///< CSR offsets (n + 1 entries)
   std::vector<std::uint32_t> a_def_;
@@ -134,6 +176,16 @@ class DependenceGraph {
   std::vector<bool> reset_;
   std::vector<std::uint32_t> segment_of_;
   std::vector<Segment> segments_;
+  std::vector<std::uint32_t> segment_size_;
+  // Read graph, three CSRs: read def → reader segments, segment →
+  // produced read defs, segment → read defs it reads.
+  std::vector<std::uint32_t> producer_seg_;
+  std::vector<std::uint32_t> reader_off_;
+  std::vector<std::uint32_t> reader_seg_;
+  std::vector<std::uint32_t> produced_off_;
+  std::vector<std::uint32_t> produced_def_;
+  std::vector<std::uint32_t> read_off_;
+  std::vector<std::uint32_t> read_def_of_;
   std::vector<std::uint32_t> heights_;
   bool reads_initial_state_ = false;
   std::uint32_t critical_path_ = 0;

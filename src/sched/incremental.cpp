@@ -10,7 +10,6 @@
 namespace plim::sched {
 
 namespace {
-constexpr std::uint32_t npos = DependenceGraph::npos;
 
 /// Dense pipelined span of a serial stream of `n` ops (a decoupled bank
 /// controller issues every phases − 1 cycles, the last op retires after
@@ -23,106 +22,30 @@ std::uint64_t stream_span(std::uint64_t n) {
 
 IncrementalEval::IncrementalEval(const DependenceGraph& graph,
                                  const CostModel& cost, std::uint32_t banks)
-    : banks_(banks), transfer_instructions_(cost.transfer_instructions) {
-  const auto n = graph.num_instructions();
-  const auto num_segments = graph.num_segments();
-  seg_size_.assign(num_segments, 0);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    ++seg_size_[graph.segment_of(i)];
-  }
-
-  // Distinct cross-segment (def, reader segment) pairs — the reads whose
-  // transfer cost an assignment decides. Same dedup the expansion's
-  // per-(def, bank) replica cache performs.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
-  pairs.reserve(std::size_t{2} * n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const auto s = graph.segment_of(i);
-    for (const auto def : {graph.def_of_a(i), graph.def_of_b(i)}) {
-      if (def != npos && graph.segment_of(def) != s) {
-        pairs.emplace_back(def, s);
-      }
-    }
-  }
-  std::sort(pairs.begin(), pairs.end());
-  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-
-  def_reader_off_.push_back(0);
-  for (std::size_t k = 0; k < pairs.size();) {
-    const auto d = pairs[k].first;
-    def_producer_seg_.push_back(graph.segment_of(d));
-    while (k < pairs.size() && pairs[k].first == d) {
-      def_reader_seg_.push_back(pairs[k].second);
-      ++k;
-    }
-    def_reader_off_.push_back(
-        static_cast<std::uint32_t>(def_reader_seg_.size()));
-  }
-  const auto num_defs = static_cast<std::uint32_t>(def_producer_seg_.size());
-
-  // Per-segment CSR rows: defs produced for / read by other segments.
-  prod_off_.assign(num_segments + 1, 0);
-  for (std::uint32_t d = 0; d < num_defs; ++d) {
-    ++prod_off_[def_producer_seg_[d] + 1];
-  }
-  for (std::uint32_t s = 0; s < num_segments; ++s) {
-    prod_off_[s + 1] += prod_off_[s];
-  }
-  prod_def_.resize(num_defs);
-  {
-    auto cursor = prod_off_;
-    for (std::uint32_t d = 0; d < num_defs; ++d) {
-      prod_def_[cursor[def_producer_seg_[d]]++] = d;
-    }
-  }
-  // (segment, def) read pairs, dedup — a segment reading a def through
-  // both operands still needs one replica.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> seg_reads;
-  seg_reads.reserve(def_reader_seg_.size());
-  for (std::uint32_t d = 0; d < num_defs; ++d) {
-    for (auto k = def_reader_off_[d]; k < def_reader_off_[d + 1]; ++k) {
-      seg_reads.emplace_back(def_reader_seg_[k], d);
-    }
-  }
-  std::sort(seg_reads.begin(), seg_reads.end());
-  read_off_.assign(num_segments + 1, 0);
-  for (const auto& [s, d] : seg_reads) {
-    ++read_off_[s + 1];
-  }
-  for (std::uint32_t s = 0; s < num_segments; ++s) {
-    read_off_[s + 1] += read_off_[s];
-  }
-  read_def_.resize(seg_reads.size());
-  {
-    auto cursor = read_off_;
-    for (const auto& [s, d] : seg_reads) {
-      read_def_[cursor[s]++] = d;
-    }
-  }
-
-  def_mark_.assign(num_defs, 0);
-  old_bank_.assign(num_segments, 0);
-  seg_mark_.assign(num_segments, 0);
+    : graph_(graph),
+      banks_(banks),
+      transfer_instructions_(cost.transfer_instructions) {
+  def_mark_.assign(graph.num_read_defs(), 0);
+  old_bank_.assign(graph.num_segments(), 0);
+  seg_mark_.assign(graph.num_segments(), 0);
   bank_eff_.assign(banks_, 0);
   banks_before_.reserve(banks_);
   banks_after_.reserve(banks_);
 }
 
-void IncrementalEval::resync(const std::vector<std::uint32_t>& seg_bank,
+void IncrementalEval::anchor(const std::vector<std::uint32_t>& seg_bank,
                              const RefineEval& exact) {
-  seg_bank_ = seg_bank;
-  const auto num_defs = static_cast<std::uint32_t>(def_producer_seg_.size());
   bank_eff_.assign(banks_, 0);
-  for (std::uint32_t s = 0; s < seg_bank_.size(); ++s) {
-    bank_eff_[seg_bank_[s]] += seg_size_[s];
+  for (std::uint32_t s = 0; s < seg_bank.size(); ++s) {
+    bank_eff_[seg_bank[s]] += graph_.segment_size(s);
   }
   // One copy (transfer_instructions RM3 ops) per distinct (def, consuming
   // bank) pair lands in the consuming bank.
-  for (std::uint32_t d = 0; d < num_defs; ++d) {
-    const auto pb = seg_bank_[def_producer_seg_[d]];
+  for (std::uint32_t d = 0; d < graph_.num_read_defs(); ++d) {
+    const auto pb = seg_bank[graph_.producer_segment(d)];
     banks_after_.clear();
-    for (auto k = def_reader_off_[d]; k < def_reader_off_[d + 1]; ++k) {
-      const auto b = seg_bank_[def_reader_seg_[k]];
+    for (const auto rs : graph_.reader_segments(d)) {
+      const auto b = seg_bank[rs];
       if (b != pb && std::find(banks_after_.begin(), banks_after_.end(), b) ==
                          banks_after_.end()) {
         banks_after_.push_back(b);
@@ -132,6 +55,7 @@ void IncrementalEval::resync(const std::vector<std::uint32_t>& seg_bank,
   }
   const auto peak =
       *std::max_element(bank_eff_.begin(), bank_eff_.end());
+  transfers_ = exact.transfers;
   chain_ = exact.chain;
   const auto bound =
       std::max<std::uint64_t>(chain_, peak);
@@ -149,23 +73,21 @@ void IncrementalEval::resync(const std::vector<std::uint32_t>& seg_bank,
                 static_cast<std::int64_t>(
                     std::max(stream_span(chain_), stream_span(peak)))
           : 0;
-  current_ = {exact.steps, exact.transfers, exact.bus_stalls, exact.makespan};
-  anchored_ = true;
 }
 
-void IncrementalEval::compute_delta(const std::vector<std::uint32_t>& trial,
-                                    const std::vector<MovedSeg>& moved,
-                                    Delta& out) const {
-  out.transfers = 0;
-  out.bank_load.clear();
+IncrementalEval::Estimate IncrementalEval::estimate(
+    const std::vector<std::uint32_t>& trial,
+    const std::vector<MovedSeg>& moved) const {
+  std::int64_t transfer_delta = 0;
+  bank_delta_.clear();
   const auto bump = [&](std::uint32_t bank, std::int64_t delta) {
-    for (auto& [b, d] : out.bank_load) {
+    for (auto& [b, d] : bank_delta_) {
       if (b == bank) {
         d += delta;
         return;
       }
     }
-    out.bank_load.emplace_back(bank, delta);
+    bank_delta_.emplace_back(bank, delta);
   };
 
   // Overlay: the moved segments' previous banks, stamped so lookups stay
@@ -185,8 +107,9 @@ void IncrementalEval::compute_delta(const std::vector<std::uint32_t>& trial,
     if (to == from) {
       continue;
     }
-    bump(from, -std::int64_t{seg_size_[seg]});
-    bump(to, std::int64_t{seg_size_[seg]});
+    const auto size = std::int64_t{graph_.segment_size(seg)};
+    bump(from, -size);
+    bump(to, size);
   }
 
   // Re-cost every def the moved segments produce or read: only these can
@@ -198,12 +121,12 @@ void IncrementalEval::compute_delta(const std::vector<std::uint32_t>& trial,
       return;
     }
     def_mark_[d] = stamp_;
-    const auto pb0 = bank_before(def_producer_seg_[d]);
-    const auto pb1 = trial[def_producer_seg_[d]];
+    const auto ps = graph_.producer_segment(d);
+    const auto pb0 = bank_before(ps);
+    const auto pb1 = trial[ps];
     banks_before_.clear();
     banks_after_.clear();
-    for (auto k = def_reader_off_[d]; k < def_reader_off_[d + 1]; ++k) {
-      const auto rs = def_reader_seg_[k];
+    for (const auto rs : graph_.reader_segments(d)) {
       const auto b0 = bank_before(rs);
       const auto b1 = trial[rs];
       if (b0 != pb0 && std::find(banks_before_.begin(), banks_before_.end(),
@@ -215,8 +138,8 @@ void IncrementalEval::compute_delta(const std::vector<std::uint32_t>& trial,
         banks_after_.push_back(b1);
       }
     }
-    out.transfers += static_cast<std::int64_t>(banks_after_.size()) -
-                     static_cast<std::int64_t>(banks_before_.size());
+    transfer_delta += static_cast<std::int64_t>(banks_after_.size()) -
+                      static_cast<std::int64_t>(banks_before_.size());
     for (const auto b : banks_after_) {
       if (std::find(banks_before_.begin(), banks_before_.end(), b) ==
           banks_before_.end()) {
@@ -232,20 +155,18 @@ void IncrementalEval::compute_delta(const std::vector<std::uint32_t>& trial,
   };
   for (const auto& [seg, from] : moved) {
     (void)from;
-    for (auto k = prod_off_[seg]; k < prod_off_[seg + 1]; ++k) {
-      visit_def(prod_def_[k]);
+    for (const auto d : graph_.defs_produced_by(seg)) {
+      visit_def(d);
     }
-    for (auto k = read_off_[seg]; k < read_off_[seg + 1]; ++k) {
-      visit_def(read_def_[k]);
+    for (const auto d : graph_.defs_read_by(seg)) {
+      visit_def(d);
     }
   }
-}
 
-IncrementalEval::Estimate IncrementalEval::apply_delta(const Delta& d) const {
   std::uint64_t peak = 0;
   for (std::uint32_t b = 0; b < banks_; ++b) {
     auto load = static_cast<std::int64_t>(bank_eff_[b]);
-    for (const auto& [bb, dd] : d.bank_load) {
+    for (const auto& [bb, dd] : bank_delta_) {
       if (bb == b) {
         load += dd;
       }
@@ -266,40 +187,9 @@ IncrementalEval::Estimate IncrementalEval::apply_delta(const Delta& d) const {
         overhead_mk_;
     est.makespan = static_cast<std::uint64_t>(std::max<std::int64_t>(span, 0));
   }
-  const auto xfer =
-      static_cast<std::int64_t>(current_.transfers) + d.transfers;
+  const auto xfer = static_cast<std::int64_t>(transfers_) + transfer_delta;
   est.transfers = static_cast<std::uint32_t>(std::max<std::int64_t>(xfer, 0));
-  // Bus pressure scales with the surviving transfer count.
-  est.bus_stalls =
-      current_.transfers > 0
-          ? static_cast<std::uint32_t>(
-                static_cast<std::uint64_t>(current_.bus_stalls) *
-                est.transfers / current_.transfers)
-          : current_.bus_stalls;
   return est;
-}
-
-IncrementalEval::Estimate IncrementalEval::estimate(
-    const std::vector<std::uint32_t>& trial,
-    const std::vector<MovedSeg>& moved) const {
-  Delta d;
-  compute_delta(trial, moved, d);
-  return apply_delta(d);
-}
-
-void IncrementalEval::commit(const std::vector<std::uint32_t>& trial,
-                             const std::vector<MovedSeg>& moved) {
-  Delta d;
-  compute_delta(trial, moved, d);
-  current_ = apply_delta(d);
-  for (const auto& [b, dd] : d.bank_load) {
-    const auto load = static_cast<std::int64_t>(bank_eff_[b]) + dd;
-    bank_eff_[b] = static_cast<std::uint64_t>(std::max<std::int64_t>(load, 0));
-  }
-  for (const auto& [seg, from] : moved) {
-    (void)from;
-    seg_bank_[seg] = trial[seg];
-  }
 }
 
 }  // namespace plim::sched

@@ -13,24 +13,21 @@ namespace plim::sched {
 /// Incremental (delta) evaluator for refinement trial moves.
 ///
 /// The exact evaluator re-expands and re-list-schedules the *entire*
-/// program per trial (O(program) — seconds on log2), which caps the
-/// refinement budget at a handful of passes. This class instead keeps the
-/// cost state of the last exactly-evaluated assignment — per-bank
-/// effective loads (segment instructions plus the transfer-copy
-/// instructions each bank executes), the expanded program's chain bound,
-/// and the transfer count — and prices a candidate move as a *delta*:
-/// only the moved segments' windows (their sizes plus the defs they read
-/// and produce, via the def→reader-segment CSR) are re-costed, so one
-/// trial is O(window) instead of O(program).
+/// program per trial (O(program)). This class instead keeps the cost
+/// state of the last exactly-evaluated assignment — per-bank effective
+/// loads (segment instructions plus the transfer-copy instructions each
+/// bank executes), the expanded program's chain bound, and the transfer
+/// count — and prices a candidate move as a *delta*: only the moved
+/// segments' windows (their sizes plus the read defs they read and
+/// produce, from the dependence graph's read graph) are re-costed, so
+/// one trial is O(window) instead of O(program).
 ///
 /// The estimate is a screen, not a truth: `steps` is modelled as the
 /// anchored schedule's packing overhead on top of max(chain bound, peak
 /// effective load), which prices load/transfer-bound moves well but
 /// cannot see chain-length changes. Refinement therefore confirms every
-/// accepted move with the exact evaluator (resync — see
-/// RefineOptions::resync_interval), so kept-move state never drifts:
-/// after a resync the internal (steps, transfers) equal the full
-/// evaluator's exactly.
+/// accepted move with the exact evaluator and re-anchors here, so the
+/// anchored state is always exact.
 class IncrementalEval {
  public:
   /// One priced trial: the estimated schedule cost of the whole
@@ -38,7 +35,6 @@ class IncrementalEval {
   struct Estimate {
     std::uint32_t steps = 0;
     std::uint32_t transfers = 0;
-    std::uint32_t bus_stalls = 0;
     /// Projected decoupled makespan (cycles): the anchor's event-driven
     /// overhead on top of max(chain span, busiest pipelined stream
     /// span), where span(n) = (n − 1)·(phases − 1) + phases. 0 unless
@@ -50,93 +46,48 @@ class IncrementalEval {
   /// `from_bank` (its new bank is read from the trial assignment).
   using MovedSeg = std::pair<std::uint32_t, std::uint32_t>;
 
-  /// Builds the static structure (segment sizes, def→reader CSR) in
-  /// O(program). Done once per refinement run.
+  /// `graph` must outlive the evaluator.
   IncrementalEval(const DependenceGraph& graph, const CostModel& cost,
                   std::uint32_t banks);
 
-  /// Re-anchors on `seg_bank`, whose exact evaluation is `exact`:
+  /// Anchors on `seg_bank`, whose exact evaluation is `exact`:
   /// recomputes per-bank effective loads from scratch and adopts the
-  /// exact (steps, transfers, chain, bus stalls). O(program), but called
-  /// only at resync points — not per trial.
-  void resync(const std::vector<std::uint32_t>& seg_bank,
+  /// exact (steps, transfers, chain). O(program), but called only when
+  /// refinement keeps a move — not per trial.
+  void anchor(const std::vector<std::uint32_t>& seg_bank,
               const RefineEval& exact);
 
-  /// Prices `trial`, which differs from the current assignment exactly
+  /// Prices `trial`, which differs from the anchored assignment exactly
   /// in the `moved` segments. O(window): touches only the moved
-  /// segments' def rows. Does not change the evaluator's state.
+  /// segments' read-graph rows. Does not change the evaluator's state.
   [[nodiscard]] Estimate estimate(const std::vector<std::uint32_t>& trial,
                                   const std::vector<MovedSeg>& moved) const;
 
-  /// Adopts `trial` as the current assignment *without* an exact
-  /// re-schedule (deferred-resync mode, resync_interval > 1): applies
-  /// the same deltas estimate() computes to the internal state. The
-  /// state is then estimate-based until the next resync().
-  void commit(const std::vector<std::uint32_t>& trial,
-              const std::vector<MovedSeg>& moved);
-
-  /// Cost of the current assignment: exact right after resync(),
-  /// estimate-based after commit()s.
-  [[nodiscard]] const Estimate& current() const noexcept { return current_; }
-
-  /// True once resync() has anchored the evaluator.
-  [[nodiscard]] bool anchored() const noexcept { return anchored_; }
-
   /// Per-bank effective load (instructions + transfer-copy instructions)
-  /// of the current assignment — the throughput-bound view candidate
+  /// of the anchored assignment — the throughput-bound view candidate
   /// generators rank banks by.
   [[nodiscard]] const std::vector<std::uint64_t>& effective_loads()
       const noexcept {
     return bank_eff_;
   }
 
-  /// Instructions of segment `s` (transfer copies excluded).
-  [[nodiscard]] std::uint32_t segment_size(std::uint32_t s) const {
-    return seg_size_[s];
-  }
-
  private:
-  struct Delta {
-    std::int64_t transfers = 0;
-    // Per-affected-bank effective-load change, sparse (bank, delta).
-    std::vector<std::pair<std::uint32_t, std::int64_t>> bank_load;
-  };
-
-  /// Shared walk of estimate()/commit(): the load/transfer delta of
-  /// applying `moved` on top of the current assignment.
-  void compute_delta(const std::vector<std::uint32_t>& trial,
-                     const std::vector<MovedSeg>& moved, Delta& out) const;
-  [[nodiscard]] Estimate apply_delta(const Delta& d) const;
-
+  const DependenceGraph& graph_;
   std::uint32_t banks_ = 0;
   std::uint32_t transfer_instructions_ = 2;
 
-  // Static structure (assignment-independent).
-  std::vector<std::uint32_t> seg_size_;
-  // Distinct cross-segment (def, reader segment) pairs, grouped by def.
-  std::vector<std::uint32_t> def_producer_seg_;  ///< dense def → producer
-  std::vector<std::uint32_t> def_reader_off_;    ///< CSR offsets per def
-  std::vector<std::uint32_t> def_reader_seg_;    ///< CSR payload
-  // Defs each segment produces for / reads from other segments (dense
-  // def indices, CSR over segments).
-  std::vector<std::uint32_t> prod_off_;
-  std::vector<std::uint32_t> prod_def_;
-  std::vector<std::uint32_t> read_off_;
-  std::vector<std::uint32_t> read_def_;
-
-  // Current-assignment state.
-  bool anchored_ = false;
-  std::vector<std::uint32_t> seg_bank_;   ///< current assignment
+  // Anchored state.
   std::vector<std::uint64_t> bank_eff_;   ///< effective load per bank
-  Estimate current_;
-  std::uint32_t chain_ = 0;     ///< expanded-program chain bound (anchor)
-  std::uint32_t overhead_ = 0;  ///< anchor steps − max(chain, peak load)
+  std::uint32_t transfers_ = 0;  ///< anchor transfers
+  std::uint32_t chain_ = 0;      ///< expanded-program chain bound (anchor)
+  std::uint32_t overhead_ = 0;   ///< anchor steps − max(chain, peak load)
   /// Anchor makespan − max(chain span, peak stream span); signed — the
   /// pipelined-span model can overshoot the event-driven makespan.
   std::int64_t overhead_mk_ = 0;
   bool makespan_modeled_ = false;  ///< anchor carried a makespan
 
   // Scratch for the delta walk (mutable: estimate() is logically const).
+  mutable std::vector<std::pair<std::uint32_t, std::int64_t>> bank_delta_;
   mutable std::vector<std::uint32_t> def_mark_;   ///< per-def visit stamp
   mutable std::vector<std::uint32_t> old_bank_;   ///< moved-seg overlay
   mutable std::vector<std::uint32_t> seg_mark_;   ///< overlay stamp

@@ -46,8 +46,6 @@ void write_json_fields(const ScheduleStats& stats, util::JsonWriter& json) {
   json.field("utilization", stats.utilization);
   json.field("speedup", stats.speedup);
   json.field("refine_passes", stats.refine_passes);
-  json.field("refine_eval",
-             stats.refine_incremental ? "incremental" : "full");
   json.field("refine_moves_tried", stats.refine_moves_tried);
   json.field("refine_moves_kept", stats.refine_moves_kept);
   json.field("refine_moves_screened", stats.refine_moves_screened);

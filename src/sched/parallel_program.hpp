@@ -261,13 +261,12 @@ struct ScheduleStats {
   /// each step, decoupled charges waits + tail idle until the makespan.
   std::vector<std::uint64_t> bank_idle_cycles;
   std::uint32_t refine_passes = 0;      ///< KL refinement passes run
-  std::uint32_t refine_moves_tried = 0;  ///< trial moves priced (all paths)
+  std::uint32_t refine_moves_tried = 0;  ///< trial moves priced
   std::uint32_t refine_moves_kept = 0;   ///< moves/swaps that survived
   /// Of refine_moves_tried: rejected by the incremental delta estimate
   /// alone, without spending an exact re-schedule.
   std::uint32_t refine_moves_screened = 0;
   std::uint32_t refine_full_evals = 0;  ///< exact re-schedules spent
-  bool refine_incremental = false;      ///< evaluator mode refinement used
   std::uint32_t refine_steps_saved = 0;  ///< steps removed by refinement
   /// Transfers removed — negative when refinement traded extra copies
   /// for a shorter critical chain (its objective is lexicographic:

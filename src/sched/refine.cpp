@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdint>
 #include <limits>
-#include <optional>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -37,24 +36,17 @@ struct Group {
   bool screened = false;
 };
 
-/// Static, assignment-independent view of the segment/cluster structure:
-/// cluster membership, per-cluster sizes, and the deduplicated
-/// def→reader-segment read graph that transfer estimates walk.
+/// Static, assignment-independent view of the cluster structure:
+/// cluster membership, per-cluster sizes, and per-cluster rows over the
+/// dependence graph's read graph.
 struct Structure {
-  std::uint32_t banks = 0;
   std::vector<std::uint32_t> cluster_idx;  ///< segment → dense cluster index
   // Cluster membership (CSR over dense cluster indices).
   std::vector<std::uint32_t> member_off;
   std::vector<std::uint32_t> member_seg;
   std::vector<std::uint32_t> cluster_size;  ///< instructions per cluster
-  // Deduplicated cross-segment reads, grouped by producing instruction:
-  // def d (dense index) is produced by producer_seg[d] and read by the
-  // segments in readers CSR row d.
-  std::vector<std::uint32_t> producer_seg;
-  std::vector<std::uint32_t> reader_off;
-  std::vector<std::uint32_t> reader_seg;
-  // Defs each cluster reads from other segments / produces for other
-  // segments (dense def indices, CSR over clusters).
+  // Read defs each cluster reads (once per cluster) / produces (CSR over
+  // clusters).
   std::vector<std::uint32_t> reads_off;
   std::vector<std::uint32_t> reads_def;
   std::vector<std::uint32_t> produced_off;
@@ -66,11 +58,8 @@ struct Structure {
 };
 
 Structure build_structure(const DependenceGraph& graph,
-                          const std::vector<std::uint32_t>& cluster_of,
-                          std::uint32_t banks) {
+                          const std::vector<std::uint32_t>& cluster_of) {
   Structure st;
-  st.banks = banks;
-  const auto n = graph.num_instructions();
   const auto num_segments = graph.num_segments();
 
   // Dense cluster indices (cluster_of values are root segment ids).
@@ -85,7 +74,7 @@ Structure build_structure(const DependenceGraph& graph,
     st.cluster_idx[s] = idx_of_root[root];
   }
 
-  // Membership CSR + instruction sizes.
+  // Membership CSR.
   st.member_off.assign(num_clusters + 1, 0);
   for (std::uint32_t s = 0; s < num_segments; ++s) {
     ++st.member_off[st.cluster_idx[s] + 1];
@@ -100,86 +89,37 @@ Structure build_structure(const DependenceGraph& graph,
       st.member_seg[cursor[st.cluster_idx[s]]++] = s;
     }
   }
+
+  // Sizes and read-graph rows, gathered over each cluster's members.
   st.cluster_size.assign(num_clusters, 0);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    ++st.cluster_size[st.cluster_idx[graph.segment_of(i)]];
-  }
-
-  // Distinct (def, reader segment) pairs across segments.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
-  pairs.reserve(std::size_t{2} * n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const auto s = graph.segment_of(i);
-    for (const auto def : {graph.def_of_a(i), graph.def_of_b(i)}) {
-      if (def != npos && graph.segment_of(def) != s) {
-        pairs.emplace_back(def, s);
+  std::vector<std::uint32_t> last_reader(graph.num_read_defs(), npos);
+  st.reads_off.push_back(0);
+  st.produced_off.push_back(0);
+  for (std::uint32_t c = 0; c < num_clusters; ++c) {
+    for (auto k = st.member_off[c]; k < st.member_off[c + 1]; ++k) {
+      const auto s = st.member_seg[k];
+      st.cluster_size[c] += graph.segment_size(s);
+      for (const auto d : graph.defs_read_by(s)) {
+        if (last_reader[d] != c) {
+          last_reader[d] = c;
+          st.reads_def.push_back(d);
+        }
       }
+      const auto produced = graph.defs_produced_by(s);
+      st.produced_def.insert(st.produced_def.end(), produced.begin(),
+                             produced.end());
     }
-  }
-  std::sort(pairs.begin(), pairs.end());
-  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-
-  // Group by def into CSR rows.
-  std::vector<std::uint32_t> def_of;  // dense def → instruction id
-  st.reader_off.push_back(0);
-  for (std::size_t k = 0; k < pairs.size();) {
-    const auto d = pairs[k].first;
-    def_of.push_back(d);
-    st.producer_seg.push_back(graph.segment_of(d));
-    while (k < pairs.size() && pairs[k].first == d) {
-      st.reader_seg.push_back(pairs[k].second);
-      ++k;
-    }
-    st.reader_off.push_back(static_cast<std::uint32_t>(st.reader_seg.size()));
-  }
-  const auto num_defs = static_cast<std::uint32_t>(def_of.size());
-
-  // Per-cluster read sets (dedup per (cluster, def)) and produced defs.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> cluster_reads;
-  cluster_reads.reserve(st.reader_seg.size());
-  for (std::uint32_t d = 0; d < num_defs; ++d) {
-    for (auto k = st.reader_off[d]; k < st.reader_off[d + 1]; ++k) {
-      cluster_reads.emplace_back(st.cluster_idx[st.reader_seg[k]], d);
-    }
-  }
-  std::sort(cluster_reads.begin(), cluster_reads.end());
-  cluster_reads.erase(std::unique(cluster_reads.begin(), cluster_reads.end()),
-                      cluster_reads.end());
-  st.reads_off.assign(num_clusters + 1, 0);
-  for (const auto& [c, d] : cluster_reads) {
-    ++st.reads_off[c + 1];
-  }
-  for (std::uint32_t c = 0; c < num_clusters; ++c) {
-    st.reads_off[c + 1] += st.reads_off[c];
-  }
-  st.reads_def.resize(cluster_reads.size());
-  {
-    auto cursor = st.reads_off;
-    for (const auto& [c, d] : cluster_reads) {
-      st.reads_def[cursor[c]++] = d;
-    }
-  }
-  st.produced_off.assign(num_clusters + 1, 0);
-  for (std::uint32_t d = 0; d < num_defs; ++d) {
-    ++st.produced_off[st.cluster_idx[st.producer_seg[d]] + 1];
-  }
-  for (std::uint32_t c = 0; c < num_clusters; ++c) {
-    st.produced_off[c + 1] += st.produced_off[c];
-  }
-  st.produced_def.resize(num_defs);
-  {
-    auto cursor = st.produced_off;
-    for (std::uint32_t d = 0; d < num_defs; ++d) {
-      st.produced_def[cursor[st.cluster_idx[st.producer_seg[d]]]++] = d;
-    }
+    st.reads_off.push_back(static_cast<std::uint32_t>(st.reads_def.size()));
+    st.produced_off.push_back(
+        static_cast<std::uint32_t>(st.produced_def.size()));
   }
   return st;
 }
 
-/// Estimated transfers def `d` causes: distinct reader banks other than
-/// the producer's bank (the scheduler caches one copy per consuming
+/// Estimated transfers read def `d` causes: distinct reader banks other
+/// than the producer's bank (the scheduler caches one copy per consuming
 /// bank). `mov` != npos pretends cluster `mov` sits in bank `mov_bank`.
-std::uint32_t def_transfers(const Structure& st,
+std::uint32_t def_transfers(const DependenceGraph& graph, const Structure& st,
                             const std::vector<std::uint32_t>& seg_bank,
                             std::uint32_t d, std::uint32_t mov,
                             std::uint32_t mov_bank,
@@ -187,10 +127,10 @@ std::uint32_t def_transfers(const Structure& st,
   const auto bank_of = [&](std::uint32_t s) {
     return st.cluster_idx[s] == mov ? mov_bank : seg_bank[s];
   };
-  const auto pb = bank_of(st.producer_seg[d]);
+  const auto pb = bank_of(graph.producer_segment(d));
   scratch.clear();
-  for (auto k = st.reader_off[d]; k < st.reader_off[d + 1]; ++k) {
-    const auto b = bank_of(st.reader_seg[k]);
+  for (const auto rs : graph.reader_segments(d)) {
+    const auto b = bank_of(rs);
     if (b != pb &&
         std::find(scratch.begin(), scratch.end(), b) == scratch.end()) {
       scratch.push_back(b);
@@ -201,17 +141,16 @@ std::uint32_t def_transfers(const Structure& st,
 
 /// Surrogate transfer delta of moving cluster `c` to bank `q`: only defs
 /// read or produced by the cluster can change their transfer count.
-std::int64_t transfer_delta(const Structure& st,
+std::int64_t transfer_delta(const DependenceGraph& graph, const Structure& st,
                             const std::vector<std::uint32_t>& seg_bank,
                             std::uint32_t c, std::uint32_t q,
                             std::vector<std::uint32_t>& scratch) {
   std::int64_t delta = 0;
   const auto visit = [&](std::uint32_t d) {
-    delta +=
-        static_cast<std::int64_t>(def_transfers(st, seg_bank, d, c, q,
-                                                scratch)) -
-        static_cast<std::int64_t>(def_transfers(st, seg_bank, d, npos, 0,
-                                                scratch));
+    delta += static_cast<std::int64_t>(
+                 def_transfers(graph, st, seg_bank, d, c, q, scratch)) -
+             static_cast<std::int64_t>(
+                 def_transfers(graph, st, seg_bank, d, npos, 0, scratch));
   };
   for (auto k = st.reads_off[c]; k < st.reads_off[c + 1]; ++k) {
     visit(st.reads_def[k]);
@@ -229,29 +168,26 @@ RefineStats refine(const DependenceGraph& graph,
                    const std::vector<std::uint32_t>& cluster_of,
                    std::uint32_t banks, const CostModel& cost,
                    const RefineOptions& options,
-                   const RefineEvaluator& evaluate,
+                   const RefineEvaluator& evaluate, RefineWork& work,
                    const RefineEval* baseline) {
   RefineStats stats;
   const auto passes = options.passes;
   if (banks <= 1 || passes == 0 || graph.num_segments() == 0) {
     return stats;
   }
-  const auto st = build_structure(graph, cluster_of, banks);
+  const auto st = build_structure(graph, cluster_of);
   const auto num_clusters = st.num_clusters();
   if (num_clusters <= 1) {
     return stats;
   }
   const auto t0 = std::chrono::steady_clock::now();
+  const auto tried_before = work.moves_tried;
 
   // Per-bank instruction loads (throughput-bound surrogate) and, per
   // cluster, the per-member load split by bank.
-  std::vector<std::uint32_t> seg_size(graph.num_segments(), 0);
-  for (std::uint32_t i = 0; i < graph.num_instructions(); ++i) {
-    ++seg_size[graph.segment_of(i)];
-  }
   std::vector<std::uint64_t> bank_load(banks, 0);
   for (std::uint32_t s = 0; s < graph.num_segments(); ++s) {
-    bank_load[seg_bank[s]] += seg_size[s];
+    bank_load[seg_bank[s]] += graph.segment_size(s);
   }
   const auto cluster_bank_load = [&](std::uint32_t c) {
     std::vector<std::pair<std::uint32_t, std::uint64_t>> loads;
@@ -261,9 +197,9 @@ RefineStats refine(const DependenceGraph& graph,
       auto it = std::find_if(loads.begin(), loads.end(),
                              [&](const auto& e) { return e.first == b; });
       if (it == loads.end()) {
-        loads.emplace_back(b, seg_size[s]);
+        loads.emplace_back(b, graph.segment_size(s));
       } else {
-        it->second += seg_size[s];
+        it->second += graph.segment_size(s);
       }
     }
     return loads;
@@ -295,48 +231,25 @@ RefineStats refine(const DependenceGraph& graph,
   stats.steps_before = best.steps;
   stats.transfers_before = best.transfers;
 
-  // The incremental screen, anchored on the exact starting evaluation.
-  const bool use_inc = options.incremental;
-  const auto resync_interval = std::max<std::uint32_t>(
-      options.resync_interval, 1);
-  stats.incremental = use_inc;
-  std::optional<IncrementalEval> inc;
-  if (use_inc) {
-    inc.emplace(graph, cost, banks);
-    inc->resync(seg_bank, best);
-  }
-  // Current reference the screen compares estimates against: equal to
-  // `best` whenever the state is exactly anchored; estimate-based while
-  // deferred-mode (resync_interval > 1) accepts ride between resyncs.
-  std::uint32_t cur_steps = best.steps;
-  std::uint32_t cur_transfers = best.transfers;
-  std::uint64_t cur_makespan = best.makespan;
+  // The incremental screen, anchored on the exact starting evaluation
+  // and re-anchored on every kept move.
+  IncrementalEval inc(graph, cost, banks);
+  inc.anchor(seg_bank, best);
   const bool by_makespan = options.makespan_objective;
-  // Last exact anchor for deferred-mode rollback.
-  std::vector<std::uint32_t> anchor_bank;
-  if (use_inc && resync_interval > 1) {
-    anchor_bank = seg_bank;
-  }
-  std::uint32_t pending = 0;  ///< estimate-accepted moves since last anchor
 
   std::vector<std::uint32_t> scratch;
   scratch.reserve(banks);
-  // Exact re-schedules per pass. The full evaluator spends its whole
-  // budget on blind trials; under screening most exact evaluations are
-  // *confirmations* of moves the estimate already liked, so each pass
-  // needs fewer raw exact slots to keep the same acceptance flow — that
-  // is where the wall-clock headroom for the 10x pass budget comes from.
-  const std::uint32_t full_budget =
-      use_inc ? 6 + banks : 8 + 2 * banks;
+  // Exact re-schedules per pass: most of them confirm moves the screen
+  // already liked.
+  const std::uint32_t full_budget = 6 + banks;
   // Screened estimates are ~3 orders of magnitude cheaper than an exact
-  // re-schedule, so the incremental path prices far more candidates.
-  const std::uint32_t trial_budget =
-      use_inc ? 48 * full_budget : full_budget;
+  // re-schedule, so far more candidates are priced.
+  const std::uint32_t trial_budget = 48 * full_budget;
 
   const auto move_seg = [&](std::uint32_t s, std::uint32_t q) {
-    bank_load[seg_bank[s]] -= seg_size[s];
+    bank_load[seg_bank[s]] -= graph.segment_size(s);
     seg_bank[s] = q;
-    bank_load[q] += seg_size[s];
+    bank_load[q] += graph.segment_size(s);
   };
   const auto apply_move = [&](const Move& m,
                               std::vector<std::uint32_t>& undo) {
@@ -410,7 +323,7 @@ RefineStats refine(const DependenceGraph& graph,
   // passes: the candidate generators are deterministic, so without this
   // a pass that keeps nothing would regenerate and retry the exact same
   // rejected list forever instead of exploring further down the gain
-  // order. Hash sets — the incremental path tries thousands of moves.
+  // order. Hash sets — refinement tries thousands of moves.
   std::unordered_set<std::uint64_t> rejected;
   const auto move_key = [](const Move& m) {
     const auto hi = m.seg != npos ? (std::uint64_t{m.seg} | 0x80000000u)
@@ -432,29 +345,6 @@ RefineStats refine(const DependenceGraph& graph,
       }
     }
     return true;
-  };
-
-  // Effective per-bank load: segment instructions plus the
-  // transfer-copy instructions (one reset + copy per distinct
-  // (def, consuming bank)) the current assignment makes each bank
-  // execute. Raw segment loads alone misidentify the peak bank whenever
-  // transfers are a noticeable share of the work.
-  const auto num_defs = static_cast<std::uint32_t>(st.producer_seg.size());
-  const auto effective_loads = [&] {
-    auto load = bank_load;
-    for (std::uint32_t d = 0; d < num_defs; ++d) {
-      const auto pb = seg_bank[st.producer_seg[d]];
-      scratch.clear();
-      for (auto k = st.reader_off[d]; k < st.reader_off[d + 1]; ++k) {
-        const auto b = seg_bank[st.reader_seg[k]];
-        if (b != pb &&
-            std::find(scratch.begin(), scratch.end(), b) == scratch.end()) {
-          scratch.push_back(b);
-          load[b] += cost.transfer_instructions;
-        }
-      }
-    }
-    return load;
   };
 
   auto& registry = util::MetricsRegistry::global();
@@ -520,93 +410,37 @@ RefineStats refine(const DependenceGraph& graph,
     }
   };
 
-  // Adopts `r` (an exact evaluation of the current seg_bank) as the new
-  // anchor: all pending estimate-accepted moves are confirmed.
-  const auto adopt_anchor = [&](RefineEval&& r) {
-    best = std::move(r);
-    cur_steps = best.steps;
-    cur_transfers = best.transfers;
-    cur_makespan = best.makespan;
-    if (inc) {
-      inc->resync(seg_bank, best);
-    }
-    if (use_inc && resync_interval > 1) {
-      anchor_bank = seg_bank;
-    }
-    pending = 0;
-  };
-  // Deferred-mode exact resync: confirm the pending estimate-accepted
-  // batch, or roll everything back to the last exact anchor.
-  const auto settle_pending = [&] {
-    if (pending == 0) {
-      return;
-    }
-    auto r = evaluate(seg_bank);
-    ++full_used;
-    ++stats.full_evals;
-    ++stats.resyncs;
-    if (improves(r)) {
-      adopt_anchor(std::move(r));
-      return;
-    }
-    seg_bank = anchor_bank;
-    bank_load.assign(banks, 0);
-    for (std::uint32_t s = 0; s < graph.num_segments(); ++s) {
-      bank_load[seg_bank[s]] += seg_size[s];
-    }
-    inc->resync(seg_bank, best);
-    cur_steps = best.steps;
-    cur_transfers = best.transfers;
-    cur_makespan = best.makespan;
-    pending = 0;
-  };
-
   // Prices one group; returns whether it was kept. Screened groups are
   // estimate-priced first and only promising ones earn an exact
-  // re-schedule (or, in deferred mode, an estimate-accept).
+  // re-schedule.
   const auto try_group = [&](const std::vector<Move>& g,
                              bool screened) -> bool {
     apply_group(g);
     ++tried;
-    ++stats.moves_tried;
-    if (screened && inc) {
-      const auto est = inc->estimate(seg_bank, moved);
+    ++work.moves_tried;
+    if (screened) {
+      const auto est = inc.estimate(seg_bank, moved);
       const bool promising =
-          by_makespan && est.makespan != cur_makespan
-              ? est.makespan < cur_makespan
-              : est.steps < cur_steps ||
-                    (est.steps == cur_steps && est.transfers < cur_transfers);
+          by_makespan && est.makespan != best.makespan
+              ? est.makespan < best.makespan
+              : est.steps < best.steps ||
+                    (est.steps == best.steps && est.transfers < best.transfers);
       if (!promising) {
-        ++stats.moves_screened;
-        record_trial(cur_steps, cur_transfers, est.steps, est.transfers,
+        ++work.moves_screened;
+        record_trial(best.steps, best.transfers, est.steps, est.transfers,
                      false, true);
         revert_group(g);
         return false;
       }
-      if (resync_interval > 1) {
-        // Estimate-accept: commit the delta, settle at the resync
-        // cadence. moved still matches the applied group.
-        inc->commit(seg_bank, moved);
-        record_trial(cur_steps, cur_transfers, est.steps, est.transfers,
-                     true, true);
-        cur_steps = est.steps;
-        cur_transfers = est.transfers;
-        cur_makespan = est.makespan;
-        ++stats.moves_kept;
-        ++pending;
-        if (pending >= resync_interval) {
-          settle_pending();
-        }
-        return true;
-      }
     }
     auto r = evaluate(seg_bank);
     ++full_used;
-    ++stats.full_evals;
+    ++work.full_evals;
     if (improves(r)) {
       record_trial(best.steps, best.transfers, r.steps, r.transfers, true,
                    false);
-      adopt_anchor(std::move(r));
+      best = std::move(r);
+      inc.anchor(seg_bank, best);
       ++stats.moves_kept;
       return true;
     }
@@ -617,12 +451,14 @@ RefineStats refine(const DependenceGraph& graph,
   };
 
   for (std::uint32_t pass = 0; pass < passes; ++pass) {
-    ++stats.passes_run;
-    const util::TraceSpan pass_span(
-        "refine.pass", "\"pass\":" + std::to_string(pass) +
-                           ",\"mode\":\"" +
-                           (use_inc ? "incremental" : "full") + "\"");
-    const auto eff_load = effective_loads();
+    ++work.passes_run;
+    const util::TraceSpan pass_span("refine.pass",
+                                    "\"pass\":" + std::to_string(pass));
+    // Effective per-bank load: segment instructions plus the
+    // transfer-copy instructions the current assignment makes each bank
+    // execute. Raw segment loads alone misidentify the peak bank
+    // whenever transfers are a noticeable share of the work.
+    const auto eff_load = inc.effective_loads();
 
     // Candidates: critical cross-bank edges first (they attack makespan
     // directly), then FM-style gain buckets over the cost surrogate.
@@ -709,9 +545,7 @@ RefineStats refine(const DependenceGraph& graph,
       const auto net_relief = [&](std::uint32_t c) {
         std::int64_t copies_back = 0;
         for (auto k = st.produced_off[c]; k < st.produced_off[c + 1]; ++k) {
-          const auto d = st.produced_def[k];
-          for (auto r = st.reader_off[d]; r < st.reader_off[d + 1]; ++r) {
-            const auto rs = st.reader_seg[r];
+          for (const auto rs : graph.reader_segments(st.produced_def[k])) {
             if (st.cluster_idx[rs] != c && seg_bank[rs] == peak_bank) {
               ++copies_back;
               break;  // one copy per (def, bank), however many readers
@@ -722,7 +556,6 @@ RefineStats refine(const DependenceGraph& graph,
                static_cast<std::int64_t>(cost.transfer_instructions) *
                    copies_back;
       };
-      const auto balance_cap = use_inc ? trial_budget : full_budget / 2;
       std::vector<std::pair<std::int64_t, std::uint32_t>> in_peak;
       for (std::uint32_t c = 0; c < num_clusters; ++c) {
         if (fully_in(c, peak_bank)) {
@@ -734,7 +567,7 @@ RefineStats refine(const DependenceGraph& graph,
       }
       std::sort(in_peak.begin(), in_peak.end());
       for (const auto& [neg_relief, c] : in_peak) {
-        if (cand_balance.size() >= balance_cap) {
+        if (cand_balance.size() >= trial_budget) {
           break;
         }
         // Only moves that actually lower the peak are worth a trial.
@@ -759,8 +592,8 @@ RefineStats refine(const DependenceGraph& graph,
         const auto gain =
             static_cast<std::int64_t>(
                 static_cast<double>(cost.transfer_instructions) *
-                static_cast<double>(-transfer_delta(st, seg_bank, c, q,
-                                                    scratch))) +
+                static_cast<double>(
+                    -transfer_delta(graph, st, seg_bank, c, q, scratch))) +
             static_cast<std::int64_t>(cost.load_balance_weight *
                                       static_cast<double>(
                                           peak_delta(c, q, from)));
@@ -775,28 +608,27 @@ RefineStats refine(const DependenceGraph& graph,
         buckets[bucket].push_back({c, best_bank});
       }
     }
-    const auto bucket_cap = use_inc ? trial_budget : full_budget;
     for (std::size_t bkt = buckets.size(); bkt-- > 0;) {
       for (const auto& m : buckets[bkt]) {
-        if (cand_bucket.size() >= bucket_cap) {
+        if (cand_bucket.size() >= trial_budget) {
           break;
         }
         push_candidate(cand_bucket, m.cluster, m.bank);
       }
     }
 
-    // Fine-grained peak spills (incremental only): individual segments
-    // of the peak bank offered to the least-loaded bank, largest first.
-    // Exact evaluation could never afford segment granularity — the
-    // screen prices hundreds of these for less than one re-schedule and
-    // surfaces the few that actually lower the peak. This is the stream
-    // that attacks load-bound stragglers (square) whose clusters are
-    // too coarse to balance.
-    if (use_inc && eff_load[peak_bank] > eff_load[low_bank]) {
+    // Fine-grained peak spills: individual segments of the peak bank
+    // offered to the least-loaded bank, largest first. Exact evaluation
+    // could never afford segment granularity — the screen prices
+    // hundreds of these for less than one re-schedule and surfaces the
+    // few that actually lower the peak. This is the stream that attacks
+    // load-bound stragglers (square) whose clusters are too coarse to
+    // balance.
+    if (eff_load[peak_bank] > eff_load[low_bank]) {
       std::vector<std::pair<std::int64_t, std::uint32_t>> in_peak_segs;
       for (std::uint32_t s = 0; s < graph.num_segments(); ++s) {
-        if (seg_bank[s] == peak_bank && seg_size[s] > 0) {
-          in_peak_segs.emplace_back(-std::int64_t{seg_size[s]}, s);
+        if (seg_bank[s] == peak_bank && graph.segment_size(s) > 0) {
+          in_peak_segs.emplace_back(-std::int64_t{graph.segment_size(s)}, s);
         }
       }
       std::sort(in_peak_segs.begin(), in_peak_segs.end());
@@ -843,8 +675,8 @@ RefineStats refine(const DependenceGraph& graph,
     const std::pair<const std::vector<Move>*, bool> streams[] = {
         {&cand_cross, false},
         {&cand_local, false},
-        {&cand_balance, use_inc},
-        {&cand_bucket, use_inc},
+        {&cand_balance, true},
+        {&cand_bucket, true},
         {&cand_fine, true},
     };
     // Screened streams drain two entries per round: their rejects are
@@ -900,26 +732,22 @@ RefineStats refine(const DependenceGraph& graph,
                       seg_bank[st.member_seg[st.member_off[m.cluster]]]};
       try_group({m, back}, group.screened);
     }
-    // Settle deferred accepts before the pass ends so candidate
-    // generation (and the final result) always sees exact state.
-    settle_pending();
     if (tried == 0) {
       break;  // nothing new to try — further passes would be no-ops
     }
   }
-  settle_pending();
   stats.steps_after = best.steps;
   stats.transfers_after = best.transfers;
   stats.makespan_after = best.makespan;
 
   if (registry.enabled()) {
-    registry.gauge_set("refine.incremental", use_inc ? 1.0 : 0.0);
     const auto secs =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
-    if (secs > 0.0 && stats.moves_tried > 0) {
+    const auto tried_here = work.moves_tried - tried_before;
+    if (secs > 0.0 && tried_here > 0) {
       registry.gauge_set("refine.trial_moves_per_s",
-                         static_cast<double>(stats.moves_tried) / secs);
+                         static_cast<double>(tried_here) / secs);
     }
   }
   return stats;

@@ -22,8 +22,6 @@ struct RefineEval {
   /// Virtual critical path of the expanded program — the chain bound the
   /// incremental evaluator anchors its step model on.
   std::uint32_t chain = 0;
-  /// Bus stalls of the packed schedule (bounded-bus deferrals).
-  std::uint32_t bus_stalls = 0;
   /// (producer segment, consumer segment) of critical cross-bank reads.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> critical_cross_edges;
   /// (producer segment, reader segment) of zero-slack *same-bank* reads
@@ -42,23 +40,11 @@ struct RefineEval {
 using RefineEvaluator =
     std::function<RefineEval(const std::vector<std::uint32_t>& seg_bank)>;
 
-/// Refinement budget and evaluator-mode knobs (see refine()).
+/// Refinement budget and objective (see refine()).
 struct RefineOptions {
   /// Maximum refinement passes; a pass that tries nothing new ends the
-  /// loop early. With the incremental screen on, passes are cheap —
-  /// 20 incremental passes cost less wall-clock than 2 full ones.
+  /// loop early.
   std::uint32_t passes = 20;
-  /// Screen trial moves with sched::IncrementalEval (O(window) delta
-  /// estimates) and spend exact re-schedules only on promising
-  /// candidates. false re-schedules every trial exactly (the pre-
-  /// incremental behaviour).
-  bool incremental = true;
-  /// Exact re-evaluation cadence on the incremental path: 1 confirms
-  /// every accepted move with a full re-schedule (accepted state is
-  /// always exact — the default); K > 1 accepts up to K moves on the
-  /// estimate before one exact resync, rolling the whole batch back to
-  /// the last exact anchor if the resync disagrees. Must be ≥ 1.
-  std::uint32_t resync_interval = 1;
   /// Optimize the decoupled event-driven makespan first (lexicographic
   /// (makespan, steps, transfers)) instead of the lockstep step count
   /// ((steps, transfers)). Requires the evaluator to fill
@@ -67,16 +53,20 @@ struct RefineOptions {
   bool makespan_objective = false;
 };
 
-struct RefineStats {
+/// Work refine() spends. Each call adds to the caller's tally, so
+/// several refinement legs can share one.
+struct RefineWork {
   std::uint32_t passes_run = 0;
   std::uint32_t moves_tried = 0;  ///< trial moves priced (screened + exact)
-  std::uint32_t moves_kept = 0;   ///< moves/swaps that survived
   /// Of moves_tried: rejected by the incremental estimate alone, without
   /// spending an exact re-schedule.
   std::uint32_t moves_screened = 0;
   std::uint32_t full_evals = 0;  ///< exact re-schedules beyond baseline
-  std::uint32_t resyncs = 0;     ///< deferred-mode exact resyncs (K > 1)
-  bool incremental = false;      ///< evaluator mode this run used
+};
+
+/// What one refine() call achieved.
+struct RefineStats {
+  std::uint32_t moves_kept = 0;  ///< moves/swaps that survived
   std::uint32_t steps_before = 0;
   std::uint32_t steps_after = 0;
   std::uint32_t transfers_before = 0;
@@ -98,8 +88,7 @@ struct RefineStats {
 ///     cross-bank edges (pull a critical consumer into its producer's
 ///     bank or vice versa) — the surrogate cannot see makespan, these
 ///     target it directly;
-///  3. prices each candidate. On the incremental path (see
-///     RefineOptions::incremental) load/transfer-visible streams (gain
+///  3. prices each candidate. Load/transfer-visible streams (gain
 ///     buckets, peak relief, fine-grained peak-bank spills, swaps) are
 ///     first screened with an O(window) IncrementalEval delta estimate,
 ///     and only estimates that beat the current assignment earn an exact
@@ -113,19 +102,15 @@ struct RefineStats {
 ///     bank (covers pure load exchanges the one-way move cannot
 ///     express).
 ///
-/// Exact re-schedules are bounded per pass (6 + banks on the incremental
-/// path, where most of them are confirmations of screen-approved moves;
-/// 8 + 2·banks on the full path, which spends them on blind trials),
-/// screened estimates at 48× that, and a pass that tries nothing new ends the
-/// loop early — so refinement never increases steps or transfers and its
-/// cost is strictly bounded. With resync_interval == 1 every kept move
-/// is exact-confirmed at keep time; with K > 1 monotonicity holds at
-/// resync granularity (an estimate-accepted batch that the exact resync
-/// disproves is rolled back wholesale to the last exact anchor).
+/// Exact re-schedules are bounded at 6 + banks per pass (most of them
+/// confirm screen-approved moves), screened estimates at 48× that, and a
+/// pass that tries nothing new ends the loop early — so refinement never
+/// increases steps or transfers, every kept move is exact-confirmed, and
+/// its cost is strictly bounded.
 ///
 /// `cluster_of` maps every segment to a cluster root (see
 /// cluster_segments()); `seg_bank` is updated in place with the refined
-/// assignment.
+/// assignment. The work spent is added to `work`.
 /// `baseline`, when given, is the already-computed evaluation of the
 /// incoming `seg_bank` (e.g. from the scheduler's dual-start trial), so
 /// refinement does not re-schedule the starting point.
@@ -133,7 +118,8 @@ RefineStats refine(const DependenceGraph& graph,
                    std::vector<std::uint32_t>& seg_bank,
                    const std::vector<std::uint32_t>& cluster_of,
                    std::uint32_t banks, const CostModel& cost,
-                   const RefineOptions& options, const RefineEvaluator& evaluate,
+                   const RefineOptions& options,
+                   const RefineEvaluator& evaluate, RefineWork& work,
                    const RefineEval* baseline = nullptr);
 
 }  // namespace plim::sched

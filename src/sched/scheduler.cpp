@@ -109,34 +109,30 @@ std::vector<std::uint32_t> assign_clusters(
   const auto n = graph.num_instructions();
   const auto num_segments = graph.num_segments();
 
-  std::vector<std::uint32_t> seg_size(num_segments, 0);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    ++seg_size[graph.segment_of(i)];
-  }
   std::vector<std::uint32_t> cluster_size(num_segments, 0);
   for (std::uint32_t s = 0; s < num_segments; ++s) {
-    cluster_size[cluster_of[s]] += seg_size[s];
+    cluster_size[cluster_of[s]] += graph.segment_size(s);
   }
 
-  // Distinct operand defs a cluster reads from other clusters — each one
-  // is a potential transfer, cached per (def, bank). Flat CSR keyed by
-  // cluster root instead of a per-cluster map.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> reads;  // (cluster, def)
-  reads.reserve(n / 2);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const auto c = cluster_of[graph.segment_of(i)];
-    for (const auto def : {graph.def_of_a(i), graph.def_of_b(i)}) {
-      if (def != npos && cluster_of[graph.segment_of(def)] != c) {
-        reads.emplace_back(c, def);
+  // Read defs a cluster reads from other clusters — each one is a
+  // potential transfer, cached per (def, bank). One (cluster root,
+  // producing cluster) pair per distinct (cluster, def), CSR over
+  // cluster roots.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> reads;
+  std::vector<std::uint32_t> last_def(num_segments, npos);
+  for (std::uint32_t d = 0; d < graph.num_read_defs(); ++d) {
+    const auto pc = cluster_of[graph.producer_segment(d)];
+    for (const auto rs : graph.reader_segments(d)) {
+      const auto c = cluster_of[rs];
+      if (c != pc && last_def[c] != d) {
+        last_def[c] = d;
+        reads.emplace_back(c, pc);
       }
     }
   }
   std::sort(reads.begin(), reads.end());
-  reads.erase(std::unique(reads.begin(), reads.end()), reads.end());
-
-  // CSR over the sorted (cluster, def) pairs, indexed by cluster root.
   std::vector<std::uint32_t> read_off(num_segments + 1, 0);
-  for (const auto& [c, def] : reads) {
+  for (const auto& [c, pc] : reads) {
     ++read_off[c + 1];
   }
   for (std::uint32_t c = 0; c < num_segments; ++c) {
@@ -181,7 +177,8 @@ std::vector<std::uint32_t> assign_clusters(
     std::vector<std::uint32_t> crit(num_segments, 0);
     if (seed_order == SeedOrder::chain_segment) {
       for (std::uint32_t s = 0; s < num_segments; ++s) {
-        crit[cluster_of[s]] = std::max(crit[cluster_of[s]], seg_size[s]);
+        crit[cluster_of[s]] =
+            std::max(crit[cluster_of[s]], graph.segment_size(s));
       }
     } else {
       const auto& heights = graph.heights();
@@ -216,7 +213,7 @@ std::vector<std::uint32_t> assign_clusters(
     for (std::uint32_t b = 0; b < banks; ++b) {
       std::uint32_t transfers = 0;
       for (auto k = read_off[c]; k < read_off[c + 1]; ++k) {
-        const auto pc = cluster_of[graph.segment_of(reads[k].second)];
+        const auto pc = reads[k].second;
         if (cluster_bank[pc] != npos && cluster_bank[pc] != b) {
           ++transfers;
         }
@@ -497,14 +494,13 @@ struct ListScratch {
 /// per bank. Priorities come from ASAP/ALAP slack over the virtual
 /// dependence graph: zero-slack instructions sit on a critical chain and
 /// preempt ties that plain height priority would break arbitrarily;
-/// height (then serial order) breaks remaining ties. On a bounded bus,
-/// banks are served most-critical-first each step and — with lookahead —
-/// off-chain copies leave bus slots to ready zero-slack copies, so the
-/// critical chain never waits behind bulk transfers. Overwrites `ls`.
+/// height (then serial order) breaks remaining ties. Banks are served
+/// most-critical-first each step, so on a bounded bus off-chain copies
+/// leave bus slots to ready zero-slack copies and the critical chain
+/// never waits behind bulk transfers. Overwrites `ls`.
 void list_schedule(const Expansion& ex, std::uint32_t banks,
-                   const CostModel& cost, bool lookahead,
-                   bool want_critical_edges, ListSchedule& ls,
-                   ListScratch& scratch) {
+                   const CostModel& cost, bool want_critical_edges,
+                   ListSchedule& ls, ListScratch& scratch) {
   const auto& virt = ex.virt;
   const auto vn = static_cast<std::uint32_t>(virt.size());
   ls.step_instrs.clear();
@@ -619,12 +615,10 @@ void list_schedule(const Expansion& ex, std::uint32_t banks,
           bus.empty() || (!local.empty() && bus.front() < local.front());
       bank_order.emplace_back(local_top ? local.front() : bus.front(), b);
     }
-    if (lookahead) {
-      std::sort(bank_order.begin(), bank_order.end(),
-                [](const auto& x, const auto& y) {
-                  return y.first < x.first;  // better candidate first
-                });
-    }
+    std::sort(bank_order.begin(), bank_order.end(),
+              [](const auto& x, const auto& y) {
+                return y.first < x.first;  // better candidate first
+              });
 
     // Each bank issues its best ready instruction, except that a copy
     // waits while the bus is full: the bank then issues its best local
@@ -880,14 +874,12 @@ ScheduleResult schedule(const arch::Program& serial,
   Workspace ws;
   const auto evaluate = [&](const std::vector<std::uint32_t>& sb) {
     expand(graph, serial, sb, opts.cost, ws.ex, ws.expand_scratch);
-    list_schedule(ws.ex, banks, opts.cost, opts.lookahead, true, ws.ls,
-                  ws.list_scratch);
+    list_schedule(ws.ex, banks, opts.cost, true, ws.ls, ws.list_scratch);
     ws.sb = sb;
     ws.valid = true;
     RefineEval eval{ws.ls.num_steps(),
                     ws.ex.transfers,
                     ws.ls.virtual_critical_path,
-                    ws.ls.bus_stalls,
                     std::move(ws.ls.critical_cross_edges),
                     std::move(ws.ls.critical_local_edges)};
     if (makespan_objective) {
@@ -962,27 +954,25 @@ ScheduleResult schedule(const arch::Program& serial,
   // spent entirely on whichever probe refined better. Refining both legs
   // to completion doubles refinement wall-clock for no quality: the
   // losing leg's tail passes are pure waste.
-  RefineStats rstats;
+  RefineWork rwork;  // summed over every leg
+  RefineStats rstats;  // the winning leg's outcome
   double refine_ms = 0.0;
   if (banks > 1 && opts.refine_passes > 0 && num_segments > 1) {
     const util::ScopedPhase refine_phase("sched.refine", &refine_ms);
-    RefineOptions ropts{opts.refine_passes, opts.refine_incremental,
-                        opts.refine_resync};
-    ropts.makespan_objective = makespan_objective;
+    const RefineOptions ropts{opts.refine_passes, makespan_objective};
     if (!second_start) {
       rstats = refine(graph, seg_bank, cluster_of, banks, opts.cost, ropts,
-                      evaluate, start_eval ? &*start_eval : nullptr);
+                      evaluate, rwork, &*start_eval);
     } else {
       RefineOptions probe_opts = ropts;
       probe_opts.passes = std::min(
           ropts.passes, std::max<std::uint32_t>(2, ropts.passes / 5));
       rstats = refine(graph, seg_bank, cluster_of, banks, opts.cost,
-                      probe_opts, evaluate,
-                      start_eval ? &*start_eval : nullptr);
+                      probe_opts, evaluate, rwork, &*start_eval);
       auto second_bank = std::move(*second_start);
       const auto rstats2 =
           refine(graph, second_bank, cluster_of, banks, opts.cost,
-                 probe_opts, evaluate, &*second_eval);
+                 probe_opts, evaluate, rwork, &*second_eval);
       RefineEval first_final;
       first_final.steps = rstats.steps_after;
       first_final.transfers = rstats.transfers_after;
@@ -991,13 +981,6 @@ ScheduleResult schedule(const arch::Program& serial,
       second_final.steps = rstats2.steps_after;
       second_final.transfers = rstats2.transfers_after;
       second_final.makespan = rstats2.makespan_after;
-      // Cost-side tallies sum over everything spent (both probes plus
-      // the commit leg below); quality-side fields stay the winner's.
-      auto total_passes = rstats.passes_run + rstats2.passes_run;
-      auto total_tried = rstats.moves_tried + rstats2.moves_tried;
-      auto total_screened = rstats.moves_screened + rstats2.moves_screened;
-      auto total_full = rstats.full_evals + rstats2.full_evals;
-      auto total_resyncs = rstats.resyncs + rstats2.resyncs;
       if (lexicographically_better(second_final, first_final)) {
         seg_bank = std::move(second_bank);
         rstats = rstats2;
@@ -1008,24 +991,14 @@ ScheduleResult schedule(const arch::Program& serial,
         // No baseline: the winner's critical-edge lists are gone (the
         // loser's probe ran in between), so the commit leg re-anchors
         // with one exact evaluation.
-        const auto rstats3 = refine(graph, seg_bank, cluster_of, banks,
-                                    opts.cost, commit_opts, evaluate,
-                                    nullptr);
-        total_passes += rstats3.passes_run;
-        total_tried += rstats3.moves_tried;
-        total_screened += rstats3.moves_screened;
-        total_full += rstats3.full_evals;
-        total_resyncs += rstats3.resyncs;
-        rstats.steps_after = rstats3.steps_after;
-        rstats.transfers_after = rstats3.transfers_after;
-        rstats.makespan_after = rstats3.makespan_after;
-        rstats.moves_kept += rstats3.moves_kept;
+        const auto commit =
+            refine(graph, seg_bank, cluster_of, banks, opts.cost,
+                   commit_opts, evaluate, rwork, nullptr);
+        rstats.steps_after = commit.steps_after;
+        rstats.transfers_after = commit.transfers_after;
+        rstats.makespan_after = commit.makespan_after;
+        rstats.moves_kept += commit.moves_kept;
       }
-      rstats.passes_run = total_passes;
-      rstats.moves_tried = total_tried;
-      rstats.moves_screened = total_screened;
-      rstats.full_evals = total_full;
-      rstats.resyncs = total_resyncs;
     }
   }
 
@@ -1038,8 +1011,7 @@ ScheduleResult schedule(const arch::Program& serial,
     const util::ScopedPhase pack_phase("sched.pack", &pack_ms);
     if (!ws.valid || ws.sb != seg_bank) {
       expand(graph, serial, seg_bank, opts.cost, ws.ex, ws.expand_scratch);
-      list_schedule(ws.ex, banks, opts.cost, opts.lookahead, false, ws.ls,
-                    ws.list_scratch);
+      list_schedule(ws.ex, banks, opts.cost, false, ws.ls, ws.list_scratch);
     }
     ws.release_scratch();
   }
@@ -1213,12 +1185,11 @@ ScheduleResult schedule(const arch::Program& serial,
   stats.parallel_rrams = pp.num_rrams();
   stats.bus_width = opts.cost.bus_width;
   stats.bus_stalls = ls.bus_stalls;
-  stats.refine_passes = rstats.passes_run;
-  stats.refine_moves_tried = rstats.moves_tried;
+  stats.refine_passes = rwork.passes_run;
+  stats.refine_moves_tried = rwork.moves_tried;
   stats.refine_moves_kept = rstats.moves_kept;
-  stats.refine_moves_screened = rstats.moves_screened;
-  stats.refine_full_evals = rstats.full_evals;
-  stats.refine_incremental = rstats.incremental;
+  stats.refine_moves_screened = rwork.moves_screened;
+  stats.refine_full_evals = rwork.full_evals;
   stats.refine_steps_saved = rstats.steps_before - rstats.steps_after;
   stats.refine_transfers_saved =
       static_cast<std::int64_t>(rstats.transfers_before) -
@@ -1247,7 +1218,7 @@ ScheduleResult schedule(const arch::Program& serial,
     timing = decoupled_timing(pp, opts.cost.bus_width, phases);
   }
   sync_ms += timing_ms;
-  if (opts.execution == ExecutionModel::decoupled && opts.trace_timeline) {
+  if (opts.execution == ExecutionModel::decoupled) {
     // The cycle-level per-bank timeline (no-op unless tracing is on).
     trace_decoupled_timeline(
         pp, timing, phases,

@@ -32,29 +32,14 @@ struct ScheduleOptions {
   /// transfers regress, so refinement is monotone — it can only improve
   /// the schedule. 0 disables; each pass is bounded by O(banks) exact
   /// re-schedules, so this is the compile-time budget knob
-  /// (`plimc --refine-passes`). The default assumes the incremental
-  /// screen (refine_incremental) — 20 screened passes cost less
-  /// wall-clock than 2 pre-incremental ones.
+  /// (`plimc --refine-passes`).
   std::uint32_t refine_passes = 20;
 
-  /// Screen refinement trial moves with the O(window) incremental delta
-  /// evaluator (sched::IncrementalEval) and spend exact re-schedules
-  /// only on promising candidates. false prices every trial with a full
-  /// re-schedule (`plimc --refine-eval full`).
+  /// Ignored by schedule(); kept until perfbench/ stops assigning it.
   bool refine_incremental = true;
-
-  /// Exact-confirmation cadence on the incremental path: 1 re-schedules
-  /// on every accepted move (accepted state is always exact); K > 1
-  /// accepts up to K moves on the estimate between exact resyncs,
-  /// rolling back to the last exact anchor when the resync disagrees
-  /// (`plimc --refine-resync`). Must be ≥ 1.
+  /// Ignored by schedule(); kept until perfbench/ stops assigning it.
   std::uint32_t refine_resync = 1;
-
-  /// Critical-chain lookahead in the list scheduler: each step serves
-  /// banks most-critical-first (least slack, then height), so on a
-  /// bounded bus zero-slack copies claim bus slots before off-chain
-  /// bulk transfers in other banks do. false serves banks in index
-  /// order (the pre-slack behaviour).
+  /// Ignored by schedule(); kept until perfbench/ stops assigning it.
   bool lookahead = true;
 
   /// Execution model the schedule's headline cycle figures (see
@@ -75,14 +60,10 @@ struct ScheduleOptions {
   Objective objective = Objective::automatic;
 
   /// Label for this schedule's trace artifacts (the name of the
-  /// per-bank cycle timeline process when tracing is enabled and
-  /// `execution` is decoupled) — the driver passes the benchmark name.
+  /// per-bank cycle timeline process, rendered for decoupled schedules
+  /// while tracing is enabled) — the driver passes the benchmark name.
   /// Empty uses "schedule".
   std::string trace_label;
-
-  /// Whether to render the cycle-accurate per-bank timeline into the
-  /// tracer for decoupled schedules (no-op while tracing is disabled).
-  bool trace_timeline = true;
 };
 
 struct ScheduleResult {

@@ -99,10 +99,10 @@ Server::~Server() {
       t.join();
     }
   }
-  // All acceptors have exited; nothing mutates conn_threads_ anymore.
-  for (auto& t : conn_threads_) {
-    if (t.joinable()) {
-      t.join();
+  // All acceptors have exited; nothing mutates conn_readers_ anymore.
+  for (auto& r : conn_readers_) {
+    if (r.thread.joinable()) {
+      r.thread.join();
     }
   }
   for (const int fd : listen_fds_) {
@@ -320,10 +320,24 @@ void Server::acceptor_loop(int listen_fd) {
     conn->fd_out = fd;
     conn->owns_fds = true;
     // One reader thread per connection: compile concurrency comes from
-    // the worker pool, so readers are cheap line-splitters.
+    // the worker pool, so readers are cheap line-splitters. Readers of
+    // closed connections are joined here, so a long-lived daemon does
+    // not keep one finished thread, and its stack, per past client.
     const std::lock_guard<std::mutex> lock(conn_mutex_);
-    conn_threads_.emplace_back(
-        [this, conn = std::move(conn)]() { reader_loop(conn); });
+    for (auto it = conn_readers_.begin(); it != conn_readers_.end();) {
+      if (it->done.load(std::memory_order_acquire)) {
+        it->thread.join();
+        it = conn_readers_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    auto& reader = conn_readers_.emplace_back();
+    reader.thread = std::thread(
+        [this, conn = std::move(conn), &done = reader.done]() {
+          reader_loop(conn);
+          done.store(true, std::memory_order_release);
+        });
   }
 }
 
@@ -460,12 +474,12 @@ int Server::serve() {
     t.join();
   }
   io_threads_.clear();
-  // Acceptors are gone, so conn_threads_ is stable; connection readers
+  // Acceptors are gone, so conn_readers_ is stable; connection readers
   // notice the flag within one poll interval too.
-  for (auto& t : conn_threads_) {
-    t.join();
+  for (auto& r : conn_readers_) {
+    r.thread.join();
   }
-  conn_threads_.clear();
+  conn_readers_.clear();
   drain_and_stop();
   for (const int fd : listen_fds_) {
     ::close(fd);

@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -100,6 +101,13 @@ class Server {
     void write_line(const std::string& line);
   };
 
+  /// Reader thread of one accepted connection; `done` flips as it
+  /// returns, so the acceptor can join it without blocking.
+  struct ConnReader {
+    std::atomic<bool> done{false};
+    std::thread thread;
+  };
+
   struct Job {
     Request request;
     std::chrono::steady_clock::time_point enqueued;
@@ -146,9 +154,10 @@ class Server {
   /// Acceptor + stdio threads; touched only by serve()/~Server.
   std::vector<std::thread> io_threads_;
   /// Readers of accepted connections; pushed by acceptor threads, so
-  /// guarded — joined only after every acceptor has exited.
+  /// guarded. Finished ones are joined at the next accept, the rest
+  /// after every acceptor has exited.
   std::mutex conn_mutex_;
-  std::vector<std::thread> conn_threads_;
+  std::list<ConnReader> conn_readers_;
   std::vector<int> listen_fds_;
 };
 

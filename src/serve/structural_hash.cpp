@@ -121,9 +121,6 @@ void hash_options(StructuralHasher& h, const Options& options) {
   h.mix_double(options.schedule.cost.load_balance_weight);
   h.mix_bool(options.schedule.cluster);
   h.mix(options.schedule.refine_passes);
-  h.mix_bool(options.schedule.refine_incremental);
-  h.mix(options.schedule.refine_resync);
-  h.mix_bool(options.schedule.lookahead);
   h.mix(static_cast<std::uint64_t>(options.schedule.execution));
   h.mix(static_cast<std::uint64_t>(options.schedule.objective));
 
@@ -134,7 +131,6 @@ void hash_options(StructuralHasher& h, const Options& options) {
 
   h.mix(0x0525);  // trace
   h.mix_bool(options.trace.enabled);
-  h.mix_bool(options.trace.timeline);
 }
 
 StructuralKey structural_key(const mig::Mig& network,

@@ -154,8 +154,6 @@ TEST_F(MetricsTest, SchedulerFeedsRegistry) {
             outcome.stats.schedule->refine_moves_screened);
   EXPECT_LE(reg.counter("refine.moves_screened"),
             reg.counter("refine.moves_tried"));
-  // The default evaluator mode is incremental, and refine publishes it.
-  EXPECT_EQ(reg.gauge("refine.incremental"), 1.0);
   // Driver-level aggregates surfaced into the report's metrics object.
   EXPECT_EQ(outcome.stats.metrics.refine_moves_tried,
             outcome.stats.schedule->refine_moves_tried);

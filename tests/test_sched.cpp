@@ -4,6 +4,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
+#include <set>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -129,6 +132,61 @@ TEST(DepGraph, DetectsInitialStateReads) {
   const auto g = DependenceGraph::build(p);
   EXPECT_TRUE(g.reads_initial_state());
   EXPECT_THROW((void)schedule(p, with_banks(2)), std::invalid_argument);
+}
+
+/// The read graph bank assignment, refinement and the incremental
+/// screen all price on equals a brute-force recomputation from the
+/// per-instruction defs: segment sizes, each read def's distinct foreign
+/// reader segments, and the per-segment produced/read rows.
+TEST(DepGraph, ReadGraphMatchesBruteForce) {
+  constexpr auto npos = DependenceGraph::npos;
+  const auto as_vector = [](std::span<const std::uint32_t> row) {
+    return std::vector<std::uint32_t>(row.begin(), row.end());
+  };
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    mig::RandomMigOptions opts;
+    opts.num_pis = 4 + static_cast<std::uint32_t>(seed % 4);
+    opts.num_gates = 20 + static_cast<std::uint32_t>(seed * 29 % 90);
+    opts.num_pos = 1 + static_cast<std::uint32_t>(seed % 4);
+    const auto compiled = core::compile(mig::random_mig(opts, seed));
+    const auto g = DependenceGraph::build(compiled.program);
+    const auto num_segments = g.num_segments();
+
+    std::vector<std::uint32_t> size(num_segments, 0);
+    std::map<std::uint32_t, std::set<std::uint32_t>> readers;  // def → segs
+    for (std::uint32_t i = 0; i < g.num_instructions(); ++i) {
+      const auto s = g.segment_of(i);
+      ++size[s];
+      for (const auto def : {g.def_of_a(i), g.def_of_b(i)}) {
+        if (def != npos && g.segment_of(def) != s) {
+          readers[def].insert(s);
+        }
+      }
+    }
+    std::vector<std::vector<std::uint32_t>> produced(num_segments);
+    std::vector<std::vector<std::uint32_t>> read(num_segments);
+    ASSERT_EQ(g.num_read_defs(), readers.size()) << "seed " << seed;
+    std::uint32_t d = 0;
+    for (const auto& [def, segs] : readers) {
+      EXPECT_EQ(g.producer_segment(d), g.segment_of(def))
+          << "seed " << seed << ", def " << def;
+      EXPECT_EQ(as_vector(g.reader_segments(d)),
+                std::vector<std::uint32_t>(segs.begin(), segs.end()))
+          << "seed " << seed << ", def " << def;
+      produced[g.segment_of(def)].push_back(d);
+      for (const auto s : segs) {
+        read[s].push_back(d);
+      }
+      ++d;
+    }
+    for (std::uint32_t s = 0; s < num_segments; ++s) {
+      EXPECT_EQ(g.segment_size(s), size[s]) << "seed " << seed;
+      EXPECT_EQ(as_vector(g.defs_produced_by(s)), produced[s])
+          << "seed " << seed << ", segment " << s;
+      EXPECT_EQ(as_vector(g.defs_read_by(s)), read[s])
+          << "seed " << seed << ", segment " << s;
+    }
+  }
 }
 
 // ---- hazard regressions -----------------------------------------------------

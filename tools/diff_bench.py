@@ -2,8 +2,9 @@
 """Compare a fresh sched_speedup trajectory against the committed one.
 
 Fails (exit 1) when any benchmark configuration regresses by more than
-the tolerance in `steps`, `transfers`, or `makespan_cycles` (the
-cycle-level figure of merit of the decoupled execution model), or when
+the tolerance in `steps`, `transfers`, `makespan_cycles` (the
+cycle-level figure of merit of the decoupled execution model) or
+`rrams` (the RRAM cells the scheduled program needs), or when
 `refine_steps_saved` — the steps the refinement passes bought, the
 higher-is-better yield the incremental evaluator's 10x pass budget
 pays for — shrinks by more than the tolerance (skipped when the
@@ -83,7 +84,7 @@ def main():
             print(f"note: {key} only in committed trajectory")
             continue
         compared += 1
-        for metric in ("steps", "transfers", "makespan_cycles"):
+        for metric in ("steps", "transfers", "makespan_cycles", "rrams"):
             if metric not in old or metric not in new:
                 missing_metrics.add(metric)
                 continue

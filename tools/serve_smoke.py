@@ -7,7 +7,10 @@ farm would:
   1. ping over stdin and over a Unix socket (both transports must serve
      the same protocol), then a 1 MiB request line without a newline on
      the socket: it must get one `request-too-large` error, and a ping
-     after the next newline must still answer on that connection;
+     after the next newline must still answer on that connection; then
+     200 connect/ping/close cycles on the socket must not grow the
+     daemon's VmSize by more than 64 MiB (finished connection readers
+     are joined, not parked with their stacks mapped);
   2. wave 1 — the six EPFL smoke benchmarks fired back-to-back (the
      worker pool compiles them concurrently), all cold;
   3. wave 2 — the same six again: at least 50% of the repeated half
@@ -30,6 +33,8 @@ import time
 import os
 
 BENCHMARKS = ["ctrl", "cavlc", "int2float", "router", "dec", "priority"]
+CHURN_CYCLES = 200
+CHURN_VMSIZE_BOUND_MIB = 64
 
 
 def fail(message):
@@ -72,6 +77,18 @@ def recv_lines(sock, count):
             fail("socket closed early")
         buffer += chunk
     return [json.loads(line) for line in buffer.splitlines()]
+
+
+def vm_size_kib(pid):
+    """The process's VmSize from /proc, or None where /proc is absent."""
+    try:
+        with open(f"/proc/{pid}/status") as status:
+            for line in status:
+                if line.startswith("VmSize:"):
+                    return int(line.split()[1])
+    except OSError:
+        return None
+    return None
 
 
 def main():
@@ -121,6 +138,38 @@ def main():
             if len(after) != 1 or not (after[0].get("id") == "after-big"
                                        and after[0].get("pong")):
                 fail(f"no pong after an oversized line: {after}")
+
+        # Connection churn: each closed connection's reader thread must
+        # be joined, or its stack stays mapped until shutdown. A few
+        # overlapping clients first, so the malloc arenas concurrent
+        # readers map once are in place before the baseline is read.
+        overlapping = []
+        for k in range(4):
+            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            sock.connect(socket_path)
+            sock.sendall(b'{"cmd":"ping","id":"overlap"}\n')
+            overlapping.append(sock)
+        for sock in overlapping:
+            recv_lines(sock, 1)
+            sock.close()
+        vm_before = vm_size_kib(proc.pid)
+        for cycle in range(CHURN_CYCLES):
+            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+                sock.connect(socket_path)
+                sock.sendall(b'{"cmd":"ping","id":"churn"}\n')
+                churn = recv_lines(sock, 1)
+            if not churn[0].get("pong"):
+                fail(f"churn cycle {cycle}: bad pong {churn}")
+        vm_after = vm_size_kib(proc.pid)
+        if vm_before is None or vm_after is None:
+            print("serve_smoke: note: no /proc VmSize, churn bound skipped")
+        elif vm_after - vm_before > CHURN_VMSIZE_BOUND_MIB * 1024:
+            fail(f"{CHURN_CYCLES} connect/ping/close cycles grew VmSize "
+                 f"from {vm_before // 1024} to {vm_after // 1024} MiB "
+                 f"(bound +{CHURN_VMSIZE_BOUND_MIB} MiB)")
+        else:
+            print(f"serve_smoke: {CHURN_CYCLES} connection cycles, VmSize "
+                  f"{vm_before // 1024} -> {vm_after // 1024} MiB")
 
         # 2. wave 1: all six benchmarks, fired before reading anything —
         # the worker pool runs them concurrently.
