@@ -107,23 +107,24 @@ std::vector<std::uint64_t> Machine::run_parallel_words(
 
   const auto declared_bus = program.bus_width();
   std::vector<std::uint64_t> bank_instrs(program.num_banks(), 0);
-  std::uint64_t run_cycles = 0;
+  const std::uint64_t run_cycles =
+      std::uint64_t{program.num_steps()} * phases_per_instruction;
 
   for (std::uint32_t s = 0; s < program.num_steps(); ++s) {
     const auto& step = program.step(s);
     ++step_stamp;
     writes.clear();
-    // Only price the bus when one is configured — counting a step's
-    // remote reads is a full slot scan.
-    const auto bus_ops = (declared_bus > 0 || bus_width_ > 0)
-                             ? program.step_bus_ops(s)
-                             : 0;
-    if (declared_bus > 0 && bus_ops > declared_bus) {
-      throw std::logic_error(
-          "Machine::run_parallel_words: step " + std::to_string(s + 1) +
-          " issues " + std::to_string(bus_ops) +
-          " cross-bank copies over the declared bus width " +
-          std::to_string(declared_bus));
+    // Only count a step's copies on a bounded bus — counting them is a
+    // full slot scan.
+    if (declared_bus > 0) {
+      const auto bus_ops = program.step_bus_ops(s);
+      if (bus_ops > declared_bus) {
+        throw std::logic_error(
+            "Machine::run_parallel_words: step " + std::to_string(s + 1) +
+            " issues " + std::to_string(bus_ops) +
+            " cross-bank copies over the declared bus width " +
+            std::to_string(declared_bus));
+      }
     }
     for (const auto& slot : step) {
       if (step_written[slot.instr.z] == step_stamp) {
@@ -158,17 +159,6 @@ std::vector<std::uint64_t> Machine::run_parallel_words(
       cells[cell] = value;
       ++write_counts_[cell];
       ++instructions_;
-    }
-    run_cycles += phases_per_instruction;  // one lockstep phase set per step
-    // Hardware-honest bus accounting: a machine-side width serializes
-    // the step's excess cross-bank copies into extra bus rounds (the
-    // values are unaffected — all reads saw the pre-step state — but
-    // the cycles are real).
-    if (bus_width_ > 0 && bus_ops > bus_width_) {
-      const std::uint64_t extra_rounds =
-          (bus_ops + bus_width_ - 1) / bus_width_ - 1;
-      run_cycles += extra_rounds * phases_per_instruction;
-      bus_stall_cycles_ += extra_rounds * phases_per_instruction;
     }
   }
   cycles_ += run_cycles;
@@ -218,19 +208,16 @@ std::vector<std::uint64_t> Machine::run_decoupled_words(
         "Machine::run_decoupled_words: wrong input count");
   }
   // Static timing first: every controller's op start time under the sync
-  // tokens and the in-order bus arbiter. Throws on missing/insufficient
-  // sync tokens and on deadlock. The arbiter width is the machine's when
-  // set, else the program's declared bus.
-  const auto width = bus_width_ > 0 ? bus_width_ : program.bus_width();
+  // tokens and the in-order bus arbiter. Throws on missing or unsound
+  // sync tokens.
   sched::DecoupledTiming computed;
   if (precomputed == nullptr) {
-    computed = sched::decoupled_timing(program, width, phases_per_instruction);
+    computed = sched::decoupled_timing(program);
     // Cycle-level per-bank timeline (no-op while tracing is disabled).
     // Only for timing computed here: callers passing a precomputed
     // timing (sched::verify re-runs the program once per round) already
     // had their one timeline emitted when that timing was derived.
-    sched::trace_decoupled_timeline(program, computed, phases_per_instruction,
-                                    "machine run");
+    sched::trace_decoupled_timeline(program, computed, "machine run");
   }
   const auto& timing = precomputed != nullptr ? *precomputed : computed;
 
@@ -262,25 +249,9 @@ std::vector<std::uint64_t> Machine::run_decoupled_words(
   // and its order breaks start-time ties producer-first (lockstep step,
   // then bank), so applying whole instructions in `timing.order` is
   // equivalent to the phase-interleaved hardware execution.
-  // (A flat per-bank instruction table, not sched::bank_streams — the
-  // StreamOp token annotations would cost two vector allocations per
-  // instruction on a path verification runs many times.)
-  std::vector<std::vector<Instruction>> streams(program.num_banks());
-  {
-    const auto lens = program.bank_stream_lengths();
-    for (std::uint32_t b = 0; b < program.num_banks(); ++b) {
-      streams[b].reserve(lens[b]);
-    }
-    for (std::uint32_t s = 0; s < program.num_steps(); ++s) {
-      for (const auto& slot : program.step(s)) {
-        if (slot.bank < program.num_banks()) {
-          streams[slot.bank].push_back(slot.instr);
-        }
-      }
-    }
-  }
+  const sched::StreamView view(program);
   for (const auto& [bank, pos] : timing.order) {
-    const auto& ins = streams[bank][pos];
+    const auto& ins = view.slot[view.id(bank, pos)].instr;
     const std::uint64_t a = read(ins.a);
     const std::uint64_t b = read(ins.b);
     cells[ins.z] = rm3_words(a, b, cells[ins.z]);
@@ -289,7 +260,6 @@ std::vector<std::uint64_t> Machine::run_decoupled_words(
   }
 
   cycles_ += timing.makespan_cycles;
-  bus_stall_cycles_ += timing.bus_stall_cycles;
   account_bank_cycles(timing.bank_busy_cycles, timing.bank_idle_cycles);
 
   std::vector<std::uint64_t> out(program.num_outputs());
@@ -334,7 +304,6 @@ void Machine::reset_counters() {
   write_counts_.clear();
   cycles_ = 0;
   instructions_ = 0;
-  bus_stall_cycles_ = 0;
   bank_busy_cycles_.clear();
   bank_idle_cycles_.clear();
 }

@@ -48,15 +48,9 @@ class Machine {
   /// costs `phases_per_instruction` cycles regardless of how many banks
   /// are active — that is the point of scheduling.
   ///
-  /// The inter-bank bus is modelled honestly: a program declaring a
-  /// bounded bus (ParallelProgram::bus_width > 0) is *enforced* — a step
-  /// issuing more cross-bank copies than the declared width throws
-  /// std::logic_error. A machine-side width set with set_bus_width()
-  /// additionally serializes excess copies of each step into extra bus
-  /// rounds: semantics are unchanged (all reads still see the pre-step
-  /// state), but every extra round costs `phases_per_instruction` cycles,
-  /// accumulated in bus_stall_cycles(). This is how an idealized
-  /// unbounded-bus schedule is priced on width-k hardware.
+  /// The program's declared bus (ParallelProgram::bus_width > 0) is
+  /// *enforced*: a step issuing more cross-bank copies than the declared
+  /// width throws std::logic_error.
   [[nodiscard]] std::vector<bool> run_parallel(
       const sched::ParallelProgram& program, const std::vector<bool>& inputs,
       const std::vector<bool>& initial = {});
@@ -70,13 +64,14 @@ class Machine {
   /// Executes a multi-bank schedule *decoupled*: every bank's controller
   /// advances through its own serial instruction stream and blocks only
   /// on the program's explicit sync tokens and on the shared inter-bank
-  /// bus (arbitrated in program order, `set_bus_width()` wide — falling
-  /// back to the program's declared width, 0 = unbounded). Cycles are
-  /// event-driven: makespan = max over banks of its own finish time, and
+  /// bus (the program's declared width, 0 = unbounded, arbitrated in
+  /// program order). Cycles are sched::decoupled_timing's: makespan =
+  /// max over banks of its own finish time, and
   /// bank_busy_cycles()/bank_idle_cycles() report per-bank utilization.
   /// Throws std::logic_error when the program has cross-bank reads but
-  /// no sync tokens (run sched::derive_sync first) or when the token
-  /// graph deadlocks — both are also reported by
+  /// no sync tokens (run sched::derive_sync first) or when its tokens
+  /// fail sched::check_sync (a token that does not point forward, a
+  /// hazard left uncovered) — both are also reported by
   /// ParallelProgram::validate().
   [[nodiscard]] std::vector<bool> run_decoupled(
       const sched::ParallelProgram& program, const std::vector<bool>& inputs,
@@ -85,9 +80,7 @@ class Machine {
   /// 64-lane bit-parallel form of `run_decoupled`. The static timing is
   /// input-independent; callers running the same program many times
   /// (equivalence verification) can compute sched::decoupled_timing
-  /// once and pass it as `timing` to skip the per-run analysis — the
-  /// caller is then responsible for having used the matching bus width
-  /// and a checked (validated) program.
+  /// once and pass it as `timing` to skip the per-run analysis.
   [[nodiscard]] std::vector<std::uint64_t> run_decoupled_words(
       const sched::ParallelProgram& program,
       const std::vector<std::uint64_t>& inputs,
@@ -105,23 +98,11 @@ class Machine {
   }
 
   /// Total controller cycles spent (instructions × phases for serial
-  /// runs; steps × phases plus bus stalls for lockstep parallel runs;
-  /// the event-driven makespan for decoupled runs).
+  /// runs; steps × phases for lockstep parallel runs; the event-driven
+  /// makespan for decoupled runs).
   [[nodiscard]] std::uint64_t cycles() const noexcept { return cycles_; }
   [[nodiscard]] std::uint64_t instructions_executed() const noexcept {
     return instructions_;
-  }
-
-  /// Hardware bus width this machine serializes cross-bank copies at
-  /// (0 = as declared by the program; programs declaring a *tighter*
-  /// bound than the machine are still enforced against their own bound).
-  void set_bus_width(std::uint32_t width) noexcept { bus_width_ = width; }
-  [[nodiscard]] std::uint32_t bus_width() const noexcept { return bus_width_; }
-
-  /// Cycles lost serializing cross-bank copies over the bounded bus
-  /// (included in cycles()).
-  [[nodiscard]] std::uint64_t bus_stall_cycles() const noexcept {
-    return bus_stall_cycles_;
   }
 
   /// Per-bank cycles spent executing instructions / idling, accumulated
@@ -148,8 +129,6 @@ class Machine {
   std::vector<std::uint64_t> write_counts_;
   std::uint64_t cycles_ = 0;
   std::uint64_t instructions_ = 0;
-  std::uint64_t bus_stall_cycles_ = 0;
-  std::uint32_t bus_width_ = 0;
   std::vector<std::uint64_t> bank_busy_cycles_;
   std::vector<std::uint64_t> bank_idle_cycles_;
 };

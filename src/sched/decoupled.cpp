@@ -1,168 +1,123 @@
 #include "sched/decoupled.hpp"
 
 #include <algorithm>
-#include <queue>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "arch/machine.hpp"
-
 namespace plim::sched {
+
+StreamView::StreamView(const ParallelProgram& program)
+    : banks(program.num_banks()) {
+  bank_off.assign(banks + 1, 0);
+  for (std::uint32_t s = 0; s < program.num_steps(); ++s) {
+    for (const auto& op : program.step(s)) {
+      if (op.bank >= banks) {
+        continue;  // malformed slot; validate() reports it separately
+      }
+      slot.push_back(op);
+      step.push_back(s);
+      pos.push_back(bank_off[op.bank + 1]++);
+      remote.push_back(program.reads_remote(op));
+    }
+  }
+  for (std::uint32_t b = 0; b < banks; ++b) {
+    bank_off[b + 1] += bank_off[b];
+  }
+  by_bank.resize(size());
+  for (std::uint32_t i = 0; i < size(); ++i) {
+    by_bank[bank_off[slot[i].bank] + pos[i]] = i;
+  }
+}
+
+std::vector<Hazard> cell_hazards(const StreamView& view, std::uint32_t cells) {
+  constexpr auto kWritePhase = IssueClock::kWritePhase;
+  const auto n = view.size();
+  std::vector<Hazard> hazards;
+  hazards.reserve(std::size_t{n} * 3);
+  // Per cell: the last write so far and the reads since it.
+  std::vector<std::uint32_t> last_write(cells, n);
+  std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>>
+      reads_since(cells);  // (reader id, read phase)
+  const auto read = [&](std::uint32_t i, std::uint32_t c,
+                        std::uint32_t read_phase) {
+    if (c >= cells) {
+      return;  // out of range; validate() reports it
+    }
+    if (last_write[c] != n) {
+      hazards.push_back({last_write[c], i, kWritePhase, read_phase});  // RAW
+    }
+    reads_since[c].emplace_back(i, read_phase);
+  };
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const auto& ins = view.slot[i].instr;
+    if (ins.a.is_rram()) {
+      read(i, ins.a.address(), 1);
+    }
+    if (ins.b.is_rram()) {
+      read(i, ins.b.address(), 2);
+    }
+    read(i, ins.z, kWritePhase);
+    if (ins.z >= cells) {
+      continue;
+    }
+    for (const auto& [r, phase] : reads_since[ins.z]) {
+      if (r != i) {
+        hazards.push_back({r, i, phase, kWritePhase});  // WAR
+      }
+    }
+    if (last_write[ins.z] != n) {
+      hazards.push_back({last_write[ins.z], i, kWritePhase, kWritePhase});
+    }
+    last_write[ins.z] = i;
+    reads_since[ins.z].clear();
+  }
+  return hazards;
+}
+
+std::uint64_t IssueClock::issue(std::uint32_t bank, std::uint64_t ready,
+                                bool copy) {
+  auto start = std::max(ready, bank_ready_[bank]);
+  if (copy) {
+    if (in_order_) {
+      start = std::max(start, last_grant_);
+    }
+    if (bus_width_ > 0) {
+      if (servers_.size() == bus_width_) {
+        start = std::max(start, servers_.top());
+        servers_.pop();
+      }
+      servers_.push(start + kPhases);
+    }
+    last_grant_ = start;
+  }
+  bank_ready_[bank] = start + kCadence;
+  return start;
+}
 
 namespace {
 
-/// RM3 instruction cycle the phase-level endpoints index into: 0 fetch,
-/// 1 read A, 2 read B, phases − 1 write.
-constexpr std::uint32_t kPhases = arch::Machine::phases_per_instruction;
-constexpr std::uint32_t kWritePhase = kPhases - 1;
-
-/// Flattened per-bank streams: global op id = off[bank] + pos, ids of
-/// one bank are contiguous and in step order.
-struct FlatStreams {
-  std::uint32_t banks = 0;
-  std::uint32_t total = 0;
-  std::vector<std::uint32_t> off;       ///< banks + 1 offsets
-  std::vector<Slot> slot;               ///< by global id
-  std::vector<std::uint32_t> step_of;   ///< by global id
-  std::vector<std::uint32_t> bank_of;   ///< by global id
-
-  [[nodiscard]] std::uint32_t id(std::uint32_t bank, std::uint32_t pos) const {
-    return off[bank] + pos;
-  }
-  [[nodiscard]] std::uint32_t len(std::uint32_t bank) const {
-    return off[bank + 1] - off[bank];
-  }
-};
-
-FlatStreams flatten(const ParallelProgram& p) {
-  FlatStreams fs;
-  fs.banks = p.num_banks();
-  fs.off.assign(fs.banks + 1, 0);
-  for (std::uint32_t s = 0; s < p.num_steps(); ++s) {
-    for (const auto& slot : p.step(s)) {
-      if (slot.bank < fs.banks) {
-        ++fs.off[slot.bank + 1];
-      }
-    }
-  }
-  for (std::uint32_t b = 0; b < fs.banks; ++b) {
-    fs.off[b + 1] += fs.off[b];
-  }
-  fs.total = fs.off[fs.banks];
-  fs.slot.resize(fs.total);
-  fs.step_of.resize(fs.total);
-  fs.bank_of.resize(fs.total);
-  auto cursor = fs.off;
-  for (std::uint32_t s = 0; s < p.num_steps(); ++s) {
-    for (const auto& slot : p.step(s)) {
-      if (slot.bank >= fs.banks) {
-        continue;  // malformed slot; validate() reports it separately
-      }
-      const auto gid = cursor[slot.bank]++;
-      fs.slot[gid] = slot;
-      fs.step_of[gid] = s;
-      fs.bank_of[gid] = slot.bank;
-    }
-  }
-  return fs;
-}
-
-/// Whether the op reads at least one RRAM cell outside its own bank — the
-/// ops that occupy the shared bus and need cross-bank ordering.
-bool reads_remote(const ParallelProgram& p, const Slot& slot) {
-  if (slot.bank >= p.num_banks()) {
-    return false;
-  }
-  const auto [begin, end] = p.bank_range(slot.bank);
-  for (const auto op : {slot.instr.a, slot.instr.b}) {
-    if (op.is_rram() && (op.address() < begin || op.address() >= end)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-/// Every cross-bank ordering the step schedule implies: for each remote
-/// read at step s of cell c, the last write of c before s must complete
-/// first (RAW) and the first write of c after s must wait for the read
-/// (WAR). Reads and writes of one cell in the *same* step cannot happen
-/// (validate() forbids it), so the two binary searches cover everything;
-/// earlier/later writes of the owning chain are ordered transitively
-/// through the owner bank's own stream. Requirements are phase-level:
-/// a RAW requirement stalls only the consumer phase that reads the
-/// operand (read A or read B) and signals at the producer's write-phase
-/// completion; a WAR requirement signals when the remote read's operand
-/// phase completes and stalls only the overwriter's write phase.
-/// Requirements equal up to phases are merged to the strictest pair
-/// (latest signal phase, earliest wait phase).
-std::vector<SyncEdge> required_edges(const ParallelProgram& p,
-                                     const FlatStreams& fs) {
-  const auto cells = p.num_rrams();
-  std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>> writes(
-      cells);  // per cell: (step, global id), step-sorted
-  for (std::uint32_t gid = 0; gid < fs.total; ++gid) {
-    const auto z = fs.slot[gid].instr.z;
-    if (z < cells) {
-      writes[z].emplace_back(fs.step_of[gid], gid);
-    }
-  }
-  for (auto& w : writes) {
-    std::sort(w.begin(), w.end());
-  }
-
+/// The cross-bank hazards of cell_hazards as stream-position
+/// requirements, sorted, with requirements equal up to phases (e.g. one
+/// op reading a remote cell through both operands) merged into the
+/// strictest pair: the signal must fire after the *latest* producer
+/// phase any of them watches, the wait must stall the *earliest*
+/// consumer phase any of them protects. Earlier/later writes of the
+/// owning chain are ordered transitively through the owner bank's own
+/// stream.
+std::vector<SyncEdge> required_edges(const ParallelProgram& program,
+                                     const StreamView& view) {
   std::vector<SyncEdge> req;
-  for (std::uint32_t b = 0; b < fs.banks; ++b) {
-    const auto [begin, end] = p.bank_range(b);
-    for (std::uint32_t pos = 0; pos < fs.len(b); ++pos) {
-      const auto gid = fs.id(b, pos);
-      const auto s = fs.step_of[gid];
-      const arch::Operand operands[2] = {fs.slot[gid].instr.a,
-                                         fs.slot[gid].instr.b};
-      for (std::uint32_t oi = 0; oi < 2; ++oi) {
-        const auto op = operands[oi];
-        if (!op.is_rram()) {
-          continue;
-        }
-        const auto c = op.address();
-        if ((c >= begin && c < end) || c >= cells) {
-          continue;  // local read / out of range (validate() reports)
-        }
-        // The phase this operand is read in: 1 = read A, 2 = read B.
-        const auto read_phase = oi + 1;
-        const auto& w = writes[c];
-        // RAW: wait on the last write strictly before the read's step.
-        auto it = std::lower_bound(w.begin(), w.end(),
-                                   std::make_pair(s, std::uint32_t{0}));
-        if (it != w.begin()) {
-          const auto wg = std::prev(it)->second;
-          const auto wb = fs.bank_of[wg];
-          if (wb != b) {
-            req.push_back(
-                {wb, wg - fs.off[wb], b, pos, kWritePhase, read_phase});
-          }
-        }
-        // WAR: the cell's next overwrite waits on this read.
-        it = std::lower_bound(w.begin(), w.end(),
-                              std::make_pair(s + 1, std::uint32_t{0}));
-        if (it != w.end()) {
-          const auto wg = it->second;
-          const auto wb = fs.bank_of[wg];
-          if (wb != b) {
-            req.push_back(
-                {b, pos, wb, wg - fs.off[wb], read_phase, kWritePhase});
-          }
-        }
-      }
+  for (const auto& h : cell_hazards(view, program.num_rrams())) {
+    const auto from_bank = view.slot[h.from].bank;
+    const auto to_bank = view.slot[h.to].bank;
+    if (from_bank != to_bank) {
+      req.push_back({from_bank, view.pos[h.from], to_bank, view.pos[h.to],
+                     h.from_phase, h.to_phase});
     }
   }
   std::sort(req.begin(), req.end());
-  // Merge requirements that differ only in phases (e.g. one op reading a
-  // remote cell through both operands) into the strictest pair: the
-  // signal must fire after the *latest* producer phase any of them
-  // watches, the wait must stall the *earliest* consumer phase any of
-  // them protects.
   std::size_t out = 0;
   for (std::size_t i = 0; i < req.size();) {
     auto merged = req[i];
@@ -183,35 +138,110 @@ std::vector<SyncEdge> required_edges(const ParallelProgram& p,
   return req;
 }
 
-}  // namespace
-
-std::vector<std::vector<StreamOp>> bank_streams(const ParallelProgram& p) {
-  const auto fs = flatten(p);
-  std::vector<std::vector<StreamOp>> streams(fs.banks);
-  for (std::uint32_t b = 0; b < fs.banks; ++b) {
-    streams[b].resize(fs.len(b));
-    for (std::uint32_t pos = 0; pos < fs.len(b); ++pos) {
-      const auto gid = fs.id(b, pos);
-      streams[b][pos].slot = fs.slot[gid];
-      streams[b][pos].step = fs.step_of[gid];
-    }
-  }
-  const auto& sync = p.sync_edges();
-  for (std::uint32_t i = 0; i < sync.size(); ++i) {
+/// check_sync over an already built view of `program`.
+std::string check_tokens(const ParallelProgram& program,
+                         const StreamView& view) {
+  constexpr auto kPhases = IssueClock::kPhases;
+  const auto& sync = program.sync_edges();
+  const auto token = [](std::size_t i) {
+    return "sync token t" + std::to_string(i + 1);
+  };
+  for (std::size_t i = 0; i < sync.size(); ++i) {
     const auto& e = sync[i];
-    if (e.from_bank < fs.banks && e.from_pos < fs.len(e.from_bank)) {
-      streams[e.from_bank][e.from_pos].signals.push_back(i);
+    if (e.from_bank >= view.banks || e.to_bank >= view.banks) {
+      return token(i) + ": no such bank";
     }
-    if (e.to_bank < fs.banks && e.to_pos < fs.len(e.to_bank)) {
-      streams[e.to_bank][e.to_pos].waits.push_back(i);
+    if (e.from_bank == e.to_bank) {
+      return token(i) + ": connects bank " + std::to_string(e.from_bank) +
+             " to itself";
+    }
+    if (e.from_pos >= view.len(e.from_bank)) {
+      return token(i) + ": signal position " + std::to_string(e.from_pos + 1) +
+             " beyond bank " + std::to_string(e.from_bank) + "'s stream";
+    }
+    if (e.to_pos >= view.len(e.to_bank)) {
+      return token(i) + ": wait position " + std::to_string(e.to_pos + 1) +
+             " beyond bank " + std::to_string(e.to_bank) + "'s stream";
+    }
+    if (e.from_phase >= kPhases) {
+      return token(i) + ": signal phase " + std::to_string(e.from_phase) +
+             " beyond the " + std::to_string(kPhases) +
+             "-phase instruction cycle";
+    }
+    if (e.to_phase >= kPhases) {
+      return token(i) + ": wait phase " + std::to_string(e.to_phase) +
+             " beyond the " + std::to_string(kPhases) +
+             "-phase instruction cycle";
+    }
+    const auto signal_step = view.step[view.id(e.from_bank, e.from_pos)];
+    const auto wait_step = view.step[view.id(e.to_bank, e.to_pos)];
+    if (wait_step <= signal_step) {
+      return token(i) + ": waits in step " + std::to_string(wait_step + 1) +
+             ", not after its signal in step " +
+             std::to_string(signal_step + 1);
     }
   }
-  return streams;
+
+  // Coverage: every cross-bank hazard must be implied by a token between
+  // the same bank pair that signals no earlier and waits no later. With
+  // phase-level endpoints the comparison is lexicographic: a token at a
+  // strictly later signal position (or strictly earlier wait position)
+  // covers any phase — the stream's phases − 1 issue cadence dominates a
+  // single instruction's phase offsets — while a position tie requires
+  // the token's signal phase to be ≥ (wait phase ≤) the hazard's.
+  const auto req = required_edges(program, view);
+  if (req.empty()) {
+    return {};
+  }
+  // Per ordered pair: stored ((from_pos, from_phase), (to_pos, to_phase))
+  // keys sorted by the signal key with a suffix minimum over the wait
+  // key, so each query is one binary search. Phases are < kPhases (
+  // checked above), so packing them into the low bits keeps the packed
+  // order lexicographic.
+  const auto key = [](std::uint32_t pos, std::uint32_t phase) {
+    return (std::uint64_t{pos} << 8) | phase;
+  };
+  const auto banks = std::size_t{view.banks};
+  std::vector<std::vector<std::pair<std::uint64_t, std::uint64_t>>> stored(
+      banks * banks);
+  for (const auto& e : sync) {
+    stored[e.from_bank * banks + e.to_bank].emplace_back(
+        key(e.from_pos, e.from_phase), key(e.to_pos, e.to_phase));
+  }
+  std::vector<std::vector<std::uint64_t>> suffix_min(stored.size());
+  for (std::size_t k = 0; k < stored.size(); ++k) {
+    auto& list = stored[k];
+    std::sort(list.begin(), list.end());
+    auto& mins = suffix_min[k];
+    mins.resize(list.size());
+    auto running = ~std::uint64_t{0};
+    for (std::size_t j = list.size(); j-- > 0;) {
+      running = std::min(running, list[j].second);
+      mins[j] = running;
+    }
+  }
+  for (const auto& r : req) {
+    const auto k = r.from_bank * banks + r.to_bank;
+    const auto& list = stored[k];
+    const auto it = std::lower_bound(
+        list.begin(), list.end(),
+        std::make_pair(key(r.from_pos, r.from_phase), std::uint64_t{0}));
+    const auto j = static_cast<std::size_t>(it - list.begin());
+    if (j >= list.size() || suffix_min[k][j] > key(r.to_pos, r.to_phase)) {
+      return "missing synchronization: bank " + std::to_string(r.to_bank) +
+             "'s instruction " + std::to_string(r.to_pos + 1) +
+             " reads across banks but no sync token orders it after bank " +
+             std::to_string(r.from_bank) + "'s instruction " +
+             std::to_string(r.from_pos + 1);
+    }
+  }
+  return {};
 }
 
+}  // namespace
+
 void derive_sync(ParallelProgram& program) {
-  const auto fs = flatten(program);
-  auto req = required_edges(program, fs);
+  auto req = required_edges(program, StreamView(program));
 
   // Pareto frontier per ordered bank pair: a requirement is implied by
   // one that signals at a later-or-equal position and waits at an
@@ -275,409 +305,128 @@ void derive_sync(ParallelProgram& program) {
 }
 
 std::string check_sync(const ParallelProgram& program) {
-  const auto fs = flatten(program);
-  const auto& sync = program.sync_edges();
-  const auto token = [](std::size_t i) {
-    return "sync token t" + std::to_string(i + 1);
-  };
-  for (std::size_t i = 0; i < sync.size(); ++i) {
-    const auto& e = sync[i];
-    if (e.from_bank >= fs.banks || e.to_bank >= fs.banks) {
-      return token(i) + ": no such bank";
-    }
-    if (e.from_bank == e.to_bank) {
-      return token(i) + ": connects bank " + std::to_string(e.from_bank) +
-             " to itself";
-    }
-    if (e.from_pos >= fs.len(e.from_bank)) {
-      return token(i) + ": signal position " + std::to_string(e.from_pos + 1) +
-             " beyond bank " + std::to_string(e.from_bank) + "'s stream";
-    }
-    if (e.to_pos >= fs.len(e.to_bank)) {
-      return token(i) + ": wait position " + std::to_string(e.to_pos + 1) +
-             " beyond bank " + std::to_string(e.to_bank) + "'s stream";
-    }
-    if (e.from_phase >= kPhases) {
-      return token(i) + ": signal phase " + std::to_string(e.from_phase) +
-             " beyond the " + std::to_string(kPhases) +
-             "-phase instruction cycle";
-    }
-    if (e.to_phase >= kPhases) {
-      return token(i) + ": wait phase " + std::to_string(e.to_phase) +
-             " beyond the " + std::to_string(kPhases) +
-             "-phase instruction cycle";
-    }
-  }
-
-  // Deadlock-freedom: per-bank stream order plus the tokens must be
-  // acyclic, or the waiting controllers hang forever. (This ordering
-  // graph must stay edge-for-edge consistent with the constraint graph
-  // decoupled_timing() builds — the timing run is what a cycle would
-  // actually hang.)
-  {
-    std::vector<std::uint32_t> indeg(fs.total, 0);
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;  // from → to
-    edges.reserve(fs.total + sync.size());
-    for (std::uint32_t b = 0; b < fs.banks; ++b) {
-      for (std::uint32_t pos = 1; pos < fs.len(b); ++pos) {
-        edges.emplace_back(fs.id(b, pos - 1), fs.id(b, pos));
-      }
-    }
-    for (const auto& e : sync) {
-      edges.emplace_back(fs.id(e.from_bank, e.from_pos),
-                         fs.id(e.to_bank, e.to_pos));
-    }
-    std::vector<std::uint32_t> succ_off(fs.total + 1, 0);
-    for (const auto& [from, to] : edges) {
-      ++succ_off[from + 1];
-      ++indeg[to];
-    }
-    for (std::uint32_t i = 0; i < fs.total; ++i) {
-      succ_off[i + 1] += succ_off[i];
-    }
-    std::vector<std::uint32_t> succ(edges.size());
-    {
-      auto cursor = succ_off;
-      for (const auto& [from, to] : edges) {
-        succ[cursor[from]++] = to;
-      }
-    }
-    std::vector<std::uint32_t> queue;
-    queue.reserve(fs.total);
-    for (std::uint32_t i = 0; i < fs.total; ++i) {
-      if (indeg[i] == 0) {
-        queue.push_back(i);
-      }
-    }
-    std::size_t head = 0;
-    while (head < queue.size()) {
-      const auto i = queue[head++];
-      for (auto k = succ_off[i]; k < succ_off[i + 1]; ++k) {
-        if (--indeg[succ[k]] == 0) {
-          queue.push_back(succ[k]);
-        }
-      }
-    }
-    if (queue.size() != fs.total) {
-      return "synchronization deadlock: bank streams and sync tokens form a "
-             "cycle";
-    }
-  }
-
-  // Coverage: every cross-bank hazard must be implied by a token between
-  // the same bank pair that signals no earlier and waits no later. With
-  // phase-level endpoints the comparison is lexicographic: a token at a
-  // strictly later signal position (or strictly earlier wait position)
-  // covers any phase — the stream's phases − 1 issue cadence dominates a
-  // single instruction's phase offsets — while a position tie requires
-  // the token's signal phase to be ≥ (wait phase ≤) the hazard's.
-  const auto req = required_edges(program, fs);
-  if (req.empty()) {
-    return {};
-  }
-  // Per ordered pair: stored ((from_pos, from_phase), (to_pos, to_phase))
-  // keys sorted by the signal key with a suffix minimum over the wait
-  // key, so each query is one binary search. Phases are < kPhases (
-  // checked above), so packing them into the low bits keeps the packed
-  // order lexicographic.
-  const auto signal_key = [](std::uint32_t pos, std::uint32_t phase) {
-    return (std::uint64_t{pos} << 8) | phase;
-  };
-  const auto wait_key = signal_key;
-  std::vector<std::vector<std::pair<std::uint64_t, std::uint64_t>>> stored(
-      std::size_t{fs.banks} * fs.banks);
-  for (const auto& e : sync) {
-    stored[std::size_t{e.from_bank} * fs.banks + e.to_bank].emplace_back(
-        signal_key(e.from_pos, e.from_phase), wait_key(e.to_pos, e.to_phase));
-  }
-  std::vector<std::vector<std::uint64_t>> suffix_min(stored.size());
-  for (std::size_t k = 0; k < stored.size(); ++k) {
-    auto& list = stored[k];
-    std::sort(list.begin(), list.end());
-    auto& mins = suffix_min[k];
-    mins.resize(list.size());
-    auto running = ~std::uint64_t{0};
-    for (std::size_t j = list.size(); j-- > 0;) {
-      running = std::min(running, list[j].second);
-      mins[j] = running;
-    }
-  }
-  for (const auto& r : req) {
-    const auto k = std::size_t{r.from_bank} * fs.banks + r.to_bank;
-    const auto& list = stored[k];
-    const auto it = std::lower_bound(
-        list.begin(), list.end(),
-        std::make_pair(signal_key(r.from_pos, r.from_phase), std::uint64_t{0}));
-    const auto j = static_cast<std::size_t>(it - list.begin());
-    if (j >= list.size() || suffix_min[k][j] > wait_key(r.to_pos, r.to_phase)) {
-      return "missing synchronization: bank " + std::to_string(r.to_bank) +
-             "'s instruction " + std::to_string(r.to_pos + 1) +
-             " reads across banks but no sync token orders it after bank " +
-             std::to_string(r.from_bank) + "'s instruction " +
-             std::to_string(r.from_pos + 1);
-    }
-  }
-  return {};
+  return check_tokens(program, StreamView(program));
 }
 
-DecoupledTiming decoupled_timing(const ParallelProgram& program,
-                                 std::uint32_t bus_width,
-                                 std::uint64_t phases_per_instruction) {
-  const auto fs = flatten(program);
-  const auto phases = phases_per_instruction;
+DecoupledTiming decoupled_timing(const ParallelProgram& program) {
+  constexpr auto kPhases = IssueClock::kPhases;
+  const StreamView view(program);
+  const auto n = view.size();
   DecoupledTiming t;
-  t.bank_busy_cycles.assign(fs.banks, 0);
-  t.bank_idle_cycles.assign(fs.banks, 0);
-  t.bank_finish_cycles.assign(fs.banks, 0);
-  if (fs.total == 0) {
+  t.bank_busy_cycles.assign(view.banks, 0);
+  t.bank_idle_cycles.assign(view.banks, 0);
+  t.bank_finish_cycles.assign(view.banks, 0);
+  if (n == 0) {
     return t;
   }
 
-  std::vector<bool> uses_bus(fs.total, false);
-  bool any_remote = false;
-  for (std::uint32_t gid = 0; gid < fs.total; ++gid) {
-    uses_bus[gid] = reads_remote(program, fs.slot[gid]);
-    any_remote = any_remote || uses_bus[gid];
-  }
-  if (any_remote) {
-    if (!program.has_sync()) {
+  const auto& sync = program.sync_edges();
+  const auto bus_ops = static_cast<std::uint64_t>(
+      std::count(view.remote.begin(), view.remote.end(), true));
+  if (sync.empty()) {
+    if (bus_ops > 0) {
       throw std::logic_error(
           "decoupled execution: program has cross-bank reads but no sync "
           "tokens; run sched::derive_sync first");
     }
+  } else if (const auto err = check_tokens(program, view); !err.empty()) {
     // Runtime parity with the lockstep machine's inline conflict checks:
     // a token set that misses a hazard would make the execution racy
-    // (the functional simulator follows these start times), so the full
-    // structural + deadlock + coverage check gates every timing run.
-    if (const auto err = check_sync(program); !err.empty()) {
-      throw std::logic_error("decoupled execution: " + err);
-    }
+    // (the functional simulator follows these start times), and one
+    // that does not point forward would break the sweep below.
+    throw std::logic_error("decoupled execution: " + err);
   }
 
-  // Constraint edges, each with the cycle latency from the
-  // predecessor's *start* to the earliest successor start:
-  //  - stream order: a bank controller prefetches the next instruction
-  //    of its own stream during the current write phase, so back-to-back
-  //    ops issue every phases − 1 cycles (the next read-A phase lands
-  //    exactly when the previous write commits — array-port-limited,
-  //    RM3-hazard-free). The lockstep machine cannot pipeline this:
-  //    fetch there follows the global step commit.
-  //  - sync tokens: phase-level — the consumer phase `to_phase` begins
-  //    no earlier than the cycle after producer phase `from_phase`
-  //    completes, i.e. a start-to-start latency of from_phase + 1 −
-  //    to_phase cycles. The default full-retirement handshake
-  //    (from_phase = phases − 1, to_phase = 0) degenerates to the full
-  //    `phases`; a RAW token that stalls only the consumer's read phase
-  //    costs 1–2 cycles less. Clamped at 0 so a waiting instruction
-  //    never launches before the one it waits on (the in-order
-  //    handshake the functional execution order below relies on).
-  //  - bus order (latency 0): the in-order arbiter grants bus slots in
-  //    program (step) order, so a later copy never starts before an
-  //    earlier one — the FIFO bus queue that keeps decoupled makespan
-  //    within the lockstep bound (phase-level latencies are only ever
-  //    tighter than the full-phase ones the bound was proved for).
-  const auto stream_latency = phases > 1 ? phases - 1 : phases;
-  enum class EdgeKind : std::uint8_t { stream, sync, bus };
-  struct Edge {
-    std::uint32_t from;
-    std::uint32_t to;
-    std::uint64_t latency;
-    EdgeKind kind;
-  };
-  std::vector<Edge> edges;
-  edges.reserve(fs.total + program.sync_edges().size());
-  for (std::uint32_t b = 0; b < fs.banks; ++b) {
-    for (std::uint32_t pos = 1; pos < fs.len(b); ++pos) {
-      edges.push_back({fs.id(b, pos - 1), fs.id(b, pos), stream_latency,
-                       EdgeKind::stream});
-    }
+  // Tokens in the order the sweep reaches their waits.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> waits;  // (op, token)
+  waits.reserve(sync.size());
+  for (std::uint32_t k = 0; k < sync.size(); ++k) {
+    waits.emplace_back(view.id(sync[k].to_bank, sync[k].to_pos), k);
   }
-  const auto max_phase = phases > 0 ? phases - 1 : 0;
-  for (const auto& e : program.sync_edges()) {
-    if (e.from_bank < fs.banks && e.to_bank < fs.banks &&
-        e.from_pos < fs.len(e.from_bank) && e.to_pos < fs.len(e.to_bank)) {
-      const auto fp = std::min<std::uint64_t>(e.from_phase, max_phase);
-      const auto tp = std::min<std::uint64_t>(e.to_phase, max_phase);
-      const auto latency = fp + 1 > tp ? fp + 1 - tp : 0;
-      edges.push_back({fs.id(e.from_bank, e.from_pos),
-                       fs.id(e.to_bank, e.to_pos), latency, EdgeKind::sync});
-    }
-  }
-  if (bus_width > 0) {
-    // Bus ops in (step, bank) program order — the arbiter's grant order.
-    std::vector<std::uint32_t> bus_order;
-    std::vector<std::uint32_t> cursor(fs.banks, 0);
-    for (std::uint32_t s = 0; s < program.num_steps(); ++s) {
-      for (const auto& slot : program.step(s)) {
-        if (slot.bank >= fs.banks) {
-          continue;
-        }
-        const auto gid = fs.id(slot.bank, cursor[slot.bank]++);
-        if (uses_bus[gid]) {
-          bus_order.push_back(gid);
-        }
-      }
-    }
-    for (std::size_t i = 1; i < bus_order.size(); ++i) {
-      edges.push_back({bus_order[i - 1], bus_order[i], 0, EdgeKind::bus});
-    }
-  }
+  std::sort(waits.begin(), waits.end());
 
-  std::vector<std::uint32_t> indeg(fs.total, 0);
-  std::vector<std::uint32_t> succ_off(fs.total + 1, 0);
-  for (const auto& e : edges) {
-    ++succ_off[e.from + 1];
-    ++indeg[e.to];
-  }
-  for (std::uint32_t i = 0; i < fs.total; ++i) {
-    succ_off[i + 1] += succ_off[i];
-  }
-  struct Succ {
-    std::uint32_t to;
-    std::uint64_t latency;
-    EdgeKind kind;
-  };
-  std::vector<Succ> succ(edges.size());
-  {
-    auto cursor = succ_off;
-    for (const auto& e : edges) {
-      succ[cursor[e.from]++] = {e.to, e.latency, e.kind};
-    }
-  }
-
-  // Kahn over the constraint graph, accumulating dependency-ready times
-  // and bus-floor times (arbiter order) separately so arbiter delay is
-  // attributed as bus stall, not dependence. Bus-order chain edges make
-  // every bus op finalize after its predecessor in grant order, so the
-  // server heap is consumed in program order.
-  std::vector<std::uint64_t> dep_ready(fs.total, 0);
-  std::vector<std::uint64_t> bus_floor(fs.total, 0);
-  std::vector<std::uint64_t> start(fs.total, 0);
-  // Contention-relaxed twin of the traversal: the same event graph
-  // (stream, sync, and the arbiter's in-order grant chain) without the
-  // width-limited server pool. Its critical path can only be shorter,
-  // so the resulting span is an honest makespan lower bound.
-  std::vector<std::uint64_t> dep_ready_lb(fs.total, 0);
-  std::vector<std::uint64_t> bus_floor_lb(fs.total, 0);
+  // Program order is topological for streams (step order), tokens
+  // (forward) and the arbiter (its grant order), so one sweep times
+  // every op. The relaxed clock is the contention-free twin: it keeps
+  // the bounded bus's in-order grants but drops its server pool, so its
+  // span is an honest makespan lower bound.
+  const auto width = program.bus_width();
+  IssueClock clock(view.banks, width, width > 0);
+  IssueClock relaxed(view.banks, 0, width > 0);
+  std::vector<std::uint64_t> start(n);
+  std::vector<std::uint64_t> start_lb(n);
+  std::vector<std::uint64_t> stream_ready(n);
+  std::vector<std::uint64_t> dep_ready(n);
   std::uint64_t lb_span = 0;
-  // Earliest issue implied by the bank's own pipelined stream alone; any
-  // dependency readiness beyond it came through sync tokens, which is
-  // how the per-op wait splits into sync_wait vs bus_wait below.
-  std::vector<std::uint64_t> stream_ready(fs.total, 0);
-  std::priority_queue<std::uint64_t, std::vector<std::uint64_t>,
-                      std::greater<>>
-      servers;
-  for (std::uint32_t k = 0; k < bus_width; ++k) {
-    servers.push(0);
-  }
-  std::vector<std::uint32_t> queue;
-  queue.reserve(fs.total);
-  for (std::uint32_t i = 0; i < fs.total; ++i) {
-    if (indeg[i] == 0) {
-      queue.push_back(i);
+  auto w = waits.begin();
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const auto b = view.slot[i].bank;
+    auto ready = clock.bank_ready(b);
+    auto ready_lb = relaxed.bank_ready(b);
+    stream_ready[i] = ready;
+    for (; w != waits.end() && w->first == i; ++w) {
+      const auto& e = sync[w->second];
+      const auto from = view.id(e.from_bank, e.from_pos);
+      const auto latency = IssueClock::token_latency(e.from_phase, e.to_phase);
+      ready = std::max(ready, start[from] + latency);
+      ready_lb = std::max(ready_lb, start_lb[from] + latency);
     }
-  }
-  std::size_t head = 0;
-  while (head < queue.size()) {
-    const auto i = queue[head++];
-    const auto ready = dep_ready[i];
-    auto s = std::max(ready, bus_floor[i]);
-    if (bus_width > 0 && uses_bus[i]) {
-      const auto server = servers.top();
-      servers.pop();
-      s = std::max(s, server);
-      servers.push(s + phases);
-      t.bus_stall_cycles += s - ready;  // arbiter order + server wait
-    }
-    start[i] = s;
-    const auto finish = s + phases;
-    const auto s_lb = std::max(dep_ready_lb[i], bus_floor_lb[i]);
-    lb_span = std::max(lb_span, s_lb + phases);
-    const auto b = fs.bank_of[i];
-    t.bank_finish_cycles[b] = std::max(t.bank_finish_cycles[b], finish);
-    for (auto k = succ_off[i]; k < succ_off[i + 1]; ++k) {
-      const auto [j, latency, kind] = succ[k];
-      if (kind == EdgeKind::bus) {
-        bus_floor[j] = std::max(bus_floor[j], s);
-        bus_floor_lb[j] = std::max(bus_floor_lb[j], s_lb);
-      } else {
-        dep_ready[j] = std::max(dep_ready[j], s + latency);
-        dep_ready_lb[j] = std::max(dep_ready_lb[j], s_lb + latency);
-        if (kind == EdgeKind::stream) {
-          stream_ready[j] = std::max(stream_ready[j], s + latency);
-        }
-      }
-      if (--indeg[j] == 0) {
-        queue.push_back(j);
-      }
-    }
-  }
-  if (queue.size() != fs.total) {
-    throw std::logic_error(
-        "decoupled execution deadlocked: bank streams and sync tokens form "
-        "a cycle");
+    dep_ready[i] = ready;
+    start[i] = clock.issue(b, ready, view.remote[i]);
+    start_lb[i] = relaxed.issue(b, ready_lb, view.remote[i]);
+    t.bus_stall_cycles += start[i] - ready;
+    lb_span = std::max(lb_span, start_lb[i] + kPhases);
+    t.bank_finish_cycles[b] =
+        std::max(t.bank_finish_cycles[b], start[i] + kPhases);
   }
 
-  for (std::uint32_t b = 0; b < fs.banks; ++b) {
+  for (std::uint32_t b = 0; b < view.banks; ++b) {
     // Busy = the dense pipelined span of the bank's own stream (its
     // controller halts after the last op, it does not tick until the
     // global makespan); idle = the wait cycles actually burned between
     // issue opportunities.
-    t.bank_busy_cycles[b] =
-        fs.len(b) > 0
-            ? std::uint64_t{fs.len(b) - 1} * stream_latency + phases
-            : 0;
+    t.bank_busy_cycles[b] = IssueClock::stream_span(view.len(b));
     t.bank_idle_cycles[b] = t.bank_finish_cycles[b] - t.bank_busy_cycles[b];
     t.makespan_cycles = std::max(t.makespan_cycles, t.bank_finish_cycles[b]);
   }
 
   // Aggregate bus-throughput floor: every bus op occupies one of the
-  // `bus_width` servers for `phases` cycles, all inside the makespan.
+  // `width` servers for `phases` cycles, all inside the makespan.
   t.makespan_lower_bound = lb_span;
-  if (bus_width > 0) {
-    std::uint64_t bus_ops = 0;
-    for (std::uint32_t i = 0; i < fs.total; ++i) {
-      bus_ops += uses_bus[i] ? 1 : 0;
-    }
-    t.makespan_lower_bound = std::max(
-        t.makespan_lower_bound, (bus_ops * phases + bus_width - 1) / bus_width);
+  if (width > 0) {
+    t.makespan_lower_bound = std::max(t.makespan_lower_bound,
+                                      (bus_ops * kPhases + width - 1) / width);
   }
 
-  // Functional execution order: (start, step, bank). Every data hazard
-  // is respected: a hazard's producer and consumer sit in different
-  // lockstep steps (same-step read/write is a validation error), its
-  // covering token forces consumer start ≥ producer start (clamped
-  // non-negative latencies; a token at a later signal position adds the
-  // stream cadence on top), and a start-time tie resolves
-  // producer-first via the step key. That is what lets a phase-level
-  // consumer *launch* before its producer retires while the simulator
-  // still applies whole ops in a hazard-respecting order.
-  std::vector<std::uint32_t> order(fs.total);
-  for (std::uint32_t i = 0; i < fs.total; ++i) {
+  // Functional execution order: start time, ties producer-first in
+  // program order. Every data hazard is respected: a hazard's producer
+  // and consumer sit in different lockstep steps (same-step read/write
+  // is a validation error), and its covering token forces consumer
+  // start ≥ producer start (clamped non-negative latencies; a token at
+  // a later signal position adds the stream cadence on top). That is
+  // what lets a phase-level consumer *launch* before its producer
+  // retires while the simulator still applies whole ops in a
+  // hazard-respecting order.
+  std::vector<std::uint32_t> order(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
     order[i] = i;
   }
-  std::sort(order.begin(), order.end(), [&](std::uint32_t x, std::uint32_t y) {
-    if (start[x] != start[y]) {
-      return start[x] < start[y];
-    }
-    if (fs.step_of[x] != fs.step_of[y]) {
-      return fs.step_of[x] < fs.step_of[y];
-    }
-    return fs.bank_of[x] < fs.bank_of[y];
-  });
-  t.order.reserve(fs.total);
-  t.start_cycles.reserve(fs.total);
-  t.sync_wait_cycles.reserve(fs.total);
-  t.bus_wait_cycles.reserve(fs.total);
-  for (const auto gid : order) {
-    const auto b = fs.bank_of[gid];
-    t.order.emplace_back(b, gid - fs.off[b]);
-    t.start_cycles.push_back(start[gid]);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::uint32_t x, std::uint32_t y) {
+                     return start[x] < start[y];
+                   });
+  t.order.reserve(n);
+  t.start_cycles.reserve(n);
+  t.sync_wait_cycles.reserve(n);
+  t.bus_wait_cycles.reserve(n);
+  for (const auto i : order) {
+    t.order.emplace_back(view.slot[i].bank, view.pos[i]);
+    t.start_cycles.push_back(start[i]);
     // The wait before issue splits at dep_ready: up to there the op was
     // held by sync tokens (readiness beyond its own stream's pipelining),
     // past there by the bus (arbiter order + server contention).
-    t.sync_wait_cycles.push_back(dep_ready[gid] - stream_ready[gid]);
-    t.bus_wait_cycles.push_back(start[gid] - dep_ready[gid]);
+    t.sync_wait_cycles.push_back(dep_ready[i] - stream_ready[i]);
+    t.bus_wait_cycles.push_back(start[i] - dep_ready[i]);
   }
   return t;
 }

@@ -5,19 +5,19 @@
 #include <utility>
 #include <vector>
 
-#include "arch/machine.hpp"
+#include "sched/decoupled.hpp"
 
 namespace plim::sched {
 
 namespace {
 
-/// Dense pipelined span of a serial stream of `n` ops (a decoupled bank
-/// controller issues every phases − 1 cycles, the last op retires after
-/// the full phases): the unit the makespan model prices loads in.
-std::uint64_t stream_span(std::uint64_t n) {
-  constexpr std::uint64_t phases = arch::Machine::phases_per_instruction;
-  return n > 0 ? (n - 1) * (phases - 1) + phases : 0;
+/// The pipelined span the makespan model rides on: the critical chain's
+/// or the busiest bank's, whichever is longer.
+std::uint64_t span_bound(std::uint64_t chain, std::uint64_t peak) {
+  return std::max(IssueClock::stream_span(chain),
+                  IssueClock::stream_span(peak));
 }
+
 }  // namespace
 
 IncrementalEval::IncrementalEval(const DependenceGraph& graph,
@@ -70,8 +70,7 @@ void IncrementalEval::anchor(const std::vector<std::uint32_t>& seg_bank,
   overhead_mk_ =
       makespan_modeled_
           ? static_cast<std::int64_t>(exact.makespan) -
-                static_cast<std::int64_t>(
-                    std::max(stream_span(chain_), stream_span(peak)))
+                static_cast<std::int64_t>(span_bound(chain_, peak))
           : 0;
 }
 
@@ -182,9 +181,7 @@ IncrementalEval::Estimate IncrementalEval::estimate(
                               std::max<std::uint64_t>(chain_, peak));
   if (makespan_modeled_) {
     const auto span =
-        static_cast<std::int64_t>(
-            std::max(stream_span(chain_), stream_span(peak))) +
-        overhead_mk_;
+        static_cast<std::int64_t>(span_bound(chain_, peak)) + overhead_mk_;
     est.makespan = static_cast<std::uint64_t>(std::max<std::int64_t>(span, 0));
   }
   const auto xfer = static_cast<std::int64_t>(transfers_) + transfer_delta;

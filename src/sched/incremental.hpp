@@ -37,7 +37,7 @@ class IncrementalEval {
     std::uint32_t transfers = 0;
     /// Projected decoupled makespan (cycles): the anchor's event-driven
     /// overhead on top of max(chain span, busiest pipelined stream
-    /// span), where span(n) = (n − 1)·(phases − 1) + phases. 0 unless
+    /// span), spans priced by IssueClock::stream_span. 0 unless
     /// the anchor evaluation carried a makespan (makespan objective).
     std::uint64_t makespan = 0;
   };

@@ -105,33 +105,23 @@ std::uint32_t ParallelProgram::bank_of_cell(std::uint32_t cell) const noexcept {
   return num_banks_;
 }
 
-std::uint32_t ParallelProgram::step_bus_ops(std::uint32_t s) const {
-  std::uint32_t n = 0;
-  for (const auto& slot : steps_[s]) {
-    if (slot.bank >= bank_ranges_.size()) {
-      continue;  // malformed slot; validate() reports it separately
-    }
-    const auto [begin, end] = bank_ranges_[slot.bank];
-    for (const auto op : {slot.instr.a, slot.instr.b}) {
-      if (op.is_rram() && (op.address() < begin || op.address() >= end)) {
-        ++n;
-        break;
-      }
+bool ParallelProgram::reads_remote(const Slot& slot) const noexcept {
+  if (slot.bank >= bank_ranges_.size()) {
+    return false;  // malformed slot; validate() reports it separately
+  }
+  const auto [begin, end] = bank_ranges_[slot.bank];
+  for (const auto op : {slot.instr.a, slot.instr.b}) {
+    if (op.is_rram() && (op.address() < begin || op.address() >= end)) {
+      return true;
     }
   }
-  return n;
+  return false;
 }
 
-std::vector<std::uint32_t> ParallelProgram::bank_stream_lengths() const {
-  std::vector<std::uint32_t> len(num_banks_, 0);
-  for (const auto& step : steps_) {
-    for (const auto& slot : step) {
-      if (slot.bank < num_banks_) {
-        ++len[slot.bank];
-      }
-    }
-  }
-  return len;
+std::uint32_t ParallelProgram::step_bus_ops(std::uint32_t s) const {
+  return static_cast<std::uint32_t>(
+      std::count_if(steps_[s].begin(), steps_[s].end(),
+                    [this](const Slot& slot) { return reads_remote(slot); }));
 }
 
 std::uint32_t ParallelProgram::num_instructions() const noexcept {
@@ -241,9 +231,9 @@ std::string ParallelProgram::validate() const {
     }
   }
 
-  // Sync tokens (when present): structural sanity, deadlock-freedom and
-  // hazard coverage — a token set that misses a cross-bank ordering would
-  // make decoupled execution racy, a cyclic one would hang it.
+  // Sync tokens (when present): structural sanity, forward step order
+  // and hazard coverage — a token set that misses a cross-bank ordering
+  // would make decoupled execution racy, a backward one could hang it.
   if (has_sync()) {
     if (const auto err = check_sync(*this); !err.empty()) {
       return err;

@@ -32,7 +32,8 @@ struct Slot {
 /// `to_pos`-th stream instruction begins. Positions index a bank's
 /// serial instruction stream — its slots in step order, 0-based (the
 /// per-bank projection of the lockstep step view, see
-/// sched/decoupled.hpp). Phases index the RM3 instruction cycle,
+/// sched::StreamView). Tokens point forward: the wait sits in a strictly
+/// later step than the signal. Phases index the RM3 instruction cycle,
 /// 0-based: 0 fetch, 1 read A, 2 read B, 3 write
 /// (arch::Machine::phases_per_instruction). The timing contract is
 ///
@@ -64,7 +65,7 @@ struct SyncEdge {
 /// How a multi-bank program executes and is priced:
 ///  - lockstep: one global controller steps every bank together; a step
 ///    costs phases_per_instruction cycles whether or not a bank is busy,
-///    so cycles = steps × phases (+ machine-side bus stalls).
+///    so cycles = steps × phases.
 ///  - decoupled: every bank's controller runs its own serial stream and
 ///    blocks only on explicit sync tokens and the shared inter-bank bus;
 ///    makespan = max over banks of its own cycle count.
@@ -144,8 +145,11 @@ class ParallelProgram {
   /// Declared inter-bank bus bandwidth (0 = unbounded).
   [[nodiscard]] std::uint32_t bus_width() const noexcept { return bus_width_; }
 
-  /// Cross-bank copies a step issues: slots reading at least one RRAM
-  /// cell outside their own bank's range (the bus traffic of the step).
+  /// Whether `slot` reads an RRAM cell outside its own bank's range: a
+  /// cross-bank copy, which occupies the inter-bank bus.
+  [[nodiscard]] bool reads_remote(const Slot& slot) const noexcept;
+
+  /// Cross-bank copies a step issues (the bus traffic of the step).
   [[nodiscard]] std::uint32_t step_bus_ops(std::uint32_t s) const;
 
   /// Explicit cross-bank sync tokens (empty on a purely lockstep
@@ -154,10 +158,6 @@ class ParallelProgram {
     return sync_;
   }
   [[nodiscard]] bool has_sync() const noexcept { return !sync_.empty(); }
-
-  /// Instructions each bank executes — the stream lengths of the
-  /// per-bank decoupled projection.
-  [[nodiscard]] std::vector<std::uint32_t> bank_stream_lengths() const;
 
   [[nodiscard]] std::uint32_t num_instructions() const noexcept;
   [[nodiscard]] std::uint32_t num_transfer_instructions() const noexcept;
@@ -185,12 +185,12 @@ class ParallelProgram {
   /// another slot of the same step writes; no step issues more cross-bank
   /// copies than the declared bus width; outputs and operands are in
   /// bounds. When sync tokens are present, they must additionally connect
-  /// two distinct existing banks at in-range stream positions, be
-  /// deadlock-free (stream order + tokens form no cycle), and *cover*
-  /// every cross-bank hazard — each remote read must be ordered after the
-  /// producing write and before the cell's next overwrite (see
-  /// sched::check_sync). Returns an empty string when valid, otherwise a
-  /// description of the first violation.
+  /// two distinct existing banks at in-range stream positions, point
+  /// forward (each wait in a strictly later step than its signal, which
+  /// rules out deadlock), and *cover* every cross-bank hazard — each
+  /// remote read must be ordered after the producing write and before the
+  /// cell's next overwrite (see sched::check_sync). Returns an empty
+  /// string when valid, otherwise a description of the first violation.
   [[nodiscard]] std::string validate() const;
 
  private:
@@ -247,10 +247,10 @@ struct ScheduleStats {
   std::uint64_t decoupled_cycles = 0;
   std::uint64_t decoupled_bus_stall_cycles = 0;  ///< arbiter wait cycles
   double decoupled_speedup = 0.0;  ///< lockstep_cycles / decoupled_cycles
-  /// Honest lower bound on the decoupled makespan: the critical path
-  /// through the event graph (stream pipelining + phase-level sync +
-  /// the arbiter's in-order grant chain, contention relaxed) maxed with
-  /// the aggregate bus-throughput floor ⌈bus ops × phases / width⌉.
+  /// Honest lower bound on the decoupled makespan: the timing sweep with
+  /// bus contention relaxed (stream pipelining + phase-level sync + the
+  /// bounded bus's in-order grant chain) maxed with the aggregate
+  /// bus-throughput floor ⌈bus ops × phases / width⌉.
   /// makespan_lower_bound ≤ decoupled_cycles always holds; the gap is
   /// what bus contention and stream ordering still cost.
   std::uint64_t makespan_lower_bound = 0;

@@ -738,71 +738,46 @@ void list_schedule(const Expansion& ex, std::uint32_t banks,
 }
 
 /// Projected decoupled makespan of a packed virtual schedule, before
-/// emission: the same event model decoupled_timing charges — per-bank
-/// pipelined streams (issue cadence phases − 1), phase-accurate
-/// cross-bank RAW latencies (read-A waits 3 cycles behind the
-/// producer's start, read-B 2), and the in-order bounded bus — run over
-/// the virtual program directly. The virtual program is SSA (no WAR/WAW
-/// from cell reuse) and ignores the physical allocator's slack-guarded
-/// recycling WARs, so this is an optimistic projection, but it moves
-/// with exactly the quantities refinement moves (chain shape, bank
-/// loads, transfer placement) — the right objective surrogate.
+/// emission: the IssueClock decoupled_timing runs on, swept over the
+/// virtual program directly, with phase-accurate cross-bank RAW
+/// latencies. Unlike the timer it grants copies in order on an
+/// unbounded bus too: refinement's trajectory, and so the emitted
+/// program, depends on that on adder and sqrt at 8 banks. The virtual
+/// program is SSA (no WAR/WAW from cell reuse) and ignores the physical
+/// allocator's slack-guarded recycling WARs, so this is an optimistic
+/// projection, but it moves with exactly the quantities refinement
+/// moves (chain shape, bank loads, transfer placement) — the right
+/// objective surrogate.
 std::uint64_t projected_makespan(const Expansion& ex, const ListSchedule& ls,
                                  std::uint32_t banks, std::uint32_t bus_width,
                                  ListScratch& scratch) {
-  constexpr std::uint64_t phases = arch::Machine::phases_per_instruction;
   const auto& virt = ex.virt;
-  const auto vn = static_cast<std::uint32_t>(virt.size());
-  if (vn == 0) {
-    return 0;
-  }
   auto& start = scratch.start;
-  start.assign(vn, 0);
-  std::vector<std::uint64_t> bank_free(banks, 0);
-  std::vector<bool> bank_issued(banks, false);
-  std::priority_queue<std::uint64_t, std::vector<std::uint64_t>,
-                      std::greater<>>
-      servers;
-  for (std::uint32_t k = 0; k < bus_width; ++k) {
-    servers.push(0);
-  }
-  std::uint64_t last_bus_start = 0;
+  start.assign(virt.size(), 0);
+  IssueClock clock(banks, bus_width, /*in_order=*/true);
   std::uint64_t makespan = 0;
   // (step, bank) program order — topological (deps sit at earlier
   // steps) and the bus arbiter's grant order.
   for (const auto i : ls.step_instrs) {
     const auto& v = virt[i];
-    auto s = bank_issued[v.bank] ? bank_free[v.bank] : 0;
+    std::uint64_t ready = 0;
     for (const auto p : ex.deps_of(i)) {
       if (virt[p].bank == v.bank) {
         continue;  // same-bank deps ride the stream cadence
       }
-      // Which operand reads the dep decides the stalled phase: read A
-      // (phase 1) waits kWritePhase + 1 − 1 = 3 cycles behind the
-      // producer's start, read B 2. Deps not matching either operand
-      // (WAR-style chain edges) order starts without extra latency.
+      // Which operand reads the dep decides the stalled phase (read A or
+      // read B, behind the producer's write). Deps matching neither
+      // operand (WAR-style chain edges) order starts without latency.
       std::uint64_t latency = 0;
       if (v.a.is_rram() && v.a.address() == virt[p].z) {
-        latency = phases - 1;
+        latency = IssueClock::token_latency(IssueClock::kWritePhase, 1);
       } else if (v.b.is_rram() && v.b.address() == virt[p].z) {
-        latency = phases - 2;
+        latency = IssueClock::token_latency(IssueClock::kWritePhase, 2);
       }
-      s = std::max(s, start[p] + latency);
+      ready = std::max(ready, start[p] + latency);
     }
-    if (v.uses_bus) {
-      s = std::max(s, last_bus_start);  // in-order grant chain
-      if (bus_width > 0) {
-        const auto server = servers.top();
-        servers.pop();
-        s = std::max(s, server);
-        servers.push(s + phases);
-      }
-      last_bus_start = s;
-    }
-    start[i] = s;
-    bank_free[v.bank] = s + (phases - 1);
-    bank_issued[v.bank] = true;
-    makespan = std::max(makespan, s + phases);
+    start[i] = clock.issue(v.bank, ready, v.uses_bus);
+    makespan = std::max(makespan, start[i] + IssueClock::kPhases);
   }
   return makespan;
 }
@@ -1157,8 +1132,7 @@ ScheduleResult schedule(const arch::Program& serial,
   if (makespan_objective && banks > 1) {
     const util::ScopedPhase reorder_phase("sched.stream_order",
                                           &stream_order_ms);
-    reorder = reorder_streams(pp, opts.cost.bus_width,
-                              arch::Machine::phases_per_instruction);
+    reorder = reorder_streams(pp);
   }
   const auto final_steps = pp.num_steps();
 
@@ -1215,14 +1189,13 @@ ScheduleResult schedule(const arch::Program& serial,
   DecoupledTiming timing;
   {
     const util::ScopedPhase timing_phase("sched.timing", &timing_ms);
-    timing = decoupled_timing(pp, opts.cost.bus_width, phases);
+    timing = decoupled_timing(pp);
   }
   sync_ms += timing_ms;
   if (opts.execution == ExecutionModel::decoupled) {
     // The cycle-level per-bank timeline (no-op unless tracing is on).
     trace_decoupled_timeline(
-        pp, timing, phases,
-        opts.trace_label.empty() ? "schedule" : opts.trace_label);
+        pp, timing, opts.trace_label.empty() ? "schedule" : opts.trace_label);
   }
   stats.decoupled_cycles = timing.makespan_cycles;
   stats.decoupled_bus_stall_cycles = timing.bus_stall_cycles;

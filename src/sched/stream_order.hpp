@@ -20,23 +20,19 @@ struct StreamOrderResult {
 /// inheriting the lockstep step order. Bank assignment and cell
 /// allocation stay fixed; only the order ops issue within their bank
 /// changes. The pass list-schedules on the op-level hazard graph over
-/// physical cells (RAW/WAR/WAW per cell, phase-accurate cross-bank
-/// latencies) with the in-order bus arbiter modelled, prioritising by
-/// critical-path height, then repacks the new streams into lockstep
-/// steps (so the program stays a valid ParallelProgram — the lockstep
-/// view is the canonical storage) and re-derives sync tokens. The list
-/// scheduling costs O(n log n) in the program's n ops.
+/// physical cells (sched::cell_hazards: RAW/WAR/WAW per cell,
+/// phase-accurate latencies) on the decoupled IssueClock of the
+/// program's declared bus, prioritising by critical-path height, then
+/// repacks the new streams into lockstep steps (so the program stays a
+/// valid ParallelProgram — the lockstep view is the canonical storage)
+/// and re-derives sync tokens. The list scheduling costs O(n log n) in
+/// the program's n ops.
 ///
 /// The reordered program is adopted only when its decoupled makespan is
 /// strictly smaller and its lockstep step count did not grow — a guard
 /// that keeps the pass a pure improvement under both execution models.
 /// Returns what happened either way; `program` is unchanged when
-/// `applied` is false.
-///
-/// Expects a validated program; `bus_width` 0 means unbounded (matching
-/// decoupled_timing).
-StreamOrderResult reorder_streams(ParallelProgram& program,
-                                  std::uint32_t bus_width,
-                                  std::uint64_t phases_per_instruction);
+/// `applied` is false. Expects a validated program.
+StreamOrderResult reorder_streams(ParallelProgram& program);
 
 }  // namespace plim::sched

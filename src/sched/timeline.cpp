@@ -10,14 +10,13 @@ namespace plim::sched {
 
 std::uint32_t trace_decoupled_timeline(const ParallelProgram& program,
                                        const DecoupledTiming& timing,
-                                       std::uint64_t phases_per_instruction,
                                        const std::string& label) {
   auto& tracer = util::Tracer::global();
   if (!tracer.enabled() || timing.order.empty() ||
       timing.start_cycles.size() != timing.order.size()) {
     return 0;
   }
-  const auto phases = phases_per_instruction;
+  constexpr auto phases = IssueClock::kPhases;
   const auto banks = program.num_banks();
   const auto pid = tracer.reserve_pid();
   tracer.name_process(pid, "plim machine: " + label + " (cycles)");
@@ -89,7 +88,6 @@ std::uint32_t trace_decoupled_timeline(const ParallelProgram& program,
   // draw mid-instruction, full-instruction tokens from write commit to
   // fetch, the arrows that make cross-bank bus transfers legible.
   const auto& sync = program.sync_edges();
-  const auto max_phase = phases > 0 ? phases - 1 : 0;
   for (std::size_t i = 0; i < sync.size(); ++i) {
     const auto& e = sync[i];
     if (e.from_bank >= banks || e.to_bank >= banks ||
@@ -100,14 +98,11 @@ std::uint32_t trace_decoupled_timeline(const ParallelProgram& program,
     const auto id = (std::uint64_t{pid} << 32) | i;  // unique across timelines
     tracer.flow_start("sync", pid, e.from_bank,
                       static_cast<double>(start_of[e.from_bank][e.from_pos] +
-                                          std::min<std::uint64_t>(e.from_phase,
-                                                                  max_phase) +
-                                          1),
+                                          e.from_phase + 1),
                       id);
     tracer.flow_finish("sync", pid, e.to_bank,
                        static_cast<double>(start_of[e.to_bank][e.to_pos] +
-                                           std::min<std::uint64_t>(e.to_phase,
-                                                                   max_phase)),
+                                           e.to_phase),
                        id);
   }
   return pid;

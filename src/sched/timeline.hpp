@@ -8,7 +8,8 @@
 
 namespace plim::sched {
 
-/// Renders one decoupled execution as a cycle-accurate timeline in the
+/// Renders one decoupled execution (`timing` = decoupled_timing of
+/// `program`, whose tokens it checked) as a cycle-accurate timeline in the
 /// global tracer: a fresh trace process (pid) named after `label`, one
 /// track per bank, and on each track busy / wait-sync / wait-bus slices
 /// per op (timestamps are machine cycles, not wall-clock) plus a
@@ -19,7 +20,6 @@ namespace plim::sched {
 /// reserved pid (0 when disabled).
 std::uint32_t trace_decoupled_timeline(const ParallelProgram& program,
                                        const DecoupledTiming& timing,
-                                       std::uint64_t phases_per_instruction,
                                        const std::string& label);
 
 }  // namespace plim::sched

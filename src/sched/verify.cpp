@@ -17,8 +17,7 @@ bool equivalent_to_serial(const arch::Program& serial,
   // thereby sync-check) the program once instead of every round.
   std::optional<DecoupledTiming> timing;
   if (model == ExecutionModel::decoupled) {
-    timing = decoupled_timing(parallel, parallel.bus_width(),
-                              arch::Machine::phases_per_instruction);
+    timing = decoupled_timing(parallel);
   }
   for (unsigned round = 0; round < rounds; ++round) {
     std::vector<std::uint64_t> in(serial.num_inputs());

@@ -291,6 +291,7 @@ std::string stats_response(const std::string& id,
   json.field("requests", snapshot.requests);
   json.field("cache_hits", snapshot.cache_hits);
   json.field("cache_misses", snapshot.cache_misses);
+  json.field("cache_evictions", snapshot.cache_evictions);
   json.field("hit_rate", snapshot.hit_rate);
   json.field("p50_ms", snapshot.p50_ms);
   json.field("p99_ms", snapshot.p99_ms);

@@ -63,6 +63,7 @@ struct ServerSnapshot {
   std::uint64_t requests = 0;   ///< compile requests answered
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
+  std::uint64_t cache_evictions = 0;  ///< LRU entries dropped for space
   double hit_rate = 0.0;
   double p50_ms = 0.0;  ///< compile-request latency percentiles
   double p99_ms = 0.0;

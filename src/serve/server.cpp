@@ -29,6 +29,10 @@ constexpr std::size_t kLatencyWindow = 4096;
 /// or a file path, so a longer line is a misbehaving client; capping it
 /// bounds the daemon's memory per connection.
 constexpr std::size_t kMaxLineBytes = std::size_t{64} << 10;
+/// Most socket connections served at once. Each one holds a reader
+/// thread and its stack; a client past the cap gets one
+/// `too-many-connections` error line and is disconnected.
+constexpr std::size_t kMaxConnections = 64;
 
 double ms_since(std::chrono::steady_clock::time_point from,
                 std::chrono::steady_clock::time_point to) {
@@ -64,7 +68,10 @@ void Server::Connection::write_line(const std::string& line) {
   const char* data = framed.data();
   std::size_t left = framed.size();
   while (left > 0) {
-    const auto n = ::write(fd_out, data, left);
+    // A socket whose client already hung up must fail the send, not
+    // raise SIGPIPE and take the daemon down.
+    const auto n = owns_fds ? ::send(fd_out, data, left, MSG_NOSIGNAL)
+                            : ::write(fd_out, data, left);
     if (n < 0) {
       if (errno == EINTR) {
         continue;
@@ -126,6 +133,7 @@ ServerSnapshot Server::snapshot() const {
   const auto cache_stats = cache_.stats();
   s.cache_hits = cache_stats.hits;
   s.cache_misses = cache_stats.misses;
+  s.cache_evictions = cache_stats.evictions;
   s.hit_rate = cache_stats.hit_rate();
   s.cache_entries = cache_stats.entries;
   s.cache_bytes = cache_stats.bytes;
@@ -331,6 +339,15 @@ void Server::acceptor_loop(int listen_fd) {
       } else {
         ++it;
       }
+    }
+    if (conn_readers_.size() >= kMaxConnections) {
+      // The line fits a fresh socket's send buffer, so this never blocks;
+      // dropping `conn` closes the connection.
+      conn->write_line(error_response(
+          "", "too-many-connections",
+          "the server already serves " + std::to_string(kMaxConnections) +
+              " connections; retry after one closes"));
+      continue;
     }
     auto& reader = conn_readers_.emplace_back();
     reader.thread = std::thread(

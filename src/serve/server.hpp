@@ -46,7 +46,9 @@ struct ServerOptions {
 /// answered from the structural-hash compiled-program cache whenever an
 /// identical (MIG, Options) pair was compiled before. Cache hit rate,
 /// queue depth and request latency flow into util::MetricsRegistry
-/// ("serve.*" metrics) next to the per-phase driver metrics.
+/// ("serve.*" metrics) next to the per-phase driver metrics. At most 64
+/// socket connections are served at once; a client past the cap gets
+/// one `too-many-connections` error line and is disconnected.
 ///
 /// Shutdown: EOF on stdin, a {"cmd":"shutdown"} request, or
 /// request_shutdown() (the CLI's SIGINT/SIGTERM handler) all trigger
@@ -153,9 +155,10 @@ class Server {
   std::vector<std::thread> workers_;
   /// Acceptor + stdio threads; touched only by serve()/~Server.
   std::vector<std::thread> io_threads_;
-  /// Readers of accepted connections; pushed by acceptor threads, so
-  /// guarded. Finished ones are joined at the next accept, the rest
-  /// after every acceptor has exited.
+  /// Readers of accepted connections (the live ones count against the
+  /// connection cap); pushed by acceptor threads, so guarded. Finished
+  /// ones are joined at the next accept, the rest after every acceptor
+  /// has exited.
   std::mutex conn_mutex_;
   std::list<ConnReader> conn_readers_;
   std::vector<int> listen_fds_;

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "arch/machine.hpp"
@@ -45,28 +47,18 @@ TEST(DeriveSync, TokensAreMatchedInRangeAndStepForward) {
   EXPECT_EQ(pp.validate(), "");
   EXPECT_EQ(result.stats.sync_tokens, pp.sync_edges().size());
 
-  const auto streams = bank_streams(pp);
-  std::size_t signals = 0;
-  std::size_t waits = 0;
-  for (const auto& stream : streams) {
-    for (const auto& op : stream) {
-      signals += op.signals.size();
-      waits += op.waits.size();
-    }
-  }
-  // Every token is one signal/wait pair attached to real stream ops.
-  EXPECT_EQ(signals, pp.sync_edges().size());
-  EXPECT_EQ(waits, pp.sync_edges().size());
+  // Every token is one signal/wait pair between real stream ops.
+  const StreamView view(pp);
   for (const auto& e : pp.sync_edges()) {
     ASSERT_LT(e.from_bank, pp.num_banks());
     ASSERT_LT(e.to_bank, pp.num_banks());
     EXPECT_NE(e.from_bank, e.to_bank);
-    ASSERT_LT(e.from_pos, streams[e.from_bank].size());
-    ASSERT_LT(e.to_pos, streams[e.to_bank].size());
+    ASSERT_LT(e.from_pos, view.len(e.from_bank));
+    ASSERT_LT(e.to_pos, view.len(e.to_bank));
     // Signal strictly precedes the wait in lockstep step order — the
     // derived token graph is acyclic (deadlock-free) by construction.
-    EXPECT_LT(streams[e.from_bank][e.from_pos].step,
-              streams[e.to_bank][e.to_pos].step);
+    EXPECT_LT(view.step[view.id(e.from_bank, e.from_pos)],
+              view.step[view.id(e.to_bank, e.to_pos)]);
   }
 }
 
@@ -184,10 +176,16 @@ TEST(DecoupledTiming, RealCircuitsCutCyclesByTenPercent) {
 
 TEST(DecoupledTiming, BusArbiterAccountsStalls) {
   const auto compiled = core::compile(circuits::make_int2float());
-  const auto result = schedule(compiled.program, with_banks(4));
-  const auto& pp = result.program;
-  const auto unbounded = decoupled_timing(pp, 0, kPhases);
-  const auto narrow = decoupled_timing(pp, 1, kPhases);
+  auto opts = with_banks(4);
+  opts.cost.bus_width = 1;
+  const auto result = schedule(compiled.program, opts);
+  const auto& narrow_program = result.program;
+  ASSERT_EQ(narrow_program.bus_width(), 1u);
+  auto unbounded_program = narrow_program;
+  unbounded_program.set_bus_width(0);
+  ASSERT_EQ(unbounded_program.validate(), "");
+  const auto narrow = decoupled_timing(narrow_program);
+  const auto unbounded = decoupled_timing(unbounded_program);
   // A width-1 bus can only delay the same streams, and the delay is
   // visible as stall cycles.
   EXPECT_GE(narrow.makespan_cycles, unbounded.makespan_cycles);
@@ -198,7 +196,7 @@ TEST(DecoupledTiming, BusArbiterAccountsStalls) {
 TEST(DecoupledTiming, BusyPlusIdleEqualsFinishPerBank) {
   const auto compiled = core::compile(circuits::make_cavlc());
   const auto result = schedule(compiled.program, with_banks(4));
-  const auto timing = decoupled_timing(result.program, 0, kPhases);
+  const auto timing = decoupled_timing(result.program);
   for (std::uint32_t b = 0; b < 4; ++b) {
     EXPECT_EQ(timing.bank_busy_cycles[b] + timing.bank_idle_cycles[b],
               timing.bank_finish_cycles[b])
@@ -217,6 +215,110 @@ TEST(DecoupledTiming, SingleBankMatchesSerialStream) {
   const auto n = result.stats.parallel_instructions;
   EXPECT_EQ(result.stats.decoupled_cycles,
             std::uint64_t{n - 1} * (kPhases - 1) + kPhases);
+}
+
+// ---- the one timing model ---------------------------------------------------
+
+/// The decoupled clock's contract on one program: every token points
+/// forward, start times honour each token's phase-level latency (the
+/// SyncEdge contract, and no consumer launches before its producer) and
+/// each bank's pipelined cadence, and a bounded bus never has more than
+/// its width of copies in flight.
+void expect_clock_contract(const ParallelProgram& pp) {
+  const StreamView view(pp);
+  const auto timing = decoupled_timing(pp);
+  ASSERT_EQ(timing.order.size(), view.size());
+  std::vector<std::uint64_t> start(view.size());
+  for (std::size_t k = 0; k < timing.order.size(); ++k) {
+    const auto [bank, pos] = timing.order[k];
+    start[view.id(bank, pos)] = timing.start_cycles[k];
+  }
+  for (const auto& e : pp.sync_edges()) {
+    const auto from = view.id(e.from_bank, e.from_pos);
+    const auto to = view.id(e.to_bank, e.to_pos);
+    EXPECT_LT(view.step[from], view.step[to]);
+    EXPECT_GE(start[to] + e.to_phase, start[from] + e.from_phase + 1);
+    EXPECT_GE(start[to], start[from]);
+  }
+  for (std::uint32_t b = 0; b < view.banks; ++b) {
+    for (std::uint32_t pos = 1; pos < view.len(b); ++pos) {
+      EXPECT_GE(start[view.id(b, pos)],
+                start[view.id(b, pos - 1)] + kPhases - 1);
+    }
+  }
+  if (pp.bus_width() == 0) {
+    return;
+  }
+  std::vector<std::uint64_t> copies;  // a copy holds the bus all phases
+  for (std::uint32_t i = 0; i < view.size(); ++i) {
+    if (view.remote[i]) {
+      copies.push_back(start[i]);
+    }
+  }
+  for (const auto at : copies) {
+    const auto in_flight = std::count_if(
+        copies.begin(), copies.end(),
+        [at](std::uint64_t s) { return s <= at && at < s + kPhases; });
+    EXPECT_LE(in_flight, pp.bus_width()) << "at cycle " << at;
+  }
+}
+
+TEST(DecoupledClock, RandomProgramsKeepTheContract) {
+  for (std::uint64_t seed = 21; seed <= 23; ++seed) {
+    mig::RandomMigOptions mopts;
+    mopts.num_pis = 4 + static_cast<std::uint32_t>(seed % 4);
+    mopts.num_gates = 40 + static_cast<std::uint32_t>(seed * 13 % 60);
+    mopts.num_pos = 3;
+    const auto compiled = core::compile(mig::random_mig(mopts, seed));
+    for (const auto banks :
+         {std::uint32_t{2}, std::uint32_t{4}, std::uint32_t{8}}) {
+      for (const auto width :
+           {std::uint32_t{0}, std::uint32_t{1}, std::uint32_t{2}}) {
+        for (const auto model :
+             {ExecutionModel::lockstep, ExecutionModel::decoupled}) {
+          auto opts = with_banks(banks);
+          opts.cost.bus_width = width;
+          opts.execution = model;
+          const auto result = schedule(compiled.program, opts);
+          SCOPED_TRACE("seed " + std::to_string(seed) + ", " +
+                       std::to_string(banks) + " banks, bus " +
+                       std::to_string(width) +
+                       (model == ExecutionModel::decoupled ? ", decoupled"
+                                                           : ", lockstep"));
+          ASSERT_EQ(result.program.validate(), "");
+          ASSERT_EQ(result.program.bus_width(), width);
+          expect_clock_contract(result.program);
+        }
+      }
+    }
+  }
+}
+
+TEST(DecoupledClock, TokensMustPointForward) {
+  // Bank 0 writes @X1 in step 1; bank 1 copies it in step 2.
+  ParallelProgram p(2);
+  p.set_bank_range(0, 0, 1);
+  p.set_bank_range(1, 1, 2);
+  p.begin_step();
+  p.add_slot({0, {arch::Operand::constant(false),
+                  arch::Operand::constant(true), 0}, false});
+  p.add_slot({1, {arch::Operand::constant(false),
+                  arch::Operand::constant(true), 1}, false});
+  p.begin_step();
+  p.add_slot({1, {arch::Operand::rram(0), arch::Operand::constant(false), 1},
+              true});
+  derive_sync(p);
+  ASSERT_EQ(p.validate(), "");
+  // Next to the covering tokens: one from step 2 back to step 1, and one
+  // within step 1.
+  for (const auto bad : {SyncEdge{1, 1, 0, 0}, SyncEdge{1, 0, 0, 0}}) {
+    auto q = p;
+    q.add_sync(bad);
+    EXPECT_NE(q.validate().find("not after its signal"), std::string::npos)
+        << q.validate();
+    arch::Machine machine;
+    EXPECT_THROW((void)machine.run_decoupled(q, {}), std::logic_error);
+  }
 }
 
 // ---- decoupled-native scheduling --------------------------------------------
@@ -265,7 +367,7 @@ TEST(DecoupledNative, PhaseLevelTokensNeverSlowTheClock) {
     const auto compiled = core::compile(network);
     const auto result = schedule(compiled.program, with_banks(4));
     ASSERT_TRUE(result.program.has_sync());
-    const auto phase_level = decoupled_timing(result.program, 0, kPhases);
+    const auto phase_level = decoupled_timing(result.program);
     auto conservative = result.program;
     const auto edges = conservative.sync_edges();
     conservative.clear_sync();
@@ -275,7 +377,7 @@ TEST(DecoupledNative, PhaseLevelTokensNeverSlowTheClock) {
       conservative.add_sync(e);
     }
     ASSERT_EQ(conservative.validate(), "");
-    const auto full = decoupled_timing(conservative, 0, kPhases);
+    const auto full = decoupled_timing(conservative);
     EXPECT_LE(phase_level.makespan_cycles, full.makespan_cycles);
     EXPECT_LT(phase_level.makespan_cycles, full.makespan_cycles)
         << "phase-level tokens bought nothing on a real circuit";
@@ -311,16 +413,16 @@ TEST(StreamReorder, HoistsACriticalProducer) {
   derive_sync(p);
   ASSERT_EQ(p.validate(), "");
   const auto steps_before = p.num_steps();
-  const auto before = decoupled_timing(p, 0, kPhases);
+  const auto before = decoupled_timing(p);
 
-  const auto r = reorder_streams(p, 0, kPhases);
+  const auto r = reorder_streams(p);
   EXPECT_TRUE(r.applied);
   EXPECT_EQ(r.makespan_before, before.makespan_cycles);
   EXPECT_LT(r.makespan_after, r.makespan_before);
   EXPECT_EQ(r.saved_cycles, r.makespan_before - r.makespan_after);
   ASSERT_EQ(p.validate(), "");
   EXPECT_LE(p.num_steps(), steps_before);
-  EXPECT_EQ(decoupled_timing(p, 0, kPhases).makespan_cycles,
+  EXPECT_EQ(decoupled_timing(p).makespan_cycles,
             r.makespan_after);
 }
 
@@ -334,7 +436,7 @@ TEST(StreamReorder, KeepsAnAlreadyTightScheduleUntouched) {
   auto result = schedule(compiled.program, opts);
   ASSERT_EQ(result.stats.decoupled_cycles, result.stats.makespan_lower_bound);
   const auto text = to_text(result.program);
-  const auto r = reorder_streams(result.program, 0, kPhases);
+  const auto r = reorder_streams(result.program);
   EXPECT_FALSE(r.applied);
   EXPECT_EQ(r.saved_cycles, 0u);
   EXPECT_EQ(to_text(result.program), text);
@@ -399,10 +501,11 @@ TEST(RunDecoupled, DeadlockIsAValidationErrorAndThrows) {
     p.add_slot({1, {arch::Operand::constant(false),
                     arch::Operand::constant(true), 1}, false});
   }
-  // b0's first op waits on b1's second and vice versa: a cycle.
+  // b0's first op waits on b1's second and vice versa: a cycle, which
+  // needs a token that does not point forward in step order.
   p.add_sync({0, 1, 1, 0});
   p.add_sync({1, 1, 0, 0});
-  EXPECT_NE(p.validate().find("deadlock"), std::string::npos);
+  EXPECT_NE(p.validate().find("not after its signal"), std::string::npos);
   arch::Machine machine;
   EXPECT_THROW((void)machine.run_decoupled(p, {}), std::logic_error);
 }
@@ -419,10 +522,11 @@ TEST(ParallelValidate, DetectsMissingSyncCoverage) {
   p.begin_step();
   p.add_slot({1, {arch::Operand::rram(0), arch::Operand::constant(false), 1},
               true});
-  // A token in the wrong direction: the transfer's RAW hazard on bank
-  // 0's write stays uncovered — a validation error, and the decoupled
-  // runner refuses to race through it at run time too.
-  p.add_sync({1, 0, 0, 0});
+  // A forward token that signals at bank 0's read-A phase, before the
+  // write the transfer reads commits: the RAW hazard stays uncovered — a
+  // validation error, and the decoupled runner refuses to race through
+  // it at run time too.
+  p.add_sync({0, 0, 1, 1, 1, 1});
   EXPECT_NE(p.validate().find("missing synchronization"), std::string::npos);
   arch::Machine machine;
   EXPECT_THROW((void)machine.run_decoupled(p, {}), std::logic_error);
@@ -466,7 +570,8 @@ TEST(ParallelText, RejectsUnmatchedSyncTokens) {
       "# parallel banks 2\n"
       "# bank 0 @X1..@X1\n"
       "# bank 1 @X2..@X2\n"
-      "01: b0: 0, 1, @X1 | b1: 0, 1, @X2\n";
+      "01: b0: 0, 1, @X1\n"
+      "02: b1: 0, 1, @X2\n";
   // Half a pair: no wait side.
   EXPECT_THROW((void)parse_parallel_program(header + "# sync t1: b0@1 ->\n"),
                std::runtime_error);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -494,12 +495,42 @@ TEST(ServerTest, ProcessLineServesPingStatsAndCompiles) {
   const auto stats = server.process_line(R"({"cmd":"stats","id":"s"})");
   EXPECT_NE(stats.find("\"cache_hits\":1"), std::string::npos);
   EXPECT_NE(stats.find("\"cache_misses\":1"), std::string::npos);
+  EXPECT_NE(stats.find("\"cache_evictions\":0"), std::string::npos);
 
   const auto snapshot = server.snapshot();
   EXPECT_EQ(snapshot.requests, 2u);
   EXPECT_DOUBLE_EQ(snapshot.hit_rate, 0.5);
   EXPECT_GT(snapshot.p50_ms, 0.0);
   EXPECT_GE(snapshot.p99_ms, snapshot.p50_ms);
+}
+
+TEST(ServerTest, StatsReportCacheEvictions) {
+  // Size two entries on a roomy cache, then give a second server room
+  // for the larger one alone: the second compile evicts the first.
+  serve::ServerOptions server_options;
+  server_options.stdio = false;
+  std::size_t ctrl_bytes = 0;
+  std::size_t both_bytes = 0;
+  {
+    serve::Server sizing(Options{}, server_options);
+    (void)sizing.process_line(R"({"id":"a","benchmark":"ctrl"})");
+    ctrl_bytes = sizing.cache().stats().bytes;
+    (void)sizing.process_line(R"({"id":"b","benchmark":"dec"})");
+    both_bytes = sizing.cache().stats().bytes;
+  }
+  ASSERT_GT(ctrl_bytes, 0u);
+  ASSERT_GT(both_bytes, ctrl_bytes);
+  server_options.cache_bytes = std::max(ctrl_bytes, both_bytes - ctrl_bytes);
+  serve::Server server(Options{}, server_options);
+  EXPECT_NE(server.process_line(R"({"cmd":"stats","id":"s"})")
+                .find("\"cache_evictions\":0"),
+            std::string::npos);
+  (void)server.process_line(R"({"id":"a","benchmark":"ctrl"})");
+  (void)server.process_line(R"({"id":"b","benchmark":"dec"})");
+  EXPECT_EQ(server.snapshot().cache_evictions, 1u);
+  EXPECT_NE(server.process_line(R"({"cmd":"stats","id":"s"})")
+                .find("\"cache_evictions\":1"),
+            std::string::npos);
 }
 
 TEST(ServerTest, ProcessLineReportsErrors) {
@@ -526,6 +557,51 @@ TEST(ServerTest, ShutdownCommandFlagsTheDrain) {
   EXPECT_TRUE(server.shutdown_requested());
 }
 
+/// A client of the Unix socket at `path`: connect() retried while the
+/// listener is not up yet; -1 when it never comes up. Reads time out
+/// after 10 s, so a reply that never comes fails a test instead of
+/// hanging it.
+int connect_unix(const std::string& path) {
+  for (int retry = 0; retry < 500; ++retry) {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    struct sockaddr_un addr;
+    std::memset(&addr, 0, sizeof addr);
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path.c_str(), sizeof addr.sun_path - 1);
+    if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
+                  sizeof addr) == 0) {
+      const struct timeval timeout = {10, 0};
+      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+      return fd;
+    }
+    ::close(fd);
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return -1;
+}
+
+/// Sends one ping on `fd` and returns the reply line ("" on a closed
+/// connection).
+std::string ping_over(int fd) {
+  const std::string ping = "{\"cmd\":\"ping\",\"id\":\"c\"}\n";
+  if (::send(fd, ping.data(), ping.size(), MSG_NOSIGNAL) !=
+      static_cast<ssize_t>(ping.size())) {
+    return {};
+  }
+  std::string reply;
+  char chunk[256];
+  while (reply.find('\n') == std::string::npos) {
+    const auto n = ::read(fd, chunk, sizeof chunk);
+    if (n <= 0) {
+      break;
+    }
+    reply.append(chunk, static_cast<std::size_t>(n));
+  }
+  return reply;
+}
+
+const std::string kPong = "{\"id\":\"c\",\"ok\":true,\"pong\":true}\n";
+
 /// Unix-socket clients that connect, ping and hang up one after another:
 /// each is answered, the acceptor joins the readers of closed
 /// connections as new clients arrive, and the drain still exits 0.
@@ -538,45 +614,76 @@ TEST(ServerTest, SocketClientsComeAndGo) {
   serve::Server server(Options{}, server_options);
   int rc = -1;
   std::thread daemon([&] { rc = server.serve(); });
-
-  const auto connect_once = [&]() {
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    struct sockaddr_un addr;
-    std::memset(&addr, 0, sizeof addr);
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, server_options.unix_socket.c_str(),
-                 sizeof addr.sun_path - 1);
-    if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
-                  sizeof addr) != 0) {
-      ::close(fd);
-      return -1;
-    }
-    return fd;
-  };
-  const std::string ping = "{\"cmd\":\"ping\",\"id\":\"c\"}\n";
   for (int client = 0; client < 20; ++client) {
-    int fd = connect_once();
-    for (int retry = 0; fd < 0 && retry < 500; ++retry) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      fd = connect_once();  // the listener may not be up yet
-    }
+    const int fd = connect_unix(server_options.unix_socket);
     if (fd < 0) {
       ADD_FAILURE() << "cannot connect to " << server_options.unix_socket;
       break;
     }
-    EXPECT_EQ(::write(fd, ping.data(), ping.size()),
-              static_cast<ssize_t>(ping.size()));
-    std::string reply;
-    char chunk[256];
-    while (reply.find('\n') == std::string::npos) {
-      const auto n = ::read(fd, chunk, sizeof chunk);
-      if (n <= 0) {
-        break;
-      }
-      reply.append(chunk, static_cast<std::size_t>(n));
+    EXPECT_EQ(ping_over(fd), kPong) << "client " << client;
+    ::close(fd);
+  }
+  server.request_shutdown();
+  daemon.join();
+  EXPECT_EQ(rc, 0);
+}
+
+/// 64 idle clients fill the connection cap: the 65th gets one
+/// too-many-connections line and is hung up on, and once one of the 64
+/// closes, the next client is served again.
+TEST(ServerTest, CapsConcurrentConnections) {
+  serve::ServerOptions server_options;
+  server_options.workers = 1;
+  server_options.stdio = false;
+  server_options.unix_socket = ::testing::TempDir() + "plim_cap_" +
+                               std::to_string(::getpid()) + ".sock";
+  serve::Server server(Options{}, server_options);
+  int rc = -1;
+  std::thread daemon([&] { rc = server.serve(); });
+  std::vector<int> idle;
+  for (int client = 0; client < 64; ++client) {
+    const int fd = connect_unix(server_options.unix_socket);
+    if (fd < 0) {
+      ADD_FAILURE() << "cannot connect to " << server_options.unix_socket;
+      break;
     }
-    EXPECT_EQ(reply, "{\"id\":\"c\",\"ok\":true,\"pong\":true}\n")
-        << "client " << client;
+    idle.push_back(fd);
+    EXPECT_EQ(ping_over(fd), kPong) << "client " << client;
+  }
+  const int extra = connect_unix(server_options.unix_socket);
+  EXPECT_GE(extra, 0);
+  if (extra >= 0) {
+    std::string refused;
+    char chunk[256];
+    for (auto n = ::read(extra, chunk, sizeof chunk); n > 0;
+         n = ::read(extra, chunk, sizeof chunk)) {
+      refused.append(chunk, static_cast<std::size_t>(n));  // through EOF
+    }
+    EXPECT_NE(refused.find("\"code\":\"too-many-connections\""),
+              std::string::npos)
+        << refused;
+    EXPECT_EQ(std::count(refused.begin(), refused.end(), '\n'), 1);
+    ::close(extra);
+  }
+  if (!idle.empty()) {
+    ::close(idle.back());
+    idle.pop_back();
+  }
+  // The closed client's reader finishes within a poll interval; retry
+  // until the acceptor has seen it go.
+  std::string reply;
+  for (int attempt = 0; attempt < 20 && reply != kPong; ++attempt) {
+    const int fd = connect_unix(server_options.unix_socket);
+    reply = fd >= 0 ? ping_over(fd) : "";
+    if (fd >= 0) {
+      ::close(fd);
+    }
+    if (reply != kPong) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    }
+  }
+  EXPECT_EQ(reply, kPong);
+  for (const int fd : idle) {
     ::close(fd);
   }
   server.request_shutdown();

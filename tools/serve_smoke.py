@@ -10,14 +10,18 @@ farm would:
      after the next newline must still answer on that connection; then
      200 connect/ping/close cycles on the socket must not grow the
      daemon's VmSize by more than 64 MiB (finished connection readers
-     are joined, not parked with their stacks mapped);
+     are joined, not parked with their stacks mapped); then 64 idle
+     clients fill the connection cap: a 65th must get one
+     `too-many-connections` error, and once one of the 64 closes a new
+     client must be served again;
   2. wave 1 — the six EPFL smoke benchmarks fired back-to-back (the
      worker pool compiles them concurrently), all cold;
   3. wave 2 — the same six again: at least 50% of the repeated half
      must come back `cache: hit`, and every repeated report must be
      byte-identical to its wave-1 counterpart (the cache must never
      change an answer, only its latency);
-  4. `stats` — requests counted, hit rate consistent, p50/p99 valid;
+  4. `stats` — requests counted, hit rate consistent, evictions
+     reported, p50/p99 valid;
   5. SIGINT — the daemon must drain gracefully and exit 0.
 
 Usage: serve_smoke.py [path/to/plimc]  (default: ./build/plimc)
@@ -35,6 +39,7 @@ import os
 BENCHMARKS = ["ctrl", "cavlc", "int2float", "router", "dec", "priority"]
 CHURN_CYCLES = 200
 CHURN_VMSIZE_BOUND_MIB = 64
+CONNECTION_CAP = 64
 
 
 def fail(message):
@@ -77,6 +82,28 @@ def recv_lines(sock, count):
             fail("socket closed early")
         buffer += chunk
     return [json.loads(line) for line in buffer.splitlines()]
+
+
+def ping_socket(socket_path):
+    """Connects, pings and returns the first reply line, or None when the
+    daemon hung up without one."""
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+        sock.settimeout(60)
+        sock.connect(socket_path)
+        try:
+            sock.sendall(b'{"cmd":"ping","id":"cap"}\n')
+        except BrokenPipeError:
+            pass  # refused: the error line may still be readable
+        buffer = b""
+        try:
+            while b"\n" not in buffer:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    return None
+                buffer += chunk
+        except OSError:
+            return None
+        return json.loads(buffer.split(b"\n")[0])
 
 
 def vm_size_kib(pid):
@@ -171,6 +198,38 @@ def main():
             print(f"serve_smoke: {CHURN_CYCLES} connection cycles, VmSize "
                   f"{vm_before // 1024} -> {vm_after // 1024} MiB")
 
+        # Connection cap: once the churn's readers have wound down, 64
+        # idle clients fill it, a 65th gets one `too-many-connections`
+        # error, and after one of the 64 closes a new client is served
+        # (retried while the closed connection's reader winds down).
+        time.sleep(0.5)
+        idle = []
+        for k in range(CONNECTION_CAP):
+            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            sock.connect(socket_path)
+            sock.sendall(b'{"cmd":"ping","id":"idle"}\n')
+            if not recv_lines(sock, 1)[0].get("pong"):
+                fail(f"idle client {k} was not served under the cap")
+            idle.append(sock)
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+            sock.connect(socket_path)
+            refused = recv_lines(sock, 1)
+        if refused[0].get("error", {}).get("code") != "too-many-connections":
+            fail(f"client {CONNECTION_CAP + 1} not refused: {refused}")
+        idle.pop().close()
+        for attempt in range(20):
+            reply = ping_socket(socket_path)
+            if reply is not None and reply.get("pong"):
+                break
+            time.sleep(0.1)
+        else:
+            fail(f"no client served after one of {CONNECTION_CAP} closed: "
+                 f"{reply}")
+        for sock in idle:
+            sock.close()
+        print(f"serve_smoke: client {CONNECTION_CAP + 1} refused, "
+              "served again after one closed")
+
         # 2. wave 1: all six benchmarks, fired before reading anything —
         # the worker pool runs them concurrently.
         for name in BENCHMARKS:
@@ -213,6 +272,9 @@ def main():
                  f"expected {expected}")
         if server["cache_hits"] < hits:
             fail(f"stats hit count {server['cache_hits']} < observed {hits}")
+        evictions = server.get("cache_evictions")
+        if not isinstance(evictions, int) or evictions < 0:
+            fail(f"stats reports no eviction count: {server}")
         if not (server["p50_ms"] > 0 and server["p99_ms"] >= server["p50_ms"]):
             fail(f"invalid latency percentiles: p50 {server['p50_ms']}, "
                  f"p99 {server['p99_ms']}")
