@@ -1,13 +1,15 @@
 /// Google-benchmark microbenchmarks of the core operations: network
-/// construction with structural hashing, rewriting passes, compilation
-/// (through the plim::Driver facade), bit-parallel simulation, and
-/// machine execution throughput.
+/// construction with structural hashing, BLIF reading, rewriting passes,
+/// compilation (through the plim::Driver facade), bit-parallel
+/// simulation, and machine execution throughput.
 
 #include <benchmark/benchmark.h>
 
 #include "arch/machine.hpp"
 #include "circuits/epfl.hpp"
 #include "driver/driver.hpp"
+#include "io/blif.hpp"
+#include "mig/random.hpp"
 #include "mig/rewriting.hpp"
 #include "mig/simulation.hpp"
 #include "util/rng.hpp"
@@ -61,6 +63,38 @@ void BM_RewriteAdder(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * m.num_gates());
 }
 BENCHMARK(BM_RewriteAdder);
+
+/// BLIF text of the EPFL `sin` circuit in a shuffled topological order —
+/// the form in which the compile workloads receive their inputs.
+const std::string& shuffled_sin_blif() {
+  static const std::string text = plim::io::to_blif(
+      plim::mig::shuffle_topological(plim::circuits::build_benchmark("sin"),
+                                     1),
+      "sin");
+  return text;
+}
+
+void BM_ReadBlif(benchmark::State& state) {
+  const auto& text = shuffled_sin_blif();
+  for (auto _ : state) {
+    const auto m = plim::io::read_blif_text(text);
+    benchmark::DoNotOptimize(m.num_gates());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_ReadBlif)->Unit(benchmark::kMillisecond);
+
+/// Algorithm 1 at the default effort on the network BM_ReadBlif reads.
+void BM_RewriteSin(benchmark::State& state) {
+  const auto m = plim::io::read_blif_text(shuffled_sin_blif());
+  for (auto _ : state) {
+    const auto r = plim::mig::rewrite_for_plim(m);
+    benchmark::DoNotOptimize(r.num_gates());
+  }
+  state.SetItemsProcessed(state.iterations() * m.num_gates());
+}
+BENCHMARK(BM_RewriteSin)->Unit(benchmark::kMillisecond);
 
 void BM_CompileAdder(benchmark::State& state) {
   const auto m = plim::mig::rewrite_for_plim(plim::circuits::make_adder(64));

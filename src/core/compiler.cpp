@@ -8,6 +8,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "mig/cleanup.hpp"
 #include "mig/views.hpp"
 
 namespace plim::core {
@@ -17,35 +18,6 @@ namespace {
 using mig::Mig;
 using mig::Signal;
 using arch::Operand;
-
-/// Nodes reachable from the POs (constants and PIs always count) — the
-/// set the compiler translates and the live-set bound reasons over.
-std::vector<bool> reachable_from_pos(const Mig& mig) {
-  std::vector<bool> reach(mig.size(), false);
-  reach[0] = true;
-  std::vector<mig::node> stack;
-  mig.foreach_pi([&](mig::node n) { reach[n] = true; });
-  mig.foreach_po([&](Signal f, std::uint32_t) {
-    if (!reach[f.index()]) {
-      reach[f.index()] = true;
-      stack.push_back(f.index());
-    }
-  });
-  while (!stack.empty()) {
-    const mig::node n = stack.back();
-    stack.pop_back();
-    if (!mig.is_gate(n)) {
-      continue;
-    }
-    for (const auto f : mig.fanins(n)) {
-      if (!reach[f.index()]) {
-        reach[f.index()] = true;
-        stack.push_back(f.index());
-      }
-    }
-  }
-  return reach;
-}
 
 /// See live_set_lower_bound() — shared with the compiler, which already
 /// has the reachability bitmap in hand.
@@ -174,7 +146,7 @@ class Compiler {
   // ---- preparation ---------------------------------------------------------
 
   void prepare() {
-    reach_ = reachable_from_pos(mig_);
+    reach_ = mig::reachable_from_pos(mig_);
 
     // Uses = reachable parent gates (to be computed) + PO references
     // (permanent pins, so output cells are never reclaimed).
@@ -981,7 +953,7 @@ class Compiler {
 }  // namespace
 
 std::uint32_t live_set_lower_bound(const mig::Mig& mig) {
-  return lower_bound_from_reach(mig, reachable_from_pos(mig));
+  return lower_bound_from_reach(mig, mig::reachable_from_pos(mig));
 }
 
 CompileResult compile(const mig::Mig& mig, const CompileOptions& opts) {

@@ -10,6 +10,13 @@ namespace plim::io {
 /// Writes the MIG in Berkeley Logic Interchange Format. Every majority
 /// gate becomes a `.names` entry whose cover encodes ⟨abc⟩ with fanin
 /// complements folded in; PO complements become one-row inverter covers.
+///
+/// Every name is defined once. PIs keep their port names; gate k is
+/// `n<k>` and the constant `const0`, each followed by as many `_` as it
+/// takes to differ from every port name. A PO named like a PI or an
+/// earlier PO gets no buffer when both name the same signal. Throws
+/// std::invalid_argument when one port name stands for two different
+/// signals (two PIs, or a PO and a PI or another PO).
 void write_blif(const mig::Mig& mig, std::ostream& os,
                 const std::string& model_name = "mig");
 [[nodiscard]] std::string to_blif(const mig::Mig& mig,
@@ -19,7 +26,11 @@ void write_blif(const mig::Mig& mig, std::ostream& os,
 /// is synthesized as OR-of-AND terms (AOIG style, so the result mirrors
 /// the paper's AOIG→MIG transposition). Supports single-output covers
 /// with '0'/'1'/'-' input plane entries and output plane '1' or '0'.
-/// Throws std::runtime_error on unsupported or malformed input.
+///
+/// Lines split at '\n' and '#' starts a comment; trailing '\r' and spaces
+/// are trimmed before a final '\' joins the line to the next one; tokens
+/// split at std::isspace characters. Throws std::runtime_error on
+/// unsupported or malformed input, including a name defined twice.
 [[nodiscard]] mig::Mig read_blif(std::istream& is);
 [[nodiscard]] mig::Mig read_blif_text(const std::string& text);
 

@@ -1,8 +1,14 @@
 #pragma once
 
+#include <vector>
+
 #include "mig/mig.hpp"
 
 namespace plim::mig {
+
+/// Flags the nodes in the transitive fanin of the POs; the constant and
+/// every PI are always flagged.
+[[nodiscard]] std::vector<bool> reachable_from_pos(const Mig& mig);
 
 /// Returns a compacted copy of `mig` containing only the constant, all PIs
 /// (order and names preserved) and the gates in the transitive fanin of the

@@ -1,6 +1,8 @@
 #include "mig/mig.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <utility>
 
 namespace plim::mig {
 
@@ -36,13 +38,12 @@ std::uint32_t Mig::create_po(Signal f, std::string name) {
   return id;
 }
 
-Signal Mig::create_maj(Signal a, Signal b, Signal c) {
-  assert(a.index() < nodes_.size());
-  assert(b.index() < nodes_.size());
-  assert(c.index() < nodes_.size());
+namespace {
 
-  // Trivial Ω.M simplifications. These also fold constant pairs, e.g.
-  // ⟨01z⟩ = z and ⟨00z⟩ = 0.
+/// Trivial Ω.M folding: the signal ⟨abc⟩ reduces to when two fanins share
+/// a node (two equal fanins, or a pair x/x̄). These also fold constant
+/// pairs, e.g. ⟨01z⟩ = z and ⟨00z⟩ = 0.
+std::optional<Signal> fold_trivial(Signal a, Signal b, Signal c) {
   if (a == b) {
     return a;
   }
@@ -61,21 +62,93 @@ Signal Mig::create_maj(Signal a, Signal b, Signal c) {
   if (b == !c) {
     return a;
   }
+  return std::nullopt;
+}
 
-  // The strash key uses the fanins sorted by raw value (Ω.C: MAJ is fully
-  // commutative), but the node stores them in *creation order*: the
-  // paper's naïve translation assigns RM3 slots "in order of the node's
-  // children from left to right", so child order is meaningful and must
-  // survive construction. Complement bits stay exactly where the caller
-  // put them (see class comment).
-  std::array<Signal, 3> sorted{a, b, c};
-  std::sort(sorted.begin(), sorted.end(),
-            [](Signal x, Signal y) { return x.raw() < y.raw(); });
+/// The strash key: the three raw fanin values in ascending order (Ω.C:
+/// MAJ is fully commutative).
+std::array<std::uint32_t, 3> sorted_key(Signal a, Signal b, Signal c) {
+  std::uint32_t x = a.raw();
+  std::uint32_t y = b.raw();
+  std::uint32_t z = c.raw();
+  if (x > y) {
+    std::swap(x, y);
+  }
+  if (y > z) {
+    std::swap(y, z);
+  }
+  if (x > y) {
+    std::swap(x, y);
+  }
+  return {x, y, z};
+}
 
-  const StrashKey key{sorted[0].raw(), sorted[1].raw(), sorted[2].raw()};
-  if (const auto it = strash_.find(key); it != strash_.end()) {
-    ++strash_hits_;
-    return Signal(it->second, false);
+/// Mixes all 96 key bits into the low bits the table masks.
+std::size_t strash_hash(std::uint32_t a, std::uint32_t b, std::uint32_t c) {
+  std::uint64_t h = ((std::uint64_t{a} << 32) | b) * 0x9e3779b97f4a7c15ULL;
+  h = (h ^ (h >> 29) ^ c) * 0xbf58476d1ce4e5b9ULL;
+  return static_cast<std::size_t>(h ^ (h >> 32));
+}
+
+constexpr std::size_t kMinStrashSlots = 64;
+
+}  // namespace
+
+void Mig::reserve(std::uint32_t nodes) {
+  nodes_.reserve(nodes);
+  // Half load at `nodes` gates, so no insertion below that size grows.
+  const std::size_t slots = std::bit_ceil(2 * std::size_t{nodes});
+  if (slots > strash_.size()) {
+    strash_rehash(std::max(slots, kMinStrashSlots));
+  }
+}
+
+std::size_t Mig::strash_probe(std::uint32_t a, std::uint32_t b,
+                              std::uint32_t c) const noexcept {
+  const std::size_t mask = strash_.size() - 1;
+  for (std::size_t i = strash_hash(a, b, c) & mask;; i = (i + 1) & mask) {
+    const StrashSlot& slot = strash_[i];
+    if (slot.gate == 0 || (slot.a == a && slot.b == b && slot.c == c)) {
+      return i;
+    }
+  }
+}
+
+void Mig::strash_rehash(std::size_t capacity) {
+  std::vector<StrashSlot> old(capacity);
+  old.swap(strash_);
+  for (const StrashSlot& slot : old) {
+    if (slot.gate != 0) {
+      strash_[strash_probe(slot.a, slot.b, slot.c)] = slot;
+    }
+  }
+}
+
+Signal Mig::create_maj(Signal a, Signal b, Signal c) {
+  assert(a.index() < nodes_.size());
+  assert(b.index() < nodes_.size());
+  assert(c.index() < nodes_.size());
+  if (const auto folded = fold_trivial(a, b, c)) {
+    return *folded;
+  }
+
+  // The strash key uses the fanins sorted by raw value, but the node
+  // stores them in *creation order*: the paper's naïve translation assigns
+  // RM3 slots "in order of the node's children from left to right", so
+  // child order is meaningful and must survive construction. Complement
+  // bits stay exactly where the caller put them (see class comment).
+  const auto [x, y, z] = sorted_key(a, b, c);
+  std::size_t slot = 0;
+  if (!strash_.empty()) {
+    slot = strash_probe(x, y, z);
+    if (strash_[slot].gate != 0) {
+      ++strash_hits_;
+      return Signal(strash_[slot].gate, false);
+    }
+  }
+  if ((std::size_t{num_gates_} + 1) * 2 > strash_.size()) {
+    strash_rehash(std::max(2 * strash_.size(), kMinStrashSlots));
+    slot = strash_probe(x, y, z);
   }
 
   const node n = static_cast<node>(nodes_.size());
@@ -83,36 +156,21 @@ Signal Mig::create_maj(Signal a, Signal b, Signal c) {
   gate.kind = NodeKind::gate;
   gate.fanin = {a, b, c};
   nodes_.push_back(gate);
-  strash_.emplace(key, n);
+  strash_[slot] = StrashSlot{x, y, z, n};
   ++num_gates_;
   return Signal(n, false);
 }
 
 std::optional<Signal> Mig::find_maj(Signal a, Signal b, Signal c) const {
-  if (a == b) {
-    return a;
+  if (const auto folded = fold_trivial(a, b, c)) {
+    return folded;
   }
-  if (a == !b) {
-    return c;
+  if (strash_.empty()) {
+    return std::nullopt;
   }
-  if (a == c) {
-    return a;
-  }
-  if (a == !c) {
-    return b;
-  }
-  if (b == c) {
-    return b;
-  }
-  if (b == !c) {
-    return a;
-  }
-  std::array<Signal, 3> fanin{a, b, c};
-  std::sort(fanin.begin(), fanin.end(),
-            [](Signal x, Signal y) { return x.raw() < y.raw(); });
-  const StrashKey key{fanin[0].raw(), fanin[1].raw(), fanin[2].raw()};
-  if (const auto it = strash_.find(key); it != strash_.end()) {
-    return Signal(it->second, false);
+  const auto [x, y, z] = sorted_key(a, b, c);
+  if (const node gate = strash_[strash_probe(x, y, z)].gate; gate != 0) {
+    return Signal(gate, false);
   }
   return std::nullopt;
 }

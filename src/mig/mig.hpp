@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "mig/signal.hpp"
@@ -25,6 +24,9 @@ namespace plim::mig {
 ///    complement polarity (e.g. ⟨x̄ȳz̄⟩ → ¬⟨xyz⟩); complement distribution
 ///    is the quantity the DAC'16 rewriting algorithm optimizes, so it must
 ///    be under the caller's control.
+///  * The structural hash table is one flat open-addressing array (linear
+///    probing, power-of-two capacity, grown at half load), so building a
+///    network allocates per doubling, not per gate.
 ///  * Nodes are append-only and indices are topologically ordered. Logic
 ///    restructuring is performed by reconstruction passes (see
 ///    mig/rewriting.hpp) rather than in-place surgery; `cleanup_dangling`
@@ -36,6 +38,11 @@ class Mig {
   Mig();
 
   // ---- construction -----------------------------------------------------
+
+  /// Reserves room for `nodes` nodes (constant, PIs and gates) so that
+  /// building a network of that size reallocates neither the node array
+  /// nor the structural hash table. Never changes the network.
+  void reserve(std::uint32_t nodes);
 
   /// Constant signal; `get_constant(true)` is the complemented constant-0.
   [[nodiscard]] Signal get_constant(bool value) const noexcept {
@@ -184,29 +191,27 @@ class Mig {
     NodeKind kind = NodeKind::gate;
   };
 
-  struct StrashKey {
-    std::uint32_t a, b, c;
-    friend bool operator==(const StrashKey&, const StrashKey&) = default;
+  /// One structural-hash slot: the fanins sorted by raw value and the
+  /// gate they build. Node 0 (the constant) is never a gate, so `gate == 0`
+  /// marks an empty slot.
+  struct StrashSlot {
+    std::uint32_t a = 0, b = 0, c = 0;
+    node gate = 0;
   };
-  struct StrashKeyHash {
-    std::size_t operator()(const StrashKey& k) const noexcept {
-      // 64-bit mix of the three raw signals (FNV-style with golden-ratio
-      // avalanche); collision handling is the map's job.
-      std::uint64_t h = 0x9e3779b97f4a7c15ULL;
-      for (const std::uint64_t v :
-           {std::uint64_t{k.a}, std::uint64_t{k.b}, std::uint64_t{k.c}}) {
-        h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-      }
-      return static_cast<std::size_t>(h);
-    }
-  };
+
+  /// Slot holding the sorted key (a, b, c), or the empty slot where it
+  /// would go. Requires a non-empty table.
+  [[nodiscard]] std::size_t strash_probe(std::uint32_t a, std::uint32_t b,
+                                         std::uint32_t c) const noexcept;
+  /// Rehashes every gate into a table of `capacity` slots (a power of two).
+  void strash_rehash(std::size_t capacity);
 
   std::vector<Node> nodes_;
   std::vector<node> pis_;
   std::vector<Signal> pos_;
   std::vector<std::string> pi_names_;
   std::vector<std::string> po_names_;
-  std::unordered_map<StrashKey, node, StrashKeyHash> strash_;
+  std::vector<StrashSlot> strash_;  ///< size 0 or a power of two
   std::uint32_t num_gates_ = 0;
   std::uint64_t strash_hits_ = 0;
 };

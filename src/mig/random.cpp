@@ -71,6 +71,7 @@ Mig shuffle_topological(const Mig& src, std::uint64_t seed) {
   const FanoutView fanout(src);
 
   Mig dest;
+  dest.reserve(src.size());
   std::vector<Signal> map(src.size(), dest.get_constant(false));
   src.foreach_pi(
       [&](node n) { map[n] = dest.create_pi(src.pi_name(src.pi_index(n))); });

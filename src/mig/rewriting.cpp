@@ -1,6 +1,7 @@
 #include "mig/rewriting.hpp"
 
 #include <array>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -12,43 +13,31 @@ namespace plim::mig {
 
 namespace {
 
-/// Nodes in the transitive fanin of any PO (plus constant and PIs).
-std::vector<bool> reachable_flags(const Mig& src) {
-  std::vector<bool> reach(src.size(), false);
-  reach[0] = true;
-  src.foreach_pi([&](node n) { reach[n] = true; });
-  std::vector<node> stack;
-  src.foreach_po([&](Signal f, std::uint32_t) {
-    if (!reach[f.index()]) {
-      reach[f.index()] = true;
-      stack.push_back(f.index());
-    }
-  });
-  while (!stack.empty()) {
-    const node n = stack.back();
-    stack.pop_back();
-    if (!src.is_gate(n)) {
-      continue;
-    }
-    for (const auto f : src.fanins(n)) {
-      if (!reach[f.index()]) {
-        reach[f.index()] = true;
-        stack.push_back(f.index());
-      }
+/// The one exit of every pass. `dest` is a fresh reconstruction (PIs
+/// first, gates in creation order, each a strash miss when created), so
+/// when every gate is reachable cleanup_dangling would rebuild it node for
+/// node; only a dangling gate makes the copy worth its cost.
+Mig compact(Mig dest) {
+  const auto reach = reachable_from_pos(dest);
+  for (node n = 0; n < dest.size(); ++n) {
+    if (!reach[n]) {
+      return cleanup_dangling(dest);
     }
   }
-  return reach;
+  return dest;
 }
 
 /// Shared reconstruction skeleton: maps PIs, walks reachable gates in
 /// topological order calling `gate_fn(n, a, b, c, expendable)` for the
-/// mapped fanins, then re-creates the POs. `gate_fn` returns the dest
-/// signal implementing the source gate's function.
+/// mapped fanins, then re-creates the POs and compacts. `gate_fn` returns
+/// the dest signal implementing the source gate's function; a fanin is
+/// expendable when it is a gate whose only fanout is this one.
 template <typename GateFn>
 Mig reconstruct(const Mig& src, GateFn&& gate_fn) {
-  const FanoutView fanout(src);
-  const auto reach = reachable_flags(src);
+  const auto fanout = fanout_counts(src);
+  const auto reach = reachable_from_pos(src);
   Mig dest;
+  dest.reserve(src.size());
   std::vector<Signal> map(src.size(), dest.get_constant(false));
   src.foreach_pi(
       [&](node n) { map[n] = dest.create_pi(src.pi_name(src.pi_index(n))); });
@@ -62,14 +51,14 @@ Mig reconstruct(const Mig& src, GateFn&& gate_fn) {
     for (int i = 0; i < 3; ++i) {
       mapped[i] = map[f[i].index()] ^ f[i].complemented();
       expendable[i] =
-          src.is_gate(f[i].index()) && fanout.fanout_count(f[i].index()) == 1;
+          src.is_gate(f[i].index()) && fanout[f[i].index()] == 1;
     }
     map[n] = gate_fn(dest, n, mapped[0], mapped[1], mapped[2], expendable);
   });
   src.foreach_po([&](Signal f, std::uint32_t i) {
     dest.create_po(map[f.index()] ^ f.complemented(), src.po_name(i));
   });
-  return dest;
+  return compact(std::move(dest));
 }
 
 /// Explicit negations needed to translate one gate into RM3 instructions,
@@ -90,7 +79,7 @@ int negation_cost(unsigned k, bool has_constant_fanin) {
 }  // namespace
 
 Mig pass_size(const Mig& src) {
-  auto dest = reconstruct(
+  return reconstruct(
       src, [](Mig& d, node, Signal a, Signal b, Signal c,
               const std::array<bool, 3>& expendable) {
         if (const auto r = algebra::try_distributivity_rl(
@@ -99,11 +88,10 @@ Mig pass_size(const Mig& src) {
         }
         return d.create_maj(a, b, c);
       });
-  return cleanup_dangling(dest);
 }
 
 Mig pass_reshape(const Mig& src) {
-  auto dest = reconstruct(
+  return reconstruct(
       src, [](Mig& d, node, Signal a, Signal b, Signal c,
               const std::array<bool, 3>& expendable) {
         if (const auto r = algebra::try_associativity(d, a, b, c, expendable)) {
@@ -111,12 +99,15 @@ Mig pass_reshape(const Mig& src) {
         }
         return d.create_maj(a, b, c);
       });
-  return cleanup_dangling(dest);
 }
 
 Mig pass_inverters(const Mig& src, bool conditional) {
-  const FanoutView fanout(src);
-  const auto reach = reachable_flags(src);
+  // Only the profitability estimate of the conditional pass reads parents.
+  std::optional<FanoutView> fanout;
+  if (conditional) {
+    fanout.emplace(src);
+  }
+  const auto reach = reachable_from_pos(src);
 
   // Per-node PO reference complement tallies (for the profitability
   // estimate: flipping a node toggles every referencing PO edge).
@@ -181,7 +172,7 @@ Mig pass_inverters(const Mig& src, bool conditional) {
     // explicit negations (this gate + fanout gates + PO edges) decreases.
     int delta =
         negation_cost(non_const - k, has_const) - negation_cost(k, has_const);
-    for (const node p : fanout.parents(n)) {
+    for (const node p : fanout->parents(n)) {
       unsigned kp = 0;
       unsigned ncp = 0;
       bool hcp = false;
@@ -198,7 +189,7 @@ Mig pass_inverters(const Mig& src, bool conditional) {
     }
   });
 
-  auto dest = reconstruct(
+  return reconstruct(
       src, [&](Mig& d, node n, Signal a, Signal b, Signal c,
                const std::array<bool, 3>&) {
         if (flip[n]) {
@@ -206,7 +197,6 @@ Mig pass_inverters(const Mig& src, bool conditional) {
         }
         return d.create_maj(a, b, c);
       });
-  return cleanup_dangling(dest);
 }
 
 std::uint32_t count_multi_complement(const Mig& mig) {
@@ -240,7 +230,7 @@ Mig pass_depth(const Mig& src) {
     }
   };
 
-  auto dest = reconstruct(
+  return reconstruct(
       src, [&](Mig& d, node, Signal a, Signal b, Signal c,
                const std::array<bool, 3>& expendable) {
         ensure_levels(d);
@@ -303,7 +293,6 @@ Mig pass_depth(const Mig& src) {
         ensure_levels(d);
         return plain;
       });
-  return cleanup_dangling(dest);
 }
 
 }  // namespace

@@ -1,26 +1,34 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "mig/mig.hpp"
 
 namespace plim::mig {
 
-/// Precomputed fanout information for a Mig.
+/// Fanout count of every node: gate parents (reachable or not) plus PO
+/// references. Passes that only ask "is this the last use?" need nothing
+/// more than this array.
+[[nodiscard]] std::vector<std::uint32_t> fanout_counts(const Mig& mig);
+
+/// Precomputed fanout information for a Mig, stored as CSR: one row of
+/// parent gates per node, back to back in a single array.
 ///
 /// The view is a snapshot: it is not updated when the network changes.
-/// Both the PLiM compiler (releasing-children heuristic, destination
-/// overwrite safety) and the rewriting passes (complement-transfer
-/// profitability) consume this.
+/// The PLiM compiler (releasing-children heuristic, destination overwrite
+/// safety), the conditional inverter pass (complement-transfer
+/// profitability) and `shuffle_topological` consume this.
 class FanoutView {
  public:
   explicit FanoutView(const Mig& mig);
 
-  /// Gate nodes that use `n` as a fanin (each parent listed once; a gate
-  /// cannot reference the same child twice thanks to Ω.M folding).
-  [[nodiscard]] const std::vector<node>& parents(node n) const {
-    return parents_[n];
+  /// Gate nodes that use `n` as a fanin, in ascending index order (each
+  /// parent listed once; a gate cannot reference the same child twice
+  /// thanks to Ω.M folding).
+  [[nodiscard]] std::span<const node> parents(node n) const {
+    return {parents_.data() + offsets_[n], offsets_[n + 1] - offsets_[n]};
   }
 
   /// Number of primary outputs that reference `n`.
@@ -30,11 +38,12 @@ class FanoutView {
 
   /// Total fanout = parent gates + PO references.
   [[nodiscard]] std::uint32_t fanout_count(node n) const {
-    return static_cast<std::uint32_t>(parents_[n].size()) + po_refs_[n];
+    return offsets_[n + 1] - offsets_[n] + po_refs_[n];
   }
 
  private:
-  std::vector<std::vector<node>> parents_;
+  std::vector<std::uint32_t> offsets_;  ///< row n is [offsets_[n], offsets_[n+1])
+  std::vector<node> parents_;
   std::vector<std::uint32_t> po_refs_;
 };
 

@@ -2,9 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <vector>
+
 #include "mig/cleanup.hpp"
+#include "mig/random.hpp"
 #include "mig/simulation.hpp"
 #include "mig/views.hpp"
+#include "util/rng.hpp"
 
 namespace plim::mig {
 namespace {
@@ -183,6 +190,86 @@ TEST(Mig, LevelsAndDepth) {
   EXPECT_EQ(m.depth(), 2u);
 }
 
+/// Grows the strash table through many doublings: every gate must stay
+/// findable under all six fanin orders, and re-creating it must hit.
+TEST(Mig, StrashFindsEveryGateAfterGrowth) {
+  Mig m;
+  std::vector<Signal> pool;
+  for (int i = 0; i < 64; ++i) {
+    pool.push_back(m.create_pi());
+  }
+  util::Rng rng(11);
+  while (m.num_gates() < 100000) {
+    const auto pick = [&] {
+      return pool[pool.size() - 1 - rng.below(std::min<std::size_t>(
+                                        pool.size(), 512))] ^
+             rng.flip();
+    };
+    pool.push_back(m.create_maj(pick(), pick(), pick()));
+  }
+  const auto gates = m.num_gates();
+  const auto hits = m.strash_hits();
+  std::uint64_t misses = 0;
+  m.foreach_gate([&](node n) {
+    auto f = m.fanins(n);
+    std::sort(f.begin(), f.end());
+    do {
+      misses += m.find_maj(f[0], f[1], f[2]) != Signal(n, false);
+      misses += m.create_maj(f[0], f[1], f[2]) != Signal(n, false);
+    } while (std::next_permutation(f.begin(), f.end()));
+  });
+  EXPECT_EQ(misses, 0u);
+  EXPECT_EQ(m.num_gates(), gates);
+  EXPECT_EQ(m.strash_hits(), hits + 6 * std::uint64_t{gates});
+}
+
+TEST(Mig, ReserveChangesNothing) {
+  Mig plain;
+  Mig reserved;
+  reserved.reserve(5000);
+  for (Mig* m : {&plain, &reserved}) {
+    std::vector<Signal> pool;
+    for (int i = 0; i < 8; ++i) {
+      pool.push_back(m->create_pi());
+    }
+    util::Rng rng(5);
+    for (int i = 0; i < 4000; ++i) {
+      const auto a = pool[rng.below(pool.size())] ^ rng.flip();
+      const auto b = pool[rng.below(pool.size())] ^ rng.flip();
+      const auto c = pool[rng.below(pool.size())] ^ rng.flip();
+      pool.push_back(m->create_maj(a, b, c));
+    }
+  }
+  ASSERT_EQ(plain.size(), reserved.size());
+  EXPECT_EQ(plain.strash_hits(), reserved.strash_hits());
+  plain.foreach_gate([&](node n) {
+    EXPECT_EQ(plain.fanins(n), reserved.fanins(n)) << n;
+  });
+}
+
+TEST(Mig, CopiedStrashTableIsIndependent) {
+  Mig original;
+  const auto a = original.create_pi();
+  const auto b = original.create_pi();
+  const auto c = original.create_pi();
+  const auto g = original.create_maj(a, b, c);
+
+  Mig copy = original;
+  const auto h = copy.create_maj(!a, b, c);
+  EXPECT_EQ(copy.find_maj(c, b, a), g);
+  EXPECT_EQ(original.find_maj(!a, b, c), std::nullopt);
+  EXPECT_EQ(original.num_gates(), 1u);
+
+  const auto k = original.create_maj(a, !b, c);
+  EXPECT_EQ(copy.find_maj(a, !b, c), std::nullopt);
+  EXPECT_EQ(copy.find_maj(b, !a, c), h);
+  EXPECT_EQ(copy.num_gates(), 2u);
+
+  copy = original;  // assignment replaces the table too
+  EXPECT_EQ(copy.find_maj(c, !b, a), k);
+  EXPECT_EQ(copy.find_maj(!a, b, c), std::nullopt);
+}
+
 TEST(FanoutView, CountsParentsAndPoRefs) {
   Mig m;
   const auto a = m.create_pi();
@@ -195,11 +282,47 @@ TEST(FanoutView, CountsParentsAndPoRefs) {
   m.create_po(g1, "g");
 
   const FanoutView fv(m);
-  EXPECT_EQ(fv.parents(g1.index()).size(), 2u);
+  const auto parents = fv.parents(g1.index());
+  EXPECT_EQ(std::vector<node>(parents.begin(), parents.end()),
+            (std::vector<node>{g2.index(), g3.index()}));
   EXPECT_EQ(fv.num_po_refs(g1.index()), 1u);
   EXPECT_EQ(fv.fanout_count(g1.index()), 3u);
   EXPECT_EQ(fv.fanout_count(g3.index()), 0u);
+  EXPECT_TRUE(fv.parents(g3.index()).empty());
   EXPECT_EQ(fv.fanout_count(a.index()), 1u);
+}
+
+/// The CSR rows and the plain count array against a brute-force scan of
+/// every gate's fanins.
+TEST(FanoutView, MatchesBruteForceOnRandomNetworks) {
+  for (const std::uint64_t seed : {1, 2, 3, 4}) {
+    RandomMigOptions opts;
+    opts.num_pis = 12;
+    opts.num_gates = 400;
+    opts.num_pos = 9;
+    const auto m = random_mig(opts, seed);
+    const FanoutView fv(m);
+    const auto counts = fanout_counts(m);
+    ASSERT_EQ(counts.size(), m.size());
+    m.foreach_node([&](node n) {
+      std::vector<node> parents;
+      m.foreach_gate([&](node g) {
+        const auto& f = m.fanins(g);
+        if (std::any_of(f.begin(), f.end(),
+                        [&](Signal s) { return s.index() == n; })) {
+          parents.push_back(g);
+        }
+      });
+      std::uint32_t po_refs = 0;
+      m.foreach_po([&](Signal f, std::uint32_t) { po_refs += f.index() == n; });
+      const auto row = fv.parents(n);
+      EXPECT_EQ(std::vector<node>(row.begin(), row.end()), parents)
+          << "seed " << seed << " node " << n;
+      EXPECT_EQ(fv.num_po_refs(n), po_refs);
+      EXPECT_EQ(fv.fanout_count(n), parents.size() + po_refs);
+      EXPECT_EQ(counts[n], fv.fanout_count(n));
+    });
+  }
 }
 
 TEST(Cleanup, RemovesDanglingGates) {

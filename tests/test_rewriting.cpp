@@ -3,13 +3,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "circuits/epfl.hpp"
+#include "core/compiler.hpp"
 #include "expr/parser.hpp"
+#include "io/blif.hpp"
 #include "mig/cleanup.hpp"
 #include "mig/random.hpp"
 #include "mig/simulation.hpp"
+#include "util/stats.hpp"
 
 namespace plim::mig {
 namespace {
@@ -243,6 +252,87 @@ TEST(Rewrite, HandlesConstantAndPassThroughOutputs) {
   m.create_po(!a, "not");
   const auto r = rewrite_for_plim(m);
   EXPECT_TRUE(tt_equivalent(m, r));
+}
+
+// ---- golden networks --------------------------------------------------------
+
+std::string fnv1a_hex(const std::string& text) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : text) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx", static_cast<unsigned long long>(h));
+  return hex;
+}
+
+/// Pins the Table 1 flow node for node on 13 EPFL circuits (all but the
+/// five arithmetic giants): shuffle, write_blif, read_blif,
+/// rewrite_for_plim, compile. Each line holds the gate counts, cycles,
+/// #I, #R and an FNV-1a of the BLIF listing of both the read and the
+/// rewritten network, so a change to how networks are built (strash,
+/// fanout views, pass compaction, the BLIF reader) that moves a single
+/// node fails here. When a change intentionally alters the networks,
+/// regenerate with
+///   PLIM_REGEN_GOLDEN=1 ./test_rewriting --gtest_filter=Golden.*
+/// from the build directory and commit the diff.
+TEST(Golden, RewriteMatchesGoldenFile) {
+  std::vector<std::string> lines;
+  for (const auto* name :
+       {"adder", "bar", "max", "sin", "cavlc", "ctrl", "dec", "i2c",
+        "int2float", "mem_ctrl", "priority", "router", "voter"}) {
+    const auto shuffled =
+        shuffle_topological(circuits::build_benchmark(name), 18);
+    const auto read = io::read_blif_text(io::to_blif(shuffled, name));
+    RewriteStats stats;
+    const auto rewritten = rewrite_for_plim(read, {}, &stats);
+    const auto compiled = core::compile(rewritten);
+    util::JsonWriter json;
+    json.begin_object();
+    json.field("circuit", name);
+    json.field("gates_before", stats.gates_before);
+    json.field("gates_after", stats.gates_after);
+    json.field("cycles", stats.cycles);
+    json.field("instructions", compiled.stats.num_instructions);
+    json.field("rrams", compiled.stats.num_rrams);
+    json.field("read_fnv1a", fnv1a_hex(io::to_blif(read, name)));
+    json.field("rewritten_fnv1a", fnv1a_hex(io::to_blif(rewritten, name)));
+    json.end_object();
+    lines.push_back(json.str());
+  }
+
+  const std::string golden_path =
+      std::string(PLIM_SOURCE_DIR) + "/tests/golden/rewrite.json";
+  if (std::getenv("PLIM_REGEN_GOLDEN") != nullptr) {
+    std::ofstream out(golden_path);
+    ASSERT_TRUE(out.good()) << "cannot write " << golden_path;
+    out << "[\n";
+    for (std::size_t k = 0; k < lines.size(); ++k) {
+      out << "  " << lines[k] << (k + 1 < lines.size() ? ",\n" : "\n");
+    }
+    out << "]\n";
+    GTEST_SKIP() << "regenerated " << golden_path;
+  }
+  std::ifstream in(golden_path);
+  ASSERT_TRUE(in.good()) << "missing " << golden_path;
+  std::vector<std::string> expected;
+  for (std::string line; std::getline(in, line);) {
+    if (line.size() > 2 && line.front() == ' ') {
+      line.erase(0, 2);
+      if (line.back() == ',') {
+        line.pop_back();
+      }
+      expected.push_back(line);
+    }
+  }
+  ASSERT_EQ(expected.size(), lines.size())
+      << "golden circuit set changed — regenerate with PLIM_REGEN_GOLDEN=1";
+  for (std::size_t k = 0; k < lines.size(); ++k) {
+    EXPECT_EQ(lines[k], expected[k])
+        << "network drifted — if intentional, regenerate with "
+           "PLIM_REGEN_GOLDEN=1 (see test comment)";
+  }
 }
 
 }  // namespace
