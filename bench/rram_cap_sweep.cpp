@@ -62,13 +62,13 @@ constexpr const char* kFullSet[] = {"int2float", "max", "voter"};
 constexpr const char* kSmokeSet[] = {"int2float", "voter"};
 
 /// Rewriting runs once per benchmark (outside the searches); probes and
-/// Pareto points only re-compile. Pareto points schedule onto one bank so
-/// every block carries the nested "schedule" object the bench diff keys
-/// on (steps == serial instruction count there).
+/// Pareto points only re-compile. Pareto points are serial programs: the
+/// cap bounds a scheduled program too, and renaming onto a bank changes
+/// its cell count, so each point is the degraded serial compile itself
+/// (the bench diff reads its instruction count as its step count).
 plim::Options point_options() {
   plim::Options options;
   options.rewrite.effort = 0;
-  options.banks = 1;
   options.verify.enabled = true;
   options.verify.rounds = 1;
   return options;

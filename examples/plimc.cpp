@@ -166,8 +166,12 @@ void print_stats(const plim::CompileOutcome& outcome) {
   const auto& s = *stats.schedule;
   std::cerr << "schedule: " << s.banks << " banks, " << s.steps << " steps, "
             << s.parallel_instructions << " instructions (" << s.transfers
-            << " transfers, " << s.duplicates
-            << " duplicated values), utilization " << s.utilization
+            << " transfers, " << s.duplicates << " duplicated values), "
+            << s.parallel_rrams << " rrams ("
+            << (s.serial_rrams > 0 ? static_cast<double>(s.parallel_rrams) /
+                                         s.serial_rrams
+                                   : 1.0)
+            << "x serial), utilization " << s.utilization
             << ", speedup " << s.speedup << "x (critical path "
             << s.critical_path << ", lower bound " << s.step_lower_bound
             << ")\n";

@@ -288,6 +288,18 @@ CompileOutcome Driver::run_impl(const CompileRequest& request) const {
           "schedule-invalid", "scheduler emitted an invalid program: " + err));
       return out;
     }
+    // The cap bounds the program that runs, and renaming plus transfer
+    // copies give a banked program its own cell count.
+    if (const auto cap = options_.compile.rram_cap;
+        cap && scheduled.stats.parallel_rrams > *cap) {
+      out.diagnostics.push_back(Diagnostic::error(
+          "schedule-cap-exceeded",
+          "scheduled program needs " +
+              std::to_string(scheduled.stats.parallel_rrams) +
+              " RRAM cells on " + std::to_string(options_.banks) +
+              " banks, over the cap of " + std::to_string(*cap)));
+      return out;
+    }
     if (options_.verify.enabled) {
       try {
         const util::ScopedPhase phase("verify-schedule",

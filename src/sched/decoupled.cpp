@@ -31,11 +31,10 @@ StreamView::StreamView(const ParallelProgram& program)
   }
 }
 
-std::vector<Hazard> cell_hazards(const StreamView& view, std::uint32_t cells) {
+void for_each_hazard(const StreamView& view, std::uint32_t cells,
+                     const std::function<void(const Hazard&)>& visit) {
   constexpr auto kWritePhase = IssueClock::kWritePhase;
   const auto n = view.size();
-  std::vector<Hazard> hazards;
-  hazards.reserve(std::size_t{n} * 3);
   // Per cell: the last write so far and the reads since it.
   std::vector<std::uint32_t> last_write(cells, n);
   std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>>
@@ -46,7 +45,7 @@ std::vector<Hazard> cell_hazards(const StreamView& view, std::uint32_t cells) {
       return;  // out of range; validate() reports it
     }
     if (last_write[c] != n) {
-      hazards.push_back({last_write[c], i, kWritePhase, read_phase});  // RAW
+      visit({last_write[c], i, kWritePhase, read_phase});  // RAW
     }
     reads_since[c].emplace_back(i, read_phase);
   };
@@ -64,32 +63,27 @@ std::vector<Hazard> cell_hazards(const StreamView& view, std::uint32_t cells) {
     }
     for (const auto& [r, phase] : reads_since[ins.z]) {
       if (r != i) {
-        hazards.push_back({r, i, phase, kWritePhase});  // WAR
+        visit({r, i, phase, kWritePhase});  // WAR
       }
     }
     if (last_write[ins.z] != n) {
-      hazards.push_back({last_write[ins.z], i, kWritePhase, kWritePhase});
+      visit({last_write[ins.z], i, kWritePhase, kWritePhase});  // WAW
     }
     last_write[ins.z] = i;
     reads_since[ins.z].clear();
   }
-  return hazards;
 }
 
 std::uint64_t IssueClock::issue(std::uint32_t bank, std::uint64_t ready,
                                 bool copy) {
   auto start = std::max(ready, bank_ready_[bank]);
-  if (copy) {
-    if (in_order_) {
-      start = std::max(start, last_grant_);
+  if (copy && bus_width_ > 0) {
+    start = std::max(start, last_grant_);
+    if (servers_.size() == bus_width_) {
+      start = std::max(start, servers_.top());
+      servers_.pop();
     }
-    if (bus_width_ > 0) {
-      if (servers_.size() == bus_width_) {
-        start = std::max(start, servers_.top());
-        servers_.pop();
-      }
-      servers_.push(start + kPhases);
-    }
+    servers_.push(start + kPhases);
     last_grant_ = start;
   }
   bank_ready_[bank] = start + kCadence;
@@ -98,7 +92,7 @@ std::uint64_t IssueClock::issue(std::uint32_t bank, std::uint64_t ready,
 
 namespace {
 
-/// The cross-bank hazards of cell_hazards as stream-position
+/// The cross-bank hazards of for_each_hazard as stream-position
 /// requirements, sorted, with requirements equal up to phases (e.g. one
 /// op reading a remote cell through both operands) merged into the
 /// strictest pair: the signal must fire after the *latest* producer
@@ -109,14 +103,14 @@ namespace {
 std::vector<SyncEdge> required_edges(const ParallelProgram& program,
                                      const StreamView& view) {
   std::vector<SyncEdge> req;
-  for (const auto& h : cell_hazards(view, program.num_rrams())) {
+  for_each_hazard(view, program.num_rrams(), [&](const Hazard& h) {
     const auto from_bank = view.slot[h.from].bank;
     const auto to_bank = view.slot[h.to].bank;
     if (from_bank != to_bank) {
       req.push_back({from_bank, view.pos[h.from], to_bank, view.pos[h.to],
                      h.from_phase, h.to_phase});
     }
-  }
+  });
   std::sort(req.begin(), req.end());
   std::size_t out = 0;
   for (std::size_t i = 0; i < req.size();) {
@@ -347,12 +341,14 @@ DecoupledTiming decoupled_timing(const ParallelProgram& program) {
 
   // Program order is topological for streams (step order), tokens
   // (forward) and the arbiter (its grant order), so one sweep times
-  // every op. The relaxed clock is the contention-free twin: it keeps
-  // the bounded bus's in-order grants but drops its server pool, so its
-  // span is an honest makespan lower bound.
+  // every op. The relaxed clock is the contention-free twin: one server
+  // per copy keeps the bounded bus's in-order grants but never makes a
+  // copy wait for a server, so its span is an honest makespan lower
+  // bound.
   const auto width = program.bus_width();
-  IssueClock clock(view.banks, width, width > 0);
-  IssueClock relaxed(view.banks, 0, width > 0);
+  IssueClock clock(view.banks, width);
+  IssueClock relaxed(view.banks,
+                     width > 0 ? static_cast<std::uint32_t>(bus_ops) : 0);
   std::vector<std::uint64_t> start(n);
   std::vector<std::uint64_t> start_lb(n);
   std::vector<std::uint64_t> stream_ready(n);

@@ -69,14 +69,16 @@ struct Hazard {
   std::uint32_t to_phase;
 };
 
-/// Every hazard over the program's RRAM cells, from one walk in program
-/// order: a read follows the cell's last write (RAW) and precedes its
-/// next one (WAR), and a write follows the previous one (WAW). Operand A
-/// is read in phase 1, operand B in phase 2, and the destination joins
-/// the majority in the write phase. derive_sync and check_sync keep the
-/// cross-bank pairs; reorder_streams schedules on all of them.
-[[nodiscard]] std::vector<Hazard> cell_hazards(const StreamView& view,
-                                               std::uint32_t cells);
+/// Visits every hazard over the program's RRAM cells, from one walk in
+/// program order: a read follows the cell's last write (RAW) and
+/// precedes its next one (WAR), and a write follows the previous one
+/// (WAW). Operand A is read in phase 1, operand B in phase 2, and the
+/// destination joins the majority in the write phase. derive_sync and
+/// check_sync keep the cross-bank pairs; reorder_streams schedules on
+/// all of them. The hazards are never stored as one list: a program
+/// that reuses its cells densely has several per op.
+void for_each_hazard(const StreamView& view, std::uint32_t cells,
+                     const std::function<void(const Hazard&)>& visit);
 
 /// The decoupled machine's clock, written once for decoupled_timing, the
 /// scheduler's projected makespan, reorder_streams and the refinement
@@ -92,11 +94,10 @@ struct Hazard {
 ///    completes, clamped so a consumer never launches before its
 ///    producer;
 ///  - copies pass the bus arbiter: on a bounded bus each copy holds one
-///    of `bus_width` servers for all `phases` cycles, and in-order grants
-///    start a copy no earlier than the copy granted before it. The timer
-///    arbitrates only a bounded bus, where grants are in order; an
-///    unbounded bus (width 0) has no arbiter. The scheduler's projected
-///    makespan keeps in-order grants on an unbounded bus too.
+///    of `bus_width` servers for all `phases` cycles, and grants are in
+///    order — a copy starts no earlier than the copy granted before it.
+///    An unbounded bus (width 0) has no arbiter, so copies there wait
+///    for nothing but their own dependences and bank.
 class IssueClock {
  public:
   static constexpr std::uint64_t kPhases =
@@ -114,8 +115,8 @@ class IssueClock {
     return ops > 0 ? (ops - 1) * kCadence + kPhases : 0;
   }
 
-  IssueClock(std::uint32_t banks, std::uint32_t bus_width, bool in_order)
-      : bus_width_(bus_width), in_order_(in_order), bank_ready_(banks, 0) {}
+  IssueClock(std::uint32_t banks, std::uint32_t bus_width)
+      : bus_width_(bus_width), bank_ready_(banks, 0) {}
 
   /// Earliest cycle bank `bank` can issue its next op by its own stream.
   [[nodiscard]] std::uint64_t bank_ready(std::uint32_t bank) const {
@@ -128,7 +129,6 @@ class IssueClock {
 
  private:
   std::uint32_t bus_width_;
-  bool in_order_;
   std::vector<std::uint64_t> bank_ready_;
   std::uint64_t last_grant_ = 0;
   /// Cycles the busy bus servers free up.
@@ -139,7 +139,7 @@ class IssueClock {
 
 /// Derives and stores the minimal sync-token set for `program`,
 /// replacing any existing tokens. One ordering requirement exists per
-/// cross-bank hazard of cell_hazards: a remote read (transfer copy) must
+/// cross-bank hazard of for_each_hazard: a remote read (transfer copy) must
 /// happen after the last earlier write of the cell it reads (RAW) and
 /// before the cell's next overwrite (WAR). Requirements carry
 /// phase-level endpoints (see SyncEdge): a RAW token signals at the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <numeric>
 #include <optional>
 #include <queue>
@@ -486,6 +487,13 @@ struct ListScratch {
   /// copies without popping them.
   std::vector<std::vector<Prio>> ready_local;
   std::vector<std::vector<Prio>> ready_bus;
+  /// Dependency-free local instructions (inits), one run per bank sorted
+  /// best first: bank b's run is init_run[init_off[b], init_off[b + 1])
+  /// and its unissued part starts at init_next[b]. They are most of the
+  /// ready set, so they bypass the heaps (see list_schedule).
+  std::vector<Prio> init_run;
+  std::vector<std::uint32_t> init_off;
+  std::vector<std::uint32_t> init_next;
   std::vector<std::pair<Prio, std::uint32_t>> bank_order;  ///< (top, bank)
   std::vector<std::uint64_t> start;  ///< projected_makespan start cycles
 };
@@ -568,12 +576,56 @@ void list_schedule(const Expansion& ex, std::uint32_t banks,
     heap.push_back(Prio::of(slack[i], height[i], i));
     std::push_heap(heap.begin(), heap.end());
   };
+  // Dependency-free local instructions are ready from the start and
+  // never re-enter the ready set, so each bank keeps them as one sorted
+  // run merged with its local heap front by front: the same total order
+  // as pushing them into the heap, without heaps thousands deep.
+  auto& init_run = scratch.init_run;
+  auto& init_off = scratch.init_off;
+  auto& init_next = scratch.init_next;
+  init_off.assign(banks + 1, 0);
   for (std::uint32_t i = 0; i < vn; ++i) {
     remaining[i] = ex.dep_off[i + 1] - ex.dep_off[i];
-    if (remaining[i] == 0) {
+    if (remaining[i] == 0 && virt[i].uses_bus) {
       push_ready(i);
+    } else if (remaining[i] == 0) {
+      ++init_off[virt[i].bank + 1];
     }
   }
+  for (std::uint32_t b = 0; b < banks; ++b) {
+    init_off[b + 1] += init_off[b];
+  }
+  init_next.assign(init_off.begin(), init_off.end() - 1);
+  init_run.resize(init_off[banks]);
+  for (std::uint32_t i = 0; i < vn; ++i) {
+    if (remaining[i] == 0 && !virt[i].uses_bus) {
+      init_run[init_next[virt[i].bank]++] = Prio::of(slack[i], height[i], i);
+    }
+  }
+  init_next.assign(init_off.begin(), init_off.end() - 1);
+  for (std::uint32_t b = 0; b < banks; ++b) {
+    std::sort(init_run.begin() + init_off[b], init_run.begin() + init_off[b + 1],
+              [](const Prio& x, const Prio& y) { return y < x; });
+  }
+  // Bank b's best ready local instruction is its run front when this
+  // holds, else its heap top (null when it has neither).
+  const auto run_leads = [&](std::uint32_t b) {
+    return init_next[b] < init_off[b + 1] &&
+           (ready_local[b].empty() ||
+            ready_local[b].front() < init_run[init_next[b]]);
+  };
+  const auto best_local = [&](std::uint32_t b) -> const Prio* {
+    if (run_leads(b)) {
+      return &init_run[init_next[b]];
+    }
+    return ready_local[b].empty() ? nullptr : &ready_local[b].front();
+  };
+  const auto pop = [](std::vector<Prio>& heap) {
+    std::pop_heap(heap.begin(), heap.end());
+    const auto vidx = heap.back().vidx;
+    heap.pop_back();
+    return vidx;
+  };
 
   const auto bus_width = cost.bus_width;
   ls.step_of.assign(vn, npos);
@@ -592,7 +644,8 @@ void list_schedule(const Expansion& ex, std::uint32_t banks,
     if (metrics_on) {
       std::uint64_t depth_now = 0;
       for (std::uint32_t b = 0; b < banks; ++b) {
-        depth_now += ready_local[b].size() + ready_bus[b].size();
+        depth_now += ready_local[b].size() + ready_bus[b].size() +
+                     (init_off[b + 1] - init_next[b]);
       }
       ready_depth_sum += depth_now;
       ready_depth_max = std::max(ready_depth_max, depth_now);
@@ -606,14 +659,14 @@ void list_schedule(const Expansion& ex, std::uint32_t banks,
     // already been served, and the bus resets next step.)
     bank_order.clear();
     for (std::uint32_t b = 0; b < banks; ++b) {
-      const auto& local = ready_local[b];
+      const auto* local = best_local(b);
       const auto& bus = ready_bus[b];
-      if (local.empty() && bus.empty()) {
+      if (local == nullptr && bus.empty()) {
         continue;
       }
       const bool local_top =
-          bus.empty() || (!local.empty() && bus.front() < local.front());
-      bank_order.emplace_back(local_top ? local.front() : bus.front(), b);
+          bus.empty() || (local != nullptr && bus.front() < *local);
+      bank_order.emplace_back(local_top ? *local : bus.front(), b);
     }
     std::sort(bank_order.begin(), bank_order.end(),
               [](const auto& x, const auto& y) {
@@ -624,23 +677,22 @@ void list_schedule(const Expansion& ex, std::uint32_t banks,
     // waits while the bus is full: the bank then issues its best local
     // instruction, or idles (a bus stall) when it has none.
     for (const auto& [top, b] : bank_order) {
-      auto& local = ready_local[b];
+      const auto* local = best_local(b);
       auto& bus = ready_bus[b];
       const bool bus_open = bus_width == 0 || bus_used < bus_width;
-      std::vector<Prio>* heap = nullptr;
+      std::uint32_t picked;
       if (bus_open && !bus.empty() &&
-          (local.empty() || local.front() < bus.front())) {
-        heap = &bus;
+          (local == nullptr || *local < bus.front())) {
+        picked = pop(bus);
         ++bus_used;
-      } else if (!local.empty()) {
-        heap = &local;
-      } else {
+      } else if (local == nullptr) {
         ++ls.bus_stalls;  // the bank idles waiting for the bus
         continue;
+      } else if (run_leads(b)) {
+        picked = init_run[init_next[b]++].vidx;
+      } else {
+        picked = pop(ready_local[b]);
       }
-      std::pop_heap(heap->begin(), heap->end());
-      const auto picked = heap->back().vidx;
-      heap->pop_back();
       ls.step_of[picked] = t;
       ls.step_instrs.push_back(picked);
     }
@@ -737,24 +789,103 @@ void list_schedule(const Expansion& ex, std::uint32_t banks,
   }
 }
 
+/// Moves every dependency-free instruction of a packed schedule (segment
+/// inits, transfer resets, duplicate-chain resets) into the latest idle
+/// slot of its bank strictly before the step of its earliest successor,
+/// so the cell it opens stays free until just before its value is
+/// needed. The list scheduler issues these early into whatever slot is
+/// idle; every other instruction keeps its step, so no dependence, bus
+/// slot or step count can get worse. Inits are placed by descending
+/// deadline, each into the latest free slot before it (one union-find
+/// over free slots per bank), which always finds a slot because the
+/// list schedule is a feasible placement. Steps left empty are dropped.
+void sink_inits(const Expansion& ex, std::uint32_t banks, ListSchedule& ls) {
+  const auto vn = static_cast<std::uint32_t>(ex.virt.size());
+  const auto steps = ls.num_steps();
+
+  // Deadline: the step of the earliest successor (`steps` when none).
+  std::vector<std::uint32_t> deadline(vn, steps);
+  for (std::uint32_t i = 0; i < vn; ++i) {
+    for (const auto p : ex.deps_of(i)) {
+      deadline[p] = std::min(deadline[p], ls.step_of[i]);
+    }
+  }
+
+  // Bank-major slot table; free_below[b * (steps + 1) + t + 1] leads to
+  // the latest free step <= t of bank b (index 0 of a bank: none left).
+  const auto stride = std::size_t{steps} + 1;
+  std::vector<std::uint32_t> occupant(std::size_t{banks} * steps, npos);
+  std::vector<std::uint32_t> free_below(std::size_t{banks} * stride);
+  std::vector<std::uint64_t> inits;  // (deadline << 32) | vidx
+  for (std::uint32_t i = 0; i < vn; ++i) {
+    if (ex.deps_of(i).empty()) {
+      inits.push_back((std::uint64_t{deadline[i]} << 32) | i);
+    } else {
+      occupant[std::size_t{ex.virt[i].bank} * steps + ls.step_of[i]] = i;
+    }
+  }
+  for (std::uint32_t b = 0; b < banks; ++b) {
+    auto* up = free_below.data() + b * stride;
+    up[0] = 0;
+    for (std::uint32_t t = 0; t < steps; ++t) {
+      up[t + 1] = occupant[std::size_t{b} * steps + t] == npos ? t + 1 : t;
+    }
+  }
+  const auto find = [](std::uint32_t* up, std::uint32_t k) {
+    while (up[k] != k) {
+      up[k] = up[up[k]];
+      k = up[k];
+    }
+    return k;
+  };
+
+  std::sort(inits.begin(), inits.end(), std::greater<>());
+  for (const auto key : inits) {
+    const auto i = static_cast<std::uint32_t>(key);
+    const auto b = ex.virt[i].bank;
+    auto* up = free_below.data() + b * stride;
+    const auto k = find(up, static_cast<std::uint32_t>(key >> 32));
+    if (k == 0) {
+      throw std::logic_error("sched: no idle slot left for an init");
+    }
+    up[k] = k - 1;
+    ls.step_of[i] = k - 1;
+    occupant[std::size_t{b} * steps + k - 1] = i;
+  }
+
+  // Re-emit the steps in (step, bank) order, dropping empty ones.
+  ls.step_instrs.clear();
+  ls.step_off.assign(1, 0);
+  for (std::uint32_t t = 0; t < steps; ++t) {
+    const auto new_step = ls.num_steps();
+    for (std::uint32_t b = 0; b < banks; ++b) {
+      const auto i = occupant[std::size_t{b} * steps + t];
+      if (i != npos) {
+        ls.step_of[i] = new_step;
+        ls.step_instrs.push_back(i);
+      }
+    }
+    if (ls.step_instrs.size() > ls.step_off.back()) {
+      ls.step_off.push_back(static_cast<std::uint32_t>(ls.step_instrs.size()));
+    }
+  }
+}
+
 /// Projected decoupled makespan of a packed virtual schedule, before
 /// emission: the IssueClock decoupled_timing runs on, swept over the
 /// virtual program directly, with phase-accurate cross-bank RAW
-/// latencies. Unlike the timer it grants copies in order on an
-/// unbounded bus too: refinement's trajectory, and so the emitted
-/// program, depends on that on adder and sqrt at 8 banks. The virtual
-/// program is SSA (no WAR/WAW from cell reuse) and ignores the physical
-/// allocator's slack-guarded recycling WARs, so this is an optimistic
-/// projection, but it moves with exactly the quantities refinement
-/// moves (chain shape, bank loads, transfer placement) — the right
-/// objective surrogate.
+/// latencies. The virtual program is SSA (no WAR/WAW from cell reuse)
+/// and ignores the physical allocator's slack-guarded recycling WARs, so
+/// this is an optimistic projection, but it moves with exactly the
+/// quantities refinement moves (chain shape, bank loads, transfer
+/// placement) — the right objective surrogate.
 std::uint64_t projected_makespan(const Expansion& ex, const ListSchedule& ls,
                                  std::uint32_t banks, std::uint32_t bus_width,
                                  ListScratch& scratch) {
   const auto& virt = ex.virt;
   auto& start = scratch.start;
   start.assign(virt.size(), 0);
-  IssueClock clock(banks, bus_width, /*in_order=*/true);
+  IssueClock clock(banks, bus_width);
   std::uint64_t makespan = 0;
   // (step, bank) program order — topological (deps sit at earlier
   // steps) and the bus arbiter's grant order.
@@ -977,10 +1108,12 @@ ScheduleResult schedule(const arch::Program& serial,
     }
   }
 
-  // ---- expansion + list scheduling --------------------------------------
+  // ---- expansion + list scheduling + init sinking -----------------------
   // The final assignment has usually just been trial-scheduled (the last
   // kept refinement move, or the dual-start winner) — reuse that run.
-  // The scratch goes before allocation and emission allocate theirs.
+  // The scratch goes before the sink and allocation allocate theirs.
+  // Refinement never sees the sink: it moves no step count, transfer or
+  // bus slot, only the cells the allocator below needs.
   double pack_ms = 0.0;
   {
     const util::ScopedPhase pack_phase("sched.pack", &pack_ms);
@@ -989,6 +1122,7 @@ ScheduleResult schedule(const arch::Program& serial,
       list_schedule(ws.ex, banks, opts.cost, false, ws.ls, ws.list_scratch);
     }
     ws.release_scratch();
+    sink_inits(ws.ex, banks, ws.ls);
   }
   const auto& ex = ws.ex;
   const auto& ls = ws.ls;
@@ -1113,6 +1247,30 @@ ScheduleResult schedule(const arch::Program& serial,
   }
   alloc_phase.reset();
 
+  auto& stats = result.stats;
+  stats.banks = banks;
+  stats.serial_instructions = n;
+  stats.parallel_instructions = vn;
+  stats.transfers = ex.transfers;
+  stats.duplicates = ex.duplicates;
+  stats.duplicated_instructions = ex.duplicated_instructions;
+  stats.critical_path = graph.critical_path();
+  // Chain term: the renamed critical path, except that duplication can
+  // detach a remote reader from the chain it reads (the replica carries
+  // no WAR against the original segment), so the exact virtual chain
+  // bound caps it — the min is a true lower bound for this schedule.
+  stats.step_lower_bound =
+      std::max(std::min(graph.renamed_critical_path(),
+                        ls.virtual_critical_path),
+               (vn + banks - 1) / banks);
+  stats.virtual_critical_path = ls.virtual_critical_path;
+  stats.serial_rrams = serial.num_rrams();
+  stats.bus_width = opts.cost.bus_width;
+  stats.bus_stalls = ls.bus_stalls;
+  // The virtual program is emitted: free it before sync derivation,
+  // stream ordering and timing allocate theirs.
+  ws = {};
+
   // Sync tokens for decoupled execution: one coalesced signal/wait pair
   // per surviving cross-bank transfer edge (see sched/decoupled.hpp).
   double sync_ms = 0.0;
@@ -1136,29 +1294,9 @@ ScheduleResult schedule(const arch::Program& serial,
   }
   const auto final_steps = pp.num_steps();
 
-  auto& stats = result.stats;
-  stats.banks = banks;
-  stats.serial_instructions = n;
-  stats.parallel_instructions = vn;
-  stats.transfers = ex.transfers;
-  stats.duplicates = ex.duplicates;
-  stats.duplicated_instructions = ex.duplicated_instructions;
   stats.steps = final_steps;
   stats.stream_reorder_saved_cycles = reorder.saved_cycles;
-  stats.critical_path = graph.critical_path();
-  // Chain term: the renamed critical path, except that duplication can
-  // detach a remote reader from the chain it reads (the replica carries
-  // no WAR against the original segment), so the exact virtual chain
-  // bound caps it — the min is a true lower bound for this schedule.
-  stats.step_lower_bound =
-      std::max(std::min(graph.renamed_critical_path(),
-                        ls.virtual_critical_path),
-               (vn + banks - 1) / banks);
-  stats.virtual_critical_path = ls.virtual_critical_path;
-  stats.serial_rrams = serial.num_rrams();
   stats.parallel_rrams = pp.num_rrams();
-  stats.bus_width = opts.cost.bus_width;
-  stats.bus_stalls = ls.bus_stalls;
   stats.refine_passes = rwork.passes_run;
   stats.refine_moves_tried = rwork.moves_tried;
   stats.refine_moves_kept = rstats.moves_kept;

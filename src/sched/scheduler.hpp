@@ -97,9 +97,18 @@ struct ScheduleResult {
 ///     `opts.refine_passes` > 0, the cluster→bank assignment is then
 ///     iteratively refined (KL-style moves/swaps re-scheduled under the
 ///     cost model, keeping only changes that reduce steps or transfers);
-///  5. maps the renamed cells onto a disjoint contiguous cell range per
-///     bank, recycling dead cells FIFO (the paper's endurance-minded
-///     policy) once their last scheduled use has passed; the emitted
+///  5. sinks every dependency-free init (segment inits, transfer resets,
+///     duplicate-chain resets) into the latest idle slot of its bank
+///     before the step of its earliest successor, dropping steps left
+///     empty — the list scheduler issues inits into early idle slots,
+///     where they hold a cell for thousands of steps; refinement never
+///     sees this pass, so steps, transfers and instructions stay the
+///     same — then maps the renamed cells onto a disjoint contiguous cell
+///     range per bank, recycling dead cells FIFO (the paper's
+///     endurance-minded policy) once their last scheduled use has
+///     passed. The resulting cell count is ScheduleStats::parallel_rrams,
+///     which plim::Driver checks against `Options::compile.rram_cap`
+///     (a `schedule-cap-exceeded` error when over it). The emitted
 ///     program finally gets its minimal sync-token set (sched::
 ///     derive_sync — coalesced signal/wait pairs at every cross-bank
 ///     transfer edge) so it can also run decoupled, and the stats report

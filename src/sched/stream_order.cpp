@@ -12,9 +12,9 @@ namespace plim::sched {
 
 StreamOrderResult reorder_streams(ParallelProgram& program) {
   StreamOrderResult result;
-  const auto before = decoupled_timing(program);
-  result.makespan_before = before.makespan_cycles;
-  result.makespan_after = before.makespan_cycles;
+  const auto makespan_before = decoupled_timing(program).makespan_cycles;
+  result.makespan_before = makespan_before;
+  result.makespan_after = makespan_before;
   const StreamView view(program);
   const auto n = view.size();
   if (n == 0 || view.banks == 0) {
@@ -22,24 +22,24 @@ StreamOrderResult reorder_streams(ParallelProgram& program) {
   }
 
   // The hazard graph as successor CSR, each edge carrying its
-  // start-to-start latency.
-  const auto hazards = cell_hazards(view, program.num_rrams());
+  // start-to-start latency: one walk counts the edges, a second fills
+  // them in, so the hazards are never stored twice.
   std::vector<std::uint32_t> indeg(n, 0);
   std::vector<std::uint32_t> succ_off(n + 1, 0);
-  for (const auto& h : hazards) {
+  for_each_hazard(view, program.num_rrams(), [&](const Hazard& h) {
     ++succ_off[h.from + 1];
     ++indeg[h.to];
-  }
+  });
   for (std::uint32_t i = 0; i < n; ++i) {
     succ_off[i + 1] += succ_off[i];
   }
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> succ(hazards.size());
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> succ(succ_off[n]);
   {
     auto cursor = succ_off;
-    for (const auto& h : hazards) {
+    for_each_hazard(view, program.num_rrams(), [&](const Hazard& h) {
       succ[cursor[h.from]++] = {
           h.to, IssueClock::token_latency(h.from_phase, h.to_phase)};
-    }
+    });
   }
 
   // Critical-path height (program order is a reverse-topological walk
@@ -69,7 +69,7 @@ StreamOrderResult reorder_streams(ParallelProgram& program) {
   // an op that was startable stays startable and each op crosses over
   // once.
   const auto width = program.bus_width();
-  IssueClock clock(view.banks, width, width > 0);
+  IssueClock clock(view.banks, width);
   std::vector<std::uint64_t> dep_ready(n, 0);
   using Pending = std::pair<std::uint64_t, std::uint32_t>;  // (dep_ready, id)
   std::vector<std::priority_queue<Pending, std::vector<Pending>,
@@ -210,14 +210,14 @@ StreamOrderResult reorder_streams(ParallelProgram& program) {
   if (!candidate.validate().empty()) {
     return result;  // defensive: never adopt a program validate() rejects
   }
-  const auto after = decoupled_timing(candidate);
-  if (after.makespan_cycles >= before.makespan_cycles ||
+  const auto makespan_after = decoupled_timing(candidate).makespan_cycles;
+  if (makespan_after >= makespan_before ||
       candidate.num_steps() > program.num_steps()) {
     return result;
   }
   result.applied = true;
-  result.makespan_after = after.makespan_cycles;
-  result.saved_cycles = before.makespan_cycles - after.makespan_cycles;
+  result.makespan_after = makespan_after;
+  result.saved_cycles = makespan_before - makespan_after;
   program = std::move(candidate);
   return result;
 }

@@ -20,7 +20,7 @@ struct StreamOrderResult {
 /// inheriting the lockstep step order. Bank assignment and cell
 /// allocation stay fixed; only the order ops issue within their bank
 /// changes. The pass list-schedules on the op-level hazard graph over
-/// physical cells (sched::cell_hazards: RAW/WAR/WAW per cell,
+/// physical cells (sched::for_each_hazard: RAW/WAR/WAW per cell,
 /// phase-accurate latencies) on the decoupled IssueClock of the
 /// program's declared bus, prioritising by critical-path height, then
 /// repacks the new streams into lockstep steps (so the program stays a

@@ -14,6 +14,8 @@
 #include "driver/driver.hpp"
 #include "mig/random.hpp"
 #include "mig/rewriting.hpp"
+#include "sched/scheduler.hpp"
+#include "sched/verify.hpp"
 
 namespace plim {
 namespace {
@@ -91,11 +93,13 @@ TEST(Degradation, StatsAreInertWithoutPressure) {
 
 // ---- randomized equivalence across banks and execution models ---------------
 
-/// Degraded compilation at a cap 25% under the unconstrained peak, at
-/// 1/2/4/8 banks under both execution models. The driver's verification
-/// compares the serial program against the MIG *and* the bank schedule
+/// Degraded compilation at a cap 25% under the unconstrained peak,
+/// scheduled at 1/2/4/8 banks under both execution models. The degraded
+/// serial program is verified against the MIG, and its bank schedule
 /// against the serial program — a replay emitted into the wrong bank or
-/// an evicted cell revived with a stale value fails here.
+/// an evicted cell revived with a stale value fails here. The cap bounds
+/// the program that runs, so the driver accepts the banked compile only
+/// when its schedule fits the cap too.
 TEST(Degradation, RandomTightCapsStayEquivalentAcrossBanks) {
   mig::RandomMigOptions ropts;
   ropts.num_pis = 8;
@@ -113,8 +117,6 @@ TEST(Degradation, RandomTightCapsStayEquivalentAcrossBanks) {
 
         Options options;
         options.rewrite.effort = 0;
-        options.banks = banks;
-        options.schedule.execution = execution;
         options.verify.enabled = true;
         options.verify.rounds = 2;
         options.verify.seed = seed;
@@ -129,18 +131,40 @@ TEST(Degradation, RandomTightCapsStayEquivalentAcrossBanks) {
         auto capped = options;
         capped.compile.rram_cap = std::max(peak - peak / 4, bound);
         capped.compile.degradation.enabled = true;
+        const auto cap = *capped.compile.rram_cap;
         const auto degraded = Driver(capped).run(request);
         ASSERT_TRUE(degraded.ok()) << label << ": "
                                    << degraded.error_summary();
         EXPECT_TRUE(degraded.stats.verified) << label;
-        EXPECT_LE(degraded.stats.compile.peak_live_rrams,
-                  *capped.compile.rram_cap)
-            << label;
+        EXPECT_LE(degraded.stats.compile.peak_live_rrams, cap) << label;
         // A cap under the unconstrained peak cannot be met without at
         // least one eviction.
         EXPECT_GT(degraded.stats.compile.cells_evicted, 0u) << label;
         EXPECT_TRUE(has_code(degraded.diagnostics, "rram-cap-degraded"))
             << label;
+
+        sched::ScheduleOptions sopts;
+        sopts.banks = banks;
+        sopts.execution = execution;
+        const auto scheduled = sched::schedule(degraded.program, sopts);
+        EXPECT_EQ(scheduled.program.validate(), "") << label;
+        EXPECT_TRUE(sched::equivalent_to_serial(degraded.program,
+                                                scheduled.program, 2, seed))
+            << label;
+        EXPECT_TRUE(sched::equivalent_to_serial(
+            degraded.program, scheduled.program, 2, seed,
+            sched::ExecutionModel::decoupled))
+            << label;
+
+        capped.banks = banks;
+        capped.schedule.execution = execution;
+        const auto banked = Driver(capped).run(request);
+        if (scheduled.stats.parallel_rrams <= cap) {
+          EXPECT_TRUE(banked.ok()) << label << ": " << banked.error_summary();
+        } else {
+          EXPECT_TRUE(has_code(banked.diagnostics, "schedule-cap-exceeded"))
+              << label << ": " << banked.error_summary();
+        }
       }
     }
   }

@@ -183,6 +183,33 @@ TEST(Driver, RramCapExceededIsStructured) {
   EXPECT_TRUE(has_code(outcome.diagnostics, "rram-cap-exceeded"));
 }
 
+// The cap bounds the scheduled program too: router@4 fits a cap of
+// exactly its parallel cells and fails one cell below it, although its
+// serial program fits both.
+TEST(Driver, ScheduleCapExceededIsStructured) {
+  const auto request = CompileRequest::from_benchmark("router");
+  Options options;
+  options.banks = 4;
+  const auto uncapped = Driver(options).run(request);
+  ASSERT_TRUE(uncapped.ok()) << uncapped.error_summary();
+  const auto cells = uncapped.stats.schedule->parallel_rrams;
+  ASSERT_LT(uncapped.stats.compile.num_rrams, cells - 1);
+
+  options.compile.rram_cap = cells;
+  const auto fits = Driver(options).run(request);
+  ASSERT_TRUE(fits.ok()) << fits.error_summary();
+  EXPECT_EQ(fits.stats.schedule->parallel_rrams, cells);
+
+  options.compile.rram_cap = cells - 1;
+  const auto over = Driver(options).run(request);
+  EXPECT_FALSE(over.ok());
+  EXPECT_TRUE(has_code(over.diagnostics, "schedule-cap-exceeded"));
+  EXPECT_NE(over.error_summary().find(std::to_string(cells)),
+            std::string::npos);
+  EXPECT_NE(over.error_summary().find(std::to_string(cells - 1)),
+            std::string::npos);
+}
+
 // ---- capacity-pressure retry ladder ------------------------------------------
 
 namespace ladder {

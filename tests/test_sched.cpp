@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -775,6 +776,75 @@ std::uint64_t fnv1a(const std::string& text) {
     h *= 0x100000001b3ULL;
   }
   return h;
+}
+
+// ---- init sinking -------------------------------------------------------------
+
+/// Every init (both operands constant) of bank b at step s writing cell
+/// c sits in the latest idle slot before c is next needed: with u the
+/// first later step touching c in any bank (the program's end when none
+/// does), bank b issues in every step of (s, u). Under the steps
+/// objective the emitted steps are the packed ones, on either bus and
+/// execution model.
+TEST(Schedule, InitsSitInTheirLatestIdleSlot) {
+  const auto touches = [](const Slot& slot, std::uint32_t cell) {
+    const auto reads = [&](arch::Operand op) {
+      return op.is_rram() && op.address() == cell;
+    };
+    return slot.instr.z == cell || reads(slot.instr.a) || reads(slot.instr.b);
+  };
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    mig::RandomMigOptions ropts;
+    ropts.num_pis = 8;
+    ropts.num_gates = 120 + static_cast<std::uint32_t>(seed * 40);
+    ropts.num_pos = 4;
+    const auto compiled = core::compile(mig::random_mig(ropts, seed));
+    for (const std::uint32_t banks : {2u, 4u, 8u}) {
+      for (const std::uint32_t bus : {0u, 1u}) {
+        for (const auto execution :
+             {ExecutionModel::lockstep, ExecutionModel::decoupled}) {
+          auto opts = with_banks(banks);
+          opts.cost.bus_width = bus;
+          opts.execution = execution;
+          opts.objective = Objective::steps;
+          const auto result = schedule(compiled.program, opts);
+          const auto& p = result.program;
+          const auto label = "seed " + std::to_string(seed) + " @" +
+                             std::to_string(banks) + " bus " +
+                             std::to_string(bus);
+          std::uint32_t inits = 0;
+          for (std::uint32_t s = 0; s < p.num_steps(); ++s) {
+            for (const auto& init : p.step(s)) {
+              if (!init.instr.a.is_constant() || !init.instr.b.is_constant()) {
+                continue;
+              }
+              ++inits;
+              auto u = s + 1;
+              for (; u < p.num_steps(); ++u) {
+                const auto& step = p.step(u);
+                if (std::any_of(step.begin(), step.end(), [&](const Slot& x) {
+                      return touches(x, init.instr.z);
+                    })) {
+                  break;
+                }
+              }
+              for (auto t = s + 1; t < u; ++t) {
+                const auto& step = p.step(t);
+                EXPECT_TRUE(std::any_of(
+                    step.begin(), step.end(),
+                    [&](const Slot& x) { return x.bank == init.bank; }))
+                    << label << ": init of cell " << init.instr.z
+                    << " in step " << s << " could sink to step " << t
+                    << " (next use in step " << u << ")";
+              }
+            }
+          }
+          EXPECT_GT(inits, 0u) << label;
+          expect_equivalent(compiled.program, p, seed + banks);
+        }
+      }
+    }
+  }
 }
 
 /// One golden line: the schedule's quality figures plus a hash of its

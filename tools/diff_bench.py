@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Compare a fresh sched_speedup trajectory against the committed one.
+"""Compare a fresh bench trajectory against the committed one.
 
 Fails (exit 1) when any benchmark configuration regresses by more than
 the tolerance in `steps`, `transfers`, `makespan_cycles` (the
@@ -18,24 +18,40 @@ entries present on only one side are reported but do not fail the diff
 on either side is noted and skipped (the JSON schema may grow), and
 timing fields like schedule_ms are ignored.
 
+Improvements never fail the diff, but they are listed (every config
+and metric that moved the right way by more than the tolerance), and a
+geomean old/new ratio is printed for each gated metric over the
+configurations where both sides are positive — so a log shows what
+re-pinning the committed file locks in.
+
 Every per-configuration block is one plim::StatsReport — the schema
 shared with `plimc --json` / `plimc --batch`: schedule metrics live in
 the nested "schedule" object (pre-facade trajectories carried them at
 the top level; both shapes are accepted so the diff can bridge the
-schema migration).
+schema migration). A serial report (no "schedule" object, as in the
+capacity sweep) is a one-bank program issuing one instruction per step:
+it is matched as 1 bank, and its instruction count is its step count.
 
 Usage: diff_bench.py committed.json fresh.json [--tolerance 0.05]
 """
 
 import argparse
 import json
+import math
 import sys
+
+
+# Gated per-configuration metrics: (name, higher_is_better).
+GATED = (("steps", False), ("transfers", False), ("makespan_cycles", False),
+         ("rrams", False), ("refine_steps_saved", True))
 
 
 def sched(block):
     """Schedule metrics of one config block (StatsReport or legacy flat)."""
     if isinstance(block.get("schedule"), dict):
         return block["schedule"]
+    if "steps" not in block and "instructions" in block:
+        return {**block, "banks": 1, "steps": block["instructions"]}
     return block
 
 
@@ -76,28 +92,40 @@ def main():
     fresh = dict(entries(fresh_top))
 
     regressions = []
+    improvements = []
+    ratios = {metric: [] for metric, _ in GATED}
     compared = 0
     missing_metrics = set()
+
+    def judge(key, metric, before, after, higher_is_better):
+        """Records a move beyond the tolerance either way."""
+        if higher_is_better:
+            if before <= 0:
+                return  # zero-yield configs cannot trap noise
+            worse = after < before * (1.0 - args.tolerance)
+            better = after > before * (1.0 + args.tolerance)
+        else:
+            worse = after > before * (1.0 + args.tolerance)
+            better = after < before * (1.0 - args.tolerance)
+        if worse:
+            regressions.append((key, metric, before, after))
+        elif better:
+            improvements.append((key, metric, before, after))
+
     for key, old in sorted(committed.items()):
         new = fresh.get(key)
         if new is None:
             print(f"note: {key} only in committed trajectory")
             continue
         compared += 1
-        for metric in ("steps", "transfers", "makespan_cycles", "rrams"):
+        for metric, higher_is_better in GATED:
             if metric not in old or metric not in new:
                 missing_metrics.add(metric)
                 continue
             before, after = old[metric], new[metric]
-            if after > before * (1.0 + args.tolerance):
-                regressions.append((key, metric, before, after))
-        # Higher-is-better: refinement yield must not collapse.
-        metric = "refine_steps_saved"
-        if metric not in old or metric not in new:
-            missing_metrics.add(metric)
-        elif old[metric] > 0 and new[metric] < old[metric] * (
-                1.0 - args.tolerance):
-            regressions.append((key, metric, old[metric], new[metric]))
+            judge(key, metric, before, after, higher_is_better)
+            if before > 0 and after > 0:
+                ratios[metric].append(before / after)
     for metric in sorted(missing_metrics):
         print(f"note: metric {metric} missing on one side, skipped")
     for key in sorted(set(fresh) - set(committed)):
@@ -109,25 +137,36 @@ def main():
     if metric not in committed_top or metric not in fresh_top:
         print(f"note: top-level metric {metric} missing on one side, skipped")
     else:
-        before, after = committed_top[metric], fresh_top[metric]
-        if after < before * (1.0 - args.tolerance):
-            regressions.append((("<suite>", "post", 4, 0), metric,
-                                round(before, 5), round(after, 5)))
+        judge(("<suite>", "post", 4, 0), metric, committed_top[metric],
+              fresh_top[metric], True)
 
     if compared == 0:
         print("diff_bench: no comparable configurations — wrong files?")
         return 1
-    for key, metric, before, after in regressions:
+
+    def describe(key, metric, before, after):
         name, mode, banks, bus = key
-        print(f"REGRESSION: {name} ({mode}, {banks} banks, bus {bus}) "
-              f"{metric} {before} -> {after} "
-              f"({100.0 * (after - before) / max(before, 1):+.1f}%)")
+        return (f"{name} ({mode}, {banks} banks, bus {bus}) {metric} "
+                f"{before} -> {after} "
+                f"({100.0 * (after - before) / max(before, 1):+.1f}%)")
+
+    for move in improvements:
+        print(f"IMPROVED: {describe(*move)}")
+    for metric, _ in GATED:
+        values = ratios[metric]
+        if values:
+            geomean = math.exp(sum(math.log(v) for v in values) / len(values))
+            print(f"geomean old/new {metric}: {geomean:.4f} "
+                  f"over {len(values)} configurations")
+    for move in regressions:
+        print(f"REGRESSION: {describe(*move)}")
     if regressions:
         print(f"diff_bench: {len(regressions)} regression(s) over "
               f"{compared} configurations")
         return 1
     print(f"diff_bench: OK — {compared} configurations within "
-          f"{args.tolerance:.0%}")
+          f"{args.tolerance:.0%} ({len(improvements)} improvement(s) beyond "
+          f"it)")
     return 0
 
 
