@@ -32,12 +32,10 @@
 ///                    per step (default unbounded)
 ///   --refine-passes N  KL refinement passes over the cluster→bank
 ///                    assignment (default 20, 0 disables)
-///   --execution M    lockstep | decoupled (see sched::ExecutionModel)
-///   --objective M    auto | steps | makespan (see sched::Objective) —
-///                    what the scheduler optimizes; auto follows
-///                    --execution (decoupled schedules optimize the
-///                    event-driven makespan and run the stream-reorder
-///                    pass, lockstep ones the step count)
+///   --execution M    lockstep | decoupled (see sched::ExecutionModel):
+///                    the cycle figures --stats reports, and what the
+///                    scheduler optimizes — decoupled schedules the
+///                    event-driven makespan, lockstep ones the step count
 ///   --batch <file>   compile every request of the manifest (one per
 ///                    line: "blif <path>", "benchmark <name>", or a bare
 ///                    benchmark name; '#' comments). Implies stats-only
@@ -117,8 +115,7 @@ int usage() {
                "             [--degrade]\n"
                "             [--banks N] [--schedule] [--bus-width K] "
                "[--refine-passes N]\n"
-               "             [--execution lockstep|decoupled] "
-               "[--objective auto|steps|makespan]\n"
+               "             [--execution lockstep|decoupled]\n"
                "             [--threads N] [--json <file|->] "
                "[--trace <file>] [--metrics]\n"
                "             [--no-verify] [--stats]\n"
@@ -185,8 +182,8 @@ void print_stats(const plim::CompileOutcome& outcome) {
   }
   std::cerr << "schedule phases (ms): assign " << s.assign_ms << ", refine "
             << s.refine_ms << ", pack " << s.pack_ms << ", alloc "
-            << s.alloc_ms << ", sync " << s.sync_ms << ", stream order "
-            << s.stream_order_ms << " (total " << s.schedule_ms << ")\n";
+            << s.alloc_ms << ", sync " << s.sync_ms << " (total "
+            << s.schedule_ms << ")\n";
   if (s.bus_width > 0) {
     std::cerr << "bus: width " << s.bus_width << ", " << s.bus_stalls
               << " stalled bank-steps\n";
@@ -200,10 +197,6 @@ void print_stats(const plim::CompileOutcome& outcome) {
             << ", lower bound " << s.makespan_lower_bound << ", "
             << s.sync_tokens << " sync tokens, decoupling speedup "
             << s.decoupled_speedup << "x)\n";
-  if (s.stream_reorder_saved_cycles > 0) {
-    std::cerr << "stream reorder: saved " << s.stream_reorder_saved_cycles
-              << " cycles\n";
-  }
   std::cerr << "bank idle cycles:";
   for (const auto idle : s.bank_idle_cycles) {
     std::cerr << ' ' << idle;
@@ -351,20 +344,6 @@ int main(int argc, char** argv) {
         options.schedule.execution = plim::sched::ExecutionModel::decoupled;
       } else if (std::strcmp(v, "lockstep") == 0) {
         options.schedule.execution = plim::sched::ExecutionModel::lockstep;
-      } else {
-        return usage();
-      }
-    } else if (arg == "--objective") {
-      const char* v = next();
-      if (v == nullptr) {
-        return usage();
-      }
-      if (std::strcmp(v, "auto") == 0) {
-        options.schedule.objective = plim::sched::Objective::automatic;
-      } else if (std::strcmp(v, "steps") == 0) {
-        options.schedule.objective = plim::sched::Objective::steps;
-      } else if (std::strcmp(v, "makespan") == 0) {
-        options.schedule.objective = plim::sched::Objective::makespan;
       } else {
         return usage();
       }

@@ -272,7 +272,6 @@ CompileOutcome Driver::run_impl(const CompileRequest& request) const {
     sopts.cluster = options_.schedule.cluster;
     sopts.refine_passes = options_.schedule.refine_passes;
     sopts.execution = options_.schedule.execution;
-    sopts.objective = options_.schedule.objective;
     sopts.trace_label = request.label();
     sched::ScheduleResult scheduled;
     try {

@@ -80,14 +80,6 @@ std::vector<Diagnostic> Options::validate() const {
             ") only constrains multi-bank schedules; with banks = 0 it is "
             "inert"));
   }
-  if (schedule.objective == sched::Objective::makespan &&
-      schedule.execution == sched::ExecutionModel::lockstep) {
-    diags.push_back(Diagnostic::warning(
-        "makespan-objective-lockstep",
-        "the makespan objective optimizes the decoupled event-driven "
-        "clock, but the headline figures report lockstep execution — "
-        "pair it with --execution decoupled to see what it bought"));
-  }
   return diags;
 }
 

@@ -84,13 +84,12 @@ struct Options {
     std::uint32_t refine_resync = 1;
     /// Ignored by the Driver; kept until perfbench/ stops reading it.
     bool lookahead = true;
-    /// Execution model the headline cycle figures are reported for; the
+    /// Execution model the headline cycle figures are reported for, and
+    /// what the scheduler optimizes: decoupled schedules their
+    /// event-driven makespan, lockstep ones their step count. The
     /// emitted program always carries both views (steps + sync tokens).
     sched::ExecutionModel execution = sched::ExecutionModel::lockstep;
-    /// Scheduling objective (plimc --objective {auto,steps,makespan}):
-    /// `steps` minimizes the lockstep step count, `makespan` the
-    /// decoupled event-driven makespan (and runs the stream-reorder
-    /// pass), `automatic` follows `execution`.
+    /// Ignored by the Driver; kept until perfbench/ stops reading it.
     sched::Objective objective = sched::Objective::automatic;
   } schedule;
 

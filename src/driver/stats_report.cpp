@@ -19,7 +19,6 @@ void StatsReport::normalize_timing() {
     schedule->pack_ms = 0.0;
     schedule->alloc_ms = 0.0;
     schedule->sync_ms = 0.0;
-    schedule->stream_order_ms = 0.0;
   }
 }
 

@@ -28,14 +28,11 @@ struct CostModel {
   /// duplication.
   std::uint32_t duplicate_max_instructions = 2;
 
-  /// Weight of per-bank load imbalance (in instructions over the
-  /// least-loaded bank) relative to transfer cost.
-  double load_balance_weight = 1.0;
-
   /// Cost of placing a cluster onto a bank currently carrying `bank_load`
   /// instructions (least-loaded bank: `min_load`) when the move needs
-  /// `transfers` cross-bank copies. The load term prices the transfers'
-  /// landing cost too: every copy
+  /// `transfers` cross-bank copies: the copies' instructions plus the
+  /// bank's surplus load, both in instructions and weighed alike. The
+  /// load term prices the transfers' landing cost too: every copy
   /// materializes as `transfer_instructions` RM3 ops *in the consuming
   /// bank*, so a lightly loaded bank that needs many transfers is not
   /// actually cheap. Without this, wide circuits over-fragment — clusters
@@ -49,7 +46,7 @@ struct CostModel {
     const auto excess = effective > min_load ? effective - min_load : 0;
     return static_cast<double>(transfer_instructions) *
                static_cast<double>(transfers) +
-           load_balance_weight * static_cast<double>(excess);
+           static_cast<double>(excess);
   }
 
   /// Whether recomputing a producer chain of `chain_instructions` beats
@@ -57,18 +54,6 @@ struct CostModel {
   [[nodiscard]] bool should_duplicate(
       std::uint32_t chain_instructions) const {
     return chain_instructions <= duplicate_max_instructions;
-  }
-
-  /// Bus rounds needed to issue `transfers` copies in one step (1 when
-  /// they fit, more when the bounded bus must serialize them).
-  [[nodiscard]] std::uint32_t bus_rounds(std::uint32_t transfers) const {
-    if (transfers == 0) {
-      return 0;
-    }
-    if (bus_width == 0 || transfers <= bus_width) {
-      return 1;
-    }
-    return (transfers + bus_width - 1) / bus_width;
   }
 };
 

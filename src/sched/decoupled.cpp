@@ -31,49 +31,6 @@ StreamView::StreamView(const ParallelProgram& program)
   }
 }
 
-void for_each_hazard(const StreamView& view, std::uint32_t cells,
-                     const std::function<void(const Hazard&)>& visit) {
-  constexpr auto kWritePhase = IssueClock::kWritePhase;
-  const auto n = view.size();
-  // Per cell: the last write so far and the reads since it.
-  std::vector<std::uint32_t> last_write(cells, n);
-  std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>>
-      reads_since(cells);  // (reader id, read phase)
-  const auto read = [&](std::uint32_t i, std::uint32_t c,
-                        std::uint32_t read_phase) {
-    if (c >= cells) {
-      return;  // out of range; validate() reports it
-    }
-    if (last_write[c] != n) {
-      visit({last_write[c], i, kWritePhase, read_phase});  // RAW
-    }
-    reads_since[c].emplace_back(i, read_phase);
-  };
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const auto& ins = view.slot[i].instr;
-    if (ins.a.is_rram()) {
-      read(i, ins.a.address(), 1);
-    }
-    if (ins.b.is_rram()) {
-      read(i, ins.b.address(), 2);
-    }
-    read(i, ins.z, kWritePhase);
-    if (ins.z >= cells) {
-      continue;
-    }
-    for (const auto& [r, phase] : reads_since[ins.z]) {
-      if (r != i) {
-        visit({r, i, phase, kWritePhase});  // WAR
-      }
-    }
-    if (last_write[ins.z] != n) {
-      visit({last_write[ins.z], i, kWritePhase, kWritePhase});  // WAW
-    }
-    last_write[ins.z] = i;
-    reads_since[ins.z].clear();
-  }
-}
-
 std::uint64_t IssueClock::issue(std::uint32_t bank, std::uint64_t ready,
                                 bool copy) {
   auto start = std::max(ready, bank_ready_[bank]);
@@ -91,6 +48,67 @@ std::uint64_t IssueClock::issue(std::uint32_t bank, std::uint64_t ready,
 }
 
 namespace {
+
+/// One ordering requirement between two ops of a StreamView: phase
+/// `to_phase` of op `to` may begin only once phase `from_phase` of op
+/// `from` has completed (the SyncEdge contract, over op ids).
+struct Hazard {
+  std::uint32_t from;
+  std::uint32_t to;
+  std::uint32_t from_phase;
+  std::uint32_t to_phase;
+};
+
+/// Visits every hazard over the program's RRAM cells, from one walk in
+/// program order: a read follows the cell's last write (RAW) and
+/// precedes its next one (WAR), and a write follows the previous one
+/// (WAW). Operand A is read in phase 1, operand B in phase 2, and the
+/// destination joins the majority in the write phase. The hazards are
+/// never stored as one list: a program that reuses its cells densely
+/// has several per op.
+template <typename Visit>
+void for_each_hazard(const StreamView& view, std::uint32_t cells,
+                     Visit&& visit) {
+  constexpr auto kWritePhase = IssueClock::kWritePhase;
+  const auto n = view.size();
+  // Per cell: the last write so far and the reads since it.
+  std::vector<std::uint32_t> last_write(cells, n);
+  std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>>
+      reads_since(cells);  // (reader id, read phase)
+  const auto read = [&](std::uint32_t i, std::uint32_t c,
+                        std::uint32_t read_phase) {
+    if (c >= cells) {
+      return;  // out of range; validate() reports it
+    }
+    if (last_write[c] != n) {
+      visit(Hazard{last_write[c], i, kWritePhase, read_phase});  // RAW
+    }
+    reads_since[c].emplace_back(i, read_phase);
+  };
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const auto& ins = view.slot[i].instr;
+    if (ins.a.is_rram()) {
+      read(i, ins.a.address(), 1);
+    }
+    if (ins.b.is_rram()) {
+      read(i, ins.b.address(), 2);
+    }
+    read(i, ins.z, kWritePhase);
+    if (ins.z >= cells) {
+      continue;
+    }
+    for (const auto& [r, phase] : reads_since[ins.z]) {
+      if (r != i) {
+        visit(Hazard{r, i, phase, kWritePhase});  // WAR
+      }
+    }
+    if (last_write[ins.z] != n) {
+      visit(Hazard{last_write[ins.z], i, kWritePhase, kWritePhase});  // WAW
+    }
+    last_write[ins.z] = i;
+    reads_since[ins.z].clear();
+  }
+}
 
 /// The cross-bank hazards of for_each_hazard as stream-position
 /// requirements, sorted, with requirements equal up to phases (e.g. one

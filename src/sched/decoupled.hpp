@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <queue>
 #include <string>
 #include <utility>
@@ -18,8 +17,8 @@ namespace plim::sched {
 /// the shared inter-bank bus. The lockstep step view stays the canonical
 /// storage (ParallelProgram); everything here is derived from it, and
 /// the machine model lives here once: the stream view below, the issue
-/// clock the timer and both planners run on, and the per-cell hazard
-/// walk the sync tokens and the stream reorder are derived from.
+/// clock the timer and the scheduler's projected makespan run on, and
+/// the per-cell hazard walk the sync tokens are derived from.
 ///
 /// Tokens point forward by rule: a token's wait sits in a strictly later
 /// lockstep step than its signal (check_sync rejects anything else).
@@ -59,30 +58,8 @@ struct StreamView {
   }
 };
 
-/// One ordering requirement between two ops of a StreamView: phase
-/// `to_phase` of op `to` may begin only once phase `from_phase` of op
-/// `from` has completed (the SyncEdge contract, over op ids).
-struct Hazard {
-  std::uint32_t from;
-  std::uint32_t to;
-  std::uint32_t from_phase;
-  std::uint32_t to_phase;
-};
-
-/// Visits every hazard over the program's RRAM cells, from one walk in
-/// program order: a read follows the cell's last write (RAW) and
-/// precedes its next one (WAR), and a write follows the previous one
-/// (WAW). Operand A is read in phase 1, operand B in phase 2, and the
-/// destination joins the majority in the write phase. derive_sync and
-/// check_sync keep the cross-bank pairs; reorder_streams schedules on
-/// all of them. The hazards are never stored as one list: a program
-/// that reuses its cells densely has several per op.
-void for_each_hazard(const StreamView& view, std::uint32_t cells,
-                     const std::function<void(const Hazard&)>& visit);
-
-/// The decoupled machine's clock, written once for decoupled_timing, the
-/// scheduler's projected makespan, reorder_streams and the refinement
-/// screen's span model:
+/// The decoupled machine's clock, written once for decoupled_timing and
+/// the scheduler's projected makespan:
 ///  - a bank controller owns its stream, so it prefetches the next
 ///    instruction during the current write phase and issues
 ///    back-to-back ops every kCadence = phases − 1 cycles (the next read
@@ -139,7 +116,8 @@ class IssueClock {
 
 /// Derives and stores the minimal sync-token set for `program`,
 /// replacing any existing tokens. One ordering requirement exists per
-/// cross-bank hazard of for_each_hazard: a remote read (transfer copy) must
+/// cross-bank hazard over the program's RRAM cells (RAW, WAR and WAW,
+/// from one walk in program order): a remote read (transfer copy) must
 /// happen after the last earlier write of the cell it reads (RAW) and
 /// before the cell's next overwrite (WAR). Requirements carry
 /// phase-level endpoints (see SyncEdge): a RAW token signals at the

@@ -5,20 +5,7 @@
 #include <utility>
 #include <vector>
 
-#include "sched/decoupled.hpp"
-
 namespace plim::sched {
-
-namespace {
-
-/// The pipelined span the makespan model rides on: the critical chain's
-/// or the busiest bank's, whichever is longer.
-std::uint64_t span_bound(std::uint64_t chain, std::uint64_t peak) {
-  return std::max(IssueClock::stream_span(chain),
-                  IssueClock::stream_span(peak));
-}
-
-}  // namespace
 
 IncrementalEval::IncrementalEval(const DependenceGraph& graph,
                                  const CostModel& cost, std::uint32_t banks)
@@ -62,16 +49,6 @@ void IncrementalEval::anchor(const std::vector<std::uint32_t>& seg_bank,
   overhead_ = exact.steps > bound
                   ? static_cast<std::uint32_t>(exact.steps - bound)
                   : 0;
-  // Makespan anchor: the event-driven makespan rides on whichever span
-  // binds — the critical chain or the busiest bank's pipelined stream —
-  // with a signed offset capturing everything the span model cannot see
-  // (sync latencies, bus contention, packing).
-  makespan_modeled_ = exact.makespan > 0;
-  overhead_mk_ =
-      makespan_modeled_
-          ? static_cast<std::int64_t>(exact.makespan) -
-                static_cast<std::int64_t>(span_bound(chain_, peak))
-          : 0;
 }
 
 IncrementalEval::Estimate IncrementalEval::estimate(
@@ -179,11 +156,6 @@ IncrementalEval::Estimate IncrementalEval::estimate(
   // the peak effective load the move just changed.
   est.steps = overhead_ + static_cast<std::uint32_t>(
                               std::max<std::uint64_t>(chain_, peak));
-  if (makespan_modeled_) {
-    const auto span =
-        static_cast<std::int64_t>(span_bound(chain_, peak)) + overhead_mk_;
-    est.makespan = static_cast<std::uint64_t>(std::max<std::int64_t>(span, 0));
-  }
   const auto xfer = static_cast<std::int64_t>(transfers_) + transfer_delta;
   est.transfers = static_cast<std::uint32_t>(std::max<std::int64_t>(xfer, 0));
   return est;

@@ -27,7 +27,10 @@ namespace plim::sched {
 /// effective load), which prices load/transfer-bound moves well but
 /// cannot see chain-length changes. Refinement therefore confirms every
 /// accepted move with the exact evaluator and re-anchors here, so the
-/// anchored state is always exact.
+/// anchored state is always exact. The makespan objective screens on
+/// the same estimate: a pipelined-span model of the makespan would
+/// still rank a move by max(chain bound, peak effective load) against
+/// the anchor's, so it would decide exactly as `steps` does.
 class IncrementalEval {
  public:
   /// One priced trial: the estimated schedule cost of the whole
@@ -35,11 +38,6 @@ class IncrementalEval {
   struct Estimate {
     std::uint32_t steps = 0;
     std::uint32_t transfers = 0;
-    /// Projected decoupled makespan (cycles): the anchor's event-driven
-    /// overhead on top of max(chain span, busiest pipelined stream
-    /// span), spans priced by IssueClock::stream_span. 0 unless
-    /// the anchor evaluation carried a makespan (makespan objective).
-    std::uint64_t makespan = 0;
   };
 
   /// A segment relocation the estimate prices: `seg` moved away from
@@ -81,10 +79,6 @@ class IncrementalEval {
   std::uint32_t transfers_ = 0;  ///< anchor transfers
   std::uint32_t chain_ = 0;      ///< expanded-program chain bound (anchor)
   std::uint32_t overhead_ = 0;   ///< anchor steps − max(chain, peak load)
-  /// Anchor makespan − max(chain span, peak stream span); signed — the
-  /// pipelined-span model can overshoot the event-driven makespan.
-  std::int64_t overhead_mk_ = 0;
-  bool makespan_modeled_ = false;  ///< anchor carried a makespan
 
   // Scratch for the delta walk (mutable: estimate() is logically const).
   mutable std::vector<std::pair<std::uint32_t, std::int64_t>> bank_delta_;

@@ -32,7 +32,6 @@ void write_json_fields(const ScheduleStats& stats, util::JsonWriter& json) {
   json.field("decoupled_bus_stall_cycles", stats.decoupled_bus_stall_cycles);
   json.field("decoupled_speedup", stats.decoupled_speedup);
   json.field("makespan_lower_bound", stats.makespan_lower_bound);
-  json.field("stream_reorder_saved_cycles", stats.stream_reorder_saved_cycles);
   json.begin_array("bank_load");
   for (const auto load : stats.bank_load) {
     json.value(load);
@@ -59,7 +58,6 @@ void write_json_fields(const ScheduleStats& stats, util::JsonWriter& json) {
   json.field("pack_ms", stats.pack_ms);
   json.field("alloc_ms", stats.alloc_ms);
   json.field("sync_ms", stats.sync_ms);
-  json.field("stream_order_ms", stats.stream_order_ms);
 }
 
 std::uint32_t ParallelProgram::add_input(std::string name) {

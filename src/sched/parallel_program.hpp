@@ -71,18 +71,9 @@ struct SyncEdge {
 ///    makespan = max over banks of its own cycle count.
 enum class ExecutionModel { lockstep, decoupled };
 
-/// What the scheduler's refinement keep-rule and seed selection rank
-/// first:
-///  - steps:     lexicographic (lockstep steps, transfers) — the right
-///               objective when the program runs under the global step
-///               clock;
-///  - makespan:  lexicographic (event-driven decoupled makespan, steps,
-///               transfers) — optimizes the cycle figure decoupled
-///               execution actually pays, using a sync-aware projection
-///               of every trial schedule;
-///  - automatic: follow the execution model (makespan under decoupled,
-///               steps under lockstep) — the default, so decoupled
-///               compilations are decoupled-native without extra knobs.
+/// Ignored: the scheduler's objective follows the ExecutionModel.
+/// Kept, with the ignored `objective` option fields, until perfbench/
+/// stops assigning them.
 enum class Objective { automatic, steps, makespan };
 
 /// A multi-bank PLiM program: a sequence of *steps*, each holding at most
@@ -254,8 +245,7 @@ struct ScheduleStats {
   /// makespan_lower_bound ≤ decoupled_cycles always holds; the gap is
   /// what bus contention and stream ordering still cost.
   std::uint64_t makespan_lower_bound = 0;
-  /// Cycles the decoupled-native stream-order pass removed from the
-  /// makespan (0 when the pass did not run or found nothing better).
+  /// Always 0; kept until perfbench/ stops reading it.
   std::uint64_t stream_reorder_saved_cycles = 0;
   /// Per-bank idle cycles under `execution`: lockstep charges every bank
   /// each step, decoupled charges waits + tail idle until the makespan.
@@ -285,7 +275,6 @@ struct ScheduleStats {
   double pack_ms = 0.0;
   double alloc_ms = 0.0;  ///< of which: physical cell allocation + emission
   double sync_ms = 0.0;   ///< of which: sync derivation + decoupled timing
-  double stream_order_ms = 0.0;  ///< of which: the stream-reorder pass
 };
 
 /// Emits the stats as fields of the currently open JSON object — the one

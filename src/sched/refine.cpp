@@ -235,7 +235,6 @@ RefineStats refine(const DependenceGraph& graph,
   // and re-anchored on every kept move.
   IncrementalEval inc(graph, cost, banks);
   inc.anchor(seg_bank, best);
-  const bool by_makespan = options.makespan_objective;
 
   std::vector<std::uint32_t> scratch;
   scratch.reserve(banks);
@@ -284,7 +283,7 @@ RefineStats refine(const DependenceGraph& graph,
   // the first tie-break, so the lockstep view never regresses without
   // an event-driven win to show for it.
   const auto improves = [&](const RefineEval& r) {
-    if (by_makespan && r.makespan != best.makespan) {
+    if (options.makespan_objective && r.makespan != best.makespan) {
       return r.makespan < best.makespan;
     }
     return r.steps < best.steps ||
@@ -421,10 +420,8 @@ RefineStats refine(const DependenceGraph& graph,
     if (screened) {
       const auto est = inc.estimate(seg_bank, moved);
       const bool promising =
-          by_makespan && est.makespan != best.makespan
-              ? est.makespan < best.makespan
-              : est.steps < best.steps ||
-                    (est.steps == best.steps && est.transfers < best.transfers);
+          est.steps < best.steps ||
+          (est.steps == best.steps && est.transfers < best.transfers);
       if (!promising) {
         ++work.moves_screened;
         record_trial(best.steps, best.transfers, est.steps, est.transfers,
@@ -590,13 +587,9 @@ RefineStats refine(const DependenceGraph& graph,
           continue;
         }
         const auto gain =
-            static_cast<std::int64_t>(
-                static_cast<double>(cost.transfer_instructions) *
-                static_cast<double>(
-                    -transfer_delta(graph, st, seg_bank, c, q, scratch))) +
-            static_cast<std::int64_t>(cost.load_balance_weight *
-                                      static_cast<double>(
-                                          peak_delta(c, q, from)));
+            -std::int64_t{cost.transfer_instructions} *
+                transfer_delta(graph, st, seg_bank, c, q, scratch) +
+            peak_delta(c, q, from);
         if (gain > best_gain) {
           best_gain = gain;
           best_bank = q;

@@ -48,8 +48,8 @@ struct RefineOptions {
   /// Optimize the decoupled event-driven makespan first (lexicographic
   /// (makespan, steps, transfers)) instead of the lockstep step count
   /// ((steps, transfers)). Requires the evaluator to fill
-  /// RefineEval::makespan (the scheduler's evaluator does when its
-  /// objective resolves to makespan).
+  /// RefineEval::makespan (the scheduler's evaluator does under
+  /// decoupled execution).
   bool makespan_objective = false;
 };
 

@@ -16,7 +16,6 @@
 #include "sched/clustering.hpp"
 #include "sched/decoupled.hpp"
 #include "sched/refine.hpp"
-#include "sched/stream_order.hpp"
 #include "sched/timeline.hpp"
 #include "util/metrics.hpp"
 #include "util/trace.hpp"
@@ -875,8 +874,8 @@ void sink_inits(const Expansion& ex, std::uint32_t banks, ListSchedule& ls) {
 /// emission: the IssueClock decoupled_timing runs on, swept over the
 /// virtual program directly, with phase-accurate cross-bank RAW
 /// latencies. The virtual program is SSA (no WAR/WAW from cell reuse)
-/// and ignores the physical allocator's slack-guarded recycling WARs, so
-/// this is an optimistic projection, but it moves with exactly the
+/// and ignores the physical allocator's recycling WARs, so this is an
+/// optimistic projection, but it moves with exactly the
 /// quantities refinement moves (chain shape, bank loads, transfer
 /// placement) — the right objective surrogate.
 std::uint64_t projected_makespan(const Expansion& ex, const ListSchedule& ls,
@@ -952,13 +951,11 @@ ScheduleResult schedule(const arch::Program& serial,
         "sched: program reads RRAM cells it never wrote; its behaviour "
         "depends on pre-existing memory content and cannot be bank-remapped");
   }
-  // Resolve the scheduling objective: `automatic` follows the execution
-  // model the cycle figures are reported for — a decoupled schedule is
-  // judged by its event-driven makespan, a lockstep one by steps.
+  // The objective follows the execution model the cycle figures are
+  // reported for: a decoupled schedule is judged by its event-driven
+  // makespan, a lockstep one by steps.
   const bool makespan_objective =
-      opts.objective == Objective::makespan ||
-      (opts.objective == Objective::automatic &&
-       opts.execution == ExecutionModel::decoupled);
+      opts.execution == ExecutionModel::decoupled;
   const auto banks = opts.banks;
   const auto n = graph.num_instructions();
   const auto num_segments = graph.num_segments();
@@ -1134,16 +1131,12 @@ ScheduleResult schedule(const arch::Program& serial,
   double alloc_ms = 0.0;
   std::optional<util::ScopedPhase> alloc_phase;
   alloc_phase.emplace("sched.alloc", &alloc_ms);
+  // A dead cell recycles the step after its last touch. When a remote
+  // reader touched it last, the reuse is a cross-bank WAR; derive_sync
+  // orders it with a zero-latency token from the read phase to the write
+  // phase, so the overwrite may start as soon as the read does.
   std::vector<std::uint32_t> first_step(num_vcells, npos);
   std::vector<std::uint32_t> last_step(num_vcells, 0);
-  // Virtual cells read from another bank (transfer sources). Recycling
-  // their physical cell creates a *cross-bank* WAR — the new write must
-  // sync against the remote reader — so they retire with a slack window:
-  // a tight one-step WAR chain through every recycled cell would drag
-  // the decoupled makespan right back up to the lockstep step count.
-  // Locally-read cells recycle immediately; the bank's own stream order
-  // covers their WAR for free.
-  std::vector<bool> remotely_read(num_vcells, false);
   for (std::uint32_t i = 0; i < vn; ++i) {
     const auto t = ls.step_of[i];
     const auto touch = [&](std::uint32_t cell) {
@@ -1154,13 +1147,9 @@ ScheduleResult schedule(const arch::Program& serial,
     for (const auto op : {virt[i].a, virt[i].b}) {
       if (op.is_rram()) {
         touch(op.address());
-        if (ex.vcell_bank[op.address()] != virt[i].bank) {
-          remotely_read[op.address()] = true;
-        }
       }
     }
   }
-  constexpr std::uint32_t kRecycleSlack = 32;  ///< steps before cross-bank reuse
 
   // Output cells live forever: pin the final segment of each output cell.
   std::vector<bool> pinned(num_vcells, false);
@@ -1203,8 +1192,7 @@ ScheduleResult schedule(const arch::Program& serial,
     }
     local_of[c] = local;
     if (!pinned[c]) {
-      const auto slack = remotely_read[c] ? kRecycleSlack : 0;
-      free_cells[b].push({last_step[c] + 1 + slack, local});
+      free_cells[b].push({last_step[c] + 1, local});
     }
   }
 
@@ -1267,8 +1255,8 @@ ScheduleResult schedule(const arch::Program& serial,
   stats.serial_rrams = serial.num_rrams();
   stats.bus_width = opts.cost.bus_width;
   stats.bus_stalls = ls.bus_stalls;
-  // The virtual program is emitted: free it before sync derivation,
-  // stream ordering and timing allocate theirs.
+  // The virtual program is emitted: free it before sync derivation and
+  // timing allocate theirs.
   ws = {};
 
   // Sync tokens for decoupled execution: one coalesced signal/wait pair
@@ -1278,24 +1266,9 @@ ScheduleResult schedule(const arch::Program& serial,
     const util::ScopedPhase sync_phase("sched.sync", &sync_ms);
     derive_sync(pp);
   }
-
-  // Decoupled-native stream ordering: under the makespan objective the
-  // emitted program gets one more pass that re-sequences each bank's
-  // stream for the event-driven clock (adopted only when the makespan
-  // strictly improves and the step count does not grow — see
-  // sched/stream_order.hpp), with sync tokens re-derived for the new
-  // streams.
-  StreamOrderResult reorder;
-  double stream_order_ms = 0.0;
-  if (makespan_objective && banks > 1) {
-    const util::ScopedPhase reorder_phase("sched.stream_order",
-                                          &stream_order_ms);
-    reorder = reorder_streams(pp);
-  }
   const auto final_steps = pp.num_steps();
 
   stats.steps = final_steps;
-  stats.stream_reorder_saved_cycles = reorder.saved_cycles;
   stats.parallel_rrams = pp.num_rrams();
   stats.refine_passes = rwork.passes_run;
   stats.refine_moves_tried = rwork.moves_tried;
@@ -1359,7 +1332,6 @@ ScheduleResult schedule(const arch::Program& serial,
   stats.pack_ms = pack_ms;
   stats.alloc_ms = alloc_ms;
   stats.sync_ms = sync_ms;
-  stats.stream_order_ms = stream_order_ms;
   stats.schedule_ms =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - t0)

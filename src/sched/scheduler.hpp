@@ -44,19 +44,16 @@ struct ScheduleOptions {
 
   /// Execution model the schedule's headline cycle figures (see
   /// ScheduleStats::makespan_cycles / bank_idle_cycles) are reported
-  /// for. The emitted program carries both views either way: the
-  /// lockstep step structure plus the sync tokens decoupled execution
-  /// needs, so `plimc --execution` and Machine::run_decoupled work on
-  /// any schedule.
+  /// for, and what the scheduler optimizes: a lockstep schedule the
+  /// lexicographic (steps, transfers), a decoupled one its projected
+  /// event-driven makespan first — seed selection and the refinement
+  /// keep rule compare projected makespans. The emitted program carries
+  /// both views either way: the lockstep step structure plus the sync
+  /// tokens decoupled execution needs, so `plimc --execution` and
+  /// Machine::run_decoupled work on any schedule.
   ExecutionModel execution = ExecutionModel::lockstep;
 
-  /// What the scheduler optimizes (see sched::Objective): `steps` is
-  /// the classic lexicographic (lockstep steps, transfers); `makespan`
-  /// leads with the decoupled event-driven makespan — seed selection
-  /// and refinement compare projected makespans, and the emitted
-  /// program additionally runs the stream-reorder pass
-  /// (sched::reorder_streams). `automatic` follows `execution`:
-  /// decoupled schedules optimize makespan, lockstep ones steps.
+  /// Ignored by schedule(); kept until perfbench/ stops assigning it.
   Objective objective = Objective::automatic;
 
   /// Label for this schedule's trace artifacts (the name of the

@@ -1,6 +1,5 @@
 #include "serve/structural_hash.hpp"
 
-#include <bit>
 #include <cstdio>
 
 namespace plim::serve {
@@ -31,10 +30,6 @@ void StructuralHasher::mix(std::uint64_t v) noexcept {
   // Lane B evolves position-dependently and with a different injection,
   // so the lanes never degenerate into copies of each other.
   b_ = splitmix(b_ + v * 0xd6e8feb86659fd93ULL + words_);
-}
-
-void StructuralHasher::mix_double(double v) noexcept {
-  mix(std::bit_cast<std::uint64_t>(v));
 }
 
 void StructuralHasher::mix_string(const std::string& s) noexcept {
@@ -92,8 +87,9 @@ void hash_mig(StructuralHasher& h, const mig::Mig& network) {
 
 void hash_options(StructuralHasher& h, const Options& options) {
   // One word per field, nested sections fenced by sentinels. Mirrors
-  // plim::Options field for field — the OptionsSensitivity test fails
-  // when a new field is forgotten here.
+  // plim::Options field for field, except the schedule fields the
+  // Driver ignores — the OptionsSensitivity test fails when a new field
+  // is forgotten here.
   h.mix(0x0517);  // options fence
   h.mix(options.banks);
 
@@ -118,11 +114,9 @@ void hash_options(StructuralHasher& h, const Options& options) {
   h.mix(options.schedule.cost.bus_width);
   h.mix(options.schedule.cost.transfer_instructions);
   h.mix(options.schedule.cost.duplicate_max_instructions);
-  h.mix_double(options.schedule.cost.load_balance_weight);
   h.mix_bool(options.schedule.cluster);
   h.mix(options.schedule.refine_passes);
   h.mix(static_cast<std::uint64_t>(options.schedule.execution));
-  h.mix(static_cast<std::uint64_t>(options.schedule.objective));
 
   h.mix(0x0524);  // verify
   h.mix_bool(options.verify.enabled);

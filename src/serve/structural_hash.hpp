@@ -40,7 +40,6 @@ class StructuralHasher {
  public:
   void mix(std::uint64_t v) noexcept;
   void mix_bool(bool v) noexcept { mix(v ? 1 : 2); }
-  void mix_double(double v) noexcept;
   /// Length-prefixed, so "ab" + "c" never aliases "a" + "bc".
   void mix_string(const std::string& s) noexcept;
 

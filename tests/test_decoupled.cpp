@@ -13,7 +13,6 @@
 #include "mig/random.hpp"
 #include "sched/decoupled.hpp"
 #include "sched/scheduler.hpp"
-#include "sched/stream_order.hpp"
 #include "sched/text.hpp"
 #include "sched/verify.hpp"
 
@@ -324,11 +323,11 @@ TEST(DecoupledClock, TokensMustPointForward) {
 // ---- decoupled-native scheduling --------------------------------------------
 
 TEST(DecoupledNative, FuzzedMakespanSchedulesStaySound) {
-  // Phase-level tokens + stream reordering + makespan-first refinement
-  // must preserve the hard guarantees on arbitrary circuits: the
-  // schedule validates (deadlock-free, every hazard covered), the
-  // timing stays between its own lower bound and the lockstep bound,
-  // and both machine models compute the serial program's function.
+  // Phase-level tokens + makespan-first refinement must preserve the
+  // hard guarantees on arbitrary circuits: the schedule validates
+  // (deadlock-free, every hazard covered), the timing stays between its
+  // own lower bound and the lockstep bound, and both machine models
+  // compute the serial program's function.
   for (std::uint64_t seed = 11; seed <= 16; ++seed) {
     mig::RandomMigOptions mopts;
     mopts.num_pis = 4 + static_cast<std::uint32_t>(seed % 4);
@@ -340,7 +339,6 @@ TEST(DecoupledNative, FuzzedMakespanSchedulesStaySound) {
          {std::uint32_t{2}, std::uint32_t{4}, std::uint32_t{8}}) {
       auto opts = with_banks(banks);
       opts.execution = ExecutionModel::decoupled;
-      opts.objective = Objective::makespan;
       const auto result = schedule(compiled.program, opts);
       ASSERT_EQ(result.program.validate(), "")
           << "seed " << seed << ", " << banks << " banks";
@@ -382,64 +380,6 @@ TEST(DecoupledNative, PhaseLevelTokensNeverSlowTheClock) {
     EXPECT_LT(phase_level.makespan_cycles, full.makespan_cycles)
         << "phase-level tokens bought nothing on a real circuit";
   }
-}
-
-TEST(StreamReorder, HoistsACriticalProducer) {
-  // Bank 0 parks the producer of bank 1's whole dependent chain at the
-  // end of its stream; event-driven list scheduling must hoist it to
-  // the front, collapsing bank 1's wait — fewer steps AND a smaller
-  // makespan, so the accept guard adopts the candidate.
-  ParallelProgram p(2);
-  p.set_bank_range(0, 0, 8);
-  p.set_bank_range(1, 8, 16);
-  const auto filler = [](std::uint32_t z) {
-    return Slot{0, {arch::Operand::constant(false),
-                    arch::Operand::constant(true), z}, false};
-  };
-  for (std::uint32_t z = 1; z <= 4; ++z) {
-    p.begin_step();
-    p.add_slot(filler(z));
-  }
-  p.begin_step();
-  p.add_slot(filler(0));  // the producer, last in bank 0's stream
-  p.begin_step();
-  p.add_slot({1, {arch::Operand::rram(0), arch::Operand::constant(false), 8},
-              true});
-  for (std::uint32_t z = 9; z <= 12; ++z) {
-    p.begin_step();
-    p.add_slot({1, {arch::Operand::rram(z - 1), arch::Operand::constant(false),
-                    z}, false});
-  }
-  derive_sync(p);
-  ASSERT_EQ(p.validate(), "");
-  const auto steps_before = p.num_steps();
-  const auto before = decoupled_timing(p);
-
-  const auto r = reorder_streams(p);
-  EXPECT_TRUE(r.applied);
-  EXPECT_EQ(r.makespan_before, before.makespan_cycles);
-  EXPECT_LT(r.makespan_after, r.makespan_before);
-  EXPECT_EQ(r.saved_cycles, r.makespan_before - r.makespan_after);
-  ASSERT_EQ(p.validate(), "");
-  EXPECT_LE(p.num_steps(), steps_before);
-  EXPECT_EQ(decoupled_timing(p).makespan_cycles,
-            r.makespan_after);
-}
-
-TEST(StreamReorder, KeepsAnAlreadyTightScheduleUntouched) {
-  // Makespan-first refinement drives unbounded-bus schedules onto their
-  // critical-path floor; the reorder pass must then leave the program
-  // bit-identical (its accept guard demands a strict improvement).
-  const auto compiled = core::compile(circuits::make_int2float());
-  auto opts = with_banks(4);
-  opts.execution = ExecutionModel::decoupled;
-  auto result = schedule(compiled.program, opts);
-  ASSERT_EQ(result.stats.decoupled_cycles, result.stats.makespan_lower_bound);
-  const auto text = to_text(result.program);
-  const auto r = reorder_streams(result.program);
-  EXPECT_FALSE(r.applied);
-  EXPECT_EQ(r.saved_cycles, 0u);
-  EXPECT_EQ(to_text(result.program), text);
 }
 
 // ---- machine execution ------------------------------------------------------

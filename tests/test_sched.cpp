@@ -518,20 +518,14 @@ TEST(ParallelText, ParseRejectsMalformed) {
 
 // ---- cost model -------------------------------------------------------------
 
-TEST(CostModel, BusRoundsAndDuplication) {
+TEST(CostModel, DuplicationAndPlacementCost) {
   CostModel cost;
-  cost.bus_width = 2;
-  EXPECT_EQ(cost.bus_rounds(0), 0u);
-  EXPECT_EQ(cost.bus_rounds(2), 1u);
-  EXPECT_EQ(cost.bus_rounds(5), 3u);
-  cost.bus_width = 0;
-  EXPECT_EQ(cost.bus_rounds(100), 1u);
   EXPECT_TRUE(cost.should_duplicate(2));
   EXPECT_FALSE(cost.should_duplicate(3));
   // Transfers price at transfer_instructions each, land as that many
   // instructions in the consuming bank before the load comparison, and
-  // imbalance weighs in at the configured weight: 3 transfers onto a
-  // bank at load 5 (least loaded 0) → effective load 11, cost 6 + 11.
+  // imbalance weighs in like the transfers: 3 transfers onto a bank at
+  // load 5 (least loaded 0) → effective load 11, cost 6 + 11.
   EXPECT_DOUBLE_EQ(cost.placement_cost(3, 5, 0), 17.0);
   // A bank below the minimum load contributes no imbalance term.
   EXPECT_DOUBLE_EQ(cost.placement_cost(0, 2, 4), 0.0);
@@ -748,23 +742,22 @@ TEST(Pipeline, OptionalSchedulingStage) {
 // ---- schedule phase timing --------------------------------------------------
 
 /// Every millisecond of a schedule belongs to a named sub-phase: assign,
-/// refine, pack, alloc, sync and stream order together cover the
-/// scheduler's wall-clock.
+/// refine, pack, alloc and sync together cover the scheduler's
+/// wall-clock.
 TEST(ScheduleStats, SubPhasesCoverScheduleTime) {
   const auto compiled = core::compile(circuits::build_benchmark("i2c"));
   auto opts = with_banks(4);
   opts.execution = ExecutionModel::decoupled;
   opts.cost.bus_width = 1;
   const auto s = schedule(compiled.program, opts).stats;
-  const double phases = s.assign_ms + s.refine_ms + s.pack_ms + s.alloc_ms +
-                        s.sync_ms + s.stream_order_ms;
+  const double phases =
+      s.assign_ms + s.refine_ms + s.pack_ms + s.alloc_ms + s.sync_ms;
   EXPECT_GT(s.refine_ms, 0.0);
-  EXPECT_GT(s.stream_order_ms, 0.0);
   EXPECT_LE(phases, s.schedule_ms);
   EXPECT_GE(phases, 0.95 * s.schedule_ms)
       << "assign " << s.assign_ms << " refine " << s.refine_ms << " pack "
       << s.pack_ms << " alloc " << s.alloc_ms << " sync " << s.sync_ms
-      << " stream order " << s.stream_order_ms << " of " << s.schedule_ms;
+      << " of " << s.schedule_ms;
 }
 
 // ---- golden schedules -------------------------------------------------------
@@ -778,21 +771,13 @@ std::uint64_t fnv1a(const std::string& text) {
   return h;
 }
 
-// ---- init sinking -------------------------------------------------------------
+// ---- init sinking and allocation --------------------------------------------
 
-/// Every init (both operands constant) of bank b at step s writing cell
-/// c sits in the latest idle slot before c is next needed: with u the
-/// first later step touching c in any bank (the program's end when none
-/// does), bank b issues in every step of (s, u). Under the steps
-/// objective the emitted steps are the packed ones, on either bus and
-/// execution model.
-TEST(Schedule, InitsSitInTheirLatestIdleSlot) {
-  const auto touches = [](const Slot& slot, std::uint32_t cell) {
-    const auto reads = [&](arch::Operand op) {
-      return op.is_rram() && op.address() == cell;
-    };
-    return slot.instr.z == cell || reads(slot.instr.a) || reads(slot.instr.b);
-  };
+/// Runs `check(label, serial, program, seed)` on 36 schedules: three
+/// random MIGs at 2, 4 and 8 banks, on an unbounded and a one-wide bus,
+/// under both execution models.
+template <typename Check>
+void for_each_random_schedule(Check&& check) {
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     mig::RandomMigOptions ropts;
     ropts.num_pis = 8;
@@ -806,45 +791,131 @@ TEST(Schedule, InitsSitInTheirLatestIdleSlot) {
           auto opts = with_banks(banks);
           opts.cost.bus_width = bus;
           opts.execution = execution;
-          opts.objective = Objective::steps;
           const auto result = schedule(compiled.program, opts);
-          const auto& p = result.program;
-          const auto label = "seed " + std::to_string(seed) + " @" +
-                             std::to_string(banks) + " bus " +
-                             std::to_string(bus);
-          std::uint32_t inits = 0;
-          for (std::uint32_t s = 0; s < p.num_steps(); ++s) {
-            for (const auto& init : p.step(s)) {
-              if (!init.instr.a.is_constant() || !init.instr.b.is_constant()) {
-                continue;
-              }
-              ++inits;
-              auto u = s + 1;
-              for (; u < p.num_steps(); ++u) {
-                const auto& step = p.step(u);
-                if (std::any_of(step.begin(), step.end(), [&](const Slot& x) {
-                      return touches(x, init.instr.z);
-                    })) {
-                  break;
-                }
-              }
-              for (auto t = s + 1; t < u; ++t) {
-                const auto& step = p.step(t);
-                EXPECT_TRUE(std::any_of(
-                    step.begin(), step.end(),
-                    [&](const Slot& x) { return x.bank == init.bank; }))
-                    << label << ": init of cell " << init.instr.z
-                    << " in step " << s << " could sink to step " << t
-                    << " (next use in step " << u << ")";
-              }
-            }
-          }
-          EXPECT_GT(inits, 0u) << label;
-          expect_equivalent(compiled.program, p, seed + banks);
+          const auto label =
+              "seed " + std::to_string(seed) + " @" + std::to_string(banks) +
+              " bus " + std::to_string(bus) +
+              (execution == ExecutionModel::decoupled ? " decoupled"
+                                                      : " lockstep");
+          check(label, compiled.program, result.program, seed + banks);
         }
       }
     }
   }
+}
+
+/// An init writes a constant: both operands constant and different.
+bool is_init(const Slot& slot) {
+  return slot.instr.a.is_constant() && slot.instr.b.is_constant() &&
+         slot.instr.a.constant_value() != slot.instr.b.constant_value();
+}
+
+/// Every init of bank b at step s writing cell c sits in the latest idle
+/// slot before c is next needed: with u the first later step touching c
+/// in any bank (the program's end when none does), bank b issues in
+/// every step of (s, u). No pass after the sink rewrites the steps, so
+/// this holds under either objective, bus and execution model.
+TEST(Schedule, InitsSitInTheirLatestIdleSlot) {
+  const auto touches = [](const Slot& slot, std::uint32_t cell) {
+    const auto reads = [&](arch::Operand op) {
+      return op.is_rram() && op.address() == cell;
+    };
+    return slot.instr.z == cell || reads(slot.instr.a) || reads(slot.instr.b);
+  };
+  for_each_random_schedule([&](const std::string& label,
+                               const arch::Program& serial,
+                               const ParallelProgram& p, std::uint64_t seed) {
+    std::uint32_t inits = 0;
+    for (std::uint32_t s = 0; s < p.num_steps(); ++s) {
+      for (const auto& init : p.step(s)) {
+        if (!is_init(init)) {
+          continue;
+        }
+        ++inits;
+        auto u = s + 1;
+        for (; u < p.num_steps(); ++u) {
+          const auto& step = p.step(u);
+          if (std::any_of(step.begin(), step.end(), [&](const Slot& x) {
+                return touches(x, init.instr.z);
+              })) {
+            break;
+          }
+        }
+        for (auto t = s + 1; t < u; ++t) {
+          const auto& step = p.step(t);
+          EXPECT_TRUE(std::any_of(
+              step.begin(), step.end(),
+              [&](const Slot& x) { return x.bank == init.bank; }))
+              << label << ": init of cell " << init.instr.z << " in step "
+              << s << " could sink to step " << t << " (next use in step "
+              << u << ")";
+        }
+      }
+    }
+    EXPECT_GT(inits, 0u) << label;
+    expect_equivalent(serial, p, seed);
+  });
+}
+
+/// The allocator is exact: every bank's cell range holds as many cells
+/// as the bank ever has values live at once. A value opens with the
+/// init of its cell and lives to its last touch — a write, or a read
+/// from any bank — before the cell's next init; an output's final value
+/// lives to the end of the program.
+TEST(Schedule, EveryBankNeedsOnlyItsPeakLiveValues) {
+  for_each_random_schedule([](const std::string& label, const arch::Program&,
+                              const ParallelProgram& p, std::uint64_t) {
+    constexpr auto kNone = ~std::uint32_t{0};
+    const auto end = p.num_steps();
+    // Per bank and step: values opening there, and values closing after.
+    std::vector<std::vector<std::int32_t>> delta(
+        p.num_banks(), std::vector<std::int32_t>(end + 1, 0));
+    std::vector<std::uint32_t> opened(p.num_rrams(), kNone);
+    std::vector<std::uint32_t> last_touch(p.num_rrams(), 0);
+    const auto close = [&](std::uint32_t cell, std::uint32_t last) {
+      auto& d = delta[p.bank_of_cell(cell)];
+      ++d[opened[cell]];
+      --d[last + 1];
+    };
+    for (std::uint32_t s = 0; s < end; ++s) {
+      for (const auto& slot : p.step(s)) {
+        for (const auto op : {slot.instr.a, slot.instr.b}) {
+          if (op.is_rram()) {
+            last_touch[op.address()] = s;
+          }
+        }
+        const auto z = slot.instr.z;
+        if (is_init(slot)) {
+          if (opened[z] != kNone) {
+            close(z, last_touch[z]);
+          }
+          opened[z] = s;
+        }
+        last_touch[z] = s;
+      }
+    }
+    std::vector<bool> output(p.num_rrams(), false);
+    for (std::uint32_t o = 0; o < p.num_outputs(); ++o) {
+      output[p.output_cell(o)] = true;
+    }
+    for (std::uint32_t c = 0; c < p.num_rrams(); ++c) {
+      if (opened[c] != kNone) {
+        close(c, output[c] ? end - 1 : last_touch[c]);
+      }
+    }
+    for (std::uint32_t b = 0; b < p.num_banks(); ++b) {
+      std::int32_t live = 0;
+      std::int32_t peak = 0;
+      for (const auto d : delta[b]) {
+        live += d;
+        peak = std::max(peak, live);
+      }
+      const auto [begin, stop] = p.bank_range(b);
+      EXPECT_EQ(stop - begin, static_cast<std::uint32_t>(peak))
+          << label << ": bank " << b << " holds " << stop - begin
+          << " cells for at most " << peak << " live values";
+    }
+  });
 }
 
 /// One golden line: the schedule's quality figures plus a hash of its
@@ -865,15 +936,14 @@ std::string golden_line(const std::string& config,
   json.field("rrams", s.parallel_rrams);
   json.field("makespan_cycles", s.makespan_cycles);
   json.field("sync_tokens", s.sync_tokens);
-  json.field("stream_reorder_saved_cycles", s.stream_reorder_saved_cycles);
   json.field("text_fnv1a", std::string(hash));
   json.end_object();
   return json.str();
 }
 
 /// Pins the emitted schedules — lockstep on an unbounded bus and
-/// decoupled on a one-wide bus (bus deferral, makespan objective, stream
-/// reorder), plus random networks at 2 and 8 banks — through the full
+/// decoupled on a one-wide bus (bus deferral, makespan objective), plus
+/// random networks at 2 and 8 banks — through the full
 /// default pipeline. When a change intentionally alters the scheduler's
 /// output, regenerate with
 ///   PLIM_REGEN_GOLDEN=1 ./test_sched --gtest_filter=Golden.*
@@ -893,7 +963,7 @@ TEST(Golden, SchedulesMatchGoldenFile) {
     configs.push_back({name, request, 4, ExecutionModel::lockstep, 0});
     configs.push_back({name, request, 4, ExecutionModel::decoupled, 1});
   }
-  // A config whose stream-reorder pass is adopted (it saves cycles).
+  // A bus wider than one copy per step.
   configs.push_back({"i2c", CompileRequest::from_benchmark("i2c"), 4,
                      ExecutionModel::decoupled, 2});
   for (const std::uint64_t seed : {7, 8}) {

@@ -178,9 +178,9 @@ TEST(StructuralHashTest, EpflBenchmarksHavePairwiseDistinctKeys) {
 TEST(StructuralHashTest, EveryOptionsFieldChangesTheKey) {
   // One mutation per plim::Options field. When Options grows a field,
   // hash_options must absorb it and this list must cover it — a cached
-  // outcome served across an option change is a wrong answer. The three
-  // fields the Driver ignores (schedule.refine_incremental,
-  // refine_resync, lookahead) cannot change an outcome and are left out.
+  // outcome served across an option change is a wrong answer. The
+  // schedule fields the Driver ignores cannot change an outcome, so
+  // they must leave the key alone.
   const std::vector<std::pair<const char*, void (*)(Options&)>> mutations = {
       {"banks", [](Options& o) { o.banks = 4; }},
       {"rewrite.effort", [](Options& o) { o.rewrite.effort = 7; }},
@@ -213,8 +213,6 @@ TEST(StructuralHashTest, EveryOptionsFieldChangesTheKey) {
        [](Options& o) { o.schedule.cost.transfer_instructions = 4; }},
       {"schedule.cost.duplicate_max_instructions",
        [](Options& o) { o.schedule.cost.duplicate_max_instructions = 5; }},
-      {"schedule.cost.load_balance_weight",
-       [](Options& o) { o.schedule.cost.load_balance_weight = 2.5; }},
       {"schedule.cluster", [](Options& o) { o.schedule.cluster = false; }},
       {"schedule.refine_passes",
        [](Options& o) { o.schedule.refine_passes = 3; }},
@@ -222,8 +220,6 @@ TEST(StructuralHashTest, EveryOptionsFieldChangesTheKey) {
        [](Options& o) {
          o.schedule.execution = sched::ExecutionModel::decoupled;
        }},
-      {"schedule.objective",
-       [](Options& o) { o.schedule.objective = sched::Objective::makespan; }},
       {"verify.enabled", [](Options& o) { o.verify.enabled = false; }},
       {"verify.rounds", [](Options& o) { o.verify.rounds = 3; }},
       {"verify.seed", [](Options& o) { o.verify.seed = 42; }},
@@ -238,6 +234,22 @@ TEST(StructuralHashTest, EveryOptionsFieldChangesTheKey) {
     mutate(mutated);
     EXPECT_NE(serve::structural_key(network, mutated), base_key)
         << "changing " << name << " must change the cache key";
+  }
+
+  const std::vector<std::pair<const char*, void (*)(Options&)>> ignored = {
+      {"schedule.refine_incremental",
+       [](Options& o) { o.schedule.refine_incremental = false; }},
+      {"schedule.refine_resync",
+       [](Options& o) { o.schedule.refine_resync = 4; }},
+      {"schedule.lookahead", [](Options& o) { o.schedule.lookahead = false; }},
+      {"schedule.objective",
+       [](Options& o) { o.schedule.objective = sched::Objective::makespan; }},
+  };
+  for (const auto& [name, mutate] : ignored) {
+    Options mutated;
+    mutate(mutated);
+    EXPECT_EQ(serve::structural_key(network, mutated), base_key)
+        << name << " is ignored, so it must not split the cache";
   }
 }
 
