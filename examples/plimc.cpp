@@ -22,12 +22,10 @@
 ///   --cap N          RRAM capacity bound (fails if infeasible)
 ///   --degrade        graceful degradation under --cap pressure: climb
 ///                    the Driver retry ladder (recompute-on-evict →
-///                    aggressive eviction → rewrite harder) instead of
-///                    failing; a degraded success warns on stderr and
-///                    still exits 0
+///                    aggressive eviction) instead of failing; a
+///                    degraded success warns on stderr and still exits 0
 ///   --banks N        schedule onto N parallel PLiM banks and emit the
 ///                    multi-bank listing instead of the serial one
-///   --schedule       shorthand for --banks 4
 ///   --bus-width K    bound the inter-bank bus to K cross-bank copies
 ///                    per step (default unbounded)
 ///   --refine-passes N  KL refinement passes over the cluster→bank
@@ -113,7 +111,7 @@ int usage() {
                "             [-o <file>] [--effort N] [--naive] "
                "[--alloc fifo|lifo|fresh] [--cap N]\n"
                "             [--degrade]\n"
-               "             [--banks N] [--schedule] [--bus-width K] "
+               "             [--banks N] [--bus-width K] "
                "[--refine-passes N]\n"
                "             [--execution lockstep|decoupled]\n"
                "             [--threads N] [--json <file|->] "
@@ -316,10 +314,6 @@ int main(int argc, char** argv) {
         options.banks = static_cast<std::uint32_t>(std::stoul(v));
       } else {
         return usage();
-      }
-    } else if (arg == "--schedule") {
-      if (options.banks == 0) {
-        options.banks = 4;
       }
     } else if (arg == "--bus-width") {
       if (const char* v = next()) {

@@ -154,37 +154,29 @@ CompileOutcome Driver::run_impl(const CompileRequest& request) const {
   // Ladder levels, attempted in order until one fits the cap:
   //   0  plain compile (exactly the non-degraded behavior);
   //   1  recompute-on-evict;
-  //   2  aggressive eviction (replay cascades admitted);
-  //   3  rewrite harder (smaller #R to start from) + aggressive eviction.
-  // Without degradation enabled only level 0 runs.
-  const auto& degrade = options_.compile.degradation;
+  //   2  aggressive eviction (replay cascades admitted).
+  // Without degradation enabled only level 0 runs. A degraded compile
+  // fails fast on a cap below the live-set lower bound, which no level
+  // can fit, so the ladder stops there.
+  constexpr std::uint32_t kTopLevel = 2;
   const std::uint32_t max_level =
-      degrade.enabled && options_.compile.rram_cap ? degrade.max_level : 0;
+      options_.compile.degradation.enabled && options_.compile.rram_cap
+          ? kTopLevel
+          : 0;
   auto& registry = util::MetricsRegistry::global();
   core::CompileResult compiled;
   std::uint32_t level = 0;
-  mig::Mig boosted;  // level-3 re-rewrite, kept alive past the loop
   {
     const util::ScopedPhase phase("compile", &metrics.compile_ms);
     for (;; ++level) {
       copts.degradation.enabled = level >= 1;
       copts.degradation.aggressive = level >= 2;
-      const mig::Mig* net = &optimized;
       try {
-        if (level >= 3) {
-          // Last rung: spend extra rewrite effort to shrink the network
-          // itself — a smaller #R may fit where eviction alone cannot
-          // (and it lowers the live-set bound a too-tight cap is
-          // compared against).
-          auto ropts = options_.rewrite;
-          ropts.effort += degrade.rewrite_boost;
-          boosted = mig::rewrite_for_plim(*network, ropts);
-          net = &boosted;
-        }
-        compiled = core::compile(*net, copts);
+        compiled = core::compile(optimized, copts);
         break;
       } catch (const core::RramCapExceeded& e) {
-        if (level < max_level) {
+        const bool infeasible = e.cap() < e.live_lower_bound();
+        if (level < max_level && !infeasible) {
           registry.counter_add("driver.rram_cap.retries");
           out.diagnostics.push_back(Diagnostic::warning(
               "rram-cap-retry",
@@ -195,7 +187,7 @@ CompileOutcome Driver::run_impl(const CompileRequest& request) const {
         }
         registry.counter_add("driver.rram_cap.failures");
         std::string msg{e.what()};
-        if (e.live_lower_bound() > 0) {
+        if (infeasible) {
           msg += "; caps below the live-set lower bound of " +
                  std::to_string(e.live_lower_bound()) +
                  " cells are infeasible for any strategy";
@@ -231,9 +223,6 @@ CompileOutcome Driver::run_impl(const CompileRequest& request) const {
             "), peak live " +
             std::to_string(compiled.stats.peak_live_rrams) + " of cap " +
             std::to_string(*options_.compile.rram_cap)));
-    if (level >= 3) {
-      out.stats.gates = boosted.num_gates();  // the network actually compiled
-    }
   }
   out.program = std::move(compiled.program);
   out.stats.compile = compiled.stats;

@@ -34,7 +34,7 @@ std::vector<Diagnostic> Options::validate() const {
         "execution-needs-banks",
         "decoupled execution times per-bank instruction streams, but "
         "banks = 0 requests a serial program — set Options::banks (plimc: "
-        "--banks N or --schedule)"));
+        "--banks N)"));
   }
   if (compile.textbook_slots && compile.smart_candidates) {
     diags.push_back(Diagnostic::error(
@@ -48,16 +48,6 @@ std::vector<Diagnostic> Options::validate() const {
         "rram-cap-zero",
         "rram_cap = 0 admits no work cells at all — use std::nullopt for "
         "an unbounded array or a positive capacity"));
-  }
-  if (compile.degradation.enabled && (compile.degradation.max_level == 0 ||
-                                      compile.degradation.max_level > 3)) {
-    diags.push_back(Diagnostic::error(
-        "degradation-level-range",
-        "degradation.max_level = " +
-            std::to_string(compile.degradation.max_level) +
-            " is outside the retry ladder (1 = recompute-on-evict, "
-            "2 = aggressive eviction, 3 = rewrite harder and compile "
-            "aggressively)"));
   }
   if (compile.degradation.enabled && !compile.rram_cap) {
     diags.push_back(Diagnostic::warning(

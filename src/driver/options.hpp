@@ -50,28 +50,23 @@ struct Options {
     ///   level 1: recompute-on-evict (spill a live intermediate, replay
     ///            its RM3 on next use);
     ///   level 2: aggressive eviction (victims whose replay cascades
-    ///            through dead operands are admitted too);
-    ///   level 3: re-rewrite at higher effort (smaller #R to start from)
-    ///            and compile aggressively.
-    /// Every attempt is recorded as an "rram-cap-retry" warning and a
+    ///            through dead operands are admitted too).
+    /// Every retry is recorded as an "rram-cap-retry" warning and a
     /// metrics-registry counter; a degraded success carries an
     /// "rram-cap-degraded" warning. A cap below the honest live-set
     /// lower bound (core::live_set_lower_bound) is genuinely infeasible:
-    /// the final "rram-cap-exceeded" error reports that bound.
+    /// level 1 proves it, the ladder stops there, and the final
+    /// "rram-cap-exceeded" error reports that bound.
     struct Degradation {
       bool enabled = false;
-      /// Highest ladder level to climb (1–3).
-      std::uint32_t max_level = 3;
-      /// Extra rewrite effort the level-3 attempt adds on top of
-      /// `Options::rewrite.effort`.
-      std::uint32_t rewrite_boost = 2;
     } degradation;
   } compile;
 
   /// Multi-bank scheduling stage (engaged when `banks` > 0).
   struct Schedule {
-    /// Transfer / bus / duplication economics. `cost.bus_width` > 0
-    /// bounds cross-bank copies per step (the bounded inter-bank bus).
+    /// The inter-bank bus: `cost.bus_width` > 0 bounds cross-bank copies
+    /// per step. Transfer and duplication prices are fixed (see
+    /// sched/cost_model.hpp).
     sched::CostModel cost;
     /// Heavy-edge clustering before bank assignment.
     bool cluster = true;

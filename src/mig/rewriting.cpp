@@ -212,115 +212,6 @@ std::uint32_t count_multi_complement(const Mig& mig) {
 
 namespace {
 
-/// One depth pass: for every gate, try the Ω.A exchange that hoists the
-/// deepest operand of an expendable inner gate.
-Mig pass_depth(const Mig& src) {
-  // Incremental level cache for the growing destination network: nodes
-  // are appended topologically, so new entries only depend on old ones.
-  std::vector<std::uint32_t> levels;
-  const auto ensure_levels = [&levels](const Mig& d) {
-    for (node n = static_cast<node>(levels.size()); n < d.size(); ++n) {
-      std::uint32_t level = 0;
-      if (d.is_gate(n)) {
-        for (const auto f : d.fanins(n)) {
-          level = std::max(level, levels[f.index()] + 1);
-        }
-      }
-      levels.push_back(level);
-    }
-  };
-
-  return reconstruct(
-      src, [&](Mig& d, node, Signal a, Signal b, Signal c,
-               const std::array<bool, 3>& expendable) {
-        ensure_levels(d);
-        const std::array<Signal, 3> outer{a, b, c};
-        const auto lvl = [&](Signal s) { return levels[s.index()]; };
-
-        Signal best = d.get_constant(false);
-        bool found = false;
-        // Baseline local depth.
-        std::uint32_t best_depth = 1 + std::max({lvl(a), lvl(b), lvl(c)});
-        for (int ci = 0; ci < 3; ++ci) {
-          const Signal inner_sig = outer[ci];
-          if (!d.is_gate(inner_sig.index()) || !expendable[ci]) {
-            continue;
-          }
-          const Signal s0 = outer[(ci + 1) % 3];
-          const Signal s1 = outer[(ci + 2) % 3];
-          const auto inner_f = algebra::virtual_fanins(d, inner_sig);
-          for (const Signal u : inner_f) {
-            if (u != s0 && u != s1) {
-              continue;
-            }
-            const Signal x = (u == s0) ? s1 : s0;
-            std::array<Signal, 2> rest{};
-            int r = 0;
-            bool skipped = false;
-            for (const Signal f : inner_f) {
-              if (f == u && !skipped) {
-                skipped = true;
-                continue;
-              }
-              rest[static_cast<std::size_t>(r++)] = f;
-            }
-            if (r != 2) {
-              continue;
-            }
-            // ⟨x u ⟨y u z⟩⟩ = ⟨z u ⟨y u x⟩⟩: hoisting z pays off when z is
-            // deeper than x.
-            for (int zi = 0; zi < 2; ++zi) {
-              const Signal z = rest[static_cast<std::size_t>(zi)];
-              const Signal y = rest[static_cast<std::size_t>(1 - zi)];
-              const std::uint32_t new_depth =
-                  1 + std::max({lvl(z), lvl(u),
-                                1 + std::max({lvl(y), lvl(u), lvl(x)})});
-              if (new_depth < best_depth) {
-                best_depth = new_depth;
-                const Signal new_inner = d.create_maj(y, u, x);
-                ensure_levels(d);
-                best = d.create_maj(z, u, new_inner);
-                ensure_levels(d);
-                found = true;
-              }
-            }
-          }
-        }
-        if (found) {
-          return best;
-        }
-        const Signal plain = d.create_maj(a, b, c);
-        ensure_levels(d);
-        return plain;
-      });
-}
-
-}  // namespace
-
-Mig rewrite_depth(const Mig& mig, unsigned effort, RewriteStats* stats) {
-  Mig cur = cleanup_dangling(mig);
-  if (stats != nullptr) {
-    stats->gates_before = cur.num_gates();
-    stats->depth_before = cur.depth();
-    stats->multi_complement_before = count_multi_complement(cur);
-  }
-  for (unsigned cycle = 0; cycle < effort; ++cycle) {
-    const auto next = pass_depth(cur);
-    if (next.depth() >= cur.depth() && next.num_gates() >= cur.num_gates()) {
-      break;  // converged
-    }
-    cur = next;
-  }
-  if (stats != nullptr) {
-    stats->gates_after = cur.num_gates();
-    stats->depth_after = cur.depth();
-    stats->multi_complement_after = count_multi_complement(cur);
-  }
-  return cur;
-}
-
-namespace {
-
 /// Whether two networks have the same nodes with the same fanins, the
 /// same PI order and the same POs. Every pass is a deterministic
 /// function of exactly this structure (names pass through unchanged), so
@@ -349,28 +240,13 @@ bool same_structure(const Mig& x, const Mig& y) {
   return true;
 }
 
-/// One Algorithm 1 cycle over `in`; at least one rule group must be on.
-Mig rewrite_cycle(const Mig& in, const RewriteOptions& opts) {
-  const Mig* src = &in;
-  Mig out;
-  const auto apply = [&](Mig next) {
-    out = std::move(next);
-    src = &out;
-  };
-  if (opts.size_rules) {
-    apply(pass_size(*src));  // Ω.M; Ω.D_R→L
-  }
-  if (opts.reshaping) {
-    apply(pass_reshape(*src));  // Ω.A; Ω.C
-  }
-  if (opts.size_rules) {
-    apply(pass_size(*src));  // Ω.M; Ω.D_R→L
-  }
-  if (opts.inverter_rules) {
-    apply(pass_inverters(*src, /*conditional=*/true));   // Ω.I_R→L(1-3)
-    apply(pass_inverters(*src, /*conditional=*/false));  // Ω.I_R→L
-  }
-  return out;
+/// One Algorithm 1 cycle over `in`.
+Mig rewrite_cycle(const Mig& in) {
+  auto out = pass_size(in);                           // Ω.M; Ω.D_R→L
+  out = pass_reshape(out);                            // Ω.A; Ω.C
+  out = pass_size(out);                               // Ω.M; Ω.D_R→L
+  out = pass_inverters(out, /*conditional=*/true);    // Ω.I_R→L(1-3)
+  return pass_inverters(out, /*conditional=*/false);  // Ω.I_R→L
 }
 
 }  // namespace
@@ -383,11 +259,9 @@ Mig rewrite_for_plim(const Mig& mig, const RewriteOptions& opts,
     stats->depth_before = cur.depth();
     stats->multi_complement_before = count_multi_complement(cur);
   }
-  const bool any_rules =
-      opts.size_rules || opts.reshaping || opts.inverter_rules;
   std::uint32_t cycles = 0;
-  while (any_rules && cycles < opts.effort) {
-    auto next = rewrite_cycle(cur, opts);
+  while (cycles < opts.effort) {
+    auto next = rewrite_cycle(cur);
     ++cycles;
     const bool fixed_point = same_structure(next, cur);
     cur = std::move(next);

@@ -7,20 +7,13 @@
 namespace plim::mig {
 
 /// Knobs for the PLiM-oriented rewriting (Algorithm 1 of the DAC'16
-/// paper). Individual rule groups can be disabled for ablation studies.
+/// paper).
 struct RewriteOptions {
   /// Maximum number of iterations of the full rewriting cycle (the
   /// paper's `effort`; the experiments use 4). The loop stops earlier at
   /// a fixed point: once a cycle returns its input unchanged, further
   /// cycles could not change it either.
   unsigned effort = 4;
-  /// Ω.M and Ω.D (right-to-left) node-elimination rules.
-  bool size_rules = true;
-  /// Ω.A / Ω.C reshaping between the two size passes.
-  bool reshaping = true;
-  /// Ω.I complement-redistribution passes (conditional Ω.I(1–3) followed
-  /// by the unconditional elimination of the most costly case).
-  bool inverter_rules = true;
 };
 
 /// Before/after metrics of one rewriting run.
@@ -71,15 +64,5 @@ struct RewriteStats {
 /// Number of gates with ≥2 complemented non-constant fanins (the
 /// expensive gates for RM3 translation).
 [[nodiscard]] std::uint32_t count_multi_complement(const Mig& mig);
-
-/// Depth-oriented rewriting ([Amarù et al.] and Fig. 1 of the paper,
-/// whose optimized MIG improves both size and depth): Ω.A swaps pull the
-/// critical (deepest) inner operand of ⟨x u ⟨y u z⟩⟩ one level up when the
-/// exchanged outer operand arrives earlier, iterated `effort` times. Size
-/// never increases (the inner gate is only rebuilt when expendable).
-/// PLiM programs are serial, so depth does not change #I — this pass
-/// exists for the Fig. 1 claim and as a classic-MIG baseline.
-[[nodiscard]] Mig rewrite_depth(const Mig& mig, unsigned effort = 4,
-                                RewriteStats* stats = nullptr);
 
 }  // namespace plim::mig

@@ -5,13 +5,13 @@
 #include <utility>
 #include <vector>
 
+#include "sched/cost_model.hpp"
+
 namespace plim::sched {
 
 IncrementalEval::IncrementalEval(const DependenceGraph& graph,
-                                 const CostModel& cost, std::uint32_t banks)
-    : graph_(graph),
-      banks_(banks),
-      transfer_instructions_(cost.transfer_instructions) {
+                                 std::uint32_t banks)
+    : graph_(graph), banks_(banks) {
   def_mark_.assign(graph.num_read_defs(), 0);
   old_bank_.assign(graph.num_segments(), 0);
   seg_mark_.assign(graph.num_segments(), 0);
@@ -26,7 +26,7 @@ void IncrementalEval::anchor(const std::vector<std::uint32_t>& seg_bank,
   for (std::uint32_t s = 0; s < seg_bank.size(); ++s) {
     bank_eff_[seg_bank[s]] += graph_.segment_size(s);
   }
-  // One copy (transfer_instructions RM3 ops) per distinct (def, consuming
+  // One copy (kTransferInstructions RM3 ops) per distinct (def, consuming
   // bank) pair lands in the consuming bank.
   for (std::uint32_t d = 0; d < graph_.num_read_defs(); ++d) {
     const auto pb = seg_bank[graph_.producer_segment(d)];
@@ -36,7 +36,7 @@ void IncrementalEval::anchor(const std::vector<std::uint32_t>& seg_bank,
       if (b != pb && std::find(banks_after_.begin(), banks_after_.end(), b) ==
                          banks_after_.end()) {
         banks_after_.push_back(b);
-        bank_eff_[b] += transfer_instructions_;
+        bank_eff_[b] += kTransferInstructions;
       }
     }
   }
@@ -119,13 +119,13 @@ IncrementalEval::Estimate IncrementalEval::estimate(
     for (const auto b : banks_after_) {
       if (std::find(banks_before_.begin(), banks_before_.end(), b) ==
           banks_before_.end()) {
-        bump(b, std::int64_t{transfer_instructions_});
+        bump(b, std::int64_t{kTransferInstructions});
       }
     }
     for (const auto b : banks_before_) {
       if (std::find(banks_after_.begin(), banks_after_.end(), b) ==
           banks_after_.end()) {
-        bump(b, -std::int64_t{transfer_instructions_});
+        bump(b, -std::int64_t{kTransferInstructions});
       }
     }
   };

@@ -4,7 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "sched/cost_model.hpp"
 #include "sched/depgraph.hpp"
 #include "sched/refine.hpp"
 
@@ -45,8 +44,7 @@ class IncrementalEval {
   using MovedSeg = std::pair<std::uint32_t, std::uint32_t>;
 
   /// `graph` must outlive the evaluator.
-  IncrementalEval(const DependenceGraph& graph, const CostModel& cost,
-                  std::uint32_t banks);
+  IncrementalEval(const DependenceGraph& graph, std::uint32_t banks);
 
   /// Anchors on `seg_bank`, whose exact evaluation is `exact`:
   /// recomputes per-bank effective loads from scratch and adopts the
@@ -72,7 +70,6 @@ class IncrementalEval {
  private:
   const DependenceGraph& graph_;
   std::uint32_t banks_ = 0;
-  std::uint32_t transfer_instructions_ = 2;
 
   // Anchored state.
   std::vector<std::uint64_t> bank_eff_;   ///< effective load per bank

@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "sched/cost_model.hpp"
 #include "sched/incremental.hpp"
 #include "util/metrics.hpp"
 #include "util/trace.hpp"
@@ -166,8 +167,7 @@ std::int64_t transfer_delta(const DependenceGraph& graph, const Structure& st,
 RefineStats refine(const DependenceGraph& graph,
                    std::vector<std::uint32_t>& seg_bank,
                    const std::vector<std::uint32_t>& cluster_of,
-                   std::uint32_t banks, const CostModel& cost,
-                   const RefineOptions& options,
+                   std::uint32_t banks, const RefineOptions& options,
                    const RefineEvaluator& evaluate, RefineWork& work,
                    const RefineEval* baseline) {
   RefineStats stats;
@@ -233,7 +233,7 @@ RefineStats refine(const DependenceGraph& graph,
 
   // The incremental screen, anchored on the exact starting evaluation
   // and re-anchored on every kept move.
-  IncrementalEval inc(graph, cost, banks);
+  IncrementalEval inc(graph, banks);
   inc.anchor(seg_bank, best);
 
   std::vector<std::uint32_t> scratch;
@@ -536,7 +536,7 @@ RefineStats refine(const DependenceGraph& graph,
     if (eff_load[peak_bank] > eff_load[low_bank]) {
       // Rank by *net* peak relief, not raw size: evacuating a cluster
       // whose defs the peak bank keeps consuming re-imports
-      // transfer_instructions of copy work per such def right back
+      // kTransferInstructions of copy work per such def right back
       // into the peak bank. Boundary clusters relieve; embedded ones
       // backfire.
       const auto net_relief = [&](std::uint32_t c) {
@@ -550,8 +550,7 @@ RefineStats refine(const DependenceGraph& graph,
           }
         }
         return static_cast<std::int64_t>(st.cluster_size[c]) -
-               static_cast<std::int64_t>(cost.transfer_instructions) *
-                   copies_back;
+               std::int64_t{kTransferInstructions} * copies_back;
       };
       std::vector<std::pair<std::int64_t, std::uint32_t>> in_peak;
       for (std::uint32_t c = 0; c < num_clusters; ++c) {
@@ -587,7 +586,7 @@ RefineStats refine(const DependenceGraph& graph,
           continue;
         }
         const auto gain =
-            -std::int64_t{cost.transfer_instructions} *
+            -std::int64_t{kTransferInstructions} *
                 transfer_delta(graph, st, seg_bank, c, q, scratch) +
             peak_delta(c, q, from);
         if (gain > best_gain) {

@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "sched/cost_model.hpp"
 #include "sched/depgraph.hpp"
 
 namespace plim::sched {
@@ -80,7 +79,7 @@ struct RefineStats {
 /// Kernighan–Lin-style iterative improvement over the cluster→bank
 /// assignment. Each pass:
 ///
-///  1. prices every cluster's best relocation with the shared CostModel
+///  1. prices every cluster's best relocation with the cost-model
 ///     surrogate — transfer delta from the segment-level read graph plus
 ///     the change in peak bank load (the throughput bound) — and ranks
 ///     candidates in FM-style gain buckets;
@@ -117,8 +116,7 @@ struct RefineStats {
 RefineStats refine(const DependenceGraph& graph,
                    std::vector<std::uint32_t>& seg_bank,
                    const std::vector<std::uint32_t>& cluster_of,
-                   std::uint32_t banks, const CostModel& cost,
-                   const RefineOptions& options,
+                   std::uint32_t banks, const RefineOptions& options,
                    const RefineEvaluator& evaluate, RefineWork& work,
                    const RefineEval* baseline = nullptr);
 

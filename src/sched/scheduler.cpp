@@ -218,7 +218,7 @@ std::vector<std::uint32_t> assign_clusters(
           ++transfers;
         }
       }
-      const auto cost = opts.cost.placement_cost(transfers, load[b], min_load);
+      const auto cost = placement_cost(transfers, load[b], min_load);
       if (b == 0 || cost < best_cost) {
         best = b;
         best_cost = cost;
@@ -240,8 +240,8 @@ std::vector<std::uint32_t> assign_clusters(
 /// a transfer copy or a local recomputation (see scheduler.hpp, step 3).
 /// Overwrites `ex`; `scratch` only carries capacity between calls.
 void expand(const DependenceGraph& graph, const arch::Program& serial,
-            const std::vector<std::uint32_t>& seg_bank, const CostModel& cost,
-            Expansion& ex, ExpandScratch& scratch) {
+            const std::vector<std::uint32_t>& seg_bank, Expansion& ex,
+            ExpandScratch& scratch) {
   const auto n = graph.num_instructions();
   ex.virt.clear();
   ex.virt.reserve(n + n / 8);
@@ -290,7 +290,7 @@ void expand(const DependenceGraph& graph, const arch::Program& serial,
   // recomputed in any bank instead of transferred). Walks the chain
   // backwards through the Z read-modify-write links and bails out as
   // soon as the duplicate-vs-copy decision is settled, so the scan is
-  // O(duplicate_max_instructions) per cache miss, not O(program).
+  // O(kTransferInstructions) per cache miss, not O(program).
   const auto chain_prefix = [&](std::uint32_t def) {
     struct Prefix {
       std::uint32_t length = 0;
@@ -304,7 +304,7 @@ void expand(const DependenceGraph& graph, const arch::Program& serial,
         p.self_contained = false;
         break;
       }
-      if (!cost.should_duplicate(p.length)) {
+      if (!should_duplicate(p.length)) {
         break;  // already too long to recompute
       }
       if (graph.is_reset(j)) {
@@ -351,7 +351,7 @@ void expand(const DependenceGraph& graph, const arch::Program& serial,
       }
       if (entry == npos) {
         const auto prefix = chain_prefix(def);
-        if (prefix.self_contained && cost.should_duplicate(prefix.length)) {
+        if (prefix.self_contained && should_duplicate(prefix.length)) {
           // Recompute the producing chain locally: same instruction
           // count as a transfer when the chain is short, but no bus
           // slot and no cross-bank dependence.
@@ -506,7 +506,7 @@ struct ListScratch {
 /// leave bus slots to ready zero-slack copies and the critical chain
 /// never waits behind bulk transfers. Overwrites `ls`.
 void list_schedule(const Expansion& ex, std::uint32_t banks,
-                   const CostModel& cost, bool want_critical_edges,
+                   std::uint32_t bus_width, bool want_critical_edges,
                    ListSchedule& ls, ListScratch& scratch) {
   const auto& virt = ex.virt;
   const auto vn = static_cast<std::uint32_t>(virt.size());
@@ -626,7 +626,6 @@ void list_schedule(const Expansion& ex, std::uint32_t banks,
     return vidx;
   };
 
-  const auto bus_width = cost.bus_width;
   ls.step_of.assign(vn, npos);
   auto& bank_order = scratch.bank_order;
   std::uint32_t scheduled = 0;
@@ -976,8 +975,9 @@ ScheduleResult schedule(const arch::Program& serial,
   // move, or the unrefined start).
   Workspace ws;
   const auto evaluate = [&](const std::vector<std::uint32_t>& sb) {
-    expand(graph, serial, sb, opts.cost, ws.ex, ws.expand_scratch);
-    list_schedule(ws.ex, banks, opts.cost, true, ws.ls, ws.list_scratch);
+    expand(graph, serial, sb, ws.ex, ws.expand_scratch);
+    list_schedule(ws.ex, banks, opts.cost.bus_width, true, ws.ls,
+                  ws.list_scratch);
     ws.sb = sb;
     ws.valid = true;
     RefineEval eval{ws.ls.num_steps(),
@@ -1064,18 +1064,17 @@ ScheduleResult schedule(const arch::Program& serial,
     const util::ScopedPhase refine_phase("sched.refine", &refine_ms);
     const RefineOptions ropts{opts.refine_passes, makespan_objective};
     if (!second_start) {
-      rstats = refine(graph, seg_bank, cluster_of, banks, opts.cost, ropts,
-                      evaluate, rwork, &*start_eval);
+      rstats = refine(graph, seg_bank, cluster_of, banks, ropts, evaluate,
+                      rwork, &*start_eval);
     } else {
       RefineOptions probe_opts = ropts;
       probe_opts.passes = std::min(
           ropts.passes, std::max<std::uint32_t>(2, ropts.passes / 5));
-      rstats = refine(graph, seg_bank, cluster_of, banks, opts.cost,
-                      probe_opts, evaluate, rwork, &*start_eval);
+      rstats = refine(graph, seg_bank, cluster_of, banks, probe_opts,
+                      evaluate, rwork, &*start_eval);
       auto second_bank = std::move(*second_start);
-      const auto rstats2 =
-          refine(graph, second_bank, cluster_of, banks, opts.cost,
-                 probe_opts, evaluate, rwork, &*second_eval);
+      const auto rstats2 = refine(graph, second_bank, cluster_of, banks,
+                                  probe_opts, evaluate, rwork, &*second_eval);
       RefineEval first_final;
       first_final.steps = rstats.steps_after;
       first_final.transfers = rstats.transfers_after;
@@ -1094,9 +1093,8 @@ ScheduleResult schedule(const arch::Program& serial,
         // No baseline: the winner's critical-edge lists are gone (the
         // loser's probe ran in between), so the commit leg re-anchors
         // with one exact evaluation.
-        const auto commit =
-            refine(graph, seg_bank, cluster_of, banks, opts.cost,
-                   commit_opts, evaluate, rwork, nullptr);
+        const auto commit = refine(graph, seg_bank, cluster_of, banks,
+                                   commit_opts, evaluate, rwork, nullptr);
         rstats.steps_after = commit.steps_after;
         rstats.transfers_after = commit.transfers_after;
         rstats.makespan_after = commit.makespan_after;
@@ -1115,8 +1113,9 @@ ScheduleResult schedule(const arch::Program& serial,
   {
     const util::ScopedPhase pack_phase("sched.pack", &pack_ms);
     if (!ws.valid || ws.sb != seg_bank) {
-      expand(graph, serial, seg_bank, opts.cost, ws.ex, ws.expand_scratch);
-      list_schedule(ws.ex, banks, opts.cost, false, ws.ls, ws.list_scratch);
+      expand(graph, serial, seg_bank, ws.ex, ws.expand_scratch);
+      list_schedule(ws.ex, banks, opts.cost.bus_width, false, ws.ls,
+                    ws.list_scratch);
     }
     ws.release_scratch();
     sink_inits(ws.ex, banks, ws.ls);

@@ -15,9 +15,9 @@ struct ScheduleOptions {
   /// the serial program (modulo cell renaming).
   std::uint32_t banks = 4;
 
-  /// Transfer / bus / duplication economics driving bank assignment and
-  /// step packing. `cost.bus_width` > 0 additionally bounds how many
-  /// cross-bank copies any step may issue (the bounded inter-bank bus).
+  /// The inter-bank bus: `cost.bus_width` > 0 bounds how many cross-bank
+  /// copies any step may issue. Transfer and duplication prices are
+  /// fixed (see sched/cost_model.hpp).
   CostModel cost;
 
   /// Agglomerate segments along their heaviest producer→consumer edges
@@ -75,14 +75,14 @@ struct ScheduleResult {
 ///  2. assigns each segment to a bank: segments are first agglomerated
 ///     into clusters along their heaviest producer→consumer edges
 ///     (majority subtrees, RAW chains), then each cluster goes to the
-///     bank minimizing the CostModel's transfer + load-imbalance cost;
+///     bank minimizing the cost model's transfer + load-imbalance cost;
 ///  3. renames segments onto bank-local cells — renaming eliminates the
 ///     WAR/WAW hazards that serial cell reuse created, so only true (RAW)
 ///     dependences constrain the schedule — and resolves every cross-bank
 ///     operand either as an explicit 2-instruction transfer copy
 ///     (reset + RM3 copy) in the consuming bank, or, when the producing
-///     chain is short and reads only inputs/constants, as a local
-///     *recomputation* (duplicate-vs-copy decision of the cost model);
+///     chain reads only inputs/constants and is no longer than that copy,
+///     as a local *recomputation*;
 ///     both are cached per produced value so repeated remote reads pay
 ///     once per bank;
 ///  4. list-schedules the result into steps of at most one instruction

@@ -25,6 +25,8 @@ namespace {
 constexpr int kPollMs = 200;
 /// Latency ring size behind the stats command's exact percentiles.
 constexpr std::size_t kLatencyWindow = 4096;
+/// Bounded job-queue depth; readers park when clients outrun the pool.
+constexpr std::size_t kQueueCapacity = 256;
 /// Longest request line a reader buffers. A request names a benchmark
 /// or a file path, so a longer line is a misbehaving client; capping it
 /// bounds the daemon's memory per connection.
@@ -87,7 +89,7 @@ Server::Server(Options compile_options, ServerOptions server_options)
     : driver_(std::move(compile_options)),
       options_(server_options),
       cache_(server_options.cache_bytes),
-      queue_(std::max<std::size_t>(server_options.queue_capacity, 2)) {
+      queue_(kQueueCapacity) {
   options_.workers = std::max(options_.workers, 1u);
 }
 

@@ -29,8 +29,6 @@ struct ServerOptions {
   unsigned workers = 4;
   /// Compiled-program cache budget (estimated bytes; 0 disables).
   std::size_t cache_bytes = std::size_t{256} << 20;
-  /// Bounded MPMC depth; readers park when clients outrun the pool.
-  std::size_t queue_capacity = 256;
   /// Serve JSON-lines on stdin/stdout.
   bool stdio = true;
   /// Additionally listen on a Unix domain socket at this path ("" off).

@@ -95,9 +95,6 @@ void hash_options(StructuralHasher& h, const Options& options) {
 
   h.mix(0x0521);  // rewrite
   h.mix(options.rewrite.effort);
-  h.mix_bool(options.rewrite.size_rules);
-  h.mix_bool(options.rewrite.reshaping);
-  h.mix_bool(options.rewrite.inverter_rules);
 
   h.mix(0x0522);  // compile
   h.mix_bool(options.compile.smart_candidates);
@@ -107,13 +104,9 @@ void hash_options(StructuralHasher& h, const Options& options) {
   h.mix_bool(options.compile.rram_cap.has_value());
   h.mix(options.compile.rram_cap.value_or(0));
   h.mix_bool(options.compile.degradation.enabled);
-  h.mix(options.compile.degradation.max_level);
-  h.mix(options.compile.degradation.rewrite_boost);
 
   h.mix(0x0523);  // schedule
   h.mix(options.schedule.cost.bus_width);
-  h.mix(options.schedule.cost.transfer_instructions);
-  h.mix(options.schedule.cost.duplicate_max_instructions);
   h.mix_bool(options.schedule.cluster);
   h.mix(options.schedule.refine_passes);
   h.mix(static_cast<std::uint64_t>(options.schedule.execution));

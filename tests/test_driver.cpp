@@ -233,29 +233,16 @@ bool mentions(const std::vector<Diagnostic>& diags, const std::string& code,
   return false;
 }
 
-Options capped_options(std::uint32_t cap, std::uint32_t max_level = 3) {
+Options capped_options(std::uint32_t cap) {
   Options options;
   options.compile.rram_cap = cap;
   options.compile.degradation.enabled = true;
-  options.compile.degradation.max_level = max_level;
   options.verify.enabled = true;
   options.verify.rounds = 2;
   return options;
 }
 
 }  // namespace ladder
-
-TEST(OptionsValidate, DegradationLevelRange) {
-  Options options;
-  options.compile.rram_cap = 100;
-  options.compile.degradation.enabled = true;
-  options.compile.degradation.max_level = 0;
-  EXPECT_TRUE(has_code(options.validate(), "degradation-level-range"));
-  options.compile.degradation.max_level = 4;
-  EXPECT_TRUE(has_code(options.validate(), "degradation-level-range"));
-  options.compile.degradation.max_level = 3;
-  EXPECT_TRUE(options.validate().empty());
-}
 
 TEST(OptionsValidate, DegradationWithoutCapIsOnlyAWarning) {
   Options options;
@@ -310,32 +297,55 @@ TEST(RetryLadder, Level2AggressiveSucceedsUnderTightPressure) {
       before + 2);
 }
 
-TEST(RetryLadder, MaxLevelBoundsTheLadder) {
-  // Same pressure as above, but the ladder is capped at level 1: one
-  // retry, then a structured failure — level 2 is never attempted.
-  const auto outcome = Driver(ladder::capped_options(18, 1))
+TEST(RetryLadder, FeasibleCapExhaustsTheLadder) {
+  // int2float's live-set lower bound is 7, so cap 10 is not proven
+  // infeasible, but no level fits it: levels 0-2 are attempted (two
+  // retries), and the error names the exhausted ladder, not the bound.
+  const auto outcome = Driver(ladder::capped_options(10))
                            .run(CompileRequest::from_benchmark("int2float"));
   EXPECT_FALSE(outcome.ok());
-  EXPECT_EQ(ladder::count_code(outcome.diagnostics, "rram-cap-retry"), 1u);
-  EXPECT_TRUE(has_code(outcome.diagnostics, "rram-cap-exceeded"));
+  EXPECT_EQ(ladder::count_code(outcome.diagnostics, "rram-cap-retry"), 2u);
+  EXPECT_TRUE(ladder::mentions(outcome.diagnostics, "rram-cap-exceeded",
+                               "every degradation level up to 2 was "
+                               "attempted"));
+  EXPECT_FALSE(ladder::mentions(outcome.diagnostics, "rram-cap-exceeded",
+                                "infeasible"));
 }
 
-TEST(RetryLadder, InfeasibleCapWalksEveryLevelAndReportsBound) {
+TEST(RetryLadder, InfeasibleCapStopsAtTheBound) {
   // int2float has 7 distinct output signals — cap 5 is infeasible for
-  // any strategy. The ladder still walks all four rungs (attempts are
-  // recorded), and the final diagnostic carries the honest bound.
+  // any strategy. Level 1 proves it by failing fast, so the ladder stops
+  // after one retry, and the final diagnostic carries the honest bound.
   util::MetricsRegistry::global().set_enabled(true);
   const auto failures_before =
       util::MetricsRegistry::global().counter("driver.rram_cap.failures");
   const auto outcome = Driver(ladder::capped_options(5))
                            .run(CompileRequest::from_benchmark("int2float"));
   EXPECT_FALSE(outcome.ok());
-  EXPECT_EQ(ladder::count_code(outcome.diagnostics, "rram-cap-retry"), 3u);
+  EXPECT_EQ(ladder::count_code(outcome.diagnostics, "rram-cap-retry"), 1u);
   EXPECT_TRUE(ladder::mentions(outcome.diagnostics, "rram-cap-exceeded",
                                "live-set lower bound of 7"));
+  EXPECT_FALSE(ladder::mentions(outcome.diagnostics, "rram-cap-exceeded",
+                                "every degradation level"));
   EXPECT_EQ(
       util::MetricsRegistry::global().counter("driver.rram_cap.failures"),
       failures_before + 1);
+}
+
+TEST(RetryLadder, NeverRewritesAgainstTheCallersEffort) {
+  // With rewriting off, every level compiles the network the caller
+  // asked for, and the stats describe that network.
+  auto options = ladder::capped_options(15);
+  options.rewrite.effort = 0;
+  const auto outcome =
+      Driver(options).run(CompileRequest::from_benchmark("int2float"));
+  EXPECT_FALSE(outcome.ok());
+  EXPECT_EQ(ladder::count_code(outcome.diagnostics, "rram-cap-retry"), 2u);
+  EXPECT_TRUE(ladder::mentions(outcome.diagnostics, "rram-cap-exceeded",
+                               "every degradation level up to 2 was "
+                               "attempted"));
+  EXPECT_EQ(outcome.stats.rewrite.cycles, 0u);
+  EXPECT_EQ(outcome.stats.gates, outcome.stats.rewrite.gates_after);
 }
 
 TEST(RetryLadder, DegradedStatsReachTheReport) {

@@ -197,8 +197,8 @@ TEST(Refine, AcceptedStateMatchesFreshExactEvaluation) {
       opts.passes = 6;
       const auto baseline = evaluate(seg_bank);
       RefineWork work;
-      const auto stats = refine(graph, seg_bank, cluster_of, banks,
-                                CostModel{}, opts, evaluate, work, &baseline);
+      const auto stats = refine(graph, seg_bank, cluster_of, banks, opts,
+                                evaluate, work, &baseline);
       const auto ctx = ::testing::Message()
                        << "seed " << seed << ", banks " << banks;
       const auto fresh = evaluate(seg_bank);

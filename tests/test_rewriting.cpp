@@ -143,23 +143,14 @@ TEST_P(RewriteProperty, FullRewritePreservesFunction) {
 }
 
 TEST_P(RewriteProperty, RuleGroupsAreIndividuallySound) {
+  // Each pass of the Algorithm 1 cycle preserves the function on its own,
+  // so no pass relies on a later one to repair its output.
   const auto seed = GetParam();
   const auto m = random_mig({6, 60, 4, 40, 30}, seed);
-  for (const bool size_rules : {false, true}) {
-    for (const bool reshaping : {false, true}) {
-      for (const bool inverters : {false, true}) {
-        RewriteOptions opts;
-        opts.effort = 2;
-        opts.size_rules = size_rules;
-        opts.reshaping = reshaping;
-        opts.inverter_rules = inverters;
-        const auto r = rewrite_for_plim(m, opts);
-        ASSERT_TRUE(tt_equivalent(m, r))
-            << "seed " << seed << " size=" << size_rules
-            << " reshape=" << reshaping << " inv=" << inverters;
-      }
-    }
-  }
+  EXPECT_TRUE(tt_equivalent(m, pass_size(m))) << "seed " << seed;
+  EXPECT_TRUE(tt_equivalent(m, pass_reshape(m))) << "seed " << seed;
+  EXPECT_TRUE(tt_equivalent(m, pass_inverters(m, true))) << "seed " << seed;
+  EXPECT_TRUE(tt_equivalent(m, pass_inverters(m, false))) << "seed " << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RewriteProperty,

@@ -519,16 +519,16 @@ TEST(ParallelText, ParseRejectsMalformed) {
 // ---- cost model -------------------------------------------------------------
 
 TEST(CostModel, DuplicationAndPlacementCost) {
-  CostModel cost;
-  EXPECT_TRUE(cost.should_duplicate(2));
-  EXPECT_FALSE(cost.should_duplicate(3));
-  // Transfers price at transfer_instructions each, land as that many
+  // A chain is recomputed exactly when it is no longer than a transfer.
+  EXPECT_TRUE(should_duplicate(kTransferInstructions));
+  EXPECT_FALSE(should_duplicate(kTransferInstructions + 1));
+  // Transfers price at kTransferInstructions each, land as that many
   // instructions in the consuming bank before the load comparison, and
   // imbalance weighs in like the transfers: 3 transfers onto a bank at
   // load 5 (least loaded 0) → effective load 11, cost 6 + 11.
-  EXPECT_DOUBLE_EQ(cost.placement_cost(3, 5, 0), 17.0);
+  EXPECT_DOUBLE_EQ(placement_cost(3, 5, 0), 17.0);
   // A bank below the minimum load contributes no imbalance term.
-  EXPECT_DOUBLE_EQ(cost.placement_cost(0, 2, 4), 0.0);
+  EXPECT_DOUBLE_EQ(placement_cost(0, 2, 4), 0.0);
 }
 
 // ---- bounded bus ------------------------------------------------------------
@@ -613,51 +613,60 @@ TEST(BoundedBus, EndToEndOnCircuits) {
 
 // ---- duplicate-computation-vs-copy ------------------------------------------
 
-/// Two banks; bank-crossing reads of a short input-only producer chain
-/// should be recomputed locally (no bus traffic), not transferred.
-TEST(Duplication, RecomputesShortInputOnlyChains) {
-  arch::Program p;
-  const auto a = p.add_input("a");
-  const auto b = p.add_input("b");
-  // Segment 0: X1 ← a (reset + load, self-contained).
-  p.append(arch::Operand::constant(false), arch::Operand::constant(true), 0);
-  p.append(arch::Operand::input(a), arch::Operand::constant(false), 0);
-  // Segments 1/2: two independent consumers reading X1 — placed apart,
-  // at least one reads it remotely.
-  p.append(arch::Operand::constant(false), arch::Operand::constant(true), 1);
-  p.append(arch::Operand::rram(0), arch::Operand::input(b), 1);
-  p.append(arch::Operand::constant(false), arch::Operand::constant(true), 2);
-  p.append(arch::Operand::input(b), arch::Operand::rram(0), 2);
-  p.add_output("f", 1);
-  p.add_output("g", 2);
-  p.add_output("h", 0);
+/// Two banks; a bank-crossing read of an input-only producer chain is
+/// recomputed locally (no bus traffic) when the chain is no longer than a
+/// transfer, and copied over the bus when it is longer.
+TEST(Duplication, RecomputesInputOnlyChainsNoLongerThanATransfer) {
+  // Segment 0: a chain of `length` input-only instructions (reset, X1 ←
+  // a, then X1 ← b ∨ X1). Segments 1/2: two long consumers of X1, which
+  // load balance puts in different banks, so one of them reads X1
+  // remotely.
+  const auto build = [](std::uint32_t length) {
+    arch::Program p;
+    const auto a = p.add_input("a");
+    const auto b = p.add_input("b");
+    p.append(arch::Operand::constant(false), arch::Operand::constant(true), 0);
+    p.append(arch::Operand::input(a), arch::Operand::constant(false), 0);
+    for (std::uint32_t k = 2; k < length; ++k) {
+      p.append(arch::Operand::input(b), arch::Operand::constant(false), 0);
+    }
+    for (const std::uint32_t cell : {1u, 2u}) {
+      p.append(arch::Operand::constant(false), arch::Operand::constant(true),
+               cell);
+      p.append(arch::Operand::rram(0), arch::Operand::input(b), cell);
+      for (int k = 0; k < 6; ++k) {
+        p.append(arch::Operand::input(a), arch::Operand::input(b), cell);
+      }
+    }
+    p.add_output("f", 1);
+    p.add_output("g", 2);
+    p.add_output("h", 0);
+    return p;
+  };
 
   auto opts = with_banks(2);
-  // Split the producer and the first consumer across banks so a remote
-  // read is forced (the default cost model and refinement would rightly
-  // merge this tiny program into one bank): with transfers priced at
-  // zero, load balance alone puts segments 0, 1 and 2 in banks 0, 1, 0.
   opts.cluster = false;
   opts.refine_passes = 0;
-  opts.cost.transfer_instructions = 0;
-  opts.cost.duplicate_max_instructions = 2;
-  const auto dup = schedule(p, opts);
+  const auto short_chain = build(kTransferInstructions);
+  const auto dup = schedule(short_chain, opts);
   EXPECT_EQ(dup.program.validate(), "");
-  expect_equivalent(p, dup.program, 555);
-
-  opts.cost.duplicate_max_instructions = 0;  // duplication disabled
-  const auto xfer = schedule(p, opts);
+  expect_equivalent(short_chain, dup.program, 555);
+  const auto long_chain = build(kTransferInstructions + 1);
+  const auto xfer = schedule(long_chain, opts);
   EXPECT_EQ(xfer.program.validate(), "");
-  expect_equivalent(p, xfer.program, 556);
+  expect_equivalent(long_chain, xfer.program, 556);
 
-  // Same remote reads: resolved by recomputation in one schedule, by bus
-  // copies in the other.
+  // The same remote read: resolved by recomputation for the chain of
+  // kTransferInstructions, by a bus copy for the one instruction longer.
   EXPECT_GT(dup.stats.duplicates, 0u);
+  EXPECT_EQ(dup.stats.transfers, 0u);
   EXPECT_EQ(xfer.stats.duplicates, 0u);
-  EXPECT_LT(dup.stats.transfers, xfer.stats.transfers);
+  EXPECT_GT(xfer.stats.transfers, 0u);
   EXPECT_EQ(dup.stats.parallel_instructions,
-            dup.stats.serial_instructions + 2 * dup.stats.transfers +
-                dup.stats.duplicated_instructions);
+            dup.stats.serial_instructions + dup.stats.duplicated_instructions);
+  EXPECT_EQ(xfer.stats.parallel_instructions,
+            xfer.stats.serial_instructions +
+                kTransferInstructions * xfer.stats.transfers);
 }
 
 TEST(Duplication, NeverDuplicatesChainsReadingCells) {
@@ -676,7 +685,6 @@ TEST(Duplication, NeverDuplicatesChainsReadingCells) {
 
   auto opts = with_banks(4);
   opts.cluster = false;
-  opts.cost.duplicate_max_instructions = 100;  // even with a huge budget
   const auto result = schedule(p, opts);
   expect_equivalent(p, result.program, 901);
   // The X1 chain (input-only) may duplicate; the X2 chain reads an RRAM

@@ -1,4 +1,6 @@
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <sys/un.h>
@@ -184,12 +186,6 @@ TEST(StructuralHashTest, EveryOptionsFieldChangesTheKey) {
   const std::vector<std::pair<const char*, void (*)(Options&)>> mutations = {
       {"banks", [](Options& o) { o.banks = 4; }},
       {"rewrite.effort", [](Options& o) { o.rewrite.effort = 7; }},
-      {"rewrite.size_rules",
-       [](Options& o) { o.rewrite.size_rules = false; }},
-      {"rewrite.reshaping",
-       [](Options& o) { o.rewrite.reshaping = false; }},
-      {"rewrite.inverter_rules",
-       [](Options& o) { o.rewrite.inverter_rules = false; }},
       {"compile.smart_candidates",
        [](Options& o) { o.compile.smart_candidates = false; }},
       {"compile.cache_complements",
@@ -203,16 +199,8 @@ TEST(StructuralHashTest, EveryOptionsFieldChangesTheKey) {
       {"compile.rram_cap", [](Options& o) { o.compile.rram_cap = 64; }},
       {"compile.degradation.enabled",
        [](Options& o) { o.compile.degradation.enabled = true; }},
-      {"compile.degradation.max_level",
-       [](Options& o) { o.compile.degradation.max_level = 1; }},
-      {"compile.degradation.rewrite_boost",
-       [](Options& o) { o.compile.degradation.rewrite_boost = 5; }},
       {"schedule.cost.bus_width",
        [](Options& o) { o.schedule.cost.bus_width = 3; }},
-      {"schedule.cost.transfer_instructions",
-       [](Options& o) { o.schedule.cost.transfer_instructions = 4; }},
-      {"schedule.cost.duplicate_max_instructions",
-       [](Options& o) { o.schedule.cost.duplicate_max_instructions = 5; }},
       {"schedule.cluster", [](Options& o) { o.schedule.cluster = false; }},
       {"schedule.refine_passes",
        [](Options& o) { o.schedule.refine_passes = 3; }},
@@ -592,16 +580,15 @@ int connect_unix(const std::string& path) {
   return -1;
 }
 
-/// Sends one ping on `fd` and returns the reply line ("" on a closed
-/// connection).
-std::string ping_over(int fd) {
-  const std::string ping = "{\"cmd\":\"ping\",\"id\":\"c\"}\n";
-  if (::send(fd, ping.data(), ping.size(), MSG_NOSIGNAL) !=
-      static_cast<ssize_t>(ping.size())) {
+/// Sends one request line on `fd` and returns the reply line ("" on a
+/// closed connection).
+std::string exchange(int fd, const std::string& line) {
+  if (::send(fd, line.data(), line.size(), MSG_NOSIGNAL) !=
+      static_cast<ssize_t>(line.size())) {
     return {};
   }
   std::string reply;
-  char chunk[256];
+  char chunk[4096];
   while (reply.find('\n') == std::string::npos) {
     const auto n = ::read(fd, chunk, sizeof chunk);
     if (n <= 0) {
@@ -610,6 +597,10 @@ std::string ping_over(int fd) {
     reply.append(chunk, static_cast<std::size_t>(n));
   }
   return reply;
+}
+
+std::string ping_over(int fd) {
+  return exchange(fd, "{\"cmd\":\"ping\",\"id\":\"c\"}\n");
 }
 
 const std::string kPong = "{\"id\":\"c\",\"ok\":true,\"pong\":true}\n";
@@ -638,6 +629,60 @@ TEST(ServerTest, SocketClientsComeAndGo) {
   server.request_shutdown();
   daemon.join();
   EXPECT_EQ(rc, 0);
+}
+
+/// A client of 127.0.0.1:`port`, with the same 10 s read timeout as
+/// connect_unix(); -1 when the connection is refused.
+int connect_tcp(int port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  struct sockaddr_in addr;
+  std::memset(&addr, 0, sizeof addr);
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof addr) !=
+      0) {
+    ::close(fd);
+    return -1;
+  }
+  const struct timeval timeout = {10, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+  return fd;
+}
+
+/// The loopback TCP listener (plimc --listen 0): the OS picks the port,
+/// bound_tcp_port() reports it, a client there gets a pong and a
+/// compile, and the drain empties the queue and exits 0.
+TEST(ServerTest, TcpListenerServesOnTheBoundPort) {
+  serve::ServerOptions server_options;
+  server_options.workers = 1;
+  server_options.stdio = false;
+  server_options.tcp_port = 0;
+  serve::Server server(Options{}, server_options);
+  EXPECT_EQ(server.bound_tcp_port(), -1);
+  int rc = -1;
+  std::thread daemon([&] { rc = server.serve(); });
+  for (int retry = 0; retry < 500 && server.bound_tcp_port() < 0; ++retry) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  const int port = server.bound_tcp_port();
+  EXPECT_GT(port, 0);
+  const int fd = port > 0 ? connect_tcp(port) : -1;
+  EXPECT_GE(fd, 0) << "cannot connect to 127.0.0.1:" << port;
+  if (fd >= 0) {
+    EXPECT_EQ(ping_over(fd), kPong);
+    const auto reply =
+        exchange(fd, "{\"id\":\"t\",\"benchmark\":\"ctrl\"}\n");
+    EXPECT_NE(reply.find("\"id\":\"t\",\"ok\":true"), std::string::npos)
+        << reply;
+    EXPECT_FALSE(report_part(reply).empty()) << reply;
+    ::close(fd);
+  }
+  server.request_shutdown();
+  daemon.join();
+  EXPECT_EQ(rc, 0);
+  EXPECT_EQ(server.snapshot().requests, fd >= 0 ? 1u : 0u);
+  EXPECT_EQ(server.snapshot().queue_depth, 0u);
 }
 
 /// 64 idle clients fill the connection cap: the 65th gets one

@@ -22,19 +22,23 @@ farm would:
      change an answer, only its latency);
   4. `stats` — requests counted, hit rate consistent, evictions
      reported, p50/p99 valid;
-  5. SIGINT — the daemon must drain gracefully and exit 0.
+  5. SIGINT — the daemon must drain gracefully and exit 0;
+  6. a second daemon on `--listen 0`: the port it announces on stderr
+     must answer a ping and a compile over 127.0.0.1, and SIGINT must
+     drain it to exit 0.
 
 Usage: serve_smoke.py [path/to/plimc]  (default: ./build/plimc)
 """
 
 import json
+import os
+import re
 import signal
 import socket
 import subprocess
 import sys
 import tempfile
 import time
-import os
 
 BENCHMARKS = ["ctrl", "cavlc", "int2float", "router", "dec", "priority"]
 CHURN_CYCLES = 200
@@ -116,6 +120,53 @@ def vm_size_kib(pid):
     except OSError:
         return None
     return None
+
+
+def interrupt_and_wait(proc, what):
+    """SIGINT `proc` and require a graceful exit 0 within 60 s."""
+    proc.send_signal(signal.SIGINT)
+    try:
+        rc = proc.wait(timeout=60)
+    except subprocess.TimeoutExpired:
+        fail(f"{what} did not exit within 60s of SIGINT")
+    if rc != 0:
+        fail(f"{what} exited {rc} after SIGINT (want 0)")
+
+
+def tcp_leg(plimc):
+    """`--listen 0`: parse the OS-assigned port from the stderr
+    announcement, ping and compile over loopback TCP, then drain."""
+    proc = subprocess.Popen(
+        [plimc, "--serve", "--threads", "1", "--listen", "0"],
+        stdin=subprocess.PIPE, stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE, text=True)
+    try:
+        port = None
+        deadline = time.monotonic() + 30
+        while port is None:
+            if time.monotonic() > deadline:
+                fail("no tcp port announced on stderr")
+            line = proc.stderr.readline()
+            if not line:
+                fail("daemon closed stderr before announcing a tcp port")
+            match = re.search(r"serving on 127\.0\.0\.1:(\d+)", line)
+            if match:
+                port = int(match.group(1))
+        with socket.create_connection(("127.0.0.1", port), timeout=60) as sock:
+            sock.sendall(b'{"cmd":"ping","id":"tcp"}\n'
+                         b'{"id":"tcp-c","benchmark":"ctrl"}\n')
+            by_id = {r.get("id"): r for r in recv_lines(sock, 2)}
+        if not by_id.get("tcp", {}).get("pong"):
+            fail(f"bad tcp pong: {by_id}")
+        if not by_id.get("tcp-c", {}).get("ok"):
+            fail(f"tcp compile failed: {by_id.get('tcp-c')}")
+        interrupt_and_wait(proc, "tcp daemon")
+        print(f"serve_smoke: tcp listener on port {port} answered a ping "
+              "and a compile")
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
 
 
 def main():
@@ -280,13 +331,7 @@ def main():
                  f"p99 {server['p99_ms']}")
 
         # 5. graceful shutdown on SIGINT: drain and exit 0.
-        proc.send_signal(signal.SIGINT)
-        try:
-            rc = proc.wait(timeout=60)
-        except subprocess.TimeoutExpired:
-            fail("daemon did not exit within 60s of SIGINT")
-        if rc != 0:
-            fail(f"daemon exited {rc} after SIGINT (want 0)")
+        interrupt_and_wait(proc, "daemon")
 
         print(f"serve_smoke: OK — {expected} requests, {hits}/"
               f"{len(BENCHMARKS)} repeat hits, p50 "
@@ -296,6 +341,9 @@ def main():
         if proc.poll() is None:
             proc.kill()
             proc.wait()
+
+    # 6. the loopback TCP listener, on a daemon of its own.
+    tcp_leg(plimc)
 
 
 if __name__ == "__main__":
