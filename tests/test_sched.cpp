@@ -951,8 +951,8 @@ std::string golden_line(const std::string& config,
 
 /// Pins the emitted schedules — lockstep on an unbounded bus and
 /// decoupled on a one-wide bus (bus deferral, makespan objective), plus
-/// random networks at 2 and 8 banks — through the full
-/// default pipeline. When a change intentionally alters the scheduler's
+/// random networks at 2 and 8 banks and the load-bound max and bar —
+/// through the full default pipeline. When a change intentionally alters the scheduler's
 /// output, regenerate with
 ///   PLIM_REGEN_GOLDEN=1 ./test_sched --gtest_filter=Golden.*
 /// from the build directory and commit the diff.
@@ -987,6 +987,12 @@ TEST(Golden, SchedulesMatchGoldenFile) {
       configs.push_back({request.label(), request, banks,
                          ExecutionModel::decoupled, 1});
     }
+  }
+  // Load-bound circuits, where refinement rejects most exact trials.
+  for (const auto* name : {"max", "bar"}) {
+    const auto request = CompileRequest::from_benchmark(name);
+    configs.push_back({name, request, 4, ExecutionModel::lockstep, 0});
+    configs.push_back({name, request, 4, ExecutionModel::decoupled, 1});
   }
 
   std::vector<std::string> lines;
