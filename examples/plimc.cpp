@@ -77,9 +77,15 @@
 ///   --no-verify      skip the end-to-end machine verification
 ///   --stats          print statistics to stderr
 ///
+/// Numeric arguments must be whole non-negative decimal numbers that fit
+/// their flag ("-1", "3x" and "+2" are rejected, not wrapped or
+/// truncated); --listen takes at most 65535.
+///
 /// Exit codes: 0 success, 1 request failed (I/O, compilation,
-/// verification), 2 usage or contradictory options (each rejected with a
-/// diagnostic from plim::Options::validate()). Warnings — validation
+/// verification), 2 usage or contradictory options (an unknown argument
+/// or a malformed value is named on stderr before the usage block;
+/// contradictory options are each rejected with a diagnostic from
+/// plim::Options::validate()). Warnings — validation
 /// warnings and run-produced ones like rram-cap-degraded — go to stderr
 /// and never change the exit code; only errors exit non-zero.
 
@@ -87,10 +93,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <csignal>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -118,8 +128,28 @@ int usage() {
                "[--trace <file>] [--metrics]\n"
                "             [--no-verify] [--stats]\n"
                "             [--serve [--socket <path>] [--listen <port>] "
-               "[--cache-mb N]]\n";
+               "[--cache-mb N]]\n"
+               "       N, K and <port> are whole non-negative decimal "
+               "numbers\n";
   return 2;
+}
+
+/// Names what was wrong with the command line, then prints the usage.
+int usage_error(const std::string& why) {
+  std::cerr << "plimc: " << why << '\n';
+  return usage();
+}
+
+/// Parses a whole non-negative decimal number no larger than `max`.
+/// std::stoul would take "-1" (and wrap it) or "3x" (as 3).
+std::optional<std::uint64_t> parse_count(const char* text, std::uint64_t max) {
+  std::uint64_t value = 0;
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc{} || ptr != end || value > max) {
+    return std::nullopt;
+  }
+  return value;
 }
 
 /// The serving daemon behind the signal handlers. The first SIGINT or
@@ -174,7 +204,8 @@ void print_stats(const plim::CompileOutcome& outcome) {
     std::cerr << "refinement: " << s.refine_passes << " passes, "
               << s.refine_moves_tried << " moves tried ("
               << s.refine_moves_screened << " screened, "
-              << s.refine_full_evals << " exact re-schedules), "
+              << s.refine_full_evals << " exact re-schedules, "
+              << s.refine_bounded << " of them bounded), "
               << s.refine_moves_kept << " kept, " << s.refine_steps_saved
               << " steps saved (" << s.schedule_ms << " ms scheduling)\n";
   }
@@ -222,136 +253,123 @@ int main(int argc, char** argv) {
   std::size_t cache_mb = 256;
   plim::Options options;
 
-  try {
   for (int i = 1; i < argc; ++i) {
     const auto arg = std::string(argv[i]);
-    const auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
+    const char* value = nullptr;
+    // The flag's argument; false (after naming the flag) when missing.
+    const auto next = [&]() {
+      value = i + 1 < argc ? argv[++i] : nullptr;
+      if (value == nullptr) {
+        std::cerr << "plimc: " << arg << " needs a value\n";
+      }
+      return value != nullptr;
     };
-    if (arg == "--blif") {
-      if (const char* v = next()) {
-        blif_path = v;
-      } else {
+    // The flag's argument as a count in [0, max], named when malformed.
+    std::uint64_t number = 0;
+    const auto count = [&](std::uint64_t max) {
+      if (!next()) {
+        return false;
+      }
+      const auto parsed = parse_count(value, max);
+      if (!parsed) {
+        std::cerr << "plimc: " << arg << " needs a non-negative integer"
+                  << (max < std::numeric_limits<std::uint32_t>::max()
+                          ? " up to " + std::to_string(max)
+                          : std::string{})
+                  << ", got '" << value << "'\n";
+        return false;
+      }
+      number = *parsed;
+      return true;
+    };
+    constexpr std::uint64_t kU32 = std::numeric_limits<std::uint32_t>::max();
+    if (arg == "--blif" || arg == "--benchmark" || arg == "--batch" ||
+        arg == "--socket" || arg == "-o" || arg == "--json" ||
+        arg == "--trace") {
+      if (!next()) {
         return usage();
       }
-    } else if (arg == "--benchmark") {
-      if (const char* v = next()) {
-        benchmark = v;
-      } else {
-        return usage();
-      }
-    } else if (arg == "--batch") {
-      if (const char* v = next()) {
-        batch_path = v;
-      } else {
-        return usage();
-      }
+      auto& target = arg == "--blif"        ? blif_path
+                     : arg == "--benchmark" ? benchmark
+                     : arg == "--batch"     ? batch_path
+                     : arg == "--socket"    ? socket_path
+                     : arg == "-o"          ? out_path
+                     : arg == "--json"      ? json_path
+                                            : trace_path;
+      target = value;
     } else if (arg == "--threads") {
-      if (const char* v = next()) {
-        threads = static_cast<unsigned>(std::stoul(v));
-        threads_set = true;
-      } else {
+      if (!count(std::numeric_limits<unsigned>::max())) {
         return usage();
       }
+      threads = static_cast<unsigned>(number);
+      threads_set = true;
     } else if (arg == "--serve") {
       serve_mode = true;
-    } else if (arg == "--socket") {
-      if (const char* v = next()) {
-        socket_path = v;
-      } else {
-        return usage();
-      }
     } else if (arg == "--listen") {
-      if (const char* v = next()) {
-        listen_port = static_cast<int>(std::stoul(v));
-      } else {
+      if (!count(65535)) {
         return usage();
       }
+      listen_port = static_cast<int>(number);
     } else if (arg == "--cache-mb") {
-      if (const char* v = next()) {
-        cache_mb = static_cast<std::size_t>(std::stoul(v));
-      } else {
+      // The budget is held in bytes.
+      if (!count(std::numeric_limits<std::size_t>::max() >> 20)) {
         return usage();
       }
-    } else if (arg == "-o") {
-      if (const char* v = next()) {
-        out_path = v;
-      } else {
-        return usage();
-      }
+      cache_mb = static_cast<std::size_t>(number);
     } else if (arg == "--effort") {
-      if (const char* v = next()) {
-        options.rewrite.effort = static_cast<unsigned>(std::stoul(v));
-      } else {
+      if (!count(std::numeric_limits<unsigned>::max())) {
         return usage();
       }
+      options.rewrite.effort = static_cast<unsigned>(number);
     } else if (arg == "--naive") {
       options.compile.smart_candidates = false;
     } else if (arg == "--alloc") {
-      const char* v = next();
-      if (v == nullptr) {
+      if (!next()) {
         return usage();
       }
-      if (std::strcmp(v, "fifo") == 0) {
+      if (std::strcmp(value, "fifo") == 0) {
         options.compile.allocation = plim::core::AllocationPolicy::fifo;
-      } else if (std::strcmp(v, "lifo") == 0) {
+      } else if (std::strcmp(value, "lifo") == 0) {
         options.compile.allocation = plim::core::AllocationPolicy::lifo;
-      } else if (std::strcmp(v, "fresh") == 0) {
+      } else if (std::strcmp(value, "fresh") == 0) {
         options.compile.allocation = plim::core::AllocationPolicy::fresh;
       } else {
-        return usage();
+        return usage_error("--alloc needs fifo, lifo or fresh, got '" +
+                           std::string(value) + "'");
       }
     } else if (arg == "--cap") {
-      if (const char* v = next()) {
-        options.compile.rram_cap = static_cast<std::uint32_t>(std::stoul(v));
-      } else {
+      if (!count(kU32)) {
         return usage();
       }
+      options.compile.rram_cap = static_cast<std::uint32_t>(number);
     } else if (arg == "--degrade") {
       options.compile.degradation.enabled = true;
     } else if (arg == "--banks") {
-      if (const char* v = next()) {
-        options.banks = static_cast<std::uint32_t>(std::stoul(v));
-      } else {
+      if (!count(kU32)) {
         return usage();
       }
+      options.banks = static_cast<std::uint32_t>(number);
     } else if (arg == "--bus-width") {
-      if (const char* v = next()) {
-        options.schedule.cost.bus_width =
-            static_cast<std::uint32_t>(std::stoul(v));
-      } else {
+      if (!count(kU32)) {
         return usage();
       }
+      options.schedule.cost.bus_width = static_cast<std::uint32_t>(number);
     } else if (arg == "--refine-passes") {
-      if (const char* v = next()) {
-        options.schedule.refine_passes =
-            static_cast<std::uint32_t>(std::stoul(v));
-      } else {
+      if (!count(kU32)) {
         return usage();
       }
+      options.schedule.refine_passes = static_cast<std::uint32_t>(number);
     } else if (arg == "--execution") {
-      const char* v = next();
-      if (v == nullptr) {
+      if (!next()) {
         return usage();
       }
-      if (std::strcmp(v, "decoupled") == 0) {
+      if (std::strcmp(value, "decoupled") == 0) {
         options.schedule.execution = plim::sched::ExecutionModel::decoupled;
-      } else if (std::strcmp(v, "lockstep") == 0) {
+      } else if (std::strcmp(value, "lockstep") == 0) {
         options.schedule.execution = plim::sched::ExecutionModel::lockstep;
       } else {
-        return usage();
-      }
-    } else if (arg == "--json") {
-      if (const char* v = next()) {
-        json_path = v;
-      } else {
-        return usage();
-      }
-    } else if (arg == "--trace") {
-      if (const char* v = next()) {
-        trace_path = v;
-      } else {
-        return usage();
+        return usage_error("--execution needs lockstep or decoupled, got '" +
+                           std::string(value) + "'");
       }
     } else if (arg == "--metrics") {
       metrics = true;
@@ -360,11 +378,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--stats") {
       stats = true;
     } else {
-      return usage();
+      return usage_error("unknown argument '" + arg + "'");
     }
-  }
-  } catch (const std::exception&) {
-    return usage();  // malformed numeric argument
   }
   options.verify.enabled = verify;
   options.trace.enabled = !trace_path.empty();
@@ -392,7 +407,8 @@ int main(int argc, char** argv) {
       return 2;
     }
     if (batch ? sources != 0 : sources != 1) {
-      return usage();  // exactly one request source required
+      return usage_error(
+          "exactly one request source is needed: --blif, --benchmark or --batch");
     }
     if (threads_set && threads != 1 && !batch) {
       std::cerr << "plimc: --threads only applies to --batch/--serve runs\n";

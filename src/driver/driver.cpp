@@ -253,6 +253,14 @@ CompileOutcome Driver::run_impl(const CompileRequest& request) const {
     }
   }
 
+  // Scheduling reads only the serial program: free the networks and the
+  // compile result before it builds its workspace. A network request's
+  // network is the caller's, not ours, and stays.
+  network = nullptr;
+  loaded.reset();
+  optimized = {};
+  compiled = {};
+
   // ---- schedule ------------------------------------------------------------
   if (options_.banks > 0) {
     sched::ScheduleOptions sopts;

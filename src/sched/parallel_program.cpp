@@ -49,6 +49,7 @@ void write_json_fields(const ScheduleStats& stats, util::JsonWriter& json) {
   json.field("refine_moves_kept", stats.refine_moves_kept);
   json.field("refine_moves_screened", stats.refine_moves_screened);
   json.field("refine_full_evals", stats.refine_full_evals);
+  json.field("refine_bounded", stats.refine_bounded);
   json.field("refine_steps_saved", stats.refine_steps_saved);
   json.field("refine_transfers_saved",
              static_cast<double>(stats.refine_transfers_saved));

@@ -257,6 +257,9 @@ struct ScheduleStats {
   /// alone, without spending an exact re-schedule.
   std::uint32_t refine_moves_screened = 0;
   std::uint32_t refine_full_evals = 0;  ///< exact re-schedules spent
+  /// Of refine_full_evals: stopped by a bound once the trial provably
+  /// could not be kept, before its schedule was complete.
+  std::uint32_t refine_bounded = 0;
   std::uint32_t refine_steps_saved = 0;  ///< steps removed by refinement
   /// Transfers removed — negative when refinement traded extra copies
   /// for a shorter critical chain (its objective is lexicographic:

@@ -140,26 +140,25 @@ std::uint32_t def_transfers(const DependenceGraph& graph, const Structure& st,
   return static_cast<std::uint32_t>(scratch.size());
 }
 
-/// Surrogate transfer delta of moving cluster `c` to bank `q`: only defs
-/// read or produced by the cluster can change their transfer count.
-std::int64_t transfer_delta(const DependenceGraph& graph, const Structure& st,
-                            const std::vector<std::uint32_t>& seg_bank,
-                            std::uint32_t c, std::uint32_t q,
-                            std::vector<std::uint32_t>& scratch) {
-  std::int64_t delta = 0;
-  const auto visit = [&](std::uint32_t d) {
-    delta += static_cast<std::int64_t>(
-                 def_transfers(graph, st, seg_bank, d, c, q, scratch)) -
-             static_cast<std::int64_t>(
-                 def_transfers(graph, st, seg_bank, d, npos, 0, scratch));
-  };
+/// Surrogate transfers of the defs cluster `c` reads or produces — the
+/// only ones a move of `c` can change — with `c` in bank `q`, or where
+/// it is when `q` is npos.
+std::int64_t cluster_transfers(const DependenceGraph& graph,
+                               const Structure& st,
+                               const std::vector<std::uint32_t>& seg_bank,
+                               std::uint32_t c, std::uint32_t q,
+                               std::vector<std::uint32_t>& scratch) {
+  const auto mov = q == npos ? npos : c;
+  std::int64_t transfers = 0;
   for (auto k = st.reads_off[c]; k < st.reads_off[c + 1]; ++k) {
-    visit(st.reads_def[k]);
+    transfers += def_transfers(graph, st, seg_bank, st.reads_def[k], mov, q,
+                               scratch);
   }
   for (auto k = st.produced_off[c]; k < st.produced_off[c + 1]; ++k) {
-    visit(st.produced_def[k]);
+    transfers += def_transfers(graph, st, seg_bank, st.produced_def[k], mov,
+                               q, scratch);
   }
-  return delta;
+  return transfers;
 }
 
 }  // namespace
@@ -169,7 +168,7 @@ RefineStats refine(const DependenceGraph& graph,
                    const std::vector<std::uint32_t>& cluster_of,
                    std::uint32_t banks, const RefineOptions& options,
                    const RefineEvaluator& evaluate, RefineWork& work,
-                   const RefineEval* baseline) {
+                   RefineEval* incumbent) {
   RefineStats stats;
   const auto passes = options.passes;
   if (banks <= 1 || passes == 0 || graph.num_segments() == 0) {
@@ -227,7 +226,8 @@ RefineStats refine(const DependenceGraph& graph,
            static_cast<std::int64_t>(peak_after);
   };
 
-  RefineEval best = baseline != nullptr ? *baseline : evaluate(seg_bank);
+  RefineEval best = incumbent != nullptr ? std::move(*incumbent)
+                                         : evaluate(seg_bank, nullptr);
   stats.steps_before = best.steps;
   stats.transfers_before = best.transfers;
 
@@ -430,7 +430,7 @@ RefineStats refine(const DependenceGraph& graph,
         return false;
       }
     }
-    auto r = evaluate(seg_bank);
+    auto r = evaluate(seg_bank, &best);
     ++full_used;
     ++work.full_evals;
     if (improves(r)) {
@@ -579,6 +579,8 @@ RefineStats refine(const DependenceGraph& graph,
     std::vector<std::vector<Move>> buckets(2 * kMaxGain + 1);
     for (std::uint32_t c = 0; c < num_clusters; ++c) {
       const auto from = cluster_bank_load(c);
+      const auto transfers_now =
+          cluster_transfers(graph, st, seg_bank, c, npos, scratch);
       std::int64_t best_gain = 0;
       auto best_bank = npos;
       for (std::uint32_t q = 0; q < banks; ++q) {
@@ -587,7 +589,8 @@ RefineStats refine(const DependenceGraph& graph,
         }
         const auto gain =
             -std::int64_t{kTransferInstructions} *
-                transfer_delta(graph, st, seg_bank, c, q, scratch) +
+                (cluster_transfers(graph, st, seg_bank, c, q, scratch) -
+                 transfers_now) +
             peak_delta(c, q, from);
         if (gain > best_gain) {
           best_gain = gain;
@@ -731,6 +734,9 @@ RefineStats refine(const DependenceGraph& graph,
   stats.steps_after = best.steps;
   stats.transfers_after = best.transfers;
   stats.makespan_after = best.makespan;
+  if (incumbent != nullptr) {
+    *incumbent = std::move(best);
+  }
 
   if (registry.enabled()) {
     const auto secs =

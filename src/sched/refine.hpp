@@ -36,8 +36,13 @@ struct RefineEval {
   std::uint64_t makespan = 0;
 };
 
-using RefineEvaluator =
-    std::function<RefineEval(const std::vector<std::uint32_t>& seg_bank)>;
+/// Evaluates `seg_bank` exactly. With an `incumbent`, the evaluator may
+/// stop as soon as the assignment provably cannot beat it under the
+/// keep rule (see refine()) and return any evaluation that does not,
+/// and it may leave the critical edges of a non-improving evaluation
+/// empty: refinement reads neither.
+using RefineEvaluator = std::function<RefineEval(
+    const std::vector<std::uint32_t>& seg_bank, const RefineEval* incumbent)>;
 
 /// Refinement budget and objective (see refine()).
 struct RefineOptions {
@@ -110,14 +115,17 @@ struct RefineStats {
 /// `cluster_of` maps every segment to a cluster root (see
 /// cluster_segments()); `seg_bank` is updated in place with the refined
 /// assignment. The work spent is added to `work`.
-/// `baseline`, when given, is the already-computed evaluation of the
-/// incoming `seg_bank` (e.g. from the scheduler's dual-start trial), so
-/// refinement does not re-schedule the starting point.
+/// `incumbent`, when given, holds the already-computed evaluation of
+/// the incoming `seg_bank` (e.g. from the scheduler's dual-start trial),
+/// so refinement does not re-schedule the starting point; on return it
+/// holds the evaluation of the refined assignment, critical edges
+/// included, so a follow-up call can start from it. Every trial is
+/// evaluated against the current best assignment's evaluation.
 RefineStats refine(const DependenceGraph& graph,
                    std::vector<std::uint32_t>& seg_bank,
                    const std::vector<std::uint32_t>& cluster_of,
                    std::uint32_t banks, const RefineOptions& options,
                    const RefineEvaluator& evaluate, RefineWork& work,
-                   const RefineEval* baseline = nullptr);
+                   RefineEval* incumbent = nullptr);
 
 }  // namespace plim::sched

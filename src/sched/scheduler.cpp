@@ -60,6 +60,7 @@ struct Expansion {
   std::uint32_t num_segments = 0;  ///< virtual cells below this are segments
   std::uint32_t num_vcells = 0;
   std::vector<std::uint32_t> vcell_bank;
+  std::vector<std::uint32_t> bank_load;  ///< instructions per bank
   std::uint32_t transfers = 0;
   std::uint32_t duplicates = 0;
   std::uint32_t duplicated_instructions = 0;
@@ -240,8 +241,8 @@ std::vector<std::uint32_t> assign_clusters(
 /// a transfer copy or a local recomputation (see scheduler.hpp, step 3).
 /// Overwrites `ex`; `scratch` only carries capacity between calls.
 void expand(const DependenceGraph& graph, const arch::Program& serial,
-            const std::vector<std::uint32_t>& seg_bank, Expansion& ex,
-            ExpandScratch& scratch) {
+            const std::vector<std::uint32_t>& seg_bank, std::uint32_t banks,
+            Expansion& ex, ExpandScratch& scratch) {
   const auto n = graph.num_instructions();
   ex.virt.clear();
   ex.virt.reserve(n + n / 8);
@@ -250,6 +251,7 @@ void expand(const DependenceGraph& graph, const arch::Program& serial,
   ex.num_segments = graph.num_segments();
   ex.num_vcells = graph.num_segments();
   ex.vcell_bank.assign(seg_bank.begin(), seg_bank.end());
+  ex.bank_load.assign(banks, 0);
   ex.transfers = 0;
   ex.duplicates = 0;
   ex.duplicated_instructions = 0;
@@ -277,6 +279,7 @@ void expand(const DependenceGraph& graph, const arch::Program& serial,
     ex.deps.insert(ex.deps.end(), first, last);
     ex.dep_off.push_back(static_cast<std::uint32_t>(ex.deps.size()));
     ex.virt.push_back(v);
+    ++ex.bank_load[v.bank];
     return static_cast<std::uint32_t>(ex.virt.size() - 1);
   };
   const auto new_vcell = [&](std::uint32_t bank) {
@@ -433,9 +436,8 @@ void expand(const DependenceGraph& graph, const arch::Program& serial,
   }
 }
 
-/// A packed schedule of the expanded program: step assignment per virtual
-/// instruction plus, on request, the zero-slack cross-bank reads (the
-/// critical transfer edges refinement targets).
+/// A packed schedule of the expanded program: the step assignment per
+/// virtual instruction.
 struct ListSchedule {
   std::vector<std::uint32_t> step_of;
   /// Steps as CSR, each in ascending bank order: step t issues
@@ -444,8 +446,9 @@ struct ListSchedule {
   std::vector<std::uint32_t> step_instrs;
   std::uint32_t virtual_critical_path = 0;
   std::uint32_t bus_stalls = 0;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> critical_cross_edges;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> critical_local_edges;
+  /// Projected decoupled makespan (cycles) when list_schedule() was asked
+  /// to project it, else 0.
+  std::uint64_t makespan = 0;
 
   [[nodiscard]] std::uint32_t num_steps() const {
     return static_cast<std::uint32_t>(step_off.size() - 1);
@@ -463,82 +466,205 @@ struct Prio {
   std::uint64_t rank;  ///< (~slack << 32) | height: higher is more urgent
   std::uint32_t vidx;
 
-  static Prio of(std::uint32_t slack, std::uint32_t height,
-                 std::uint32_t vidx) {
-    return {(std::uint64_t{~slack} << 32) | height, vidx};
-  }
   bool operator<(const Prio& o) const {  // "worse-than" for the max-heap
     return rank < o.rank || (rank == o.rank && vidx > o.vidx);
   }
 };
 
-/// list_schedule()'s and projected_makespan()'s working arrays, kept
-/// across calls like ExpandScratch.
+/// A ready max-heap whose best element waits outside the heap, so an
+/// instruction that becomes ready and is picked next — the rest of a
+/// chain — costs no heap operation. Same order as a plain heap.
+class ReadyQueue {
+ public:
+  [[nodiscard]] bool empty() const { return !has_best_ && heap_.empty(); }
+  [[nodiscard]] std::size_t size() const { return heap_.size() + has_best_; }
+  [[nodiscard]] const Prio& top() const {
+    return has_best_ ? best_ : heap_.front();
+  }
+  void clear() {
+    heap_.clear();
+    has_best_ = false;
+  }
+  void push(const Prio& p) {
+    if (!has_best_ && (heap_.empty() || heap_.front() < p)) {
+      best_ = p;
+      has_best_ = true;
+      return;
+    }
+    auto worse = p;
+    if (has_best_ && best_ < p) {
+      std::swap(worse, best_);
+    }
+    heap_.push_back(worse);
+    std::push_heap(heap_.begin(), heap_.end());
+  }
+  std::uint32_t pop() {
+    if (has_best_) {
+      has_best_ = false;
+      return best_.vidx;
+    }
+    std::pop_heap(heap_.begin(), heap_.end());
+    const auto vidx = heap_.back().vidx;
+    heap_.pop_back();
+    return vidx;
+  }
+
+ private:
+  std::vector<Prio> heap_;
+  Prio best_{};
+  bool has_best_ = false;
+};
+
+/// Slack of an instruction, recovered from its Prio rank.
+std::uint32_t slack_of(std::uint64_t rank) {
+  return ~static_cast<std::uint32_t>(rank >> 32);
+}
+
+/// list_schedule()'s and critical_edges()' working arrays, kept across
+/// calls like ExpandScratch.
 struct ListScratch {
-  std::vector<std::uint32_t> depth;
-  std::vector<std::uint32_t> height;
-  std::vector<std::uint32_t> slack;
+  /// Per instruction: its ready queue, 2 · bank + (uses the bus); holds
+  /// the ASAP depth until the ranks are computed.
+  std::vector<std::uint32_t> queue;
+  /// Per instruction: its Prio rank; holds the ALAP height until the
+  /// critical path is known.
+  std::vector<std::uint64_t> rank;
   std::vector<std::uint32_t> succ_off;
   std::vector<std::uint32_t> succ;
-  std::vector<std::uint32_t> cursor;
+  /// Unscheduled predecessors per instruction (the successor fill's
+  /// cursor before that).
   std::vector<std::uint32_t> remaining;
-  /// Per-bank ready max-heaps, split by bus use so a full bus skips its
-  /// copies without popping them.
-  std::vector<std::vector<Prio>> ready_local;
-  std::vector<std::vector<Prio>> ready_bus;
+  /// Ready queues, indexed by queue: split by bus use so a full bus
+  /// skips a bank's copies without popping them.
+  std::vector<ReadyQueue> ready;
   /// Dependency-free local instructions (inits), one run per bank sorted
   /// best first: bank b's run is init_run[init_off[b], init_off[b + 1])
   /// and its unissued part starts at init_next[b]. They are most of the
   /// ready set, so they bypass the heaps (see list_schedule).
   std::vector<Prio> init_run;
+  std::vector<Prio> init_sort;  ///< the radix sort's second buffer
   std::vector<std::uint32_t> init_off;
   std::vector<std::uint32_t> init_next;
-  std::vector<std::pair<Prio, std::uint32_t>> bank_order;  ///< (top, bank)
-  std::vector<std::uint64_t> start;  ///< projected_makespan start cycles
+  std::vector<std::uint32_t> left;  ///< unscheduled instructions per bank
+  /// (top, bank) of the banks whose best candidate is a copy.
+  std::vector<std::pair<Prio, std::uint32_t>> bank_order;
+  std::vector<std::uint8_t> denied;  ///< banks that lost the bus this step
+  std::vector<std::uint64_t> start;  ///< projected start cycles
 };
+
+/// What a trial schedule may need and still be kept (see schedule()):
+/// at most `steps` steps, and a projected makespan of at most
+/// `makespan` cycles. The defaults never give up.
+struct Limits {
+  std::uint32_t steps = npos;
+  std::uint64_t makespan = ~std::uint64_t{0};
+};
+
+/// Sorts every bank's init run best first: a stable LSD radix sort of
+/// the inits (gathered in ascending vidx order) by descending rank, one
+/// byte per pass and only over the bytes whose value varies, then a
+/// stable scatter into the bank runs. Stability keeps ascending vidx
+/// among equal ranks — exactly the Prio order.
+void sort_init_runs(const std::vector<std::uint32_t>& queue,
+                    std::uint32_t banks, ListScratch& scratch) {
+  auto* src = &scratch.init_sort;
+  auto* dst = &scratch.init_run;
+  const auto count = src->size();
+  dst->resize(count);
+  std::uint64_t varying = 0;
+  for (const auto& p : *src) {
+    varying |= p.rank ^ src->front().rank;
+  }
+  for (unsigned shift = 0; shift < 64; shift += 8) {
+    if (((varying >> shift) & 0xff) == 0) {
+      continue;
+    }
+    std::uint32_t offset[257] = {};
+    for (const auto& p : *src) {
+      ++offset[(~p.rank >> shift & 0xff) + 1];
+    }
+    for (unsigned d = 0; d < 256; ++d) {
+      offset[d + 1] += offset[d];
+    }
+    for (const auto& p : *src) {
+      (*dst)[offset[~p.rank >> shift & 0xff]++] = p;
+    }
+    std::swap(src, dst);
+  }
+  auto& next = scratch.init_next;
+  next.assign(scratch.init_off.begin(), scratch.init_off.begin() + banks);
+  for (const auto& p : *src) {
+    (*dst)[next[queue[p.vidx] >> 1]++] = p;
+  }
+  if (dst != &scratch.init_run) {
+    std::swap(scratch.init_run, scratch.init_sort);
+  }
+  next.assign(scratch.init_off.begin(), scratch.init_off.begin() + banks);
+}
 
 /// Slack-driven list scheduling into steps of at most one instruction
 /// per bank. Priorities come from ASAP/ALAP slack over the virtual
 /// dependence graph: zero-slack instructions sit on a critical chain and
 /// preempt ties that plain height priority would break arbitrarily;
-/// height (then serial order) breaks remaining ties. Banks are served
-/// most-critical-first each step, so on a bounded bus off-chain copies
-/// leave bus slots to ready zero-slack copies and the critical chain
-/// never waits behind bulk transfers. Overwrites `ls`.
-void list_schedule(const Expansion& ex, std::uint32_t banks,
-                   std::uint32_t bus_width, bool want_critical_edges,
+/// height (then serial order) breaks remaining ties. On a bounded bus,
+/// the banks whose best candidate is a copy get the bus slots
+/// most-critical-first each step, so off-chain copies leave bus slots
+/// to ready zero-slack copies and the critical chain never waits behind
+/// bulk transfers.
+///
+/// With `project`, the schedule's projected decoupled makespan is swept
+/// step by step as it is packed: the IssueClock decoupled_timing runs
+/// on, over the virtual program in (step, bank) order, with
+/// phase-accurate cross-bank RAW latencies. The virtual program is SSA
+/// (no WAR/WAW from cell reuse) and ignores the physical allocator's
+/// recycling WARs, so this is an optimistic projection, but it moves
+/// with exactly the quantities refinement moves (chain shape, bank
+/// loads, transfer placement) — the right objective surrogate.
+///
+/// Gives up and returns false, leaving `ls` unusable, as soon as the
+/// schedule provably exceeds `limits`: steps once the virtual critical
+/// path does, or at a step t where t plus the most instructions any
+/// bank has left does; the projected makespan once some bank's next
+/// issue cycle plus the dense stream span of what it has left does.
+/// Otherwise overwrites `ls` and returns true.
+bool list_schedule(const Expansion& ex, std::uint32_t banks,
+                   std::uint32_t bus_width, bool project, const Limits& limits,
                    ListSchedule& ls, ListScratch& scratch) {
   const auto& virt = ex.virt;
   const auto vn = static_cast<std::uint32_t>(virt.size());
   ls.step_instrs.clear();
   ls.step_off.assign(1, 0);
   ls.bus_stalls = 0;
-  ls.critical_cross_edges.clear();
-  ls.critical_local_edges.clear();
 
   // ASAP depth (deps always point backwards) and ALAP height, flat.
-  auto& depth = scratch.depth;
-  depth.assign(vn, 1);
+  auto& queue = scratch.queue;
+  queue.resize(vn);
   for (std::uint32_t i = 0; i < vn; ++i) {
+    std::uint32_t depth = 1;
     for (const auto p : ex.deps_of(i)) {
-      depth[i] = std::max(depth[i], depth[p] + 1);
+      depth = std::max(depth, queue[p] + 1);
     }
+    queue[i] = depth;
   }
-  auto& height = scratch.height;
-  height.assign(vn, 1);
+  auto& rank = scratch.rank;
+  rank.assign(vn, 1);
   std::uint32_t cp = 0;
   for (std::uint32_t i = vn; i-- > 0;) {
-    cp = std::max(cp, depth[i] + height[i] - 1);
+    const auto height = static_cast<std::uint32_t>(rank[i]);
+    cp = std::max(cp, queue[i] + height - 1);
     for (const auto p : ex.deps_of(i)) {
-      height[p] = std::max(height[p], height[i] + 1);
+      rank[p] = std::max<std::uint64_t>(rank[p], height + 1);
     }
   }
-  auto& slack = scratch.slack;
-  slack.resize(vn);
-  for (std::uint32_t i = 0; i < vn; ++i) {
-    slack[i] = cp - (depth[i] + height[i] - 1);
-  }
   ls.virtual_critical_path = cp;
+  if (cp > limits.steps) {
+    return false;
+  }
+  for (std::uint32_t i = 0; i < vn; ++i) {
+    const auto slack = cp - (queue[i] + static_cast<std::uint32_t>(rank[i]) - 1);
+    rank[i] |= std::uint64_t{~slack} << 32;
+    queue[i] = 2 * virt[i].bank + (virt[i].uses_bus ? 1 : 0);
+  }
 
   // Successors as CSR (flat, counted then filled; each list ascending).
   auto& succ_off = scratch.succ_off;
@@ -551,29 +677,21 @@ void list_schedule(const Expansion& ex, std::uint32_t banks,
   }
   auto& succ = scratch.succ;
   succ.resize(succ_off[vn]);
-  auto& cursor = scratch.cursor;
-  cursor.assign(succ_off.begin(), succ_off.end() - 1);
+  auto& remaining = scratch.remaining;
+  remaining.assign(succ_off.begin(), succ_off.end() - 1);
   for (std::uint32_t i = 0; i < vn; ++i) {
     for (const auto p : ex.deps_of(i)) {
-      succ[cursor[p]++] = i;
+      succ[remaining[p]++] = i;
     }
   }
 
-  auto& ready_local = scratch.ready_local;
-  auto& ready_bus = scratch.ready_bus;
-  ready_local.resize(banks);
-  ready_bus.resize(banks);
-  for (std::uint32_t b = 0; b < banks; ++b) {
-    ready_local[b].clear();
-    ready_bus[b].clear();
+  auto& ready = scratch.ready;
+  ready.resize(2 * banks);
+  for (auto& heap : ready) {
+    heap.clear();
   }
-  auto& remaining = scratch.remaining;
-  remaining.resize(vn);
   const auto push_ready = [&](std::uint32_t i) {
-    auto& heap = virt[i].uses_bus ? ready_bus[virt[i].bank]
-                                  : ready_local[virt[i].bank];
-    heap.push_back(Prio::of(slack[i], height[i], i));
-    std::push_heap(heap.begin(), heap.end());
+    ready[queue[i]].push({rank[i], i});
   };
   // Dependency-free local instructions are ready from the start and
   // never re-enter the ready set, so each bank keeps them as one sorted
@@ -582,52 +700,91 @@ void list_schedule(const Expansion& ex, std::uint32_t banks,
   auto& init_run = scratch.init_run;
   auto& init_off = scratch.init_off;
   auto& init_next = scratch.init_next;
+  auto& inits = scratch.init_sort;
   init_off.assign(banks + 1, 0);
+  inits.clear();
   for (std::uint32_t i = 0; i < vn; ++i) {
     remaining[i] = ex.dep_off[i + 1] - ex.dep_off[i];
-    if (remaining[i] == 0 && virt[i].uses_bus) {
+    if (remaining[i] == 0 && (queue[i] & 1) != 0) {
       push_ready(i);
     } else if (remaining[i] == 0) {
-      ++init_off[virt[i].bank + 1];
+      ++init_off[(queue[i] >> 1) + 1];
+      inits.push_back({rank[i], i});
     }
   }
   for (std::uint32_t b = 0; b < banks; ++b) {
     init_off[b + 1] += init_off[b];
   }
-  init_next.assign(init_off.begin(), init_off.end() - 1);
-  init_run.resize(init_off[banks]);
-  for (std::uint32_t i = 0; i < vn; ++i) {
-    if (remaining[i] == 0 && !virt[i].uses_bus) {
-      init_run[init_next[virt[i].bank]++] = Prio::of(slack[i], height[i], i);
-    }
-  }
-  init_next.assign(init_off.begin(), init_off.end() - 1);
-  for (std::uint32_t b = 0; b < banks; ++b) {
-    std::sort(init_run.begin() + init_off[b], init_run.begin() + init_off[b + 1],
-              [](const Prio& x, const Prio& y) { return y < x; });
-  }
+  sort_init_runs(queue, banks, scratch);
   // Bank b's best ready local instruction is its run front when this
   // holds, else its heap top (null when it has neither).
   const auto run_leads = [&](std::uint32_t b) {
     return init_next[b] < init_off[b + 1] &&
-           (ready_local[b].empty() ||
-            ready_local[b].front() < init_run[init_next[b]]);
+           (ready[2 * b].empty() || ready[2 * b].top() < init_run[init_next[b]]);
   };
   const auto best_local = [&](std::uint32_t b) -> const Prio* {
     if (run_leads(b)) {
       return &init_run[init_next[b]];
     }
-    return ready_local[b].empty() ? nullptr : &ready_local[b].front();
+    return ready[2 * b].empty() ? nullptr : &ready[2 * b].top();
   };
-  const auto pop = [](std::vector<Prio>& heap) {
-    std::pop_heap(heap.begin(), heap.end());
-    const auto vidx = heap.back().vidx;
-    heap.pop_back();
-    return vidx;
+  // Issues bank b's pick: its best ready copy while the bus is open and
+  // the copy outranks its best local instruction, else that local
+  // instruction. Returns false when the bank has nothing it may issue.
+  const auto issue = [&](std::uint32_t b, bool bus_open) {
+    const auto* local = best_local(b);
+    auto& bus = ready[2 * b + 1];
+    std::uint32_t picked = npos;
+    if (bus_open && !bus.empty() && (local == nullptr || *local < bus.top())) {
+      picked = bus.pop();
+    } else if (local == nullptr) {
+      return false;
+    } else if (run_leads(b)) {
+      picked = init_run[init_next[b]++].vidx;
+    } else {
+      picked = ready[2 * b].pop();
+    }
+    ls.step_instrs.push_back(picked);
+    return true;
   };
 
+  // The makespan projection, one op at a time in program order —
+  // topological (deps sit at earlier steps) and the bus arbiter's grant
+  // order.
+  auto& start = scratch.start;
+  start.resize(project ? vn : 0);
+  IssueClock clock(banks, bus_width);
+  ls.makespan = 0;
+  const auto time = [&](std::uint32_t i) {
+    const auto& v = virt[i];
+    std::uint64_t ready_at = 0;
+    for (const auto p : ex.deps_of(i)) {
+      if (queue[p] >> 1 == v.bank) {
+        continue;  // same-bank deps ride the stream cadence
+      }
+      // Which operand reads the dep decides the stalled phase (read A or
+      // read B, behind the producer's write). Deps matching neither
+      // operand (WAR-style chain edges) order starts without latency.
+      std::uint64_t latency = 0;
+      if (v.a.is_rram() && v.a.address() == virt[p].z) {
+        latency = IssueClock::token_latency(IssueClock::kWritePhase, 1);
+      } else if (v.b.is_rram() && v.b.address() == virt[p].z) {
+        latency = IssueClock::token_latency(IssueClock::kWritePhase, 2);
+      }
+      ready_at = std::max(ready_at, start[p] + latency);
+    }
+    start[i] = clock.issue(v.bank, ready_at, v.uses_bus);
+    ls.makespan = std::max(ls.makespan, start[i] + IssueClock::kPhases);
+  };
+  const bool limited =
+      limits.steps != npos || limits.makespan != Limits{}.makespan;
+
   ls.step_of.assign(vn, npos);
+  auto& left = scratch.left;
+  left.assign(ex.bank_load.begin(), ex.bank_load.end());
   auto& bank_order = scratch.bank_order;
+  auto& denied = scratch.denied;
+  denied.assign(banks, 0);
   std::uint32_t scheduled = 0;
   // Ready-queue occupancy, aggregated locally so the registry (one mutex
   // per call) is touched exactly once per run, not per step — this loop
@@ -637,74 +794,77 @@ void list_schedule(const Expansion& ex, std::uint32_t banks,
   std::uint64_t ready_depth_max = 0;
   while (scheduled < vn) {
     const auto t = ls.num_steps();
+    if (limited) {
+      std::uint64_t most_left = 0;
+      auto makespan = ls.makespan;
+      for (std::uint32_t b = 0; b < banks; ++b) {
+        most_left = std::max<std::uint64_t>(most_left, left[b]);
+        if (project && left[b] > 0) {
+          makespan = std::max(makespan, clock.bank_ready(b) +
+                                            IssueClock::stream_span(left[b]));
+        }
+      }
+      if (t + most_left > limits.steps || makespan > limits.makespan) {
+        return false;
+      }
+    }
     const auto step_begin = ls.step_instrs.size();
-    std::uint32_t bus_used = 0;
     if (metrics_on) {
       std::uint64_t depth_now = 0;
       for (std::uint32_t b = 0; b < banks; ++b) {
-        depth_now += ready_local[b].size() + ready_bus[b].size() +
+        depth_now += ready[2 * b].size() + ready[2 * b + 1].size() +
                      (init_off[b + 1] - init_next[b]);
       }
       ready_depth_sum += depth_now;
       ready_depth_max = std::max(ready_depth_max, depth_now);
     }
 
-    // The critical-chain lookahead: serve banks most-critical-first, so
-    // zero-slack copies claim the bounded bus before off-chain bulk
-    // transfers in later banks do. (Per-op bus reservation would be
-    // useless on top of this — by the time a positive-slack copy is at
-    // the head of the line, every critical copy issueable this step has
-    // already been served, and the bus resets next step.)
-    bank_order.clear();
-    for (std::uint32_t b = 0; b < banks; ++b) {
-      const auto* local = best_local(b);
-      const auto& bus = ready_bus[b];
-      if (local == nullptr && bus.empty()) {
-        continue;
-      }
-      const bool local_top =
-          bus.empty() || (local != nullptr && bus.front() < *local);
-      bank_order.emplace_back(local_top ? *local : bus.front(), b);
-    }
-    std::sort(bank_order.begin(), bank_order.end(),
-              [](const auto& x, const auto& y) {
-                return y.first < x.first;  // better candidate first
-              });
-
     // Each bank issues its best ready instruction, except that a copy
-    // waits while the bus is full: the bank then issues its best local
-    // instruction, or idles (a bus stall) when it has none.
-    for (const auto& [top, b] : bank_order) {
+    // needs a bus slot. On a bounded bus only the banks whose best
+    // candidate is a copy compete for the slots, and the most critical
+    // of them win: the critical-chain lookahead, so zero-slack copies
+    // claim the bus before off-chain bulk transfers do. (Per-op bus
+    // reservation would be useless on top of this — by the time a
+    // positive-slack copy is at the head of the line, every critical
+    // copy issueable this step has already been served, and the bus
+    // resets next step.) A bank that loses issues its best local
+    // instruction instead, or idles (a bus stall) when it has none. No
+    // other pick depends on another bank's, so banks issue in order.
+    bank_order.clear();
+    for (std::uint32_t b = 0; b < banks && bus_width > 0; ++b) {
       const auto* local = best_local(b);
-      auto& bus = ready_bus[b];
-      const bool bus_open = bus_width == 0 || bus_used < bus_width;
-      std::uint32_t picked;
-      if (bus_open && !bus.empty() &&
-          (local == nullptr || *local < bus.front())) {
-        picked = pop(bus);
-        ++bus_used;
-      } else if (local == nullptr) {
-        ++ls.bus_stalls;  // the bank idles waiting for the bus
-        continue;
-      } else if (run_leads(b)) {
-        picked = init_run[init_next[b]++].vidx;
-      } else {
-        picked = pop(ready_local[b]);
+      const auto& bus = ready[2 * b + 1];
+      if (!bus.empty() && (local == nullptr || *local < bus.top())) {
+        bank_order.emplace_back(bus.top(), b);
       }
-      ls.step_of[picked] = t;
-      ls.step_instrs.push_back(picked);
+    }
+    if (bank_order.size() > bus_width) {
+      std::nth_element(bank_order.begin(), bank_order.begin() + bus_width,
+                       bank_order.end(), [](const auto& x, const auto& y) {
+                         return y.first < x.first;  // better candidate first
+                       });
+      for (auto k = bus_width; k < bank_order.size(); ++k) {
+        denied[bank_order[k].second] = 1;
+      }
+    }
+    for (std::uint32_t b = 0; b < banks; ++b) {
+      if (!issue(b, denied[b] == 0) && !ready[2 * b + 1].empty()) {
+        ++ls.bus_stalls;  // the bank idles waiting for the bus
+      }
+      denied[b] = 0;
     }
     if (ls.step_instrs.size() == step_begin) {
       throw std::logic_error("sched: dependence cycle in virtual program");
     }
-    std::sort(ls.step_instrs.begin() + static_cast<std::ptrdiff_t>(step_begin),
-              ls.step_instrs.end(), [&](std::uint32_t x, std::uint32_t y) {
-                return virt[x].bank < virt[y].bank;
-              });
     ls.step_off.push_back(static_cast<std::uint32_t>(ls.step_instrs.size()));
     scheduled += static_cast<std::uint32_t>(ls.step_instrs.size() - step_begin);
     for (auto k = step_begin; k < ls.step_instrs.size(); ++k) {
       const auto vidx = ls.step_instrs[k];
+      ls.step_of[vidx] = t;
+      --left[queue[vidx] >> 1];
+      if (project) {
+        time(vidx);
+      }
       for (auto e = succ_off[vidx]; e < succ_off[vidx + 1]; ++e) {
         if (--remaining[succ[e]] == 0) {
           push_ready(succ[e]);
@@ -724,67 +884,76 @@ void list_schedule(const Expansion& ex, std::uint32_t banks,
     reg.observe("sched.list.ready_depth_max",
                 static_cast<double>(ready_depth_max));
   }
+  return true;
+}
 
-  if (want_critical_edges) {
-    // Zero-slack transfer copies: the cross-bank reads stretching the
-    // makespan. Report (producer segment, consumer segment) pairs so
-    // refinement can pull the two ends into one bank.
-    constexpr std::size_t kMaxEdges = 64;
-    for (std::uint32_t i = 0; i < vn && ls.critical_cross_edges.size() <
-                                            kMaxEdges;
-         ++i) {
-      if (!virt[i].uses_bus || slack[i] > 0 || virt[i].src_seg == npos) {
-        continue;
-      }
-      // Prefer a zero-slack original consumer; fall back to any.
-      auto consumer = npos;
-      for (auto k = succ_off[i]; k < succ_off[i + 1]; ++k) {
-        const auto j = succ[k];
-        if (virt[j].z < ex.num_segments && !virt[j].is_transfer) {
-          consumer = virt[j].z;
-          if (slack[j] == 0) {
-            break;
-          }
-        }
-      }
-      if (consumer != npos) {
-        ls.critical_cross_edges.emplace_back(virt[i].src_seg, consumer);
-      }
+/// Fills `eval`'s critical edges from the schedule list_schedule() just
+/// packed (its ranks and successors are still in `scratch`): refinement
+/// only reads them from evaluations it keeps.
+void critical_edges(const Expansion& ex, const ListScratch& scratch,
+                    RefineEval& eval) {
+  const auto& virt = ex.virt;
+  const auto vn = static_cast<std::uint32_t>(virt.size());
+  const auto& rank = scratch.rank;
+  const auto& succ_off = scratch.succ_off;
+  const auto& succ = scratch.succ;
+  auto& cross = eval.critical_cross_edges;
+  auto& local = eval.critical_local_edges;
+  cross.clear();
+  local.clear();
+
+  // Zero-slack transfer copies: the cross-bank reads stretching the
+  // makespan. Report (producer segment, consumer segment) pairs so
+  // refinement can pull the two ends into one bank.
+  constexpr std::size_t kMaxEdges = 64;
+  for (std::uint32_t i = 0; i < vn && cross.size() < kMaxEdges; ++i) {
+    if (!virt[i].uses_bus || slack_of(rank[i]) > 0 ||
+        virt[i].src_seg == npos) {
+      continue;
     }
-    std::sort(ls.critical_cross_edges.begin(), ls.critical_cross_edges.end());
-    ls.critical_cross_edges.erase(std::unique(ls.critical_cross_edges.begin(),
-                                              ls.critical_cross_edges.end()),
-                                  ls.critical_cross_edges.end());
-
-    // Zero-slack same-bank readers of a chain value: the reader occupies
-    // the chain's bank between two chain writes (the WAR ordering the
-    // lockstep machine keeps), serializing the critical chain. Spread
-    // candidates for refinement — reported generously (they batch into
-    // one trial move).
-    constexpr std::size_t kMaxLocalEdges = 512;
-    const auto reads_cell = [](const VirtualInstr& v, std::uint32_t cell) {
-      return (v.a.is_rram() && v.a.address() == cell) ||
-             (v.b.is_rram() && v.b.address() == cell);
-    };
-    for (std::uint32_t w = 0; w < vn && ls.critical_local_edges.size() <
-                                            kMaxLocalEdges;
-         ++w) {
-      if (slack[w] > 0 || virt[w].is_transfer || virt[w].z >= ex.num_segments) {
-        continue;
-      }
-      for (const auto p : ex.deps_of(w)) {
-        if (slack[p] == 0 && !virt[p].is_transfer &&
-            virt[p].bank == virt[w].bank && virt[p].z != virt[w].z &&
-            virt[p].z < ex.num_segments && reads_cell(virt[p], virt[w].z)) {
-          ls.critical_local_edges.emplace_back(virt[w].z, virt[p].z);
+    // Prefer a zero-slack original consumer; fall back to any.
+    auto consumer = npos;
+    for (auto k = succ_off[i]; k < succ_off[i + 1]; ++k) {
+      const auto j = succ[k];
+      if (virt[j].z < ex.num_segments && !virt[j].is_transfer) {
+        consumer = virt[j].z;
+        if (slack_of(rank[j]) == 0) {
+          break;
         }
       }
     }
-    std::sort(ls.critical_local_edges.begin(), ls.critical_local_edges.end());
-    ls.critical_local_edges.erase(std::unique(ls.critical_local_edges.begin(),
-                                              ls.critical_local_edges.end()),
-                                  ls.critical_local_edges.end());
+    if (consumer != npos) {
+      cross.emplace_back(virt[i].src_seg, consumer);
+    }
   }
+  std::sort(cross.begin(), cross.end());
+  cross.erase(std::unique(cross.begin(), cross.end()), cross.end());
+
+  // Zero-slack same-bank readers of a chain value: the reader occupies
+  // the chain's bank between two chain writes (the WAR ordering the
+  // lockstep machine keeps), serializing the critical chain. Spread
+  // candidates for refinement — reported generously (they batch into
+  // one trial move).
+  constexpr std::size_t kMaxLocalEdges = 512;
+  const auto reads_cell = [](const VirtualInstr& v, std::uint32_t cell) {
+    return (v.a.is_rram() && v.a.address() == cell) ||
+           (v.b.is_rram() && v.b.address() == cell);
+  };
+  for (std::uint32_t w = 0; w < vn && local.size() < kMaxLocalEdges; ++w) {
+    if (slack_of(rank[w]) > 0 || virt[w].is_transfer ||
+        virt[w].z >= ex.num_segments) {
+      continue;
+    }
+    for (const auto p : ex.deps_of(w)) {
+      if (slack_of(rank[p]) == 0 && !virt[p].is_transfer &&
+          virt[p].bank == virt[w].bank && virt[p].z != virt[w].z &&
+          virt[p].z < ex.num_segments && reads_cell(virt[p], virt[w].z)) {
+        local.emplace_back(virt[w].z, virt[p].z);
+      }
+    }
+  }
+  std::sort(local.begin(), local.end());
+  local.erase(std::unique(local.begin(), local.end()), local.end());
 }
 
 /// Moves every dependency-free instruction of a packed schedule (segment
@@ -869,55 +1038,13 @@ void sink_inits(const Expansion& ex, std::uint32_t banks, ListSchedule& ls) {
   }
 }
 
-/// Projected decoupled makespan of a packed virtual schedule, before
-/// emission: the IssueClock decoupled_timing runs on, swept over the
-/// virtual program directly, with phase-accurate cross-bank RAW
-/// latencies. The virtual program is SSA (no WAR/WAW from cell reuse)
-/// and ignores the physical allocator's recycling WARs, so this is an
-/// optimistic projection, but it moves with exactly the
-/// quantities refinement moves (chain shape, bank loads, transfer
-/// placement) — the right objective surrogate.
-std::uint64_t projected_makespan(const Expansion& ex, const ListSchedule& ls,
-                                 std::uint32_t banks, std::uint32_t bus_width,
-                                 ListScratch& scratch) {
-  const auto& virt = ex.virt;
-  auto& start = scratch.start;
-  start.assign(virt.size(), 0);
-  IssueClock clock(banks, bus_width);
-  std::uint64_t makespan = 0;
-  // (step, bank) program order — topological (deps sit at earlier
-  // steps) and the bus arbiter's grant order.
-  for (const auto i : ls.step_instrs) {
-    const auto& v = virt[i];
-    std::uint64_t ready = 0;
-    for (const auto p : ex.deps_of(i)) {
-      if (virt[p].bank == v.bank) {
-        continue;  // same-bank deps ride the stream cadence
-      }
-      // Which operand reads the dep decides the stalled phase (read A or
-      // read B, behind the producer's write). Deps matching neither
-      // operand (WAR-style chain edges) order starts without latency.
-      std::uint64_t latency = 0;
-      if (v.a.is_rram() && v.a.address() == virt[p].z) {
-        latency = IssueClock::token_latency(IssueClock::kWritePhase, 1);
-      } else if (v.b.is_rram() && v.b.address() == virt[p].z) {
-        latency = IssueClock::token_latency(IssueClock::kWritePhase, 2);
-      }
-      ready = std::max(ready, start[p] + latency);
-    }
-    start[i] = clock.issue(v.bank, ready, v.uses_bus);
-    makespan = std::max(makespan, start[i] + IssueClock::kPhases);
-  }
-  return makespan;
-}
-
 /// Everything one exact evaluation writes, reused across the whole
 /// compile: the expansion and packing of the most recently evaluated
 /// assignment `sb` (the final emission reuses them when the assignment
 /// matches) plus the scratch both phases run on.
 struct Workspace {
   std::vector<std::uint32_t> sb;
-  bool valid = false;
+  bool valid = false;  ///< the last evaluation ran to completion
   Expansion ex;
   ListSchedule ls;
   ExpandScratch expand_scratch;
@@ -968,29 +1095,6 @@ ScheduleResult schedule(const arch::Program& serial,
   // so the best two distinct starts both get refined.
   std::optional<std::vector<std::uint32_t>> second_start;
   std::optional<RefineEval> second_eval;
-  // Trial-schedule evaluator. Every exact evaluation writes into one
-  // workspace, so the final emission can reuse the last expansion +
-  // packing instead of re-running the two most expensive phases on an
-  // assignment that was already scheduled (the last kept refinement
-  // move, or the unrefined start).
-  Workspace ws;
-  const auto evaluate = [&](const std::vector<std::uint32_t>& sb) {
-    expand(graph, serial, sb, ws.ex, ws.expand_scratch);
-    list_schedule(ws.ex, banks, opts.cost.bus_width, true, ws.ls,
-                  ws.list_scratch);
-    ws.sb = sb;
-    ws.valid = true;
-    RefineEval eval{ws.ls.num_steps(),
-                    ws.ex.transfers,
-                    ws.ls.virtual_critical_path,
-                    std::move(ws.ls.critical_cross_edges),
-                    std::move(ws.ls.critical_local_edges)};
-    if (makespan_objective) {
-      eval.makespan = projected_makespan(ws.ex, ws.ls, banks,
-                                         opts.cost.bus_width, ws.list_scratch);
-    }
-    return eval;
-  };
   const auto lexicographically_better = [&](const RefineEval& x,
                                             const RefineEval& y) {
     if (makespan_objective && x.makespan != y.makespan) {
@@ -998,6 +1102,82 @@ ScheduleResult schedule(const arch::Program& serial,
     }
     return x.steps < y.steps ||
            (x.steps == y.steps && x.transfers < y.transfers);
+  };
+  // What an expansion's schedule may need and still beat `incumbent`
+  // under lexicographically_better, or nullopt when the expansion alone
+  // proves it cannot: a bank issues one instruction per step, so its
+  // load bounds the steps; under the makespan objective its dense stream
+  // span and the bus's throughput floor (each copy holds one of
+  // `bus_width` servers for a whole instruction) bound the projected
+  // makespan the same way. Steps only limit a makespan-objective trial
+  // that cannot beat the incumbent's makespan, only tie it.
+  const auto keep_limits = [&](const Expansion& ex, const RefineEval& incumbent)
+      -> std::optional<Limits> {
+    const std::uint64_t peak =
+        *std::max_element(ex.bank_load.begin(), ex.bank_load.end());
+    Limits limits;
+    if (makespan_objective) {
+      auto floor = IssueClock::stream_span(peak);
+      if (opts.cost.bus_width > 0) {
+        floor = std::max<std::uint64_t>(
+            floor, (ex.transfers + opts.cost.bus_width - 1) /
+                       opts.cost.bus_width * IssueClock::kPhases);
+      }
+      if (floor > incumbent.makespan) {
+        return std::nullopt;
+      }
+      limits.makespan = incumbent.makespan;
+      if (floor < incumbent.makespan) {
+        return limits;
+      }
+    }
+    // Equal steps only win on fewer transfers.
+    const std::uint64_t steps = ex.transfers < incumbent.transfers
+                                    ? incumbent.steps
+                                    : std::uint64_t{incumbent.steps} - 1;
+    if (incumbent.steps == 0 || peak > steps) {
+      return std::nullopt;
+    }
+    limits.steps = static_cast<std::uint32_t>(steps);
+    return limits;
+  };
+  // Trial-schedule evaluator. Every exact evaluation writes into one
+  // workspace, so the final emission can reuse the last expansion +
+  // packing instead of re-running the two most expensive phases on an
+  // assignment that was already scheduled (the last kept refinement
+  // move, or the unrefined start). Given an incumbent, it stops as soon
+  // as the trial provably cannot beat it and returns an evaluation that
+  // does not; critical edges are only extracted for evaluations that
+  // do, the only ones refinement keeps.
+  Workspace ws;
+  std::uint32_t bounded = 0;  // trials a bound rejected
+  const auto evaluate = [&](const std::vector<std::uint32_t>& sb,
+                            const RefineEval* incumbent) {
+    ws.valid = false;
+    expand(graph, serial, sb, banks, ws.ex, ws.expand_scratch);
+    const auto limits = incumbent != nullptr ? keep_limits(ws.ex, *incumbent)
+                                             : std::optional<Limits>{Limits{}};
+    if (!limits || !list_schedule(ws.ex, banks, opts.cost.bus_width,
+                                  makespan_objective, *limits, ws.ls,
+                                  ws.list_scratch)) {
+      ++bounded;
+      RefineEval losing;
+      losing.steps = npos;
+      losing.transfers = ws.ex.transfers;
+      losing.makespan = ~std::uint64_t{0};
+      return losing;
+    }
+    ws.sb = sb;
+    ws.valid = true;
+    RefineEval eval;
+    eval.steps = ws.ls.num_steps();
+    eval.transfers = ws.ex.transfers;
+    eval.chain = ws.ls.virtual_critical_path;
+    eval.makespan = ws.ls.makespan;
+    if (incumbent == nullptr || lexicographically_better(eval, *incumbent)) {
+      critical_edges(ws.ex, ws.list_scratch, eval);
+    }
+    return eval;
   };
 
   if (banks > 1) {
@@ -1032,7 +1212,7 @@ ScheduleResult schedule(const arch::Program& serial,
         if (duplicate) {
           continue;
         }
-        auto eval = evaluate(cand);
+        auto eval = evaluate(cand, nullptr);
         starts.push_back({std::move(cand), std::move(eval)});
       }
       std::sort(starts.begin(), starts.end(),
@@ -1075,32 +1255,25 @@ ScheduleResult schedule(const arch::Program& serial,
       auto second_bank = std::move(*second_start);
       const auto rstats2 = refine(graph, second_bank, cluster_of, banks,
                                   probe_opts, evaluate, rwork, &*second_eval);
-      RefineEval first_final;
-      first_final.steps = rstats.steps_after;
-      first_final.transfers = rstats.transfers_after;
-      first_final.makespan = rstats.makespan_after;
-      RefineEval second_final;
-      second_final.steps = rstats2.steps_after;
-      second_final.transfers = rstats2.transfers_after;
-      second_final.makespan = rstats2.makespan_after;
-      if (lexicographically_better(second_final, first_final)) {
+      // Each probe left its final evaluation, critical edges included,
+      // in its incumbent: the commit leg starts from the winner's.
+      if (lexicographically_better(*second_eval, *start_eval)) {
         seg_bank = std::move(second_bank);
         rstats = rstats2;
+        start_eval = std::move(second_eval);
       }
       if (ropts.passes > probe_opts.passes) {
         RefineOptions commit_opts = ropts;
         commit_opts.passes = ropts.passes - probe_opts.passes;
-        // No baseline: the winner's critical-edge lists are gone (the
-        // loser's probe ran in between), so the commit leg re-anchors
-        // with one exact evaluation.
         const auto commit = refine(graph, seg_bank, cluster_of, banks,
-                                   commit_opts, evaluate, rwork, nullptr);
+                                   commit_opts, evaluate, rwork, &*start_eval);
         rstats.steps_after = commit.steps_after;
         rstats.transfers_after = commit.transfers_after;
         rstats.makespan_after = commit.makespan_after;
         rstats.moves_kept += commit.moves_kept;
       }
     }
+    util::MetricsRegistry::global().counter_add("refine.bounded", bounded);
   }
 
   // ---- expansion + list scheduling + init sinking -----------------------
@@ -1113,8 +1286,8 @@ ScheduleResult schedule(const arch::Program& serial,
   {
     const util::ScopedPhase pack_phase("sched.pack", &pack_ms);
     if (!ws.valid || ws.sb != seg_bank) {
-      expand(graph, serial, seg_bank, ws.ex, ws.expand_scratch);
-      list_schedule(ws.ex, banks, opts.cost.bus_width, false, ws.ls,
+      expand(graph, serial, seg_bank, banks, ws.ex, ws.expand_scratch);
+      list_schedule(ws.ex, banks, opts.cost.bus_width, false, Limits{}, ws.ls,
                     ws.list_scratch);
     }
     ws.release_scratch();
@@ -1274,6 +1447,7 @@ ScheduleResult schedule(const arch::Program& serial,
   stats.refine_moves_kept = rstats.moves_kept;
   stats.refine_moves_screened = rwork.moves_screened;
   stats.refine_full_evals = rwork.full_evals;
+  stats.refine_bounded = bounded;
   stats.refine_steps_saved = rstats.steps_before - rstats.steps_after;
   stats.refine_transfers_saved =
       static_cast<std::int64_t>(rstats.transfers_before) -

@@ -90,7 +90,8 @@ Server::Server(Options compile_options, ServerOptions server_options)
       options_(server_options),
       cache_(server_options.cache_bytes),
       queue_(kQueueCapacity) {
-  options_.workers = std::max(options_.workers, 1u);
+  options_.workers =
+      std::clamp(options_.workers, 1u, ServerOptions::kMaxWorkers);
 }
 
 Server::~Server() {

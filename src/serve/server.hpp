@@ -25,7 +25,10 @@ namespace plim::serve {
 /// constructed with — one option set per daemon, like one option set
 /// per batch).
 struct ServerOptions {
-  /// Compile worker threads popping the MPMC queue.
+  /// Most compile worker threads a server starts; a larger `workers` is
+  /// clamped to it.
+  static constexpr unsigned kMaxWorkers = 256;
+  /// Compile worker threads popping the MPMC queue (1..kMaxWorkers).
   unsigned workers = 4;
   /// Compiled-program cache budget (estimated bytes; 0 disables).
   std::size_t cache_bytes = std::size_t{256} << 20;

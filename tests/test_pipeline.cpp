@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <array>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "circuits/epfl.hpp"
 #include "core/verify.hpp"
@@ -223,6 +225,41 @@ TEST(PlimcCli, DecoupledExecutionFlag) {
   // Decoupled execution without a schedule would be silently meaningless.
   (void)run_plimc("--benchmark ctrl --execution decoupled", status);
   EXPECT_NE(status, 0);
+}
+
+/// Rejected arguments are named on stderr before the usage block, and
+/// numbers are parsed strictly: "-1" is not wrapped into a huge count,
+/// "3x" is not truncated to 3.
+TEST(PlimcCli, RejectedArgumentsAreNamed) {
+  if (!plimc_available()) {
+    GTEST_SKIP() << "plimc binary not in the working directory";
+  }
+  const std::pair<const char*, const char*> cases[] = {
+      {"--schedule", "plimc: unknown argument '--schedule'"},
+      {"--threads -1",
+       "plimc: --threads needs a non-negative integer, got '-1'"},
+      {"--cache-mb -1",
+       "plimc: --cache-mb needs a non-negative integer, got '-1'"},
+      {"--effort 3x", "plimc: --effort needs a non-negative integer, got '3x'"},
+      {"--banks 4294967296",
+       "plimc: --banks needs a non-negative integer, got '4294967296'"},
+      {"--listen 70000",
+       "plimc: --listen needs a non-negative integer up to 65535, got "
+       "'70000'"},
+      {"--alloc bogus", "plimc: --alloc needs fifo, lifo or fresh, got 'bogus'"},
+      {"--execution warp",
+       "plimc: --execution needs lockstep or decoupled, got 'warp'"},
+      {"--cap", "plimc: --cap needs a value"},
+  };
+  for (const auto& [flags, message] : cases) {
+    int status = 0;
+    const auto err =
+        run_plimc_stderr(std::string("--benchmark ctrl ") + flags, status);
+    ASSERT_TRUE(WIFEXITED(status)) << flags;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << flags;
+    EXPECT_EQ(err.rfind(std::string(message) + "\nusage: plimc", 0), 0u)
+        << flags << ": " << err;
+  }
 }
 
 TEST(PlimcCli, WarningsGoToStderrAndKeepExitZero) {

@@ -190,18 +190,22 @@ TEST(Refine, AcceptedStateMatchesFreshExactEvaluation) {
       for (std::uint32_t s = 0; s < graph.num_segments(); ++s) {
         seg_bank[s] = s % banks;
       }
-      const auto evaluate = [&](const std::vector<std::uint32_t>& sb) {
+      const auto evaluate = [&](const std::vector<std::uint32_t>& sb,
+                                const RefineEval*) {
         return toy_exact_eval(graph, banks, sb);
       };
       RefineOptions opts;
       opts.passes = 6;
-      const auto baseline = evaluate(seg_bank);
+      const auto baseline = evaluate(seg_bank, nullptr);
+      auto incumbent = baseline;
       RefineWork work;
       const auto stats = refine(graph, seg_bank, cluster_of, banks, opts,
-                                evaluate, work, &baseline);
+                                evaluate, work, &incumbent);
       const auto ctx = ::testing::Message()
                        << "seed " << seed << ", banks " << banks;
-      const auto fresh = evaluate(seg_bank);
+      const auto fresh = evaluate(seg_bank, nullptr);
+      EXPECT_EQ(incumbent.steps, fresh.steps) << ctx;
+      EXPECT_EQ(incumbent.transfers, fresh.transfers) << ctx;
       EXPECT_EQ(stats.steps_after, fresh.steps) << ctx;
       EXPECT_EQ(stats.transfers_after, fresh.transfers) << ctx;
       EXPECT_EQ(stats.steps_before, baseline.steps) << ctx;
@@ -217,6 +221,77 @@ TEST(Refine, AcceptedStateMatchesFreshExactEvaluation) {
       }
     }
   }
+}
+
+/// An evaluator may stop pricing a trial once it provably cannot be
+/// kept (see RefineEvaluator). A bounded toy evaluator — a non-improving
+/// evaluation, without transfers or critical edges, whenever the
+/// busiest bank's load (the toy's step bound) exceeds the incumbent's
+/// steps — must leave refinement exactly where the unbounded one does:
+/// the same final assignment, the same outcome and the same work.
+TEST(Refine, BoundedEvaluatorKeepsTheSameMoves) {
+  std::uint32_t bounded_total = 0;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    mig::RandomMigOptions ropts;
+    ropts.num_pis = 6;
+    ropts.num_gates = 50 + static_cast<std::uint32_t>(seed * 37 % 70);
+    ropts.num_pos = 3;
+    const auto compiled = core::compile(mig::random_mig(ropts, seed));
+    const auto graph = DependenceGraph::build(compiled.program);
+    std::vector<std::uint32_t> cluster_of(graph.num_segments());
+    std::iota(cluster_of.begin(), cluster_of.end(), 0u);
+    for (const std::uint32_t banks : {2u, 4u, 8u}) {
+      const auto unbounded = [&](const std::vector<std::uint32_t>& sb,
+                                 const RefineEval*) {
+        return toy_exact_eval(graph, banks, sb);
+      };
+      std::uint32_t bounded = 0;
+      const auto bounded_eval = [&](const std::vector<std::uint32_t>& sb,
+                                    const RefineEval* incumbent) {
+        auto eval = toy_exact_eval(graph, banks, sb);
+        if (incumbent != nullptr && eval.steps > incumbent->steps) {
+          ++bounded;
+          RefineEval losing;
+          losing.steps = 0xffffffffu;
+          return losing;
+        }
+        return eval;
+      };
+      RefineOptions opts;
+      opts.passes = 6;
+      const auto run = [&](const RefineEvaluator& evaluate,
+                           std::vector<std::uint32_t>& seg_bank,
+                           RefineWork& work) {
+        for (std::uint32_t s = 0; s < graph.num_segments(); ++s) {
+          seg_bank[s] = s % banks;
+        }
+        return refine(graph, seg_bank, cluster_of, banks, opts, evaluate,
+                      work);
+      };
+      std::vector<std::uint32_t> plain_bank(graph.num_segments());
+      std::vector<std::uint32_t> bounded_bank(graph.num_segments());
+      RefineWork plain_work;
+      RefineWork bounded_work;
+      const auto plain = run(unbounded, plain_bank, plain_work);
+      const auto fast = run(bounded_eval, bounded_bank, bounded_work);
+      const auto ctx = ::testing::Message()
+                       << "seed " << seed << ", banks " << banks;
+      EXPECT_EQ(bounded_bank, plain_bank) << ctx;
+      EXPECT_EQ(fast.moves_kept, plain.moves_kept) << ctx;
+      EXPECT_EQ(fast.steps_before, plain.steps_before) << ctx;
+      EXPECT_EQ(fast.steps_after, plain.steps_after) << ctx;
+      EXPECT_EQ(fast.transfers_before, plain.transfers_before) << ctx;
+      EXPECT_EQ(fast.transfers_after, plain.transfers_after) << ctx;
+      EXPECT_EQ(fast.makespan_after, plain.makespan_after) << ctx;
+      EXPECT_EQ(bounded_work.passes_run, plain_work.passes_run) << ctx;
+      EXPECT_EQ(bounded_work.moves_tried, plain_work.moves_tried) << ctx;
+      EXPECT_EQ(bounded_work.moves_screened, plain_work.moves_screened)
+          << ctx;
+      EXPECT_EQ(bounded_work.full_evals, plain_work.full_evals) << ctx;
+      bounded_total += bounded;
+    }
+  }
+  EXPECT_GT(bounded_total, 0u) << "the bound never fired";
 }
 
 /// The incremental screen is what makes 20 passes affordable: most

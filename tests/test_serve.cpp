@@ -605,6 +605,19 @@ std::string ping_over(int fd) {
 
 const std::string kPong = "{\"id\":\"c\",\"ok\":true,\"pong\":true}\n";
 
+/// A worker count past ServerOptions::kMaxWorkers (say, a wrapped "-1")
+/// is clamped before any thread starts, and 0 still means one worker.
+/// The server is never started: only the clamped option is read.
+TEST(ServerTest, WorkerCountIsClamped) {
+  serve::ServerOptions server_options;
+  server_options.stdio = false;
+  server_options.workers = 4294967295u;
+  EXPECT_EQ(serve::Server(Options{}, server_options).snapshot().workers,
+            serve::ServerOptions::kMaxWorkers);
+  server_options.workers = 0;
+  EXPECT_EQ(serve::Server(Options{}, server_options).snapshot().workers, 1u);
+}
+
 /// Unix-socket clients that connect, ping and hang up one after another:
 /// each is answered, the acceptor joins the readers of closed
 /// connections as new clients arrive, and the drain still exits 0.

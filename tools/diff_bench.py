@@ -32,7 +32,15 @@ schema migration). A serial report (no "schedule" object, as in the
 capacity sweep) is a one-bank program issuing one instruction per step:
 it is matched as 1 bank, and its instruction count is its step count.
 
-Usage: diff_bench.py committed.json fresh.json [--tolerance 0.05]
+With --exact the diff instead fails on any difference, in either
+direction, in the deterministic fields of configurations present on
+both sides — every schedule field (steps, transfers, makespan_cycles,
+rrams, parallel instructions, sync tokens, the refine counters, ...)
+and the top-level headlines — so a change that must keep every emitted
+program identical can prove it. Timing fields (`*_ms`) and `effort` are
+ignored; a field present on only one side is listed as schema growth.
+
+Usage: diff_bench.py committed.json fresh.json [--tolerance 0.05 | --exact]
 """
 
 import argparse
@@ -76,12 +84,76 @@ def entries(trajectory):
                            entry.get("bus_width", 0)), entry
 
 
+def ignored(field):
+    """Fields --exact does not compare: wall-clock and the effort label."""
+    return field.endswith("_ms") or field == "effort"
+
+
+def scalars(block):
+    """The block's scalar fields, nested objects flattened to `a.b` and
+    lists of scalars kept as tuples; lists of objects are left out."""
+    flat = {}
+    for field, value in block.items():
+        if isinstance(value, dict):
+            for inner, v in scalars(value).items():
+                flat[f"{field}.{inner}"] = v
+        elif not isinstance(value, list):
+            flat[field] = value
+        elif all(not isinstance(v, (dict, list)) for v in value):
+            flat[field] = tuple(value)
+    return flat
+
+
+def exact_diff(committed_top, fresh_top, committed, fresh):
+    """--exact: every deterministic field must match on both sides."""
+    differences = []
+    growth = set()
+
+    def compare(where, old, new):
+        for field in sorted(set(old) | set(new)):
+            if field.endswith("_ms") or field == "effort":
+                continue  # wall-clock, and the sweep's effort label
+            if field not in old or field not in new:
+                growth.add(field)
+            elif old[field] != new[field]:
+                differences.append(f"{where} {field}: {old[field]} -> "
+                                   f"{new[field]}")
+
+    compare("<suite>", scalars(committed_top), scalars(fresh_top))
+    compared = 0
+    for key, old in sorted(committed.items()):
+        new = fresh.get(key)
+        if new is None:
+            print(f"note: {key} only in committed trajectory")
+            continue
+        compared += 1
+        compare(key, scalars(old), scalars(new))
+    for key in sorted(set(fresh) - set(committed)):
+        print(f"note: {key} only in fresh trajectory")
+    for field in sorted(growth):
+        print(f"note: field {field} only on one side (schema growth)")
+    if compared == 0:
+        print("diff_bench: no comparable configurations — wrong files?")
+        return 1
+    for line in differences:
+        print(f"DIFFERENT: {line}")
+    if differences:
+        print(f"diff_bench: {len(differences)} difference(s) over "
+              f"{compared} configurations")
+        return 1
+    print(f"diff_bench: OK — {compared} configurations identical outside "
+          f"timing fields and effort")
+    return 0
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("committed")
     parser.add_argument("fresh")
     parser.add_argument("--tolerance", type=float, default=0.05,
                         help="allowed relative regression (default 5%%)")
+    parser.add_argument("--exact", action="store_true",
+                        help="fail on any difference outside timing fields")
     args = parser.parse_args()
 
     with open(args.committed) as f:
@@ -90,6 +162,8 @@ def main():
         fresh_top = json.load(f)
     committed = dict(entries(committed_top))
     fresh = dict(entries(fresh_top))
+    if args.exact:
+        return exact_diff(committed_top, fresh_top, committed, fresh)
 
     regressions = []
     improvements = []
