@@ -1,10 +1,16 @@
 #include "driver/driver.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <cstdint>
+#include <cstring>
 #include <exception>
-#include <fstream>
 #include <thread>
 #include <utility>
 
@@ -26,6 +32,102 @@ namespace plim {
 
 namespace {
 
+/// Largest BLIF file a request may name. log2's, the largest EPFL one,
+/// is 2.9 MB.
+constexpr std::size_t kMaxInputBytes = std::size_t{64} << 20;
+
+/// Closes the descriptor it owns.
+class FileDescriptor {
+ public:
+  explicit FileDescriptor(int fd) : fd_(fd) {}
+  ~FileDescriptor() {
+    if (fd_ >= 0) {
+      ::close(fd_);
+    }
+  }
+  FileDescriptor(const FileDescriptor&) = delete;
+  FileDescriptor& operator=(const FileDescriptor&) = delete;
+
+  [[nodiscard]] int get() const noexcept { return fd_; }
+
+ private:
+  int fd_;
+};
+
+/// Reads the BLIF file at `path` into `bytes`, or reports why it cannot.
+/// Only a regular file of at most kMaxInputBytes is read: the open does
+/// not wait for a FIFO's writer, and a device, socket or directory is
+/// refused before any byte is read.
+bool read_input_file(const std::string& path, std::string& bytes,
+                     std::vector<Diagnostic>& diags) {
+  const auto fail = [&](const char* code, std::string message) {
+    diags.push_back(Diagnostic::error(code, std::move(message)));
+    return false;
+  };
+  const auto too_large = [&] {
+    return fail("input-too-large",
+                path + " is larger than " +
+                    std::to_string(kMaxInputBytes >> 20) + " MiB");
+  };
+  if (path.find('\0') != std::string::npos) {
+    // The OS would open the prefix before the NUL, not the path named.
+    return fail("input-open-failed",
+                "cannot open " + path + ": the path contains a NUL byte");
+  }
+  const FileDescriptor fd(
+      ::open(path.c_str(), O_RDONLY | O_NONBLOCK | O_NOCTTY | O_CLOEXEC));
+  if (fd.get() < 0) {
+    return fail("input-open-failed", "cannot open " + path);
+  }
+  struct stat st {};
+  if (::fstat(fd.get(), &st) != 0 || !S_ISREG(st.st_mode)) {
+    return fail("input-not-regular", path + " is not a regular file");
+  }
+  if (static_cast<std::uintmax_t>(st.st_size) > kMaxInputBytes) {
+    return too_large();
+  }
+  // One byte past the size fstat saw, so a file that grew meanwhile
+  // keeps reading (up to the cap) and one that did not ends at EOF.
+  bytes.resize(static_cast<std::size_t>(st.st_size) + 1);
+  std::size_t have = 0;
+  for (;;) {
+    if (have == bytes.size()) {
+      if (have > kMaxInputBytes) {
+        return too_large();
+      }
+      bytes.resize(std::min(2 * have, kMaxInputBytes + 1));
+    }
+    const auto n = ::read(fd.get(), bytes.data() + have, bytes.size() - have);
+    if (n < 0) {
+      if (errno == EINTR) {
+        continue;
+      }
+      return fail("input-open-failed",
+                  "cannot read " + path + ": " + std::strerror(errno));
+    }
+    if (n == 0) {
+      break;
+    }
+    have += static_cast<std::size_t>(n);
+  }
+  bytes.resize(have);
+  return true;
+}
+
+/// Parses the bytes of the BLIF file at `path` into `storage`.
+const mig::Mig* parse_blif(const std::string& path, const std::string& bytes,
+                           std::optional<mig::Mig>& storage,
+                           std::vector<Diagnostic>& diags) {
+  try {
+    storage = io::read_blif_text(bytes);
+    return &*storage;
+  } catch (const std::exception& e) {
+    diags.push_back(
+        Diagnostic::error("blif-parse-error", path + ": " + e.what()));
+    return nullptr;
+  }
+}
+
 /// Loads the request's network, or reports why it cannot be loaded.
 /// In-memory requests are *not* copied — the returned pointer aliases
 /// either `storage` or the request's shared network (which the request
@@ -35,20 +137,11 @@ const mig::Mig* load_network(const CompileRequest& request,
                              std::vector<Diagnostic>& diags) {
   switch (request.kind()) {
     case CompileRequest::Kind::blif: {
-      std::ifstream in(request.path());
-      if (!in) {
-        diags.push_back(Diagnostic::error(
-            "input-open-failed", "cannot open " + request.path()));
+      std::string bytes;
+      if (!read_input_file(request.path(), bytes, diags)) {
         return nullptr;
       }
-      try {
-        storage = io::read_blif(in);
-        return &*storage;
-      } catch (const std::exception& e) {
-        diags.push_back(Diagnostic::error(
-            "blif-parse-error", request.path() + ": " + e.what()));
-        return nullptr;
-      }
+      return parse_blif(request.path(), bytes, storage, diags);
     }
     case CompileRequest::Kind::benchmark:
       try {
@@ -341,36 +434,65 @@ CompileOutcome Driver::run_impl(const CompileRequest& request) const {
 
 Driver::CachedOutcome Driver::run_cached(const CompileRequest& request,
                                          serve::CompileCache& cache) const {
-  CachedOutcome result;
   if (has_errors(options_.validate())) {
     // Contradictory options are never cached — run() reports them with
     // the full per-outcome diagnostics story.
-    result.outcome = run(request);
-    return result;
+    return {std::make_shared<const CompileOutcome>(run(request))};
   }
+  const auto failed = [&](std::vector<Diagnostic> diags) {
+    CompileOutcome out;
+    out.stats.benchmark = request.label();
+    out.diagnostics = std::move(diags);
+    return CachedOutcome{
+        std::make_shared<const CompileOutcome>(std::move(out))};
+  };
 
-  // Load first (the cheap phase): the key is a digest of the *loaded*
-  // network, so the same circuit hits whether it arrives as a BLIF path,
-  // a named benchmark or an in-memory MIG.
-  std::optional<mig::Mig> loaded;
+  // Content first: bytes (or a name) seen before are answered without
+  // a parse. An in-memory network has no content to digest.
   std::vector<Diagnostic> load_diags;
-  const mig::Mig* network = load_network(request, loaded, load_diags);
-  if (network == nullptr) {
-    result.outcome.stats.benchmark = request.label();
-    result.outcome.diagnostics = std::move(load_diags);
-    return result;
+  std::string bytes;
+  std::optional<serve::ContentKey> content;
+  switch (request.kind()) {
+    case CompileRequest::Kind::blif:
+      if (!read_input_file(request.path(), bytes, load_diags)) {
+        return failed(std::move(load_diags));
+      }
+      content = serve::content_key(request.kind(), bytes, options_);
+      break;
+    case CompileRequest::Kind::benchmark:
+      content = serve::content_key(request.kind(), request.label(), options_);
+      break;
+    case CompileRequest::Kind::network:
+      break;
+  }
+  auto& registry = util::MetricsRegistry::global();
+  if (content) {
+    if (auto cached = cache.lookup_content(*content)) {
+      registry.counter_add("driver.cache.hits");
+      registry.counter_add("driver.cache.content_hits");
+      return {std::move(cached), true};
+    }
   }
 
-  auto& registry = util::MetricsRegistry::global();
+  // Unseen content: the key is a digest of the *loaded* network, so the
+  // same circuit hits whether it arrives as other bytes, a named
+  // benchmark or an in-memory MIG.
+  std::optional<mig::Mig> loaded;
+  const mig::Mig* network =
+      request.kind() == CompileRequest::Kind::blif
+          ? parse_blif(request.path(), bytes, loaded, load_diags)
+          : load_network(request, loaded, load_diags);
+  std::string().swap(bytes);  // dead once parsed; not held through a compile
+  if (network == nullptr) {
+    return failed(std::move(load_diags));
+  }
   const auto key = serve::structural_key(*network, options_);
-  if (const auto cached = cache.lookup(key)) {
+  if (auto cached = cache.lookup(key)) {
     registry.counter_add("driver.cache.hits");
-    result.outcome = *cached;
-    // The one request-dependent field of a cached outcome: reports name
-    // the request, not whoever populated the cache line.
-    result.outcome.stats.benchmark = request.label();
-    result.cache_hit = true;
-    return result;
+    if (content) {
+      cache.add_alias(*content, key);
+    }
+    return {std::move(cached), true};
   }
   registry.counter_add("driver.cache.misses");
 
@@ -378,17 +500,17 @@ Driver::CachedOutcome Driver::run_cached(const CompileRequest& request,
   // in-memory request keeps every later pipeline phase (and its
   // diagnostics) identical to a direct run while skipping the second
   // parse; Kind::network requests already share their storage.
-  if (request.kind() == CompileRequest::Kind::network) {
-    result.outcome = run(request);
-  } else {
-    result.outcome = run(
-        CompileRequest::from_mig(std::move(*loaded), request.label()));
+  auto outcome = std::make_shared<const CompileOutcome>(
+      request.kind() == CompileRequest::Kind::network
+          ? run(request)
+          : run(CompileRequest::from_mig(std::move(*loaded), request.label())));
+  if (outcome->ok()) {
+    cache.insert(key, outcome);
+    if (content) {
+      cache.add_alias(*content, key);
+    }
   }
-  if (result.outcome.ok()) {
-    cache.insert(key,
-                 std::make_shared<const CompileOutcome>(result.outcome));
-  }
-  return result;
+  return {std::move(outcome)};
 }
 
 std::vector<CompileOutcome> Driver::run_batch(
@@ -412,8 +534,14 @@ std::vector<CompileOutcome> Driver::run_batch(
     std::size_t i = 0;
     while (queue.pop(i)) {
       try {
-        outcomes[i] = cache != nullptr ? run_cached(requests[i], *cache).outcome
-                                       : run(requests[i]);
+        if (cache != nullptr) {
+          // A cached outcome is shared and names the request that filled
+          // its entry; the batch returns a copy under this request's.
+          outcomes[i] = *run_cached(requests[i], *cache).outcome;
+          outcomes[i].stats.benchmark = requests[i].label();
+        } else {
+          outcomes[i] = run(requests[i]);
+        }
       } catch (const std::exception& e) {
         // run() captures expected failures itself; this is the backstop
         // that keeps one pathological request from tearing down a batch.

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -64,20 +65,34 @@ class Driver {
   /// come back as error diagnostics in the outcome. Every phase is timed
   /// into StatsReport::metrics, and under Options::trace each phase also
   /// emits a span into util::Tracer (one "request" span per call, so
-  /// run_batch traces show per-thread worklist occupancy).
+  /// run_batch traces show per-thread worklist occupancy). A BLIF
+  /// request must name a regular file of at most 64 MiB: a FIFO,
+  /// device, socket or directory fails with `input-not-regular` before
+  /// any byte is read, and a larger file with `input-too-large`.
   [[nodiscard]] CompileOutcome run(const CompileRequest& request) const;
 
-  /// run() through the compiled-program cache: the request's network is
-  /// loaded, its structural key (serve::structural_key of network +
-  /// options) probed, and on a hit the cached outcome comes back with
-  /// only the benchmark label patched — no rewrite, compile, verify or
-  /// schedule work. On a miss the full pipeline runs on the
+  /// run() through the compiled-program cache. A BLIF request's file is
+  /// read once (a regular file of at most 64 MiB, as in run()) and its
+  /// bytes digested with the options into a content key; a benchmark
+  /// request's content is its name. Content the cache has seen is
+  /// answered from the entry it aliases: no parse, no MIG build, no
+  /// structural hash. Otherwise the network is loaded from the same
+  /// bytes and its structural key (serve::structural_key of network +
+  /// options) probed; a hit returns that entry and records the content
+  /// as its alias. On a miss the full pipeline runs on the
   /// already-loaded network (files are parsed once, not twice) and a
-  /// successful outcome is inserted for the next caller. Hits and
-  /// misses are counted into the metrics registry
-  /// ("driver.cache.hits"/"driver.cache.misses").
+  /// successful outcome is inserted, aliased by the content, for the
+  /// next caller. Counted into the metrics registry as
+  /// "driver.cache.hits" / "driver.cache.misses", and content hits also
+  /// as "driver.cache.content_hits".
+  ///
+  /// `outcome` is the cache's own immutable object on a hit, and the
+  /// one it was given on a miss: no outcome is deep-copied. Its
+  /// StatsReport::benchmark names the request that filled the entry,
+  /// so a caller reporting under this request's label relabels its copy
+  /// of the report.
   struct CachedOutcome {
-    CompileOutcome outcome;
+    std::shared_ptr<const CompileOutcome> outcome;
     bool cache_hit = false;
   };
   [[nodiscard]] CachedOutcome run_cached(const CompileRequest& request,
@@ -87,11 +102,12 @@ class Driver {
   /// `threads` > 1 fans the worklist over that many worker threads fed
   /// by a bounded MPMC work queue (capped at the worklist size); each
   /// request still fails or succeeds independently. With `cache`,
-  /// requests route through run_cached, so manifests with duplicate
-  /// (circuit, options) pairs compile once — outcome *content* is
-  /// unchanged (a hit is byte-identical to a fresh compile modulo
-  /// wall-clock), preserving the byte-determinism contract across
-  /// thread counts and cache states.
+  /// requests route through run_cached and each result is a copy of
+  /// its shared outcome under the request's own label, so manifests
+  /// with duplicate (circuit, options) pairs compile once. Outcome
+  /// *content* is unchanged (a hit is byte-identical to a fresh compile
+  /// modulo wall-clock), preserving the byte-determinism contract
+  /// across thread counts and cache states.
   [[nodiscard]] std::vector<CompileOutcome> run_batch(
       const std::vector<CompileRequest>& requests, unsigned threads = 1,
       serve::CompileCache* cache = nullptr) const;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <list>
@@ -12,10 +13,20 @@
 
 namespace plim::serve {
 
-/// Memory-bounded LRU cache of compiled programs, keyed by the
-/// structural hash of (MIG, Options). Entries are immutable shared
-/// outcomes: a hit hands back the same CompileOutcome object the miss
-/// stored, so the millionth request for a circuit costs one hash, one
+/// Memory-bounded LRU cache of compiled programs with two indexes.
+///
+/// - The structural index keys each entry by the structural hash of
+///   (MIG, Options), so the same circuit in any bytes, as a named
+///   benchmark or as an in-memory MIG shares one entry.
+/// - The content index maps content keys (a BLIF file's bytes or a
+///   benchmark's name, ⊕ Options) to entries. A request whose content
+///   was seen before is answered without a parse, an MIG build or a
+///   structural hash. A content key is an alias of the entry its
+///   request found or filled: it dies with that entry (eviction or
+///   replacement), and an entry keeps only its kMaxAliases newest ones.
+///
+/// Entries are immutable shared outcomes: a hit hands back the same
+/// CompileOutcome object the miss stored, so a hit costs a digest, one
 /// map probe and a shared_ptr copy instead of a recompile.
 ///
 /// Thread-safe (one mutex — every operation is O(1) map/list surgery,
@@ -23,9 +34,12 @@ namespace plim::serve {
 /// cheap to reproduce and may be transient (a BLIF file can appear).
 class CompileCache {
  public:
+  /// Content aliases one entry keeps; a newer one drops the oldest.
+  static constexpr std::size_t kMaxAliases = 4;
+
   /// `max_bytes` bounds the *estimated* resident size (approx_bytes of
   /// every cached outcome). 0 disables caching: lookups miss, inserts
-  /// are dropped — one code path for plimc --cache-mb 0.
+  /// and aliases are dropped — one code path for plimc --cache-mb 0.
   explicit CompileCache(std::size_t max_bytes) : max_bytes_(max_bytes) {}
 
   /// The cached outcome for `key`, refreshed to most-recently-used; null
@@ -33,20 +47,34 @@ class CompileCache {
   [[nodiscard]] std::shared_ptr<const CompileOutcome> lookup(
       const StructuralKey& key);
 
+  /// The outcome of the entry `content` is an alias of, refreshed to
+  /// most-recently-used; null when it is no alias. A hit counts as a hit
+  /// and a content hit; a miss counts nothing, because the structural
+  /// lookup that follows it counts the request.
+  [[nodiscard]] std::shared_ptr<const CompileOutcome> lookup_content(
+      const ContentKey& content);
+
   /// Stores `outcome` under `key`, evicting least-recently-used entries
   /// until the estimate fits `max_bytes`. An outcome larger than the
   /// whole budget is not admitted (it would evict everything for one
   /// entry nothing else can share). Re-inserting an existing key
-  /// refreshes recency and replaces the value.
+  /// refreshes recency and replaces the value, dropping its aliases.
   void insert(const StructuralKey& key,
               std::shared_ptr<const CompileOutcome> outcome);
+
+  /// Makes `content` an alias of the entry under `key`. A no-op when no
+  /// such entry exists (never admitted, evicted meanwhile, or caching
+  /// disabled) or `content` is already an alias.
+  void add_alias(const ContentKey& content, const StructuralKey& key);
 
   struct Stats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
+    std::uint64_t content_hits = 0;  ///< of `hits`: answered by content
     std::uint64_t insertions = 0;
     std::uint64_t evictions = 0;
     std::size_t entries = 0;
+    std::size_t aliases = 0;    ///< content keys currently indexed
     std::size_t bytes = 0;      ///< current estimated resident size
     std::size_t max_bytes = 0;  ///< configured bound
 
@@ -70,17 +98,23 @@ class CompileCache {
     StructuralKey key;
     std::shared_ptr<const CompileOutcome> outcome;
     std::size_t bytes = 0;
+    std::array<ContentKey, kMaxAliases> aliases;  ///< oldest first
+    std::size_t num_aliases = 0;
   };
+  using Lru = std::list<Entry>;
+
+  /// Unlinks `entry` from both indexes and the LRU list.
+  void erase(Lru::iterator entry);
 
   std::size_t max_bytes_;
   mutable std::mutex mutex_;
-  std::list<Entry> lru_;  ///< front = most recently used
-  std::unordered_map<StructuralKey, std::list<Entry>::iterator,
-                     StructuralKeyHash>
-      index_;
+  Lru lru_;  ///< front = most recently used
+  std::unordered_map<StructuralKey, Lru::iterator, StructuralKeyHash> index_;
+  std::unordered_map<ContentKey, Lru::iterator, StructuralKeyHash> aliases_;
   std::size_t bytes_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
+  std::uint64_t content_hits_ = 0;
   std::uint64_t insertions_ = 0;
   std::uint64_t evictions_ = 0;
 };

@@ -259,7 +259,7 @@ std::string error_response(const std::string& id, const std::string& code,
   return json.str();
 }
 
-std::string compile_response(const std::string& id,
+std::string compile_response(const std::string& id, const std::string& label,
                              const CompileOutcome& outcome, bool cache_hit,
                              double latency_ms, double queue_ms) {
   util::JsonWriter json;
@@ -273,8 +273,11 @@ std::string compile_response(const std::string& id,
     emit_diagnostics(json, outcome.diagnostics);
   }
   if (outcome.ok()) {
+    auto report = outcome.stats;
+    report.benchmark = label;
+    report.normalize_timing();
     json.begin_object("report");
-    outcome.stats.write_json_fields(json);
+    report.write_json_fields(json);
     json.end_object();
   }
   json.end_object();
@@ -291,6 +294,7 @@ std::string stats_response(const std::string& id,
   json.field("requests", snapshot.requests);
   json.field("cache_hits", snapshot.cache_hits);
   json.field("cache_misses", snapshot.cache_misses);
+  json.field("content_hits", snapshot.content_hits);
   json.field("cache_evictions", snapshot.cache_evictions);
   json.field("hit_rate", snapshot.hit_rate);
   json.field("p50_ms", snapshot.p50_ms);

@@ -51,9 +51,12 @@ bool parse_request(const std::string& line, Request& out,
                                          const std::string& code,
                                          const std::string& message);
 
-/// The compile response described above. `outcome.stats` is serialized
-/// with timing already normalized by the caller.
+/// The compile response described above. The report is a copy of
+/// `outcome.stats` named `label` (the request's, where a cached outcome
+/// carries the label of the request that filled its entry) with timing
+/// normalized.
 [[nodiscard]] std::string compile_response(const std::string& id,
+                                           const std::string& label,
                                            const CompileOutcome& outcome,
                                            bool cache_hit, double latency_ms,
                                            double queue_ms);
@@ -63,6 +66,8 @@ struct ServerSnapshot {
   std::uint64_t requests = 0;   ///< compile requests answered
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
+  /// Of cache_hits: answered by the content index, without a parse.
+  std::uint64_t content_hits = 0;
   std::uint64_t cache_evictions = 0;  ///< LRU entries dropped for space
   double hit_rate = 0.0;
   double p50_ms = 0.0;  ///< compile-request latency percentiles

@@ -136,6 +136,7 @@ ServerSnapshot Server::snapshot() const {
   const auto cache_stats = cache_.stats();
   s.cache_hits = cache_stats.hits;
   s.cache_misses = cache_stats.misses;
+  s.content_hits = cache_stats.content_hits;
   s.cache_evictions = cache_stats.evictions;
   s.hit_rate = cache_stats.hit_rate();
   s.cache_entries = cache_stats.entries;
@@ -159,10 +160,7 @@ std::string Server::run_compile(
       !request.benchmark.empty()
           ? CompileRequest::from_benchmark(request.benchmark)
           : CompileRequest::from_blif(request.blif);
-  auto result = driver_.run_cached(compile_request, cache_);
-  // The envelope owns the wall clock; the report stays byte-stable, so
-  // a hit's report is identical to the miss that populated it.
-  result.outcome.stats.normalize_timing();
+  const auto result = driver_.run_cached(compile_request, cache_);
 
   const auto done = std::chrono::steady_clock::now();
   const auto latency_ms = ms_since(enqueued, done);
@@ -175,8 +173,11 @@ std::string Server::run_compile(
   registry.observe("serve.latency_ms", latency_ms);
   registry.observe("serve.queue_ms", queue_ms);
   registry.gauge_set("serve.cache.hit_rate", cache_.stats().hit_rate());
-  return compile_response(request.id, result.outcome, result.cache_hit,
-                          latency_ms, queue_ms);
+  // The envelope owns the wall clock; the report stays byte-stable, so
+  // a hit's report is identical to the miss that populated it.
+  return compile_response(request.id, compile_request.label(),
+                          *result.outcome, result.cache_hit, latency_ms,
+                          queue_ms);
 }
 
 void Server::worker_loop() {

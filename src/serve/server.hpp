@@ -44,12 +44,13 @@ struct ServerOptions {
 /// `plimc --serve`: a persistent compile daemon. Requests arrive as
 /// JSON lines (see protocol.hpp) over stdin and/or local sockets, fan
 /// out onto a worker pool through a bounded MPMC queue, and are
-/// answered from the structural-hash compiled-program cache whenever an
-/// identical (MIG, Options) pair was compiled before. Cache hit rate,
-/// queue depth and request latency flow into util::MetricsRegistry
-/// ("serve.*" metrics) next to the per-phase driver metrics. At most 64
-/// socket connections are served at once; a client past the cap gets
-/// one `too-many-connections` error line and is disconnected.
+/// answered from the compiled-program cache (see CompileCache) whenever
+/// the same bytes or name, or an identical (MIG, Options) pair, were
+/// compiled before. Cache hit rate, queue depth and request latency
+/// flow into util::MetricsRegistry ("serve.*" metrics) next to the
+/// per-phase driver metrics. At most 64 socket connections are served
+/// at once; a client past the cap gets one `too-many-connections` error
+/// line and is disconnected.
 ///
 /// Shutdown: EOF on stdin, a {"cmd":"shutdown"} request, or
 /// request_shutdown() (the CLI's SIGINT/SIGTERM handler) all trigger

@@ -1,6 +1,9 @@
 #include "serve/structural_hash.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cstdio>
+#include <cstring>
 
 namespace plim::serve {
 
@@ -12,6 +15,12 @@ constexpr std::uint64_t splitmix(std::uint64_t x) noexcept {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
+}
+
+std::uint64_t load64(const char* p) noexcept {
+  std::uint64_t word = 0;
+  std::memcpy(&word, p, sizeof word);
+  return word;
 }
 
 }  // namespace
@@ -30,23 +39,6 @@ void StructuralHasher::mix(std::uint64_t v) noexcept {
   // Lane B evolves position-dependently and with a different injection,
   // so the lanes never degenerate into copies of each other.
   b_ = splitmix(b_ + v * 0xd6e8feb86659fd93ULL + words_);
-}
-
-void StructuralHasher::mix_string(const std::string& s) noexcept {
-  mix(s.size());
-  std::uint64_t word = 0;
-  unsigned fill = 0;
-  for (const unsigned char c : s) {
-    word = (word << 8) | c;
-    if (++fill == 8) {
-      mix(word);
-      word = 0;
-      fill = 0;
-    }
-  }
-  if (fill > 0) {
-    mix(word);
-  }
 }
 
 StructuralKey StructuralHasher::key() const noexcept {
@@ -124,6 +116,38 @@ StructuralKey structural_key(const mig::Mig& network,
                              const Options& options) {
   StructuralHasher h;
   hash_mig(h, network);
+  hash_options(h, options);
+  return h.key();
+}
+
+ContentKey content_key(CompileRequest::Kind kind, std::string_view content,
+                       const Options& options) {
+  constexpr std::uint64_t kPrime1 = 0x9e3779b185ebca87ULL;
+  constexpr std::uint64_t kPrime2 = 0xc2b2ae3d27d4eb4fULL;
+  std::uint64_t lanes[4] = {kPrime1 + kPrime2, kPrime2, 0, 0 - kPrime1};
+  const char* p = content.data();
+  const char* const end = p + content.size();
+  for (; end - p >= 32; p += 32) {
+    for (int i = 0; i < 4; ++i) {
+      lanes[i] = std::rotl(lanes[i] + load64(p + 8 * i) * kPrime2, 31) *
+                 kPrime1;
+    }
+  }
+  StructuralHasher h;
+  h.mix(0x0c01);  // content fence
+  h.mix(static_cast<std::uint64_t>(kind));
+  h.mix(content.size());
+  for (const auto lane : lanes) {
+    h.mix(lane);
+  }
+  // The tail (under 32 bytes) in zero-padded words; the length above
+  // tells a short tail from trailing zero bytes.
+  for (; p < end; p += 8) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, p,
+                std::min(std::size_t{8}, static_cast<std::size_t>(end - p)));
+    h.mix(word);
+  }
   hash_options(h, options);
   return h.key();
 }

@@ -3,8 +3,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "driver/options.hpp"
+#include "driver/request.hpp"
 #include "mig/mig.hpp"
 
 namespace plim::serve {
@@ -40,8 +42,6 @@ class StructuralHasher {
  public:
   void mix(std::uint64_t v) noexcept;
   void mix_bool(bool v) noexcept { mix(v ? 1 : 2); }
-  /// Length-prefixed, so "ab" + "c" never aliases "a" + "bc".
-  void mix_string(const std::string& s) noexcept;
 
   [[nodiscard]] StructuralKey key() const noexcept;
 
@@ -64,5 +64,22 @@ void hash_options(StructuralHasher& h, const Options& options);
 /// The cache key of one request: hash_mig ⊕ hash_options.
 [[nodiscard]] StructuralKey structural_key(const mig::Mig& network,
                                            const Options& options);
+
+/// A digest of what a request says rather than what it builds: a BLIF
+/// file's bytes, or a benchmark's name. Equal content keys load equal
+/// networks, so a cache can answer a request it has seen before without
+/// parsing it; different bytes of one circuit have different content
+/// keys but share a structural key.
+using ContentKey = StructuralKey;
+
+/// The content key of `content` (a BLIF request's bytes or a benchmark
+/// request's name, told apart by `kind`) ⊕ hash_options. The bytes go
+/// through xxHash64's lane round, four independent multiply-rotate
+/// chains over 32-byte stripes, so the digest runs at several bytes per
+/// cycle. Not cryptographic: a client that can write the daemon's input
+/// files can already choose its answers.
+[[nodiscard]] ContentKey content_key(CompileRequest::Kind kind,
+                                     std::string_view content,
+                                     const Options& options);
 
 }  // namespace plim::serve

@@ -1,7 +1,9 @@
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -10,6 +12,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <fstream>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -17,6 +21,7 @@
 
 #include "circuits/epfl.hpp"
 #include "driver/driver.hpp"
+#include "io/blif.hpp"
 #include "mig/mig.hpp"
 #include "serve/cache.hpp"
 #include "serve/mpmc_queue.hpp"
@@ -241,6 +246,28 @@ TEST(StructuralHashTest, EveryOptionsFieldChangesTheKey) {
   }
 }
 
+TEST(StructuralHashTest, ContentKeysSeparateBytesKindsAndOptions) {
+  const Options options;
+  const auto blif = CompileRequest::Kind::blif;
+  // Lengths across the 32-byte stripes and the zero-padded tail.
+  std::string text(70, 'x');
+  const auto key = serve::content_key(blif, text, options);
+  EXPECT_EQ(serve::content_key(blif, text, options), key);
+  for (const std::size_t at : {std::size_t{0}, std::size_t{31},
+                               std::size_t{64}, std::size_t{69}}) {
+    auto edited = text;
+    edited[at] = 'y';
+    EXPECT_NE(serve::content_key(blif, edited, options), key) << at;
+  }
+  EXPECT_NE(serve::content_key(blif, text + '\0', options), key);
+  EXPECT_NE(serve::content_key(blif, text.substr(1), options), key);
+  EXPECT_NE(serve::content_key(CompileRequest::Kind::benchmark, text, options),
+            key);
+  Options banked;
+  banked.banks = 4;
+  EXPECT_NE(serve::content_key(blif, text, banked), key);
+}
+
 // ---- CompileCache ----------------------------------------------------------
 
 serve::StructuralKey key_of(std::uint64_t n) {
@@ -312,12 +339,12 @@ TEST(RunCachedTest, HitIsByteIdenticalToAFreshCompile) {
   serve::CompileCache cache(std::size_t{64} << 20);
   const auto request = CompileRequest::from_benchmark("ctrl");
 
-  auto first = driver.run_cached(request, cache);
-  ASSERT_TRUE(first.outcome.ok()) << first.outcome.error_summary();
+  const auto first = driver.run_cached(request, cache);
+  ASSERT_TRUE(first.outcome->ok()) << first.outcome->error_summary();
   EXPECT_FALSE(first.cache_hit);
 
-  auto second = driver.run_cached(request, cache);
-  ASSERT_TRUE(second.outcome.ok());
+  const auto second = driver.run_cached(request, cache);
+  ASSERT_TRUE(second.outcome->ok());
   EXPECT_TRUE(second.cache_hit);
 
   auto fresh = driver.run(request);
@@ -325,33 +352,43 @@ TEST(RunCachedTest, HitIsByteIdenticalToAFreshCompile) {
 
   // Modulo wall-clock, a hit is the fresh compile: same report bytes,
   // same program, same schedule.
-  first.outcome.stats.normalize_timing();
-  second.outcome.stats.normalize_timing();
+  auto first_stats = first.outcome->stats;
+  auto second_stats = second.outcome->stats;
+  first_stats.normalize_timing();
+  second_stats.normalize_timing();
   fresh.stats.normalize_timing();
-  EXPECT_EQ(second.outcome.stats.to_json(), fresh.stats.to_json());
-  EXPECT_EQ(first.outcome.stats.to_json(), second.outcome.stats.to_json());
-  EXPECT_EQ(second.outcome.program.num_instructions(),
+  EXPECT_EQ(second_stats.to_json(), fresh.stats.to_json());
+  EXPECT_EQ(first_stats.to_json(), second_stats.to_json());
+  EXPECT_EQ(second.outcome->program.num_instructions(),
             fresh.program.num_instructions());
-  ASSERT_TRUE(second.outcome.parallel.has_value());
+  ASSERT_TRUE(second.outcome->parallel.has_value());
   ASSERT_TRUE(fresh.parallel.has_value());
-  EXPECT_EQ(second.outcome.parallel->num_steps(), fresh.parallel->num_steps());
+  EXPECT_EQ(second.outcome->parallel->num_steps(),
+            fresh.parallel->num_steps());
 }
 
-TEST(RunCachedTest, HitPatchesTheRequestLabel) {
+TEST(RunCachedTest, HitSharesTheOutcomeAndBatchRelabelsIt) {
   // Two labels, one structure: the second request hits the first's cache
-  // line but still reports under its own name.
+  // line and gets the very object the first stored, still named for the
+  // first. A batch returns copies, each under its own request's name.
   const Driver driver{Options{}};
   serve::CompileCache cache(std::size_t{64} << 20);
-  auto mig_a = circuits::make_ctrl();
-  auto mig_b = circuits::make_ctrl();
-  const auto first = driver.run_cached(
-      CompileRequest::from_mig(std::move(mig_a), "first"), cache);
-  const auto second = driver.run_cached(
-      CompileRequest::from_mig(std::move(mig_b), "second"), cache);
+  const auto first_request =
+      CompileRequest::from_mig(circuits::make_ctrl(), "first");
+  const auto second_request =
+      CompileRequest::from_mig(circuits::make_ctrl(), "second");
+  const auto first = driver.run_cached(first_request, cache);
+  const auto second = driver.run_cached(second_request, cache);
   EXPECT_FALSE(first.cache_hit);
   EXPECT_TRUE(second.cache_hit);
-  EXPECT_EQ(first.outcome.stats.benchmark, "first");
-  EXPECT_EQ(second.outcome.stats.benchmark, "second");
+  EXPECT_EQ(second.outcome.get(), first.outcome.get());
+  EXPECT_EQ(second.outcome->stats.benchmark, "first");
+
+  const auto batch =
+      driver.run_batch({first_request, second_request}, 1, &cache);
+  ASSERT_EQ(batch.size(), 2u);
+  EXPECT_EQ(batch[0].stats.benchmark, "first");
+  EXPECT_EQ(batch[1].stats.benchmark, "second");
 }
 
 TEST(RunCachedTest, DifferentOptionsDoNotShareCacheLines) {
@@ -366,7 +403,7 @@ TEST(RunCachedTest, DifferentOptionsDoNotShareCacheLines) {
   // outcome.
   const auto banked_result = parallel_driver.run_cached(request, cache);
   EXPECT_FALSE(banked_result.cache_hit);
-  EXPECT_TRUE(banked_result.outcome.stats.schedule.has_value());
+  EXPECT_TRUE(banked_result.outcome->stats.schedule.has_value());
 }
 
 TEST(RunCachedTest, FailuresAreNotCached) {
@@ -374,10 +411,10 @@ TEST(RunCachedTest, FailuresAreNotCached) {
   serve::CompileCache cache(std::size_t{64} << 20);
   const auto request = CompileRequest::from_blif("/nonexistent/x.blif");
   const auto first = driver.run_cached(request, cache);
-  EXPECT_FALSE(first.outcome.ok());
+  EXPECT_FALSE(first.outcome->ok());
   EXPECT_FALSE(first.cache_hit);
   const auto second = driver.run_cached(request, cache);
-  EXPECT_FALSE(second.outcome.ok());
+  EXPECT_FALSE(second.outcome->ok());
   EXPECT_FALSE(second.cache_hit);  // still a miss: failures stay out
   EXPECT_EQ(cache.stats().entries, 0u);
 }
@@ -555,6 +592,268 @@ TEST(ServerTest, ShutdownCommandFlagsTheDrain) {
       server.process_line(R"({"cmd":"shutdown","id":"bye"})");
   EXPECT_NE(response.find("\"shutdown\":true"), std::string::npos);
   EXPECT_TRUE(server.shutdown_requested());
+}
+
+// ---- content index and input files ---------------------------------------
+
+/// A file under the test temp dir, removed when the test ends.
+class TempFile {
+ public:
+  explicit TempFile(const std::string& name)
+      : path_(::testing::TempDir() + "plim_" + std::to_string(::getpid()) +
+              "_" + name) {}
+  ~TempFile() { ::unlink(path_.c_str()); }
+  TempFile(const TempFile&) = delete;
+  TempFile& operator=(const TempFile&) = delete;
+
+  void write(const std::string& text) const {
+    std::ofstream(path_, std::ios::binary | std::ios::trunc) << text;
+  }
+  [[nodiscard]] const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+const std::string& ctrl_blif() {
+  static const std::string text = io::to_blif(circuits::make_ctrl(), "ctrl");
+  return text;
+}
+
+const std::string& dec_blif() {
+  static const std::string text = io::to_blif(circuits::make_dec(), "dec");
+  return text;
+}
+
+std::string compile_line(const std::string& id, const std::string& path) {
+  return R"({"id":")" + id + R"(","blif":")" + path + R"("})";
+}
+
+/// The error code of a failed outcome's first diagnostic.
+std::string first_code(const CompileOutcome& outcome) {
+  return outcome.diagnostics.empty() ? "" : outcome.diagnostics[0].code;
+}
+
+TEST(ContentIndexTest, SameBytesAtASecondPathAreAContentHit) {
+  serve::ServerOptions server_options;
+  server_options.stdio = false;
+  serve::Server server(Options{}, server_options);
+  const TempFile a("same_a.blif");
+  const TempFile b("same_b.blif");
+  a.write(ctrl_blif());
+  b.write(ctrl_blif());
+
+  const auto miss = server.process_line(compile_line("1", a.path()));
+  const auto hit = server.process_line(compile_line("2", b.path()));
+  EXPECT_NE(miss.find("\"cache\":\"miss\""), std::string::npos) << miss;
+  EXPECT_NE(hit.find("\"cache\":\"hit\""), std::string::npos) << hit;
+  EXPECT_EQ(server.cache().stats().content_hits, 1u);
+
+  // The hit reports under its own path and is otherwise the miss's report.
+  auto expected = report_part(miss);
+  const auto at = expected.find(a.path());
+  ASSERT_NE(at, std::string::npos);
+  expected.replace(at, a.path().size(), b.path());
+  EXPECT_EQ(report_part(hit), expected);
+  EXPECT_NE(server.process_line(R"({"cmd":"stats","id":"s"})")
+                .find("\"content_hits\":1"),
+            std::string::npos);
+}
+
+TEST(ContentIndexTest, OverwrittenFileMissesAndRestoredBytesHit) {
+  const Driver driver{Options{}};
+  serve::CompileCache cache(std::size_t{64} << 20);
+  const TempFile file("overwritten.blif");
+  const auto request = CompileRequest::from_blif(file.path());
+
+  file.write(ctrl_blif());
+  const auto ctrl = driver.run_cached(request, cache);
+  ASSERT_TRUE(ctrl.outcome->ok()) << ctrl.outcome->error_summary();
+  file.write(dec_blif());
+  const auto dec = driver.run_cached(request, cache);
+  ASSERT_TRUE(dec.outcome->ok()) << dec.outcome->error_summary();
+  EXPECT_FALSE(dec.cache_hit);
+  EXPECT_EQ(dec.outcome->stats.initial_gates,
+            circuits::make_dec().num_gates());
+  EXPECT_NE(dec.outcome->stats.initial_gates,
+            ctrl.outcome->stats.initial_gates);
+
+  file.write(ctrl_blif());
+  const auto restored = driver.run_cached(request, cache);
+  EXPECT_TRUE(restored.cache_hit);
+  EXPECT_EQ(restored.outcome.get(), ctrl.outcome.get());
+  EXPECT_EQ(cache.stats().content_hits, 1u);
+}
+
+TEST(ContentIndexTest, CommentOnlyEditHitsStructurallyThenByContent) {
+  const Driver driver{Options{}};
+  serve::CompileCache cache(std::size_t{64} << 20);
+  const TempFile file("commented.blif");
+  const auto request = CompileRequest::from_blif(file.path());
+  file.write(ctrl_blif());
+  EXPECT_FALSE(driver.run_cached(request, cache).cache_hit);
+
+  file.write("# an edited comment\n" + ctrl_blif());
+  EXPECT_TRUE(driver.run_cached(request, cache).cache_hit);
+  EXPECT_EQ(cache.stats().content_hits, 0u);  // found by structure
+  EXPECT_TRUE(driver.run_cached(request, cache).cache_hit);
+  EXPECT_EQ(cache.stats().content_hits, 1u);  // now by content
+  EXPECT_EQ(cache.stats().aliases, 2u);
+}
+
+TEST(ContentIndexTest, EvictionDropsTheEntrysAliases) {
+  const Driver driver{Options{}};
+  const TempFile ctrl("evicted_ctrl.blif");
+  const TempFile dec("evicted_dec.blif");
+  ctrl.write(ctrl_blif());
+  dec.write(dec_blif());
+  const auto ctrl_bytes = serve::CompileCache::approx_bytes(
+      driver.run(CompileRequest::from_blif(ctrl.path())));
+  const auto dec_bytes = serve::CompileCache::approx_bytes(
+      driver.run(CompileRequest::from_blif(dec.path())));
+  serve::CompileCache cache(std::max(ctrl_bytes, dec_bytes));  // one entry
+
+  (void)driver.run_cached(CompileRequest::from_blif(ctrl.path()), cache);
+  EXPECT_EQ(cache.stats().aliases, 1u);
+  (void)driver.run_cached(CompileRequest::from_blif(dec.path()), cache);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.stats().entries, 1u);
+  EXPECT_EQ(cache.stats().aliases, 1u);  // dec's; ctrl's died with it
+  EXPECT_FALSE(
+      driver.run_cached(CompileRequest::from_blif(ctrl.path()), cache)
+          .cache_hit);
+  EXPECT_EQ(cache.stats().content_hits, 0u);
+}
+
+TEST(ContentIndexTest, AFifthByteFormDropsTheOldestAlias) {
+  const Driver driver{Options{}};
+  serve::CompileCache cache(std::size_t{64} << 20);
+  std::vector<std::unique_ptr<TempFile>> forms;
+  for (int k = 0; k < 5; ++k) {
+    forms.push_back(
+        std::make_unique<TempFile>("form" + std::to_string(k) + ".blif"));
+    forms.back()->write("# form " + std::to_string(k) + "\n" + ctrl_blif());
+    (void)driver.run_cached(CompileRequest::from_blif(forms.back()->path()),
+                            cache);
+  }
+  EXPECT_EQ(cache.stats().entries, 1u);
+  EXPECT_EQ(cache.stats().aliases, serve::CompileCache::kMaxAliases);
+  EXPECT_EQ(cache.stats().content_hits, 0u);
+
+  // Form 0 was the oldest alias: it hits through the structure again.
+  EXPECT_TRUE(
+      driver.run_cached(CompileRequest::from_blif(forms[0]->path()), cache)
+          .cache_hit);
+  EXPECT_EQ(cache.stats().content_hits, 0u);
+  EXPECT_TRUE(
+      driver.run_cached(CompileRequest::from_blif(forms[4]->path()), cache)
+          .cache_hit);
+  EXPECT_EQ(cache.stats().content_hits, 1u);
+  EXPECT_EQ(cache.stats().aliases, serve::CompileCache::kMaxAliases);
+}
+
+TEST(ContentIndexTest, ASecondNamedBenchmarkRequestIsAContentHit) {
+  const Driver driver{Options{}};
+  serve::CompileCache cache(std::size_t{64} << 20);
+  const auto request = CompileRequest::from_benchmark("ctrl");
+  EXPECT_FALSE(driver.run_cached(request, cache).cache_hit);
+  EXPECT_TRUE(driver.run_cached(request, cache).cache_hit);
+  EXPECT_EQ(cache.stats().content_hits, 1u);
+  // The same circuit in memory still shares the entry, by structure.
+  EXPECT_TRUE(driver
+                  .run_cached(CompileRequest::from_mig(
+                                  circuits::build_benchmark("ctrl"), "in-memory"),
+                              cache)
+                  .cache_hit);
+  EXPECT_EQ(cache.stats().content_hits, 1u);
+  EXPECT_EQ(cache.stats().hits, 2u);
+  EXPECT_EQ(cache.stats().misses, 1u);
+}
+
+TEST(ContentIndexTest, ZeroBudgetRecordsNoAlias) {
+  const Driver driver{Options{}};
+  serve::CompileCache cache(0);
+  const auto request = CompileRequest::from_benchmark("ctrl");
+  EXPECT_FALSE(driver.run_cached(request, cache).cache_hit);
+  EXPECT_FALSE(driver.run_cached(request, cache).cache_hit);
+  EXPECT_EQ(cache.stats().aliases, 0u);
+  EXPECT_EQ(cache.stats().content_hits, 0u);
+  EXPECT_EQ(cache.stats().misses, 2u);
+}
+
+TEST(ContentIndexTest, ConcurrentRequestsForANewFileGetIdenticalReports) {
+  Options options;
+  options.banks = 2;
+  serve::ServerOptions server_options;
+  server_options.stdio = false;
+  serve::Server server(options, server_options);
+  const TempFile file("concurrent.blif");
+  file.write(ctrl_blif());
+  constexpr int kThreads = 4;
+  std::vector<std::string> reports(kThreads);
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kThreads; ++t) {
+    clients.emplace_back([&, t] {
+      reports[t] = report_part(
+          server.process_line(compile_line(std::to_string(t), file.path())));
+    });
+  }
+  for (auto& client : clients) {
+    client.join();
+  }
+  ASSERT_FALSE(reports[0].empty());
+  for (int t = 1; t < kThreads; ++t) {
+    EXPECT_EQ(reports[t], reports[0]) << "thread " << t;
+  }
+  const auto stats = server.cache().stats();
+  EXPECT_EQ(stats.hits + stats.misses, std::uint64_t{kThreads});
+}
+
+TEST(InputFileTest, NonRegularFilesAreRefusedUnread) {
+  const TempFile fifo("input.fifo");
+  ASSERT_EQ(::mkfifo(fifo.path().c_str(), 0600), 0);
+  const Driver driver{Options{}};
+  serve::CompileCache cache(std::size_t{64} << 20);
+  const std::vector<std::string> paths = {fifo.path(), "/dev/zero",
+                                          ::testing::TempDir()};
+  for (const auto& path : paths) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto outcome = driver.run(CompileRequest::from_blif(path));
+    const auto cached =
+        driver.run_cached(CompileRequest::from_blif(path), cache);
+    EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1))
+        << path;
+    EXPECT_EQ(first_code(outcome), "input-not-regular") << path;
+    EXPECT_EQ(first_code(*cached.outcome), "input-not-regular") << path;
+  }
+}
+
+TEST(InputFileTest, AFileOverTheCapIsRefusedUnread) {
+  // Sparse: the size is there, the blocks are not, and nothing reads it.
+  const TempFile big("oversized.blif");
+  const int fd = ::open(big.path().c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0600);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(::ftruncate(fd, (off_t{64} << 20) + 1), 0);
+  ::close(fd);
+  const auto outcome =
+      Driver{Options{}}.run(CompileRequest::from_blif(big.path()));
+  EXPECT_EQ(first_code(outcome), "input-too-large");
+}
+
+TEST(InputFileTest, APathWithANulByteIsRefused) {
+  serve::ServerOptions server_options;
+  server_options.stdio = false;
+  serve::Server server(Options{}, server_options);
+  const TempFile ok("ok.blif");
+  ok.write(ctrl_blif());
+  EXPECT_NE(server.process_line(compile_line("ok", ok.path()))
+                .find("\"ok\":true"),
+            std::string::npos);
+  // The OS would open the prefix: ok.blif, which compiles.
+  const auto refused =
+      server.process_line(compile_line("nul", ok.path() + "\\u0000x"));
+  EXPECT_NE(refused.find("\"ok\":false"), std::string::npos) << refused;
+  EXPECT_NE(refused.find("input-open-failed"), std::string::npos) << refused;
 }
 
 /// A client of the Unix socket at `path`: connect() retried while the

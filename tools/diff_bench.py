@@ -37,8 +37,10 @@ direction, in the deterministic fields of configurations present on
 both sides — every schedule field (steps, transfers, makespan_cycles,
 rrams, parallel instructions, sync tokens, the refine counters, ...)
 and the top-level headlines — so a change that must keep every emitted
-program identical can prove it. Timing fields (`*_ms`) and `effort` are
-ignored; a field present on only one side is listed as schema growth.
+program identical can prove it. Timing fields (`*_ms`) are ignored; the
+sweep's `effort` is compared like any other field, so the fresh sweep
+must run at the effort the committed file records. A field present on
+only one side is listed as schema growth.
 
 Usage: diff_bench.py committed.json fresh.json [--tolerance 0.05 | --exact]
 """
@@ -84,11 +86,6 @@ def entries(trajectory):
                            entry.get("bus_width", 0)), entry
 
 
-def ignored(field):
-    """Fields --exact does not compare: wall-clock and the effort label."""
-    return field.endswith("_ms") or field == "effort"
-
-
 def scalars(block):
     """The block's scalar fields, nested objects flattened to `a.b` and
     lists of scalars kept as tuples; lists of objects are left out."""
@@ -111,8 +108,8 @@ def exact_diff(committed_top, fresh_top, committed, fresh):
 
     def compare(where, old, new):
         for field in sorted(set(old) | set(new)):
-            if field.endswith("_ms") or field == "effort":
-                continue  # wall-clock, and the sweep's effort label
+            if field.endswith("_ms"):
+                continue  # wall-clock
             if field not in old or field not in new:
                 growth.add(field)
             elif old[field] != new[field]:
@@ -142,7 +139,7 @@ def exact_diff(committed_top, fresh_top, committed, fresh):
               f"{compared} configurations")
         return 1
     print(f"diff_bench: OK — {compared} configurations identical outside "
-          f"timing fields and effort")
+          f"timing fields")
     return 0
 
 

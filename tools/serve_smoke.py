@@ -22,8 +22,14 @@ farm would:
      change an answer, only its latency);
   4. `stats` — requests counted, hit rate consistent, evictions
      reported, p50/p99 valid;
-  5. SIGINT — the daemon must drain gracefully and exit 0;
-  6. a second daemon on `--listen 0`: the port it announces on stderr
+  5. stale files, on a socket connection: a BLIF file compiled, then
+     overwritten in place with another circuit, must miss and report
+     the new circuit's `initial_gates`; its old bytes restored must hit,
+     and so must a copy at a second path; `stats` must then count at
+     least 2 `content_hits`. A FIFO path must be refused with
+     `input-not-regular` within a second, and a ping after it answered;
+  6. SIGINT — the daemon must drain gracefully and exit 0;
+  7. a second daemon on `--listen 0`: the port it announces on stderr
      must answer a ping and a compile over 127.0.0.1, and SIGINT must
      drain it to exit 0.
 
@@ -33,6 +39,7 @@ Usage: serve_smoke.py [path/to/plimc]  (default: ./build/plimc)
 import json
 import os
 import re
+import shutil
 import signal
 import socket
 import subprocess
@@ -110,6 +117,109 @@ def ping_socket(socket_path):
         return json.loads(buffer.split(b"\n")[0])
 
 
+# Two hand-written circuits with different gate counts.
+MAJ_BLIF = """.model maj
+.inputs a b c
+.outputs f
+.names a b c f
+11- 1
+1-1 1
+-11 1
+.end
+"""
+XOR_BLIF = """.model xor
+.inputs a b
+.outputs f
+.names a b f
+10 1
+01 1
+.end
+"""
+
+
+def write_file(path, text):
+    with open(path, "w") as f:
+        f.write(text)
+
+
+def call(sock, obj, timeout_s=60):
+    """Sends one request on `sock` and returns its reply, failing when
+    none arrives within `timeout_s`."""
+    sock.settimeout(timeout_s)
+    sock.sendall((json.dumps(obj) + "\n").encode())
+    buffer = b""
+    try:
+        while b"\n" not in buffer:
+            chunk = sock.recv(65536)
+            if not chunk:
+                fail(f"socket closed before the reply to {obj}")
+            buffer += chunk
+    except socket.timeout:
+        fail(f"no reply to {obj} within {timeout_s} s")
+    return json.loads(buffer.split(b"\n")[0])
+
+
+def initial_gates(plimc, path):
+    """`initial_gates` of a one-shot `plimc --blif` compile of `path`."""
+    run = subprocess.run([plimc, "--blif", path, "--json", "-"],
+                         capture_output=True, text=True, timeout=60)
+    if run.returncode != 0:
+        fail(f"plimc --blif {path} exited {run.returncode}: {run.stderr}")
+    return json.loads(run.stdout)["initial_gates"]
+
+
+def content_leg(plimc, socket_path, work_dir):
+    """Stale files and a FIFO against the running daemon: a cache keyed
+    by file bytes must notice an overwrite, and a non-regular input must
+    be refused instead of blocking a worker."""
+    path = os.path.join(work_dir, "circuit.blif")
+    copy = os.path.join(work_dir, "copy.blif")
+    probe = os.path.join(work_dir, "probe.blif")
+    write_file(probe, XOR_BLIF)
+    xor_gates = initial_gates(plimc, probe)
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+        sock.connect(socket_path)
+        write_file(path, MAJ_BLIF)
+        first = call(sock, {"id": "f1", "blif": path})
+        if not first.get("ok"):
+            fail(f"compile of {path} failed: {first}")
+        write_file(path, XOR_BLIF)
+        overwritten = call(sock, {"id": "f2", "blif": path})
+        if not overwritten.get("ok") or overwritten.get("cache") != "miss":
+            fail(f"an overwritten file did not miss: {overwritten}")
+        if overwritten["report"]["initial_gates"] != xor_gates:
+            fail(f"an overwritten file reports "
+                 f"{overwritten['report']['initial_gates']} initial gates, "
+                 f"its new circuit has {xor_gates}")
+        write_file(path, MAJ_BLIF)
+        restored = call(sock, {"id": "f3", "blif": path})
+        if restored.get("cache") != "hit" or restored["report"] != first[
+                "report"]:
+            fail(f"restored bytes did not hit with the first report: "
+                 f"{restored}")
+        write_file(copy, MAJ_BLIF)
+        copied = call(sock, {"id": "f4", "blif": copy})
+        if (copied.get("cache") != "hit"
+                or copied["report"]["benchmark"] != copy):
+            fail(f"a copy at a second path did not hit under its own "
+                 f"path: {copied}")
+        server = call(sock, {"cmd": "stats", "id": "fs"})["server"]
+        if server.get("content_hits", 0) < 2:
+            fail(f"stats counts {server.get('content_hits')} content hits "
+                 "(need >= 2)")
+
+        fifo = os.path.join(work_dir, "input.fifo")
+        os.mkfifo(fifo)
+        refused = call(sock, {"id": "fifo", "blif": fifo}, timeout_s=1)
+        codes = [d.get("code") for d in refused.get("diagnostics", [])]
+        if refused.get("ok") is not False or "input-not-regular" not in codes:
+            fail(f"a FIFO was not refused as input-not-regular: {refused}")
+        if not call(sock, {"cmd": "ping", "id": "after-fifo"}).get("pong"):
+            fail("no pong after the FIFO request")
+    print(f"serve_smoke: overwritten file missed, restored bytes and a copy "
+          f"hit ({server['content_hits']} content hits), FIFO refused")
+
+
 def vm_size_kib(pid):
     """The process's VmSize from /proc, or None where /proc is absent."""
     try:
@@ -171,8 +281,8 @@ def tcp_leg(plimc):
 
 def main():
     plimc = sys.argv[1] if len(sys.argv) > 1 else "./build/plimc"
-    socket_path = os.path.join(tempfile.mkdtemp(prefix="plim_serve_"),
-                               "plimc.sock")
+    work_dir = tempfile.mkdtemp(prefix="plim_serve_")
+    socket_path = os.path.join(work_dir, "plimc.sock")
     proc = subprocess.Popen(
         [plimc, "--serve", "--banks", "4", "--threads", "4",
          "--socket", socket_path],
@@ -330,7 +440,10 @@ def main():
             fail(f"invalid latency percentiles: p50 {server['p50_ms']}, "
                  f"p99 {server['p99_ms']}")
 
-        # 5. graceful shutdown on SIGINT: drain and exit 0.
+        # 5. stale files and a FIFO.
+        content_leg(plimc, socket_path, work_dir)
+
+        # 6. graceful shutdown on SIGINT: drain and exit 0.
         interrupt_and_wait(proc, "daemon")
 
         print(f"serve_smoke: OK — {expected} requests, {hits}/"
@@ -341,8 +454,9 @@ def main():
         if proc.poll() is None:
             proc.kill()
             proc.wait()
+        shutil.rmtree(work_dir, ignore_errors=True)
 
-    # 6. the loopback TCP listener, on a daemon of its own.
+    # 7. the loopback TCP listener, on a daemon of its own.
     tcp_leg(plimc)
 
 
