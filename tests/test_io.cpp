@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -221,7 +222,10 @@ TEST(Blif, ReaderKeepsContinuationAtEndOfText) {
 
 /// Seeded corruption of a small BLIF file: truncations, byte flips and
 /// line drops or duplications. Every variant must parse or throw
-/// std::runtime_error — never crash, hang or throw anything else.
+/// std::runtime_error — never crash, hang or throw anything else. Each
+/// outcome (the parsed network's to_blif, or the exception message) is
+/// folded into one FNV-1a digest, so a reader change that accepts,
+/// rejects, builds or words a single variant differently fails here.
 TEST(Blif, ReaderSurvivesMutations) {
   const auto source = to_blif(
       expr::build_from_expression("maj(a, b & c, !d) ^ (a | !c)", "f"),
@@ -234,6 +238,13 @@ TEST(Blif, ReaderSurvivesMutations) {
   }
   util::Rng rng(2024);
   unsigned parsed = 0;
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  const auto fold = [&](const std::string& outcome) {
+    for (const unsigned char c : outcome) {
+      digest = (digest ^ c) * 0x100000001b3ULL;
+    }
+    digest = (digest ^ 0xffU) * 0x100000001b3ULL;  // outcome separator
+  };
   for (int k = 0; k < 2000; ++k) {
     std::string text;
     switch (k % 4) {
@@ -263,9 +274,11 @@ TEST(Blif, ReaderSurvivesMutations) {
       }
     }
     try {
-      (void)read_blif_text(text);
+      const auto m = read_blif_text(text);
       ++parsed;
-    } catch (const std::runtime_error&) {
+      fold(to_blif(m));
+    } catch (const std::runtime_error& e) {
+      fold(e.what());
     } catch (...) {
       ADD_FAILURE() << "mutation " << k << " threw a non-runtime_error on:\n"
                     << text;
@@ -274,6 +287,7 @@ TEST(Blif, ReaderSurvivesMutations) {
   // Both outcomes occur, so the mutations reach past the first line.
   EXPECT_GT(parsed, 0u);
   EXPECT_LT(parsed, 2000u);
+  EXPECT_EQ(digest, 0xea352d0980fd382dULL) << std::hex << digest;
 }
 
 TEST(Blif, ReaderSynthesizesCovers) {
