@@ -181,7 +181,9 @@ void print_stats(const plim::CompileOutcome& outcome) {
   const auto& stats = outcome.stats;
   std::cerr << "gates: " << stats.initial_gates << " -> " << stats.gates
             << " (multi-complement " << stats.rewrite.multi_complement_before
-            << " -> " << stats.rewrite.multi_complement_after << ")\n"
+            << " -> " << stats.rewrite.multi_complement_after << "; "
+            << stats.rewrite.cycles << " rewriting cycles, "
+            << stats.rewrite.passes_rebuilt << " passes rebuilt)\n"
             << "instructions: " << stats.compile.num_instructions
             << ", rrams: " << stats.compile.num_rrams << " (peak live "
             << stats.compile.peak_live_rrams << ")\n";

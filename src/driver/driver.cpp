@@ -537,8 +537,19 @@ std::vector<CompileOutcome> Driver::run_batch(
         if (cache != nullptr) {
           // A cached outcome is shared and names the request that filled
           // its entry; the batch returns a copy under this request's.
-          outcomes[i] = *run_cached(requests[i], *cache).outcome;
+          // A hit compiled nothing, so it carries its own wall time
+          // instead of the filling request's phase times.
+          const auto t0 = std::chrono::steady_clock::now();
+          const auto cached = run_cached(requests[i], *cache);
+          outcomes[i] = *cached.outcome;
           outcomes[i].stats.benchmark = requests[i].label();
+          if (cached.cache_hit) {
+            outcomes[i].stats.normalize_timing();
+            outcomes[i].stats.metrics.total_ms =
+                std::chrono::duration<double, std::milli>(
+                    std::chrono::steady_clock::now() - t0)
+                    .count();
+          }
         } else {
           outcomes[i] = run(requests[i]);
         }

@@ -107,7 +107,8 @@ class Driver {
   /// with duplicate (circuit, options) pairs compile once. Outcome
   /// *content* is unchanged (a hit is byte-identical to a fresh compile
   /// modulo wall-clock), preserving the byte-determinism contract
-  /// across thread counts and cache states.
+  /// across thread counts and cache states. A hit's timing is its own:
+  /// its lookup's wall time as `total_ms` and 0 for every phase.
   [[nodiscard]] std::vector<CompileOutcome> run_batch(
       const std::vector<CompileRequest>& requests, unsigned threads = 1,
       serve::CompileCache* cache = nullptr) const;

@@ -44,6 +44,8 @@ void StatsReport::write_json_fields(util::JsonWriter& json) const {
   json.field("depth_after", rewrite.depth_after);
   json.field("multi_complement_before", rewrite.multi_complement_before);
   json.field("multi_complement_after", rewrite.multi_complement_after);
+  json.field("cycles", rewrite.cycles);
+  json.field("passes_rebuilt", rewrite.passes_rebuilt);
   json.end_object();
   json.begin_object("metrics");
   json.field("total_ms", metrics.total_ms);

@@ -27,7 +27,9 @@ struct StatsReport {
   /// Gates of the network that was compiled (#N after rewriting, or
   /// after dangling-gate cleanup when rewriting is off).
   std::uint32_t gates = 0;
-  /// Rewriting before/after metrics (zeroed when rewriting is off).
+  /// Rewriting metrics: gates, depth and multi-complement gates before
+  /// and after, the cycles run and the passes rebuilt (both 0 when
+  /// rewriting is off).
   mig::RewriteStats rewrite;
   /// Serial compilation metrics (#I, #R, peak live cells, …).
   core::CompileStats compile;

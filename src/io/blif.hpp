@@ -10,6 +10,9 @@ namespace plim::io {
 /// Writes the MIG in Berkeley Logic Interchange Format. Every majority
 /// gate becomes a `.names` entry whose cover encodes ⟨abc⟩ with fanin
 /// complements folded in; PO complements become one-row inverter covers.
+/// The text is formatted into a buffer that goes to `os` in chunks of
+/// about 64 KiB, so a large network adds no more than one chunk of
+/// memory; `to_blif` returns the whole text.
 ///
 /// Every name is defined once. PIs keep their port names; gate k is
 /// `n<k>` and the constant `const0`, each followed by as many `_` as it
@@ -29,8 +32,10 @@ void write_blif(const mig::Mig& mig, std::ostream& os,
 ///
 /// Lines split at '\n' and '#' starts a comment; trailing '\r' and spaces
 /// are trimmed before a final '\' joins the line to the next one; tokens
-/// split at std::isspace characters. Throws std::runtime_error on
-/// unsupported or malformed input, including a name defined twice.
+/// split at the six whitespace bytes of the C locale (' ', '\t', '\n',
+/// '\v', '\f', '\r'), whatever the locale is. Throws std::runtime_error on
+/// unsupported or malformed input, including a name defined twice; when
+/// a text has both, a syntax error is reported before any other error.
 [[nodiscard]] mig::Mig read_blif(std::istream& is);
 [[nodiscard]] mig::Mig read_blif_text(const std::string& text);
 

@@ -2,17 +2,6 @@
 
 namespace plim::mig::algebra {
 
-std::array<Signal, 3> virtual_fanins(const Mig& mig, Signal s) {
-  assert(mig.is_gate(s.index()));
-  auto f = mig.fanins(s.index());
-  if (s.complemented()) {
-    for (auto& x : f) {
-      x = !x;
-    }
-  }
-  return f;
-}
-
 unsigned complement_count(const Mig& mig, Signal a, Signal b, Signal c) {
   unsigned k = 0;
   for (const auto s : {a, b, c}) {
@@ -63,8 +52,9 @@ std::optional<SharedPair> match_shared_pair(const std::array<Signal, 3>& fa,
 
 }  // namespace
 
+template <typename Dest>
 std::optional<Signal> try_distributivity_rl(
-    Mig& dest, Signal a, Signal b, Signal c,
+    Dest& dest, Signal a, Signal b, Signal c,
     const std::array<bool, 3>& inner_is_expendable, bool require_free) {
   const std::array<Signal, 3> outer{a, b, c};
   // Pick the two fanins playing the role of ⟨xyu⟩ and ⟨xyv⟩.
@@ -103,8 +93,9 @@ std::optional<Signal> try_distributivity_rl(
   return std::nullopt;
 }
 
+template <typename Dest>
 std::optional<Signal> try_associativity(
-    Mig& dest, Signal a, Signal b, Signal c,
+    Dest& dest, Signal a, Signal b, Signal c,
     const std::array<bool, 3>& inner_is_expendable) {
   const std::array<Signal, 3> outer{a, b, c};
   for (int ci = 0; ci < 3; ++ci) {
@@ -154,5 +145,14 @@ std::optional<Signal> try_associativity(
   }
   return std::nullopt;
 }
+
+template std::optional<Signal> try_distributivity_rl(
+    Mig&, Signal, Signal, Signal, const std::array<bool, 3>&, bool);
+template std::optional<Signal> try_distributivity_rl(
+    SourcePrefix&, Signal, Signal, Signal, const std::array<bool, 3>&, bool);
+template std::optional<Signal> try_associativity(
+    Mig&, Signal, Signal, Signal, const std::array<bool, 3>&);
+template std::optional<Signal> try_associativity(
+    SourcePrefix&, Signal, Signal, Signal, const std::array<bool, 3>&);
 
 }  // namespace plim::mig::algebra

@@ -27,6 +27,9 @@ struct RewriteStats {
   /// Rewriting cycles run: at most `effort`, and one past the last cycle
   /// that changed the network.
   std::uint32_t cycles = 0;
+  /// Passes that rebuilt the network: of the five passes each cycle runs,
+  /// those not proven unchanged by `pass_may_change`.
+  std::uint32_t passes_rebuilt = 0;
 };
 
 /// Algorithm 1: for (cycles < effort) { Ω.M; Ω.D_R→L; Ω.A; Ω.C; Ω.M;
@@ -36,9 +39,33 @@ struct RewriteStats {
 /// equals running all `effort` cycles. Returns a functionally equivalent
 /// network optimized for PLiM compilation (small, few multi-complement
 /// gates).
+///
+/// A pass costs a rebuild only when it changes the network: each pass is
+/// first checked with `pass_may_change`, and a pass proven unchanged
+/// leaves the network as it is, without a copy. A cycle of five unchanged
+/// passes is the fixed point. The dangling-gate cleanup before the first
+/// cycle is skipped the same way when it would reproduce its input.
 [[nodiscard]] Mig rewrite_for_plim(const Mig& mig,
                                    const RewriteOptions& opts = {},
                                    RewriteStats* stats = nullptr);
+
+/// The rewriting passes of an Algorithm 1 cycle, which runs size,
+/// reshape, size, inverters_conditional, inverters_final.
+enum class Pass : std::uint8_t {
+  size,                   ///< pass_size
+  reshape,                ///< pass_reshape
+  inverters_conditional,  ///< pass_inverters(mig, true)
+  inverters_final,        ///< pass_inverters(mig, false)
+};
+
+/// Whether `pass` may change `mig`. False is a proof that the pass
+/// rebuilds `mig` node for node, which holds when all of these do: the
+/// PIs are nodes 1..num_pis in order; every gate reaches a PO; for the
+/// size and reshape passes, no gate's rule fires against the nodes of
+/// `mig` below that gate (the prefix a rebuild holds when it reaches the
+/// gate, so a structural-hash hit counts only below it); and for the
+/// inverter passes, no gate is flipped.
+[[nodiscard]] bool pass_may_change(const Mig& mig, Pass pass);
 
 /// One size pass: Ω.M folding (inside create_maj) plus Ω.D right-to-left
 /// node merging. Output is cleaned of dangling gates.

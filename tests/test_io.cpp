@@ -171,7 +171,8 @@ TEST(Blif, ReaderRejectsSecondDefinitions) {
 
 /// Physical lines split at '\n'; '#' starts a comment; trailing '\r' and
 /// spaces are trimmed before the '\' continuation test; tokens split at
-/// any whitespace; lines without tokens are skipped.
+/// the six whitespace bytes of the C locale; lines without tokens are
+/// skipped.
 TEST(Blif, ReaderTokenRules) {
   const auto m = read_blif_text(
       "# leading comment\r\n"
@@ -208,6 +209,52 @@ TEST(Blif, ReaderTokenRules) {
   }
   // A continuation joins the lines as they are: "a\" + "b" is one token.
   EXPECT_EQ(read_blif_text(".inputs a\\\nb\n").pi_name(0), "ab");
+  // '\v' and '\f' split tokens inside a line; bytes 0x85 and 0xA0 (space
+  // in some locales) do not.
+  const auto spaced = read_blif_text(".inputs a\vb\fc d\x85\xA0" "e\n");
+  ASSERT_EQ(spaced.num_pis(), 4u);
+  EXPECT_EQ(spaced.pi_name(1), "b");
+  EXPECT_EQ(spaced.pi_name(2), "c");
+  EXPECT_EQ(spaced.pi_name(3), "d\x85\xA0" "e");
+}
+
+/// Names far denser than write_blif's output outgrow the name table's
+/// first size; every one still resolves to its own signal.
+TEST(Blif, ReaderResolvesDenselyPackedNames) {
+  std::string inputs = ".inputs";
+  std::string outputs = ".outputs";
+  for (int i = 0; i < 3000; ++i) {
+    inputs += " " + std::to_string(i);
+    outputs += " " + std::to_string(2999 - i);
+  }
+  const auto m = read_blif_text(inputs + "\n" + outputs + "\n");
+  ASSERT_EQ(m.num_pis(), 3000u);
+  ASSERT_EQ(m.num_pos(), 3000u);
+  for (std::uint32_t i = 0; i < 3000; ++i) {
+    EXPECT_EQ(m.po_at(i), mig::Signal(m.pi_at(2999 - i), false)) << i;
+  }
+}
+
+/// read_blif reads a stream from where it stands to its end, whether or
+/// not the stream can tell its size.
+TEST(Blif, StreamReaderReadsTheRestOfTheStream) {
+  const auto text = to_blif(circuits::build_benchmark("cavlc"), "cavlc");
+  const auto expected = to_blif(read_blif_text(text), "cavlc");
+  std::istringstream seekable("skip me\n" + text);
+  std::string skipped;
+  std::getline(seekable, skipped);
+  EXPECT_EQ(to_blif(read_blif(seekable), "cavlc"), expected);
+
+  // A stream buffer that cannot seek: the reader falls back to growing.
+  struct Unseekable : std::stringbuf {
+    using std::stringbuf::stringbuf;
+    pos_type seekoff(off_type, std::ios::seekdir, std::ios::openmode) override {
+      return pos_type(off_type(-1));
+    }
+  };
+  Unseekable buf(text);
+  std::istream unseekable(&buf);
+  EXPECT_EQ(to_blif(read_blif(unseekable), "cavlc"), expected);
 }
 
 TEST(Blif, ReaderKeepsContinuationAtEndOfText) {

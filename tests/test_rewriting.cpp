@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -245,6 +246,200 @@ TEST(Rewrite, HandlesConstantAndPassThroughOutputs) {
   EXPECT_TRUE(tt_equivalent(m, r));
 }
 
+// ---- proving a pass unchanged ---------------------------------------------
+
+constexpr std::array<Pass, 4> kPasses = {Pass::size, Pass::reshape,
+                                         Pass::inverters_conditional,
+                                         Pass::inverters_final};
+
+/// The passes of one Algorithm 1 cycle, in order.
+constexpr std::array<Pass, 5> kCycle = {Pass::size, Pass::reshape, Pass::size,
+                                        Pass::inverters_conditional,
+                                        Pass::inverters_final};
+
+const char* pass_name(Pass pass) {
+  switch (pass) {
+    case Pass::size:
+      return "size";
+    case Pass::reshape:
+      return "reshape";
+    case Pass::inverters_conditional:
+      return "inverters_conditional";
+    case Pass::inverters_final:
+      return "inverters_final";
+  }
+  return "?";
+}
+
+/// The public pass, which always rebuilds its input.
+Mig run_pass(const Mig& m, Pass pass) {
+  switch (pass) {
+    case Pass::size:
+      return pass_size(m);
+    case Pass::reshape:
+      return pass_reshape(m);
+    case Pass::inverters_conditional:
+      return pass_inverters(m, /*conditional=*/true);
+    case Pass::inverters_final:
+      return pass_inverters(m, /*conditional=*/false);
+  }
+  return m;
+}
+
+/// Verdicts of pass_may_change, checked against the rebuild: an
+/// "unchanged" verdict must be a proof.
+struct Verdicts {
+  unsigned unchanged = 0;
+  unsigned changed = 0;
+
+  void check(const Mig& m, const std::string& what) {
+    for (const Pass pass : kPasses) {
+      if (pass_may_change(m, pass)) {
+        ++changed;
+        continue;
+      }
+      ++unchanged;
+      EXPECT_TRUE(same_structure(run_pass(m, pass), m))
+          << what << ": " << pass_name(pass)
+          << " was proven unchanged but its rebuild differs";
+    }
+  }
+};
+
+/// A network with the five PIs x, y, u, v and z, for the hand-built cases
+/// below. Each case takes `hit_below`: whether the structural twin its
+/// rule looks for is created before the gate the rule rewrites or after.
+struct HandBuilt {
+  Mig m;
+  Signal x, y, u, v, z;
+  HandBuilt() {
+    x = m.create_pi("x");
+    y = m.create_pi("y");
+    u = m.create_pi("u");
+    v = m.create_pi("v");
+    z = m.create_pi("z");
+  }
+};
+
+/// Ω.D fires on n = ⟨A B z⟩ with A = ⟨x y u⟩ (also a PO, so not
+/// expendable) and B = ⟨x y v⟩ only when ⟨u v z⟩ and ⟨x y ⟨u v z⟩⟩
+/// already exist below n.
+Mig distributivity_through_strash(bool hit_below) {
+  HandBuilt h;
+  auto& m = h.m;
+  const auto twins = [&] {
+    const auto inner = m.create_maj(h.u, h.v, h.z);
+    m.create_po(m.create_maj(h.x, h.y, inner), "twin");
+  };
+  if (hit_below) {
+    twins();
+  }
+  const auto a = m.create_maj(h.x, h.y, h.u);
+  const auto b = m.create_maj(h.x, h.y, h.v);
+  m.create_po(m.create_maj(a, b, h.z), "n");
+  m.create_po(a, "a");
+  if (!hit_below) {
+    twins();
+  }
+  return m;
+}
+
+/// Ω.A fires on n = ⟨x u C⟩ with the expendable C = ⟨y u z⟩ only when
+/// ⟨y u x⟩ already exists below n.
+Mig associativity_through_strash(bool hit_below) {
+  HandBuilt h;
+  auto& m = h.m;
+  const auto twin = [&] { m.create_po(m.create_maj(h.y, h.u, h.x), "twin"); };
+  if (hit_below) {
+    twin();
+  }
+  const auto c = m.create_maj(h.y, h.u, h.z);
+  m.create_po(m.create_maj(h.x, h.u, c), "n");
+  if (!hit_below) {
+    twin();
+  }
+  return m;
+}
+
+TEST(PassProof, UnchangedVerdictIsAProofOnRandomNetworks) {
+  Verdicts verdicts;
+  const std::array<RandomMigOptions, 4> shapes = {{{4, 10, 2, 30, 30},
+                                                   {6, 40, 3, 35, 35},
+                                                   {8, 150, 6, 30, 40},
+                                                   {10, 600, 8, 35, 35}}};
+  for (const auto& shape : shapes) {
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+      const auto what = std::to_string(shape.num_gates) + " gates, seed " +
+                        std::to_string(seed);
+      const auto m = random_mig(shape, seed);
+      verdicts.check(m, what);
+      // Every network a rewrite produces is compact, so the rule checks
+      // decide; the passes along one cycle and the converged network
+      // give both verdicts.
+      auto cur = cleanup_dangling(m);
+      verdicts.check(cur, what + ", cleaned");
+      for (const Pass pass : kCycle) {
+        cur = run_pass(cur, pass);
+        verdicts.check(cur, what + ", after " + pass_name(pass));
+      }
+      verdicts.check(rewrite_for_plim(m), what + ", rewritten");
+    }
+  }
+  EXPECT_GT(verdicts.unchanged, 100u);
+  EXPECT_GT(verdicts.changed, 100u);
+}
+
+TEST(PassProof, CompactnessAndStrashHitsDecideTheVerdict) {
+  // A dangling gate: no rule fires and no gate flips, but the rebuild
+  // drops it.
+  Mig dangling;
+  {
+    const auto a = dangling.create_pi("a");
+    const auto b = dangling.create_pi("b");
+    const auto c = dangling.create_pi("c");
+    dangling.create_po(dangling.create_maj(a, b, c), "f");
+    (void)dangling.create_maj(a, !b, c);
+  }
+  // A PI created after a gate: the rebuild creates every PI first.
+  Mig late_pi;
+  {
+    const auto a = late_pi.create_pi("a");
+    const auto b = late_pi.create_pi("b");
+    const auto c = late_pi.create_pi("c");
+    const auto g = late_pi.create_maj(a, b, c);
+    const auto d = late_pi.create_pi("d");
+    late_pi.create_po(late_pi.create_maj(g, d, a), "f");
+  }
+  for (const Pass pass : kPasses) {
+    for (const Mig* m : {&dangling, &late_pi}) {
+      EXPECT_TRUE(pass_may_change(*m, pass)) << pass_name(pass);
+      EXPECT_FALSE(same_structure(run_pass(*m, pass), *m)) << pass_name(pass);
+    }
+  }
+
+  // A rule that fires only through a strash hit below the gate changes
+  // the network; with the twin above the gate it does not fire.
+  const auto dist_below = distributivity_through_strash(true);
+  const auto dist_above = distributivity_through_strash(false);
+  const auto assoc_below = associativity_through_strash(true);
+  const auto assoc_above = associativity_through_strash(false);
+  EXPECT_TRUE(pass_may_change(dist_below, Pass::size));
+  EXPECT_LT(pass_size(dist_below).num_gates(), dist_below.num_gates());
+  EXPECT_FALSE(pass_may_change(dist_above, Pass::size));
+  EXPECT_TRUE(pass_may_change(assoc_below, Pass::reshape));
+  EXPECT_FALSE(same_structure(pass_reshape(assoc_below), assoc_below));
+  EXPECT_FALSE(pass_may_change(assoc_above, Pass::reshape));
+
+  Verdicts verdicts;
+  verdicts.check(dangling, "dangling gate");
+  verdicts.check(late_pi, "PI after a gate");
+  verdicts.check(dist_below, "distributivity, twin below");
+  verdicts.check(dist_above, "distributivity, twin above");
+  verdicts.check(assoc_below, "associativity, twin below");
+  verdicts.check(assoc_above, "associativity, twin above");
+  EXPECT_GT(verdicts.unchanged, 0u);
+}
+
 // ---- golden networks --------------------------------------------------------
 
 std::string fnv1a_hex(const std::string& text) {
@@ -267,15 +462,21 @@ std::string fnv1a_hex(const std::string& text) {
 /// regenerate with
 ///   PLIM_REGEN_GOLDEN=1 ./test_rewriting --gtest_filter=Golden.*
 /// from the build directory and commit the diff.
+constexpr std::array<const char*, 18> kGoldenCircuits = {
+    "adder", "bar",   "max", "sin", "div",       "log2",
+    "multiplier", "sqrt", "square", "cavlc", "ctrl", "dec",
+    "i2c",   "int2float", "mem_ctrl", "priority", "router", "voter"};
+
+/// The network the Table 1 flow compiles: shuffled, written and read.
+Mig golden_network(const char* name) {
+  const auto shuffled = shuffle_topological(circuits::build_benchmark(name), 18);
+  return io::read_blif_text(io::to_blif(shuffled, name));
+}
+
 TEST(Golden, RewriteMatchesGoldenFile) {
   std::vector<std::string> lines;
-  for (const auto* name :
-       {"adder", "bar", "max", "sin", "div", "log2", "multiplier", "sqrt",
-        "square", "cavlc", "ctrl", "dec", "i2c", "int2float", "mem_ctrl",
-        "priority", "router", "voter"}) {
-    const auto shuffled =
-        shuffle_topological(circuits::build_benchmark(name), 18);
-    const auto read = io::read_blif_text(io::to_blif(shuffled, name));
+  for (const auto* name : kGoldenCircuits) {
+    const auto read = golden_network(name);
     RewriteStats stats;
     const auto rewritten = rewrite_for_plim(read, {}, &stats);
     const auto compiled = core::compile(rewritten);
@@ -324,6 +525,39 @@ TEST(Golden, RewriteMatchesGoldenFile) {
         << "network drifted — if intentional, regenerate with "
            "PLIM_REGEN_GOLDEN=1 (see test comment)";
   }
+}
+
+/// rewrite_for_plim rebuilds exactly the passes whose output differs from
+/// their input: replaying its loop with the public passes, which always
+/// rebuild, changes the network in as many passes as it reports rebuilt,
+/// and ends at the same network.
+TEST(Golden, RebuiltPassesAreExactlyTheChangingOnes) {
+  std::uint32_t rebuilt = 0;
+  std::uint32_t passes = 0;
+  for (const auto* name : kGoldenCircuits) {
+    const auto read = golden_network(name);
+    RewriteStats stats;
+    const auto rewritten = rewrite_for_plim(read, {}, &stats);
+
+    auto cur = cleanup_dangling(read);
+    std::uint32_t changed = 0;
+    for (std::uint32_t cycle = 0; cycle < stats.cycles; ++cycle) {
+      const auto start = cur;
+      for (const Pass pass : kCycle) {
+        auto next = run_pass(cur, pass);
+        if (!same_structure(next, cur)) {
+          ++changed;
+        }
+        cur = std::move(next);
+      }
+    }
+    EXPECT_EQ(stats.passes_rebuilt, changed) << name;
+    EXPECT_TRUE(same_structure(cur, rewritten)) << name;
+    rebuilt += stats.passes_rebuilt;
+    passes += 5 * stats.cycles;
+  }
+  // Most passes change nothing once the network has settled.
+  EXPECT_LE(10 * rebuilt, 3 * passes) << rebuilt << " of " << passes;
 }
 
 }  // namespace

@@ -455,6 +455,53 @@ TEST(BatchCacheTest, DuplicateRequestsCompileOnceAndStayByteIdentical) {
   EXPECT_EQ(serial_cache.stats().hits, 4u);
 }
 
+/// A batch hit compiled nothing: it reports its own lookup time as
+/// total_ms and no phase time, while its normalized report is the
+/// uncached one.
+TEST(BatchCacheTest, HitsReportTheirOwnLatency) {
+  Options options;
+  options.banks = 2;
+  const Driver driver(options);
+  const std::vector<CompileRequest> requests = {
+      CompileRequest::from_benchmark("ctrl"),
+      CompileRequest::from_benchmark("ctrl"),
+      CompileRequest::from_benchmark("int2float"),
+      CompileRequest::from_benchmark("int2float")};
+  serve::CompileCache cache(std::size_t{64} << 20);
+  const auto cached = driver.run_batch(requests, 1, &cache);
+  const auto plain = driver.run_batch(requests, 1);
+  ASSERT_EQ(cached.size(), requests.size());
+  ASSERT_EQ(cache.stats().hits, 2u);
+
+  for (const std::size_t hit : {std::size_t{1}, std::size_t{3}}) {
+    ASSERT_TRUE(cached[hit].ok());
+    const auto& m = cached[hit].stats.metrics;
+    EXPECT_GT(m.total_ms, 0.0) << "request " << hit;
+    EXPECT_LT(m.total_ms, cached[hit - 1].stats.metrics.total_ms)
+        << "request " << hit << " reports the compile that filled its entry";
+    EXPECT_EQ(m.load_ms, 0.0);
+    EXPECT_EQ(m.rewrite_ms, 0.0);
+    EXPECT_EQ(m.compile_ms, 0.0);
+    EXPECT_EQ(m.verify_ms, 0.0);
+    EXPECT_EQ(m.schedule_ms, 0.0);
+    EXPECT_EQ(m.schedule_verify_ms, 0.0);
+    ASSERT_TRUE(cached[hit].stats.schedule.has_value());
+    const auto& s = *cached[hit].stats.schedule;
+    EXPECT_EQ(s.schedule_ms + s.assign_ms + s.refine_ms + s.pack_ms +
+                  s.alloc_ms + s.sync_ms,
+              0.0);
+    // The miss it shares an entry with keeps its own measured phases.
+    EXPECT_GT(cached[hit - 1].stats.metrics.compile_ms, 0.0);
+  }
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    auto a = plain[i].stats;
+    auto b = cached[i].stats;
+    a.normalize_timing();
+    b.normalize_timing();
+    EXPECT_EQ(a.to_json(), b.to_json()) << "request " << i;
+  }
+}
+
 // ---- protocol --------------------------------------------------------------
 
 TEST(ProtocolTest, ParsesCompileAndCommandRequests) {
