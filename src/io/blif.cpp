@@ -181,8 +181,9 @@ void emit_blif(const mig::Mig& mig, const std::string& model_name,
     const char b0 = f[0].complemented() ? '0' : '1';
     const char b1 = f[1].complemented() ? '0' : '1';
     const char b2 = f[2].complemented() ? '0' : '1';
-    const char rows[] = {b0, b1,  '-', ' ', '1', '\n', b0, '-', b2,
-                         ' ', '1', '\n', '-', b1,  b2,  ' ', '1'};
+    const char rows[] = {b0,  b1,  '-', ' ', '1', '\n',  //
+                         b0,  '-', b2,  ' ', '1', '\n',  //
+                         '-', b1,  b2,  ' ', '1'};
     out.put(std::string_view(rows, sizeof rows));
     out.end_line();
   });
@@ -241,7 +242,8 @@ std::string_view next_token(std::string_view& rest) {
 }
 
 /// Appends every token left in `rest` to `names`.
-void append_tokens(std::string_view rest, std::vector<std::string_view>& names) {
+void append_tokens(std::string_view rest,
+                   std::vector<std::string_view>& names) {
   for (auto token = next_token(rest); !token.empty();
        token = next_token(rest)) {
     names.push_back(token);
