@@ -21,20 +21,27 @@ namespace plim::mig::algebra {
 /// All helpers operate on a destination network under construction; fanin
 /// signals passed in must already live in that network. The destination
 /// is a `Mig`, or a `SourcePrefix` when a pass only asks whether a rule
-/// would fire.
+/// would change the network.
 
 /// The nodes of `src` below a bound, as a read-only destination. A
 /// rebuild that has reproduced `src` node for node up to gate n holds
-/// exactly these nodes when it reaches n, so a rule fires against the
-/// prefix bounded at n exactly when it fires in that rebuild. Lookups
+/// exactly these nodes when it reaches n, so a rule behaves against the
+/// prefix bounded at n exactly as it does in that rebuild. Lookups
 /// answer from `src`'s structural hash and count a hit only below the
-/// bound. A rule calls `create_maj` only on its way to firing, and a fired
-/// rule changes the network, so `create_maj` returns a placeholder.
+/// bound. `create_maj` answers a fold or a hit like `find_maj`; anything
+/// else would add a node, which `created()` reports, and it returns a
+/// placeholder.
 class SourcePrefix {
  public:
   explicit SourcePrefix(const Mig& src) : src_(src) {}
 
-  void set_bound(node bound) { bound_ = bound; }
+  void set_bound(node bound) {
+    bound_ = bound;
+    created_ = false;
+  }
+
+  /// Whether a `create_maj` since the last set_bound would add a node.
+  [[nodiscard]] bool created() const { return created_; }
 
   [[nodiscard]] bool is_gate(node n) const { return src_.is_gate(n); }
   [[nodiscard]] const std::array<Signal, 3>& fanins(node n) const {
@@ -48,11 +55,18 @@ class SourcePrefix {
     }
     return found;
   }
-  Signal create_maj(Signal, Signal, Signal) { return Signal{}; }
+  Signal create_maj(Signal a, Signal b, Signal c) {
+    if (const auto found = find_maj(a, b, c)) {
+      return *found;
+    }
+    created_ = true;
+    return Signal{};
+  }
 
  private:
   const Mig& src_;
   node bound_ = 0;
+  bool created_ = false;
 };
 
 /// Fanins of the gate behind `s` with the edge complement of `s` pushed

@@ -145,8 +145,8 @@ constexpr auto reshape_rule = [](auto& dest, Signal a, Signal b, Signal c,
   return algebra::try_associativity(dest, a, b, c, expendable);
 };
 
-/// The first gate whose rule fires against the network's own nodes below
-/// it; the network's size when no rule fires.
+/// The first gate whose rule, run against the network's own nodes below
+/// it, fires or would add a node; the network's size when none does.
 template <typename Rule>
 node first_firing(Network& net, Rule rule) {
   const Mig& src = net.mig();
@@ -158,7 +158,8 @@ node first_firing(Network& net, Rule rule) {
     }
     prefix.set_bound(n);
     const auto& f = src.fanins(n);
-    if (rule(prefix, f[0], f[1], f[2], expendable_fanins(src, fanout, n))) {
+    if (rule(prefix, f[0], f[1], f[2], expendable_fanins(src, fanout, n)) ||
+        prefix.created()) {
       return n;
     }
   }

@@ -61,10 +61,10 @@ enum class Pass : std::uint8_t {
 /// Whether `pass` may change `mig`. False is a proof that the pass
 /// rebuilds `mig` node for node, which holds when all of these do: the
 /// PIs are nodes 1..num_pis in order; every gate reaches a PO; for the
-/// size and reshape passes, no gate's rule fires against the nodes of
-/// `mig` below that gate (the prefix a rebuild holds when it reaches the
-/// gate, so a structural-hash hit counts only below it); and for the
-/// inverter passes, no gate is flipped.
+/// size and reshape passes, no gate's rule fires or would add a node when
+/// run against the nodes of `mig` below that gate (the prefix a rebuild
+/// holds when it reaches the gate, so a structural-hash hit counts only
+/// below it); and for the inverter passes, no gate is flipped.
 [[nodiscard]] bool pass_may_change(const Mig& mig, Pass pass);
 
 /// One size pass: Ω.M folding (inside create_maj) plus Ω.D right-to-left
