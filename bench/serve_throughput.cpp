@@ -1,5 +1,5 @@
-/// Compile-server throughput bench: prices the structural-hash result
-/// cache on the EPFL smoke set (the six small control circuits CI
+/// Compile-server throughput bench: prices the compiled-program cache
+/// on the EPFL smoke set (the six small control circuits CI
 /// already batches) by firing every request twice through the exact
 /// serving path (serve::Server::process_line — parse, cache probe,
 /// compile-or-hit, response rendering) from a pool of client threads.
@@ -10,9 +10,8 @@
 ///         the benchmark name, one map probe, one response render.
 ///
 /// Reports per-pass p50/p99 latency, warm requests/s, the cache hit
-/// rate, the share of warm hits the content index answered, and the
-/// cold/warm p50 ratio — the headline the PR claims (a
-/// warm hit must be at least 10x below a cold compile). Each benchmark's
+/// rate and the cold/warm p50 ratio — the headline (a warm hit must be
+/// at least 10x below a cold compile). Each benchmark's
 /// StatsReport (timing normalized) is emitted in the shared plimc
 /// --json schema, so tools/diff_bench.py gates schedule quality on this
 /// trajectory like on BENCH_sched.json.
@@ -192,13 +191,6 @@ int main(int argc, char** argv) {
           ? static_cast<double>(warm_hits) /
                 static_cast<double>(warm_hits + warm_misses)
           : 0.0;
-  // Named-benchmark requests hit by content: no network is built.
-  const auto warm_content_hits =
-      after_warm.content_hits - after_cold.content_hits;
-  const double warm_content_hit_share =
-      warm_hits > 0 ? static_cast<double>(warm_content_hits) /
-                          static_cast<double>(warm_hits)
-                    : 0.0;
   const double speedup = warm_p50 > 0.0 ? cold_p50 / warm_p50 : 0.0;
 
   plim::util::TablePrinter table(
@@ -210,9 +202,7 @@ int main(int argc, char** argv) {
                  fixed(warm_rps, 0)});
   table.print(std::cout);
   std::cout << "\nwarm hit rate " << fixed(100.0 * warm_hit_rate, 1)
-            << "% (" << fixed(100.0 * warm_content_hit_share, 1)
-            << "% of hits by content), cold/warm p50 " << fixed(speedup, 1)
-            << "x\n";
+            << "%, cold/warm p50 " << fixed(speedup, 1) << "x\n";
 
   plim::util::JsonWriter json;
   json.begin_object();
@@ -228,7 +218,6 @@ int main(int argc, char** argv) {
   json.field("warm_p99_ms", warm_p99);
   json.field("warm_requests_per_s", warm_rps);
   json.field("warm_hit_rate", warm_hit_rate);
-  json.field("warm_content_hit_share", warm_content_hit_share);
   json.field("cold_over_warm_p50", speedup);
 
   // One StatsReport per benchmark (timing normalized) in the shared

@@ -48,7 +48,7 @@
 ///   --serve          run as a persistent compile daemon: JSON-lines
 ///                    requests on stdin (responses on stdout) and on any
 ///                    socket from --socket/--listen, compiled by a worker
-///                    pool behind a structural-hash result cache (see
+///                    pool behind a compiled-program cache (see
 ///                    README "Server mode" for the protocol). The option
 ///                    flags above fix the daemon's compile options, like
 ///                    they fix a batch's. SIGINT/SIGTERM (or stdin EOF,
@@ -501,11 +501,11 @@ int main(int argc, char** argv) {
       std::cerr << "plimc: manifest " << batch_path << " holds no requests\n";
       return 2;
     }
-    // Duplicate (circuit, options) pairs in the manifest compile once:
-    // the structural-hash cache serves repeats. Hit counts are stderr
-    // news only — outcome content is identical either way, so the
-    // stdout JSON stays byte-identical across thread counts and cache
-    // states.
+    // Repeated requests in the manifest (the same file bytes or
+    // benchmark name) compile once: the cache serves repeats. Hit counts
+    // are stderr news only — outcome content is identical either way,
+    // so the stdout JSON stays byte-identical across thread counts and
+    // cache states.
     plim::serve::CompileCache cache(cache_mb << 20);
     auto outcomes = driver.run_batch(requests, threads,
                                      cache_mb > 0 ? &cache : nullptr);

@@ -11,6 +11,32 @@
 
 namespace plim::arch {
 
+namespace {
+
+/// Runs the 64-lane form `run_words(inputs, initial)` on single bits:
+/// each bit fills all 64 lanes, and lane 0 of each output word is read
+/// back.
+template <typename RunWords>
+std::vector<bool> run_bits(const std::vector<bool>& inputs,
+                           const std::vector<bool>& initial,
+                           RunWords&& run_words) {
+  const auto to_words = [](const std::vector<bool>& bits) {
+    std::vector<std::uint64_t> words(bits.size());
+    for (std::size_t i = 0; i < bits.size(); ++i) {
+      words[i] = bits[i] ? ~std::uint64_t{0} : 0;
+    }
+    return words;
+  };
+  const auto out_words = run_words(to_words(inputs), to_words(initial));
+  std::vector<bool> out(out_words.size());
+  for (std::size_t i = 0; i < out_words.size(); ++i) {
+    out[i] = (out_words[i] & 1) != 0;
+  }
+  return out;
+}
+
+}  // namespace
+
 std::vector<std::uint64_t> Machine::run_words(
     const Program& program, const std::vector<std::uint64_t>& inputs,
     const std::vector<std::uint64_t>& initial) {
@@ -56,20 +82,9 @@ std::vector<std::uint64_t> Machine::run_words(
 std::vector<bool> Machine::run(const Program& program,
                                const std::vector<bool>& inputs,
                                const std::vector<bool>& initial) {
-  std::vector<std::uint64_t> in_words(inputs.size());
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    in_words[i] = inputs[i] ? ~std::uint64_t{0} : 0;
-  }
-  std::vector<std::uint64_t> init_words(initial.size());
-  for (std::size_t i = 0; i < initial.size(); ++i) {
-    init_words[i] = initial[i] ? ~std::uint64_t{0} : 0;
-  }
-  const auto out_words = run_words(program, in_words, init_words);
-  std::vector<bool> out(out_words.size());
-  for (std::size_t i = 0; i < out_words.size(); ++i) {
-    out[i] = (out_words[i] & 1) != 0;
-  }
-  return out;
+  return run_bits(inputs, initial, [&](const auto& in, const auto& init) {
+    return run_words(program, in, init);
+  });
 }
 
 std::vector<std::uint64_t> Machine::run_parallel_words(
@@ -182,20 +197,9 @@ std::vector<std::uint64_t> Machine::run_parallel_words(
 std::vector<bool> Machine::run_parallel(const sched::ParallelProgram& program,
                                         const std::vector<bool>& inputs,
                                         const std::vector<bool>& initial) {
-  std::vector<std::uint64_t> in_words(inputs.size());
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    in_words[i] = inputs[i] ? ~std::uint64_t{0} : 0;
-  }
-  std::vector<std::uint64_t> init_words(initial.size());
-  for (std::size_t i = 0; i < initial.size(); ++i) {
-    init_words[i] = initial[i] ? ~std::uint64_t{0} : 0;
-  }
-  const auto out_words = run_parallel_words(program, in_words, init_words);
-  std::vector<bool> out(out_words.size());
-  for (std::size_t i = 0; i < out_words.size(); ++i) {
-    out[i] = (out_words[i] & 1) != 0;
-  }
-  return out;
+  return run_bits(inputs, initial, [&](const auto& in, const auto& init) {
+    return run_parallel_words(program, in, init);
+  });
 }
 
 std::vector<std::uint64_t> Machine::run_decoupled_words(
@@ -272,20 +276,9 @@ std::vector<std::uint64_t> Machine::run_decoupled_words(
 std::vector<bool> Machine::run_decoupled(const sched::ParallelProgram& program,
                                          const std::vector<bool>& inputs,
                                          const std::vector<bool>& initial) {
-  std::vector<std::uint64_t> in_words(inputs.size());
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    in_words[i] = inputs[i] ? ~std::uint64_t{0} : 0;
-  }
-  std::vector<std::uint64_t> init_words(initial.size());
-  for (std::size_t i = 0; i < initial.size(); ++i) {
-    init_words[i] = initial[i] ? ~std::uint64_t{0} : 0;
-  }
-  const auto out_words = run_decoupled_words(program, in_words, init_words);
-  std::vector<bool> out(out_words.size());
-  for (std::size_t i = 0; i < out_words.size(); ++i) {
-    out[i] = (out_words[i] & 1) != 0;
-  }
-  return out;
+  return run_bits(inputs, initial, [&](const auto& in, const auto& init) {
+    return run_decoupled_words(program, in, init);
+  });
 }
 
 void Machine::account_bank_cycles(const std::vector<std::uint64_t>& busy,

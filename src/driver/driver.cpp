@@ -114,35 +114,31 @@ bool read_input_file(const std::string& path, std::string& bytes,
   return true;
 }
 
-/// Parses the bytes of the BLIF file at `path` into `storage`.
-const mig::Mig* parse_blif(const std::string& path, const std::string& bytes,
-                           std::optional<mig::Mig>& storage,
-                           std::vector<Diagnostic>& diags) {
-  try {
-    storage = io::read_blif_text(bytes);
-    return &*storage;
-  } catch (const std::exception& e) {
-    diags.push_back(
-        Diagnostic::error("blif-parse-error", path + ": " + e.what()));
-    return nullptr;
-  }
-}
-
 /// Loads the request's network, or reports why it cannot be loaded.
 /// In-memory requests are *not* copied — the returned pointer aliases
 /// either `storage` or the request's shared network (which the request
-/// keeps alive for the duration of the run).
+/// keeps alive for the duration of the run). A BLIF request parses
+/// `blif_bytes` when they are engaged and reads its file otherwise; the
+/// bytes are freed once parsed, not held through a compile.
 const mig::Mig* load_network(const CompileRequest& request,
+                             std::optional<std::string>& blif_bytes,
                              std::optional<mig::Mig>& storage,
                              std::vector<Diagnostic>& diags) {
   switch (request.kind()) {
-    case CompileRequest::Kind::blif: {
-      std::string bytes;
-      if (!read_input_file(request.path(), bytes, diags)) {
+    case CompileRequest::Kind::blif:
+      if (!blif_bytes &&
+          !read_input_file(request.path(), blif_bytes.emplace(), diags)) {
         return nullptr;
       }
-      return parse_blif(request.path(), bytes, storage, diags);
-    }
+      try {
+        storage = io::read_blif_text(*blif_bytes);
+        blif_bytes.reset();
+        return &*storage;
+      } catch (const std::exception& e) {
+        diags.push_back(Diagnostic::error("blif-parse-error",
+                                          request.path() + ": " + e.what()));
+        return nullptr;
+      }
     case CompileRequest::Kind::benchmark:
       try {
         storage = circuits::build_benchmark(request.label());
@@ -167,6 +163,11 @@ const mig::Mig* load_network(const CompileRequest& request,
 }  // namespace
 
 CompileOutcome Driver::run(const CompileRequest& request) const {
+  return run(request, std::nullopt);
+}
+
+CompileOutcome Driver::run(const CompileRequest& request,
+                           std::optional<std::string> blif_bytes) const {
   // Options::trace switches on the process-wide collectors; it never
   // switches them off, so a caller (plimc --trace) that enabled them
   // directly keeps collecting across drivers with any option set.
@@ -178,14 +179,15 @@ CompileOutcome Driver::run(const CompileRequest& request) const {
       "request",
       "\"benchmark\":\"" + util::json_escape(request.label()) + "\"");
   const auto t0 = std::chrono::steady_clock::now();
-  auto out = run_impl(request);
+  auto out = run_impl(request, blif_bytes);
   out.stats.metrics.total_ms = std::chrono::duration<double, std::milli>(
                                    std::chrono::steady_clock::now() - t0)
                                    .count();
   return out;
 }
 
-CompileOutcome Driver::run_impl(const CompileRequest& request) const {
+CompileOutcome Driver::run_impl(const CompileRequest& request,
+                                std::optional<std::string>& blif_bytes) const {
   CompileOutcome out;
   out.stats.benchmark = request.label();
   auto& metrics = out.stats.metrics;
@@ -202,7 +204,7 @@ CompileOutcome Driver::run_impl(const CompileRequest& request) const {
   const mig::Mig* network = nullptr;
   {
     const util::ScopedPhase phase("load", &metrics.load_ms);
-    network = load_network(request, loaded, out.diagnostics);
+    network = load_network(request, blif_bytes, loaded, out.diagnostics);
   }
   if (network == nullptr) {
     return out;
@@ -434,81 +436,37 @@ CompileOutcome Driver::run_impl(const CompileRequest& request) const {
 
 Driver::CachedOutcome Driver::run_cached(const CompileRequest& request,
                                          serve::CompileCache& cache) const {
-  if (has_errors(options_.validate())) {
-    // Contradictory options are never cached — run() reports them with
-    // the full per-outcome diagnostics story.
-    return {std::make_shared<const CompileOutcome>(run(request))};
-  }
-  const auto failed = [&](std::vector<Diagnostic> diags) {
-    CompileOutcome out;
-    out.stats.benchmark = request.label();
-    out.diagnostics = std::move(diags);
-    return CachedOutcome{
-        std::make_shared<const CompileOutcome>(std::move(out))};
+  // A request that cannot be keyed runs uncached: run() reports it, and
+  // failures are never cached.
+  const auto uncached = [&] {
+    return CachedOutcome{std::make_shared<const CompileOutcome>(run(request))};
   };
-
-  // Content first: bytes (or a name) seen before are answered without
-  // a parse. An in-memory network has no content to digest.
-  std::vector<Diagnostic> load_diags;
-  std::string bytes;
-  std::optional<serve::ContentKey> content;
-  switch (request.kind()) {
-    case CompileRequest::Kind::blif:
-      if (!read_input_file(request.path(), bytes, load_diags)) {
-        return failed(std::move(load_diags));
-      }
-      content = serve::content_key(request.kind(), bytes, options_);
-      break;
-    case CompileRequest::Kind::benchmark:
-      content = serve::content_key(request.kind(), request.label(), options_);
-      break;
-    case CompileRequest::Kind::network:
-      break;
+  if (has_errors(options_.validate())) {
+    return uncached();
   }
-  auto& registry = util::MetricsRegistry::global();
-  if (content) {
-    if (auto cached = cache.lookup_content(*content)) {
-      registry.counter_add("driver.cache.hits");
-      registry.counter_add("driver.cache.content_hits");
-      return {std::move(cached), true};
+  std::optional<std::string> bytes;
+  if (request.kind() == CompileRequest::Kind::blif) {
+    std::vector<Diagnostic> diags;
+    if (!read_input_file(request.path(), bytes.emplace(), diags)) {
+      return uncached();
     }
+  } else if (request.kind() == CompileRequest::Kind::network &&
+             request.network() == nullptr) {
+    return uncached();
   }
 
-  // Unseen content: the key is a digest of the *loaded* network, so the
-  // same circuit hits whether it arrives as other bytes, a named
-  // benchmark or an in-memory MIG.
-  std::optional<mig::Mig> loaded;
-  const mig::Mig* network =
-      request.kind() == CompileRequest::Kind::blif
-          ? parse_blif(request.path(), bytes, loaded, load_diags)
-          : load_network(request, loaded, load_diags);
-  std::string().swap(bytes);  // dead once parsed; not held through a compile
-  if (network == nullptr) {
-    return failed(std::move(load_diags));
-  }
-  const auto key = serve::structural_key(*network, options_);
+  const auto key = serve::request_key(
+      request, bytes ? std::string_view(*bytes) : std::string_view(), options_);
+  auto& registry = util::MetricsRegistry::global();
   if (auto cached = cache.lookup(key)) {
     registry.counter_add("driver.cache.hits");
-    if (content) {
-      cache.add_alias(*content, key);
-    }
     return {std::move(cached), true};
   }
   registry.counter_add("driver.cache.misses");
-
-  // Miss: compile the already-loaded network. Wrapping it as an
-  // in-memory request keeps every later pipeline phase (and its
-  // diagnostics) identical to a direct run while skipping the second
-  // parse; Kind::network requests already share their storage.
-  auto outcome = std::make_shared<const CompileOutcome>(
-      request.kind() == CompileRequest::Kind::network
-          ? run(request)
-          : run(CompileRequest::from_mig(std::move(*loaded), request.label())));
+  auto outcome =
+      std::make_shared<const CompileOutcome>(run(request, std::move(bytes)));
   if (outcome->ok()) {
     cache.insert(key, outcome);
-    if (content) {
-      cache.add_alias(*content, key);
-    }
   }
   return {std::move(outcome)};
 }

@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "arch/program.hpp"
@@ -71,20 +72,15 @@ class Driver {
   /// any byte is read, and a larger file with `input-too-large`.
   [[nodiscard]] CompileOutcome run(const CompileRequest& request) const;
 
-  /// run() through the compiled-program cache. A BLIF request's file is
-  /// read once (a regular file of at most 64 MiB, as in run()) and its
-  /// bytes digested with the options into a content key; a benchmark
-  /// request's content is its name. Content the cache has seen is
-  /// answered from the entry it aliases: no parse, no MIG build, no
-  /// structural hash. Otherwise the network is loaded from the same
-  /// bytes and its structural key (serve::structural_key of network +
-  /// options) probed; a hit returns that entry and records the content
-  /// as its alias. On a miss the full pipeline runs on the
-  /// already-loaded network (files are parsed once, not twice) and a
-  /// successful outcome is inserted, aliased by the content, for the
-  /// next caller. Counted into the metrics registry as
-  /// "driver.cache.hits" / "driver.cache.misses", and content hits also
-  /// as "driver.cache.content_hits".
+  /// run() through the compiled-program cache, one lookup per request
+  /// under serve::request_key: a BLIF request keys by its file's bytes,
+  /// a benchmark request by its name, an in-memory request by its
+  /// network's structure and port names, each ⊕ the options. A miss
+  /// runs run() on the bytes already read, so it is timed and diagnosed
+  /// exactly like run(), and a successful outcome is inserted for the
+  /// next caller. A request that cannot be keyed (contradictory options,
+  /// an unreadable file, no network) runs uncached. Counted into the
+  /// metrics registry as "driver.cache.hits" / "driver.cache.misses".
   ///
   /// `outcome` is the cache's own immutable object on a hit, and the
   /// one it was given on a miss: no outcome is deep-copied. Its
@@ -114,7 +110,13 @@ class Driver {
       serve::CompileCache* cache = nullptr) const;
 
  private:
-  [[nodiscard]] CompileOutcome run_impl(const CompileRequest& request) const;
+  /// run() on a BLIF request whose file run_cached already read: the
+  /// loader parses `blif_bytes` instead of reading the file again.
+  [[nodiscard]] CompileOutcome run(const CompileRequest& request,
+                                   std::optional<std::string> blif_bytes) const;
+  [[nodiscard]] CompileOutcome run_impl(
+      const CompileRequest& request,
+      std::optional<std::string>& blif_bytes) const;
 
   Options options_;
 };

@@ -39,7 +39,8 @@ class CompileRequest {
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
   /// Display name used in diagnostics and StatsReport::benchmark.
   [[nodiscard]] const std::string& label() const noexcept { return label_; }
-  /// Shared in-memory network (Kind::network only, never null there).
+  /// Shared in-memory network (Kind::network only; null there only in a
+  /// moved-from request).
   [[nodiscard]] const mig::Mig* network() const noexcept {
     return network_.get();
   }

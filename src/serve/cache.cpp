@@ -1,11 +1,11 @@
 #include "serve/cache.hpp"
 
-#include <algorithm>
+#include <iterator>
 
 namespace plim::serve {
 
 std::shared_ptr<const CompileOutcome> CompileCache::lookup(
-    const StructuralKey& key) {
+    const CacheKey& key) {
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = index_.find(key);
   if (it == index_.end()) {
@@ -17,29 +17,13 @@ std::shared_ptr<const CompileOutcome> CompileCache::lookup(
   return it->second->outcome;
 }
 
-std::shared_ptr<const CompileOutcome> CompileCache::lookup_content(
-    const ContentKey& content) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = aliases_.find(content);
-  if (it == aliases_.end()) {
-    return nullptr;
-  }
-  ++hits_;
-  ++content_hits_;
-  lru_.splice(lru_.begin(), lru_, it->second);
-  return it->second->outcome;
-}
-
 void CompileCache::erase(Lru::iterator entry) {
-  for (std::size_t a = 0; a < entry->num_aliases; ++a) {
-    aliases_.erase(entry->aliases[a]);
-  }
   bytes_ -= entry->bytes;
   index_.erase(entry->key);
   lru_.erase(entry);
 }
 
-void CompileCache::insert(const StructuralKey& key,
+void CompileCache::insert(const CacheKey& key,
                           std::shared_ptr<const CompileOutcome> outcome) {
   if (outcome == nullptr) {
     return;
@@ -52,7 +36,7 @@ void CompileCache::insert(const StructuralKey& key,
   if (const auto it = index_.find(key); it != index_.end()) {
     erase(it->second);
   }
-  lru_.push_front(Entry{key, std::move(outcome), bytes, {}, 0});
+  lru_.push_front(Entry{key, std::move(outcome), bytes});
   index_[key] = lru_.begin();
   bytes_ += bytes;
   ++insertions_;
@@ -62,36 +46,14 @@ void CompileCache::insert(const StructuralKey& key,
   }
 }
 
-void CompileCache::add_alias(const ContentKey& content,
-                             const StructuralKey& key) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = index_.find(key);
-  if (it == index_.end()) {
-    return;
-  }
-  const auto entry = it->second;
-  if (!aliases_.try_emplace(content, entry).second) {
-    return;
-  }
-  if (entry->num_aliases == kMaxAliases) {
-    aliases_.erase(entry->aliases[0]);
-    std::rotate(entry->aliases.begin(), entry->aliases.begin() + 1,
-                entry->aliases.end());
-    --entry->num_aliases;
-  }
-  entry->aliases[entry->num_aliases++] = content;
-}
-
 CompileCache::Stats CompileCache::stats() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   Stats s;
   s.hits = hits_;
   s.misses = misses_;
-  s.content_hits = content_hits_;
   s.insertions = insertions_;
   s.evictions = evictions_;
   s.entries = lru_.size();
-  s.aliases = aliases_.size();
   s.bytes = bytes_;
   s.max_bytes = max_bytes_;
   return s;

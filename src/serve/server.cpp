@@ -136,7 +136,6 @@ ServerSnapshot Server::snapshot() const {
   const auto cache_stats = cache_.stats();
   s.cache_hits = cache_stats.hits;
   s.cache_misses = cache_stats.misses;
-  s.content_hits = cache_stats.content_hits;
   s.cache_evictions = cache_stats.evictions;
   s.hit_rate = cache_stats.hit_rate();
   s.cache_entries = cache_stats.entries;
@@ -172,7 +171,6 @@ std::string Server::run_compile(
                                         : "serve.cache.misses");
   registry.observe("serve.latency_ms", latency_ms);
   registry.observe("serve.queue_ms", queue_ms);
-  registry.gauge_set("serve.cache.hit_rate", cache_.stats().hit_rate());
   // The envelope owns the wall clock; the report stays byte-stable, so
   // a hit's report is identical to the miss that populated it.
   return compile_response(request.id, compile_request.label(),
@@ -203,31 +201,34 @@ void Server::finish_job() {
   drained_.notify_all();
 }
 
-void Server::handle_line(const std::string& line,
-                         const std::shared_ptr<Connection>& conn) {
-  Request request;
+std::optional<std::string> Server::answer_command(const std::string& line,
+                                                  Request& request) {
   std::string error;
   if (!parse_request(line, request, error)) {
-    conn->write_line(error_response("", "bad-request", error));
-    return;
+    return error_response("", "bad-request", error);
   }
   switch (request.kind) {
     case Request::Kind::ping:
-      conn->write_line(pong_response(request.id));
-      return;
+      return pong_response(request.id);
     case Request::Kind::stats:
-      conn->write_line(stats_response(request.id, snapshot()));
-      return;
+      return stats_response(request.id, snapshot());
     case Request::Kind::shutdown:
-      conn->write_line(shutdown_response(request.id));
       request_shutdown();
-      return;
+      return shutdown_response(request.id);
     case Request::Kind::compile:
       break;
   }
+  return std::nullopt;
+}
+
+void Server::handle_line(const std::string& line,
+                         const std::shared_ptr<Connection>& conn) {
+  Request request;
+  if (auto answer = answer_command(line, request)) {
+    conn->write_line(*answer);
+    return;
+  }
   pending_.fetch_add(1, std::memory_order_acq_rel);
-  util::MetricsRegistry::global().gauge_set(
-      "serve.queue_depth", static_cast<double>(queue_.approx_size() + 1));
   Job job;
   job.request = std::move(request);
   job.enqueued = std::chrono::steady_clock::now();
@@ -380,20 +381,8 @@ void Server::drain_and_stop() {
 
 std::string Server::process_line(const std::string& line) {
   Request request;
-  std::string error;
-  if (!parse_request(line, request, error)) {
-    return error_response("", "bad-request", error);
-  }
-  switch (request.kind) {
-    case Request::Kind::ping:
-      return pong_response(request.id);
-    case Request::Kind::stats:
-      return stats_response(request.id, snapshot());
-    case Request::Kind::shutdown:
-      request_shutdown();
-      return shutdown_response(request.id);
-    case Request::Kind::compile:
-      break;
+  if (auto answer = answer_command(line, request)) {
+    return *std::move(answer);
   }
   const auto now = std::chrono::steady_clock::now();
   try {
@@ -464,8 +453,6 @@ int Server::serve() {
               << '\n';
   }
 
-  util::MetricsRegistry::global().gauge_set(
-      "serve.workers", static_cast<double>(options_.workers));
   workers_.reserve(options_.workers);
   for (unsigned t = 0; t < options_.workers; ++t) {
     workers_.emplace_back([this]() { worker_loop(); });

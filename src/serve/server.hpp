@@ -9,6 +9,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -45,10 +46,11 @@ struct ServerOptions {
 /// JSON lines (see protocol.hpp) over stdin and/or local sockets, fan
 /// out onto a worker pool through a bounded MPMC queue, and are
 /// answered from the compiled-program cache (see CompileCache) whenever
-/// the same bytes or name, or an identical (MIG, Options) pair, were
-/// compiled before. Cache hit rate, queue depth and request latency
-/// flow into util::MetricsRegistry ("serve.*" metrics) next to the
-/// per-phase driver metrics. At most 64 socket connections are served
+/// the same file bytes or benchmark name were compiled before. Request
+/// counts, cache hits and misses and request latency flow into
+/// util::MetricsRegistry ("serve.*" metrics) next to the per-phase
+/// driver metrics; the stats command reports the hit rate, queue depth
+/// and worker count. At most 64 socket connections are served
 /// at once; a client past the cap gets one `too-many-connections` error
 /// line and is disconnected.
 ///
@@ -121,6 +123,11 @@ class Server {
   void worker_loop();
   void reader_loop(const std::shared_ptr<Connection>& conn);
   void acceptor_loop(int listen_fd);
+  /// Parses `line` and answers it unless it asks for a compile: a
+  /// malformed line, ping, stats or shutdown (which also flags the
+  /// drain). A compile request comes back in `request`, unanswered.
+  [[nodiscard]] std::optional<std::string> answer_command(
+      const std::string& line, Request& request);
   void handle_line(const std::string& line,
                    const std::shared_ptr<Connection>& conn);
   /// Runs one compile request end to end; `enqueued` anchors the

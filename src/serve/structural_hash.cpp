@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
 #include <cstring>
 
 namespace plim::serve {
@@ -17,37 +16,49 @@ constexpr std::uint64_t splitmix(std::uint64_t x) noexcept {
   return x ^ (x >> 31);
 }
 
+/// Streaming two-lane mixer (splitmix64 finalizers over independent
+/// states). Both lanes absorb every word with different evolution, so a
+/// single-lane collision does not collide the key.
+class StructuralHasher {
+ public:
+  void mix(std::uint64_t v) noexcept {
+    ++words_;
+    a_ = splitmix(a_ ^ v);
+    // Lane B evolves position-dependently and with a different
+    // injection, so the lanes never degenerate into copies of each other.
+    b_ = splitmix(b_ + v * 0xd6e8feb86659fd93ULL + words_);
+  }
+  void mix_bool(bool v) noexcept { mix(v ? 1 : 2); }
+
+  /// Closes both lanes over the word count, so prefixes of a stream
+  /// never share a key with the stream itself.
+  [[nodiscard]] CacheKey key() const noexcept {
+    return {splitmix(a_ ^ (words_ * 0xa0761d6478bd642fULL)),
+            splitmix(b_ ^ words_ ^ 0xe7037ed1a0b428dbULL)};
+  }
+
+ private:
+  std::uint64_t a_ = 0x6a09e667f3bcc909ULL;  // sqrt(2), sqrt(3) fractions
+  std::uint64_t b_ = 0xbb67ae8584caa73bULL;
+  std::uint64_t words_ = 0;
+};
+
 std::uint64_t load64(const char* p) noexcept {
   std::uint64_t word = 0;
   std::memcpy(&word, p, sizeof word);
   return word;
 }
 
-}  // namespace
-
-std::string StructuralKey::to_hex() const {
-  char buf[33];
-  std::snprintf(buf, sizeof buf, "%016llx%016llx",
-                static_cast<unsigned long long>(hi),
-                static_cast<unsigned long long>(lo));
-  return buf;
-}
-
-void StructuralHasher::mix(std::uint64_t v) noexcept {
-  ++words_;
-  a_ = splitmix(a_ ^ v);
-  // Lane B evolves position-dependently and with a different injection,
-  // so the lanes never degenerate into copies of each other.
-  b_ = splitmix(b_ + v * 0xd6e8feb86659fd93ULL + words_);
-}
-
-StructuralKey StructuralHasher::key() const noexcept {
-  // Close both lanes over the word count so prefixes of a stream never
-  // share a key with the stream itself.
-  StructuralKey k;
-  k.hi = splitmix(a_ ^ (words_ * 0xa0761d6478bd642fULL));
-  k.lo = splitmix(b_ ^ words_ ^ 0xe7037ed1a0b428dbULL);
-  return k;
+/// Mixes `text` as its length and then zero-padded 8-byte words; the
+/// length tells a short tail from trailing zero bytes.
+void mix_text(StructuralHasher& h, std::string_view text) {
+  h.mix(text.size());
+  for (std::size_t at = 0; at < text.size(); at += 8) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, text.data() + at,
+                std::min<std::size_t>(8, text.size() - at));
+    h.mix(word);
+  }
 }
 
 void hash_mig(StructuralHasher& h, const mig::Mig& network) {
@@ -75,8 +86,18 @@ void hash_mig(StructuralHasher& h, const mig::Mig& network) {
   });
   network.foreach_po(
       [&](mig::Signal po, std::uint32_t) { h.mix(po.raw()); });
+  for (std::uint32_t i = 0; i < network.num_pis(); ++i) {
+    mix_text(h, network.pi_name(i));
+  }
+  for (std::uint32_t i = 0; i < network.num_pos(); ++i) {
+    mix_text(h, network.po_name(i));
+  }
 }
 
+/// Digest of every compilation-relevant Options field. Any field change
+/// — including nested rewrite/compile/schedule/verify/trace fields —
+/// changes the key (the options-sensitivity test in test_serve.cpp
+/// walks this list; extend both together when Options grows).
 void hash_options(StructuralHasher& h, const Options& options) {
   // One word per field, nested sections fenced by sentinels. Mirrors
   // plim::Options field for field, except the schedule fields the
@@ -112,16 +133,9 @@ void hash_options(StructuralHasher& h, const Options& options) {
   h.mix_bool(options.trace.enabled);
 }
 
-StructuralKey structural_key(const mig::Mig& network,
-                             const Options& options) {
-  StructuralHasher h;
-  hash_mig(h, network);
-  hash_options(h, options);
-  return h.key();
-}
-
-ContentKey content_key(CompileRequest::Kind kind, std::string_view content,
-                       const Options& options) {
+/// The bytes of a BLIF file or a benchmark's name, told apart by `kind`.
+void hash_content(StructuralHasher& h, CompileRequest::Kind kind,
+                  std::string_view content) {
   constexpr std::uint64_t kPrime1 = 0x9e3779b185ebca87ULL;
   constexpr std::uint64_t kPrime2 = 0xc2b2ae3d27d4eb4fULL;
   std::uint64_t lanes[4] = {kPrime1 + kPrime2, kPrime2, 0, 0 - kPrime1};
@@ -133,20 +147,36 @@ ContentKey content_key(CompileRequest::Kind kind, std::string_view content,
                  kPrime1;
     }
   }
-  StructuralHasher h;
   h.mix(0x0c01);  // content fence
   h.mix(static_cast<std::uint64_t>(kind));
   h.mix(content.size());
   for (const auto lane : lanes) {
     h.mix(lane);
   }
-  // The tail (under 32 bytes) in zero-padded words; the length above
-  // tells a short tail from trailing zero bytes.
-  for (; p < end; p += 8) {
-    std::uint64_t word = 0;
-    std::memcpy(&word, p,
-                std::min(std::size_t{8}, static_cast<std::size_t>(end - p)));
-    h.mix(word);
+  mix_text(h, std::string_view(p, static_cast<std::size_t>(end - p)));
+}
+
+}  // namespace
+
+CacheKey structural_key(const mig::Mig& network, const Options& options) {
+  StructuralHasher h;
+  hash_mig(h, network);
+  hash_options(h, options);
+  return h.key();
+}
+
+CacheKey request_key(const CompileRequest& request,
+                     std::string_view blif_bytes, const Options& options) {
+  StructuralHasher h;
+  switch (request.kind()) {
+    case CompileRequest::Kind::blif:
+      hash_content(h, request.kind(), blif_bytes);
+      break;
+    case CompileRequest::Kind::benchmark:
+      hash_content(h, request.kind(), request.label());
+      break;
+    case CompileRequest::Kind::network:
+      return structural_key(*request.network(), options);
   }
   hash_options(h, options);
   return h.key();

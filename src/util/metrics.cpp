@@ -33,6 +33,16 @@ double bucket_upper(std::size_t k) {
   return std::ldexp(1.0, static_cast<int>(k));
 }
 
+/// The entry `name` of `map`, created value-initialized on first use.
+template <typename Map>
+typename Map::mapped_type& entry(Map& map, std::string_view name) {
+  auto it = map.find(name);
+  if (it == map.end()) {
+    it = map.emplace(std::string(name), typename Map::mapped_type{}).first;
+  }
+  return it->second;
+}
+
 void append_number(std::string& out, double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%g", v);
@@ -72,32 +82,32 @@ MetricsRegistry& MetricsRegistry::global() {
   return registry;
 }
 
-void MetricsRegistry::counter_add(const std::string& name,
+void MetricsRegistry::counter_add(std::string_view name,
                                   std::uint64_t delta) {
   if (!enabled()) {
     return;
   }
   const std::lock_guard<std::mutex> lock(mutex_);
-  auto& c = counters_[name];
+  auto& c = entry(counters_, name);
   // Saturate instead of wrapping: a monotone counter must never appear
   // to go backwards to a scraper.
   c = (c + delta < c) ? ~std::uint64_t{0} : c + delta;
 }
 
-void MetricsRegistry::gauge_set(const std::string& name, double value) {
+void MetricsRegistry::gauge_set(std::string_view name, double value) {
   if (!enabled()) {
     return;
   }
   const std::lock_guard<std::mutex> lock(mutex_);
-  gauges_[name] = value;
+  entry(gauges_, name) = value;
 }
 
-void MetricsRegistry::observe(const std::string& name, double value) {
+void MetricsRegistry::observe(std::string_view name, double value) {
   if (!enabled()) {
     return;
   }
   const std::lock_guard<std::mutex> lock(mutex_);
-  auto& h = histograms_[name];
+  auto& h = entry(histograms_, name);
   if (h.count == 0) {
     h.min = value;
     h.max = value;
@@ -114,19 +124,19 @@ void MetricsRegistry::observe(const std::string& name, double value) {
   ++h.buckets[k];
 }
 
-std::uint64_t MetricsRegistry::counter(const std::string& name) const {
+std::uint64_t MetricsRegistry::counter(std::string_view name) const {
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = counters_.find(name);
   return it != counters_.end() ? it->second : 0;
 }
 
-double MetricsRegistry::gauge(const std::string& name) const {
+double MetricsRegistry::gauge(std::string_view name) const {
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = gauges_.find(name);
   return it != gauges_.end() ? it->second : 0.0;
 }
 
-HistogramSnapshot MetricsRegistry::histogram(const std::string& name) const {
+HistogramSnapshot MetricsRegistry::histogram(std::string_view name) const {
   const std::lock_guard<std::mutex> lock(mutex_);
   HistogramSnapshot snap;
   const auto it = histograms_.find(name);
@@ -140,19 +150,20 @@ HistogramSnapshot MetricsRegistry::histogram(const std::string& name) const {
   return snap;
 }
 
-std::map<std::string, std::uint64_t> MetricsRegistry::counters() const {
+MetricsRegistry::NameMap<std::uint64_t> MetricsRegistry::counters() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return counters_;
 }
 
-std::map<std::string, double> MetricsRegistry::gauges() const {
+MetricsRegistry::NameMap<double> MetricsRegistry::gauges() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return gauges_;
 }
 
-std::map<std::string, HistogramSnapshot> MetricsRegistry::histograms() const {
+MetricsRegistry::NameMap<HistogramSnapshot> MetricsRegistry::histograms()
+    const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  std::map<std::string, HistogramSnapshot> out;
+  NameMap<HistogramSnapshot> out;
   for (const auto& [name, h] : histograms_) {
     HistogramSnapshot snap;
     snap.count = h.count;

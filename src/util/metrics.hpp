@@ -2,9 +2,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace plim::util {
@@ -32,11 +34,13 @@ struct HistogramSnapshot {
 
 /// Process-wide metrics registry: named counters (monotone, saturating
 /// at 2^64), gauges (last value wins) and log2 histograms. Every
-/// recording call is gated on one relaxed atomic load, so permanently
-/// instrumented hot paths (the list scheduler, refinement) cost nothing
-/// while the registry is disabled; when enabled, each call takes one
-/// mutex. plimc enables it for --metrics / --trace and prints summary()
-/// at exit; the compile-server will export snapshot() per scrape.
+/// recording call is gated on one relaxed atomic load and takes its
+/// name as a view, so permanently instrumented hot paths (the list
+/// scheduler, refinement, the compile server) allocate nothing and
+/// cost nothing else while the registry is disabled; when enabled,
+/// each call takes one mutex. plimc enables it for --metrics / --trace
+/// and prints summary() at exit; the compile-server will export
+/// snapshot() per scrape.
 class MetricsRegistry {
  public:
   static MetricsRegistry& global();
@@ -50,20 +54,24 @@ class MetricsRegistry {
 
   /// Adds `delta` to counter `name` (created at 0). Counters only ever
   /// grow — there is no decrement or set.
-  void counter_add(const std::string& name, std::uint64_t delta = 1);
+  void counter_add(std::string_view name, std::uint64_t delta = 1);
   /// Sets gauge `name` to `value` (last writer wins).
-  void gauge_set(const std::string& name, double value);
+  void gauge_set(std::string_view name, double value);
   /// Records one sample into histogram `name`.
-  void observe(const std::string& name, double value);
+  void observe(std::string_view name, double value);
 
   /// Current counter value (0 when never touched).
-  [[nodiscard]] std::uint64_t counter(const std::string& name) const;
-  [[nodiscard]] double gauge(const std::string& name) const;
-  [[nodiscard]] HistogramSnapshot histogram(const std::string& name) const;
+  [[nodiscard]] std::uint64_t counter(std::string_view name) const;
+  [[nodiscard]] double gauge(std::string_view name) const;
+  [[nodiscard]] HistogramSnapshot histogram(std::string_view name) const;
 
-  [[nodiscard]] std::map<std::string, std::uint64_t> counters() const;
-  [[nodiscard]] std::map<std::string, double> gauges() const;
-  [[nodiscard]] std::map<std::string, HistogramSnapshot> histograms() const;
+  /// Name-sorted maps that `find` by a std::string_view as well.
+  template <typename Value>
+  using NameMap = std::map<std::string, Value, std::less<>>;
+
+  [[nodiscard]] NameMap<std::uint64_t> counters() const;
+  [[nodiscard]] NameMap<double> gauges() const;
+  [[nodiscard]] NameMap<HistogramSnapshot> histograms() const;
 
   /// Emits every metric as fields of the currently open JSON object:
   /// "counters" / "gauges" as flat objects, "histograms" with
@@ -89,9 +97,9 @@ class MetricsRegistry {
 
   std::atomic<bool> enabled_{false};
   mutable std::mutex mutex_;
-  std::map<std::string, std::uint64_t> counters_;
-  std::map<std::string, double> gauges_;
-  std::map<std::string, Histogram> histograms_;
+  NameMap<std::uint64_t> counters_;
+  NameMap<double> gauges_;
+  NameMap<Histogram> histograms_;
 };
 
 }  // namespace plim::util

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
 #include <string>
 #include <thread>
 #include <vector>
@@ -8,6 +11,28 @@
 #include "util/metrics.hpp"
 #include "util/stats.hpp"
 #include "util/trace.hpp"
+
+// Counting replacements of the global allocation functions that every
+// std::string and container of this binary goes through. Each replaced
+// new pairs with a replaced delete, so no block crosses allocators, also
+// where a sanitizer runtime supplies the array forms.
+namespace {
+std::atomic<std::size_t> allocations{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace plim {
 namespace {
@@ -36,6 +61,19 @@ TEST_F(MetricsTest, DisabledRegistryRecordsNothing) {
   EXPECT_TRUE(reg.counters().empty());
   EXPECT_TRUE(reg.gauges().empty());
   EXPECT_TRUE(reg.histograms().empty());
+}
+
+/// Recording into a disabled registry allocates nothing, even under a
+/// name too long for std::string's inline buffer.
+TEST_F(MetricsTest, DisabledRegistryAllocatesNothing) {
+  auto& reg = util::MetricsRegistry::global();
+  ASSERT_FALSE(reg.enabled());
+  const char* name = "serve.latency_ms.p99";  // 20 bytes
+  const auto before = allocations.load();
+  reg.counter_add(name);
+  reg.gauge_set(name, 1.0);
+  reg.observe(name, 1.0);
+  EXPECT_EQ(allocations.load() - before, 0u);
 }
 
 TEST_F(MetricsTest, CountersAreMonotone) {

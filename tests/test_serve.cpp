@@ -19,10 +19,12 @@
 #include <thread>
 #include <vector>
 
+#include "arch/text.hpp"
 #include "circuits/epfl.hpp"
 #include "driver/driver.hpp"
 #include "io/blif.hpp"
 #include "mig/mig.hpp"
+#include "sched/text.hpp"
 #include "serve/cache.hpp"
 #include "serve/mpmc_queue.hpp"
 #include "serve/protocol.hpp"
@@ -111,30 +113,36 @@ TEST(StructuralHashTest, RebuildingTheSameCircuitGivesTheSameKey) {
   const auto a = serve::structural_key(circuits::make_ctrl(), options);
   const auto b = serve::structural_key(circuits::make_ctrl(), options);
   EXPECT_EQ(a, b);
-  EXPECT_EQ(a.to_hex(), b.to_hex());
-  EXPECT_EQ(a.to_hex().size(), 32u);
 }
 
-TEST(StructuralHashTest, NamesDoNotChangeTheKey) {
-  // The same structure with different PI/PO names must share a cache
-  // line — names are presentation, not structure.
-  mig::Mig named;
-  {
-    const auto x = named.create_pi("x");
-    const auto y = named.create_pi("y");
-    const auto z = named.create_pi("z");
-    named.create_po(named.create_maj(x, y, z), "out");
-  }
-  mig::Mig anonymous;
-  {
-    const auto x = anonymous.create_pi();
-    const auto y = anonymous.create_pi();
-    const auto z = anonymous.create_pi();
-    anonymous.create_po(anonymous.create_maj(x, y, z));
-  }
+/// maj(x, y, z) with the given port names.
+mig::Mig named_maj(const std::string& x, const std::string& y,
+                   const std::string& z, const std::string& out) {
+  mig::Mig network;
+  const auto a = network.create_pi(x);
+  const auto b = network.create_pi(y);
+  const auto c = network.create_pi(z);
+  network.create_po(network.create_maj(a, b, c), out);
+  return network;
+}
+
+TEST(StructuralHashTest, NamesChangeTheKey) {
+  // The compiled program carries the port names, so a network keys by
+  // its PI and PO names in order as well as by its structure.
   const Options options;
-  EXPECT_EQ(serve::structural_key(named, options),
-            serve::structural_key(anonymous, options));
+  const auto key = serve::structural_key(named_maj("x", "y", "z", "out"),
+                                         options);
+  EXPECT_EQ(serve::structural_key(named_maj("x", "y", "z", "out"), options),
+            key);
+  EXPECT_NE(serve::structural_key(named_maj("x", "y", "z", "f"), options),
+            key);
+  EXPECT_NE(serve::structural_key(named_maj("a", "y", "z", "out"), options),
+            key);
+  EXPECT_NE(serve::structural_key(named_maj("y", "x", "z", "out"), options),
+            key);
+  // Where one name ends and the next begins is part of the key.
+  EXPECT_NE(serve::structural_key(named_maj("xy", "z", "w", "out"), options),
+            serve::structural_key(named_maj("x", "yz", "w", "out"), options));
 }
 
 TEST(StructuralHashTest, StructureChangesChangeTheKey) {
@@ -168,7 +176,7 @@ TEST(StructuralHashTest, StructureChangesChangeTheKey) {
 
 TEST(StructuralHashTest, EpflBenchmarksHavePairwiseDistinctKeys) {
   const Options options;
-  std::vector<std::pair<std::string, serve::StructuralKey>> keys;
+  std::vector<std::pair<std::string, serve::CacheKey>> keys;
   for (const auto& spec : circuits::epfl_suite()) {
     keys.emplace_back(spec.name,
                       serve::structural_key(spec.build(), options));
@@ -246,35 +254,42 @@ TEST(StructuralHashTest, EveryOptionsFieldChangesTheKey) {
   }
 }
 
-TEST(StructuralHashTest, ContentKeysSeparateBytesKindsAndOptions) {
+TEST(StructuralHashTest, RequestKeysSeparateBytesKindsAndOptions) {
   const Options options;
-  const auto blif = CompileRequest::Kind::blif;
+  const auto blif_key = [](const std::string& bytes, const Options& o) {
+    return serve::request_key(CompileRequest::from_blif("a.blif"), bytes, o);
+  };
   // Lengths across the 32-byte stripes and the zero-padded tail.
   std::string text(70, 'x');
-  const auto key = serve::content_key(blif, text, options);
-  EXPECT_EQ(serve::content_key(blif, text, options), key);
+  const auto key = blif_key(text, options);
+  EXPECT_EQ(blif_key(text, options), key);
+  EXPECT_EQ(serve::request_key(CompileRequest::from_blif("b.blif"), text,
+                               options),
+            key);  // the bytes, not the path
   for (const std::size_t at : {std::size_t{0}, std::size_t{31},
                                std::size_t{64}, std::size_t{69}}) {
     auto edited = text;
     edited[at] = 'y';
-    EXPECT_NE(serve::content_key(blif, edited, options), key) << at;
+    EXPECT_NE(blif_key(edited, options), key) << at;
   }
-  EXPECT_NE(serve::content_key(blif, text + '\0', options), key);
-  EXPECT_NE(serve::content_key(blif, text.substr(1), options), key);
-  EXPECT_NE(serve::content_key(CompileRequest::Kind::benchmark, text, options),
+  EXPECT_NE(blif_key(text + '\0', options), key);
+  EXPECT_NE(blif_key(text.substr(1), options), key);
+  EXPECT_NE(serve::request_key(CompileRequest::from_benchmark(text), {},
+                               options),
             key);
   Options banked;
   banked.banks = 4;
-  EXPECT_NE(serve::content_key(blif, text, banked), key);
+  EXPECT_NE(blif_key(text, banked), key);
+  // An in-memory request keys by its network.
+  const auto network = circuits::make_ctrl();
+  EXPECT_EQ(serve::request_key(CompileRequest::from_mig(network, "m"), {},
+                               options),
+            serve::structural_key(network, options));
 }
 
 // ---- CompileCache ----------------------------------------------------------
 
-serve::StructuralKey key_of(std::uint64_t n) {
-  serve::StructuralHasher h;
-  h.mix(n);
-  return h.key();
-}
+serve::CacheKey key_of(std::uint64_t n) { return {0, n}; }
 
 std::shared_ptr<const CompileOutcome> outcome_named(const std::string& name) {
   CompileOutcome outcome;
@@ -694,7 +709,7 @@ TEST(ContentIndexTest, SameBytesAtASecondPathAreAContentHit) {
   const auto hit = server.process_line(compile_line("2", b.path()));
   EXPECT_NE(miss.find("\"cache\":\"miss\""), std::string::npos) << miss;
   EXPECT_NE(hit.find("\"cache\":\"hit\""), std::string::npos) << hit;
-  EXPECT_EQ(server.cache().stats().content_hits, 1u);
+  EXPECT_EQ(server.cache().stats().hits, 1u);
 
   // The hit reports under its own path and is otherwise the miss's report.
   auto expected = report_part(miss);
@@ -703,7 +718,7 @@ TEST(ContentIndexTest, SameBytesAtASecondPathAreAContentHit) {
   expected.replace(at, a.path().size(), b.path());
   EXPECT_EQ(report_part(hit), expected);
   EXPECT_NE(server.process_line(R"({"cmd":"stats","id":"s"})")
-                .find("\"content_hits\":1"),
+                .find("\"cache_hits\":1"),
             std::string::npos);
 }
 
@@ -729,74 +744,107 @@ TEST(ContentIndexTest, OverwrittenFileMissesAndRestoredBytesHit) {
   const auto restored = driver.run_cached(request, cache);
   EXPECT_TRUE(restored.cache_hit);
   EXPECT_EQ(restored.outcome.get(), ctrl.outcome.get());
-  EXPECT_EQ(cache.stats().content_hits, 1u);
+  EXPECT_EQ(cache.stats().hits, 1u);
 }
 
-TEST(ContentIndexTest, CommentOnlyEditHitsStructurallyThenByContent) {
+TEST(ContentIndexTest, CommentOnlyEditMissesWithTheSameReport) {
   const Driver driver{Options{}};
   serve::CompileCache cache(std::size_t{64} << 20);
   const TempFile file("commented.blif");
   const auto request = CompileRequest::from_blif(file.path());
   file.write(ctrl_blif());
-  EXPECT_FALSE(driver.run_cached(request, cache).cache_hit);
+  const auto first = driver.run_cached(request, cache);
+  ASSERT_TRUE(first.outcome->ok()) << first.outcome->error_summary();
 
   file.write("# an edited comment\n" + ctrl_blif());
+  const auto edited = driver.run_cached(request, cache);
+  ASSERT_TRUE(edited.outcome->ok()) << edited.outcome->error_summary();
+  EXPECT_FALSE(edited.cache_hit);
   EXPECT_TRUE(driver.run_cached(request, cache).cache_hit);
-  EXPECT_EQ(cache.stats().content_hits, 0u);  // found by structure
-  EXPECT_TRUE(driver.run_cached(request, cache).cache_hit);
-  EXPECT_EQ(cache.stats().content_hits, 1u);  // now by content
-  EXPECT_EQ(cache.stats().aliases, 2u);
+  auto first_stats = first.outcome->stats;
+  auto edited_stats = edited.outcome->stats;
+  first_stats.normalize_timing();
+  edited_stats.normalize_timing();
+  EXPECT_EQ(edited_stats.to_json(), first_stats.to_json());
+  EXPECT_EQ(cache.stats().entries, 2u);
 }
 
-TEST(ContentIndexTest, EvictionDropsTheEntrysAliases) {
-  const Driver driver{Options{}};
-  const TempFile ctrl("evicted_ctrl.blif");
-  const TempFile dec("evicted_dec.blif");
-  ctrl.write(ctrl_blif());
-  dec.write(dec_blif());
-  const auto ctrl_bytes = serve::CompileCache::approx_bytes(
-      driver.run(CompileRequest::from_blif(ctrl.path())));
-  const auto dec_bytes = serve::CompileCache::approx_bytes(
-      driver.run(CompileRequest::from_blif(dec.path())));
-  serve::CompileCache cache(std::max(ctrl_bytes, dec_bytes));  // one entry
-
-  (void)driver.run_cached(CompileRequest::from_blif(ctrl.path()), cache);
-  EXPECT_EQ(cache.stats().aliases, 1u);
-  (void)driver.run_cached(CompileRequest::from_blif(dec.path()), cache);
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_EQ(cache.stats().entries, 1u);
-  EXPECT_EQ(cache.stats().aliases, 1u);  // dec's; ctrl's died with it
-  EXPECT_FALSE(
-      driver.run_cached(CompileRequest::from_blif(ctrl.path()), cache)
-          .cache_hit);
-  EXPECT_EQ(cache.stats().content_hits, 0u);
+/// `network` with "x_" before every PI name and "y_" before every PO
+/// name; its nodes keep their order.
+mig::Mig with_prefixed_ports(const mig::Mig& network) {
+  mig::Mig out;
+  std::vector<mig::Signal> image(network.size());
+  const auto map = [&](mig::Signal s) {
+    return image[s.index()] ^ s.complemented();
+  };
+  network.foreach_node([&](mig::node n) {
+    if (network.kind(n) == mig::Mig::NodeKind::pi) {
+      image[n] = out.create_pi("x_" + network.pi_name(network.pi_index(n)));
+    } else if (network.kind(n) == mig::Mig::NodeKind::gate) {
+      const auto& fanin = network.fanins(n);
+      image[n] = out.create_maj(map(fanin[0]), map(fanin[1]), map(fanin[2]));
+    }
+  });
+  network.foreach_po([&](mig::Signal po, std::uint32_t i) {
+    out.create_po(map(po), "y_" + network.po_name(i));
+  });
+  return out;
 }
 
-TEST(ContentIndexTest, AFifthByteFormDropsTheOldestAlias) {
+/// A cached program carries its own request's port names: two files of
+/// one circuit that differ only in port names do not share an entry.
+TEST(ContentIndexTest, FilesThatDifferOnlyInPortNamesDoNotShareAProgram) {
+  Options options;
+  options.banks = 4;
+  const Driver driver(options);
+  serve::CompileCache cache(std::size_t{64} << 20);
+  const TempFile original("ports_original.blif");
+  const TempFile renamed("ports_renamed.blif");
+  original.write(ctrl_blif());
+  renamed.write(
+      io::to_blif(with_prefixed_ports(circuits::make_ctrl()), "ctrl"));
+  const auto first =
+      driver.run_cached(CompileRequest::from_blif(original.path()), cache);
+  ASSERT_TRUE(first.outcome->ok()) << first.outcome->error_summary();
+
+  const auto request = CompileRequest::from_blif(renamed.path());
+  const auto second = driver.run_cached(request, cache);
+  ASSERT_TRUE(second.outcome->ok()) << second.outcome->error_summary();
+  EXPECT_FALSE(second.cache_hit);
+  const auto fresh = driver.run(request);
+  ASSERT_TRUE(fresh.ok()) << fresh.error_summary();
+  EXPECT_EQ(second.outcome->program.input_name(0), "x_x0");
+  EXPECT_EQ(second.outcome->program.output_name(0), "y_op0");
+  EXPECT_EQ(arch::to_text(second.outcome->program),
+            arch::to_text(fresh.program));
+  ASSERT_TRUE(second.outcome->parallel.has_value());
+  ASSERT_TRUE(fresh.parallel.has_value());
+  EXPECT_EQ(sched::to_text(*second.outcome->parallel),
+            sched::to_text(*fresh.parallel));
+}
+
+/// In memory, equal structure and port names share an entry and other
+/// port names do not; a request with no network is reported, uncached.
+TEST(RunCachedTest, InMemoryRequestsKeyByStructureAndPortNames) {
   const Driver driver{Options{}};
   serve::CompileCache cache(std::size_t{64} << 20);
-  std::vector<std::unique_ptr<TempFile>> forms;
-  for (int k = 0; k < 5; ++k) {
-    forms.push_back(
-        std::make_unique<TempFile>("form" + std::to_string(k) + ".blif"));
-    forms.back()->write("# form " + std::to_string(k) + "\n" + ctrl_blif());
-    (void)driver.run_cached(CompileRequest::from_blif(forms.back()->path()),
-                            cache);
-  }
-  EXPECT_EQ(cache.stats().entries, 1u);
-  EXPECT_EQ(cache.stats().aliases, serve::CompileCache::kMaxAliases);
-  EXPECT_EQ(cache.stats().content_hits, 0u);
+  const auto run = [&](mig::Mig network) {
+    return driver.run_cached(
+        CompileRequest::from_mig(std::move(network), "in-memory"), cache);
+  };
+  EXPECT_FALSE(run(circuits::make_ctrl()).cache_hit);
+  EXPECT_TRUE(run(circuits::make_ctrl()).cache_hit);
+  const auto renamed = run(with_prefixed_ports(circuits::make_ctrl()));
+  ASSERT_TRUE(renamed.outcome->ok()) << renamed.outcome->error_summary();
+  EXPECT_FALSE(renamed.cache_hit);
+  EXPECT_EQ(renamed.outcome->program.input_name(0), "x_x0");
 
-  // Form 0 was the oldest alias: it hits through the structure again.
-  EXPECT_TRUE(
-      driver.run_cached(CompileRequest::from_blif(forms[0]->path()), cache)
-          .cache_hit);
-  EXPECT_EQ(cache.stats().content_hits, 0u);
-  EXPECT_TRUE(
-      driver.run_cached(CompileRequest::from_blif(forms[4]->path()), cache)
-          .cache_hit);
-  EXPECT_EQ(cache.stats().content_hits, 1u);
-  EXPECT_EQ(cache.stats().aliases, serve::CompileCache::kMaxAliases);
+  auto request = CompileRequest::from_mig(circuits::make_ctrl(), "moved");
+  const auto owner = std::move(request);
+  ASSERT_EQ(request.network(), nullptr);  // NOLINT(bugprone-use-after-move)
+  const auto empty = driver.run_cached(request, cache);
+  EXPECT_EQ(first_code(*empty.outcome), "request-invalid");
+  EXPECT_EQ(cache.stats().hits + cache.stats().misses, 3u);
 }
 
 TEST(ContentIndexTest, ASecondNamedBenchmarkRequestIsAContentHit) {
@@ -805,26 +853,16 @@ TEST(ContentIndexTest, ASecondNamedBenchmarkRequestIsAContentHit) {
   const auto request = CompileRequest::from_benchmark("ctrl");
   EXPECT_FALSE(driver.run_cached(request, cache).cache_hit);
   EXPECT_TRUE(driver.run_cached(request, cache).cache_hit);
-  EXPECT_EQ(cache.stats().content_hits, 1u);
-  // The same circuit in memory still shares the entry, by structure.
-  EXPECT_TRUE(driver
-                  .run_cached(CompileRequest::from_mig(
-                                  circuits::build_benchmark("ctrl"), "in-memory"),
-                              cache)
-                  .cache_hit);
-  EXPECT_EQ(cache.stats().content_hits, 1u);
-  EXPECT_EQ(cache.stats().hits, 2u);
+  EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().misses, 1u);
 }
 
-TEST(ContentIndexTest, ZeroBudgetRecordsNoAlias) {
+TEST(ContentIndexTest, ZeroBudgetMissesARepeatedRequest) {
   const Driver driver{Options{}};
   serve::CompileCache cache(0);
   const auto request = CompileRequest::from_benchmark("ctrl");
   EXPECT_FALSE(driver.run_cached(request, cache).cache_hit);
   EXPECT_FALSE(driver.run_cached(request, cache).cache_hit);
-  EXPECT_EQ(cache.stats().aliases, 0u);
-  EXPECT_EQ(cache.stats().content_hits, 0u);
   EXPECT_EQ(cache.stats().misses, 2u);
 }
 

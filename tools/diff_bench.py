@@ -34,13 +34,14 @@ it is matched as 1 bank, and its instruction count is its step count.
 
 With --exact the diff instead fails on any difference, in either
 direction, in the deterministic fields of configurations present on
-both sides — every schedule field (steps, transfers, makespan_cycles,
-rrams, parallel instructions, sync tokens, the refine counters, ...)
-and the top-level headlines — so a change that must keep every emitted
-program identical can prove it. Timing fields (`*_ms`) are ignored; the
-sweep's `effort` is compared like any other field, so the fresh sweep
-must run at the effort the committed file records. A field present on
-only one side is listed as schema growth.
+both sides — every field of each configuration's whole report (gates,
+instructions, cells, the rewrite counters, and every schedule field:
+steps, transfers, makespan_cycles, rrams, sync tokens, the refine
+counters, ...) and the top-level headlines — so a change that must keep
+every emitted program identical can prove it. Timing fields (`*_ms`)
+are ignored; the sweep's `effort` is compared like any other field, so
+the fresh sweep must run at the effort the committed file records. A
+field present on only one side is listed as schema growth.
 
 Usage: diff_bench.py committed.json fresh.json [--tolerance 0.05 | --exact]
 """
@@ -66,7 +67,8 @@ def sched(block):
 
 
 def entries(trajectory):
-    """Yield ((benchmark, mode, banks, bus_width), schedule-metrics)."""
+    """Yield ((benchmark, mode, banks, bus_width), block): each
+    configuration's whole report."""
     for bench in trajectory.get("benchmarks", []):
         name = bench.get("benchmark", "?")
         for mode, payload in bench.items():
@@ -74,16 +76,17 @@ def entries(trajectory):
                 continue
             if isinstance(payload, dict) and isinstance(
                     payload.get("banks"), list):
-                for entry in (sched(e) for e in payload["banks"]):
-                    yield (name, mode, entry["banks"], entry.get("bus_width", 0)), entry
-                for entry in (sched(e) for e in payload.get("bus_4banks", [])):
-                    yield (name, mode, 4, entry.get("bus_width", 0)), entry
+                for block in payload["banks"]:
+                    entry = sched(block)
+                    yield (name, mode, entry["banks"], entry.get("bus_width", 0)), block
+                for block in payload.get("bus_4banks", []):
+                    yield (name, mode, 4, sched(block).get("bus_width", 0)), block
             elif isinstance(payload, dict):
                 entry = sched(payload)
                 if "steps" in entry:
                     # flat single-config blocks (e.g. unclustered_4banks)
                     yield (name, mode, entry.get("banks", 0),
-                           entry.get("bus_width", 0)), entry
+                           entry.get("bus_width", 0)), payload
 
 
 def scalars(block):
@@ -189,6 +192,7 @@ def main():
             print(f"note: {key} only in committed trajectory")
             continue
         compared += 1
+        old, new = sched(old), sched(new)
         for metric, higher_is_better in GATED:
             if metric not in old or metric not in new:
                 missing_metrics.add(metric)

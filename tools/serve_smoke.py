@@ -25,8 +25,8 @@ farm would:
   5. stale files, on a socket connection: a BLIF file compiled, then
      overwritten in place with another circuit, must miss and report
      the new circuit's `initial_gates`; its old bytes restored must hit,
-     and so must a copy at a second path; `stats` must then count at
-     least 2 `content_hits`. A FIFO path must be refused with
+     and so must a copy at a second path, and `stats` must count both
+     hits in `cache_hits`. A FIFO path must be refused with
      `input-not-regular` within a second, and a ping after it answered;
   6. SIGINT — the daemon must drain gracefully and exit 0;
   7. a second daemon on `--listen 0`: the port it announces on stderr
@@ -191,6 +191,8 @@ def content_leg(plimc, socket_path, work_dir):
             fail(f"an overwritten file reports "
                  f"{overwritten['report']['initial_gates']} initial gates, "
                  f"its new circuit has {xor_gates}")
+        hits_before = call(sock, {"cmd": "stats", "id": "fs0"})["server"][
+            "cache_hits"]
         write_file(path, MAJ_BLIF)
         restored = call(sock, {"id": "f3", "blif": path})
         if restored.get("cache") != "hit" or restored["report"] != first[
@@ -203,10 +205,11 @@ def content_leg(plimc, socket_path, work_dir):
                 or copied["report"]["benchmark"] != copy):
             fail(f"a copy at a second path did not hit under its own "
                  f"path: {copied}")
-        server = call(sock, {"cmd": "stats", "id": "fs"})["server"]
-        if server.get("content_hits", 0) < 2:
-            fail(f"stats counts {server.get('content_hits')} content hits "
-                 "(need >= 2)")
+        hits = call(sock, {"cmd": "stats", "id": "fs"})["server"][
+            "cache_hits"] - hits_before
+        if hits != 2:
+            fail(f"stats counts {hits} cache hits for the restored file and "
+                 "its copy (need 2)")
 
         fifo = os.path.join(work_dir, "input.fifo")
         os.mkfifo(fifo)
@@ -216,8 +219,8 @@ def content_leg(plimc, socket_path, work_dir):
             fail(f"a FIFO was not refused as input-not-regular: {refused}")
         if not call(sock, {"cmd": "ping", "id": "after-fifo"}).get("pong"):
             fail("no pong after the FIFO request")
-    print(f"serve_smoke: overwritten file missed, restored bytes and a copy "
-          f"hit ({server['content_hits']} content hits), FIFO refused")
+    print("serve_smoke: overwritten file missed, restored bytes and a copy "
+          "hit, FIFO refused")
 
 
 def vm_size_kib(pid):
