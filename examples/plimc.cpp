@@ -93,14 +93,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <charconv>
 #include <csignal>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <limits>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -138,18 +136,6 @@ int usage() {
 int usage_error(const std::string& why) {
   std::cerr << "plimc: " << why << '\n';
   return usage();
-}
-
-/// Parses a whole non-negative decimal number no larger than `max`.
-/// std::stoul would take "-1" (and wrap it) or "3x" (as 3).
-std::optional<std::uint64_t> parse_count(const char* text, std::uint64_t max) {
-  std::uint64_t value = 0;
-  const char* end = text + std::strlen(text);
-  const auto [ptr, ec] = std::from_chars(text, end, value);
-  if (ec != std::errc{} || ptr != end || value > max) {
-    return std::nullopt;
-  }
-  return value;
 }
 
 /// The serving daemon behind the signal handlers. The first SIGINT or
@@ -272,7 +258,7 @@ int main(int argc, char** argv) {
       if (!next()) {
         return false;
       }
-      const auto parsed = parse_count(value, max);
+      const auto parsed = plim::arch::parse_decimal(value, max);
       if (!parsed) {
         std::cerr << "plimc: " << arg << " needs a non-negative integer"
                   << (max < std::numeric_limits<std::uint32_t>::max()

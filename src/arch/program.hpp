@@ -55,6 +55,9 @@ class Program {
   [[nodiscard]] const std::string& input_name(std::uint32_t i) const {
     return input_names_[i];
   }
+  [[nodiscard]] const std::vector<std::string>& input_names() const noexcept {
+    return input_names_;
+  }
 
   [[nodiscard]] std::uint32_t num_outputs() const noexcept {
     return static_cast<std::uint32_t>(outputs_.size());
@@ -64,6 +67,11 @@ class Program {
   }
   [[nodiscard]] std::uint32_t output_cell(std::uint32_t i) const {
     return outputs_[i].second;
+  }
+  /// (name, cell) per output, in declaration order.
+  [[nodiscard]] const std::vector<std::pair<std::string, std::uint32_t>>&
+  outputs() const noexcept {
+    return outputs_;
   }
 
   /// Structural sanity: all operand addresses within bounds, outputs refer

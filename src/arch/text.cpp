@@ -1,54 +1,22 @@
 #include "arch/text.hpp"
 
-#include <array>
-#include <map>
+#include <algorithm>
+#include <charconv>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 
 namespace plim::arch {
 
-void print_operand(std::ostream& os, Operand op,
-                   const std::vector<std::string>& input_names) {
-  switch (op.kind()) {
-    case OperandKind::constant:
-      os << (op.constant_value() ? '1' : '0');
-      break;
-    case OperandKind::input:
-      os << input_names[op.address()];
-      break;
-    case OperandKind::rram:
-      os << "@X" << (op.address() + 1);
-      break;
-  }
-}
-
 void write_text(const Program& program, std::ostream& os) {
-  std::vector<std::string> input_names;
-  input_names.reserve(program.num_inputs());
-  for (std::uint32_t i = 0; i < program.num_inputs(); ++i) {
-    os << "# input " << i << ' ' << program.input_name(i) << '\n';
-    input_names.push_back(program.input_name(i));
+  write_inputs(os, program.input_names());
+  for (std::size_t i = 0; i < program.num_instructions(); ++i) {
+    write_counter(os, i + 1, program.num_instructions());
+    os << ' ';
+    write_operands(os, program[i], program.input_names());
+    os << '\n';
   }
-  std::size_t pc = 1;
-  const int width = program.num_instructions() >= 100 ? 0 : 2;
-  for (const auto& ins : program.instructions()) {
-    std::ostringstream line;
-    line << pc++;
-    std::string num = line.str();
-    if (width > 0 && num.size() < static_cast<std::size_t>(width)) {
-      num.insert(0, static_cast<std::size_t>(width) - num.size(), '0');
-    }
-    os << num << ": ";
-    print_operand(os, ins.a, input_names);
-    os << ", ";
-    print_operand(os, ins.b, input_names);
-    os << ", @X" << (ins.z + 1) << '\n';
-  }
-  for (std::uint32_t i = 0; i < program.num_outputs(); ++i) {
-    os << "# output " << program.output_name(i) << " @X"
-       << (program.output_cell(i) + 1) << '\n';
-  }
+  write_outputs(os, program.outputs());
 }
 
 std::string to_text(const Program& program) {
@@ -57,123 +25,173 @@ std::string to_text(const Program& program) {
   return os.str();
 }
 
-Operand parse_operand(const std::string& token,
-                      const std::map<std::string, std::uint32_t>& inputs) {
-  if (token == "0") {
-    return Operand::constant(false);
-  }
-  if (token == "1") {
-    return Operand::constant(true);
-  }
-  if (token.size() > 2 && token[0] == '@' && token[1] == 'X') {
-    unsigned long cell = 0;
-    try {
-      cell = std::stoul(token.substr(2));
-    } catch (const std::logic_error&) {
-      throw std::runtime_error("malformed RRAM cell '" + token + "'");
-    }
-    if (cell == 0) {
-      throw std::runtime_error("RRAM cells are 1-based in text form");
-    }
-    return Operand::rram(static_cast<std::uint32_t>(cell - 1));
-  }
-  const auto it = inputs.find(token);
-  if (it == inputs.end()) {
-    throw std::runtime_error("unknown operand '" + token + "'");
-  }
-  return Operand::input(it->second);
-}
-
-std::string trim(const std::string& s) {
-  const auto b = s.find_first_not_of(" \t\r");
-  if (b == std::string::npos) {
-    return {};
-  }
-  const auto e = s.find_last_not_of(" \t\r");
-  return s.substr(b, e - b + 1);
-}
-
-namespace {
-
-Program parse_program_impl(const std::string& text) {
+Program parse_program(const std::string& text) {
   Program p;
-  std::map<std::string, std::uint32_t> inputs;
-  std::istringstream is(text);
-  std::string line;
-  while (std::getline(is, line)) {
-    line = trim(line);
-    if (line.empty()) {
-      continue;
-    }
-    if (line.rfind("# input ", 0) == 0) {
-      std::istringstream ls(line.substr(8));
-      std::uint32_t index = 0;
-      std::string name;
-      ls >> index >> name;
-      if (name.empty()) {
-        throw std::runtime_error("malformed input declaration: " + line);
-      }
-      const auto got = p.add_input(name);
-      if (got != index) {
-        throw std::runtime_error("non-contiguous input indices");
-      }
-      inputs.emplace(name, index);
-      continue;
-    }
-    if (line.rfind("# output ", 0) == 0) {
-      std::istringstream ls(line.substr(9));
-      std::string name;
-      std::string cell;
-      ls >> name >> cell;
-      if (cell.size() < 3 || cell[0] != '@' || cell[1] != 'X') {
-        throw std::runtime_error("malformed output declaration: " + line);
-      }
-      p.add_output(name,
-                   static_cast<std::uint32_t>(std::stoul(cell.substr(2)) - 1));
-      continue;
-    }
-    if (line[0] == '#') {
-      continue;  // other comments
-    }
-    // "NN: a, b, @Xz"
-    const auto colon = line.find(':');
-    if (colon == std::string::npos) {
-      throw std::runtime_error("missing program counter in line: " + line);
-    }
-    std::string rest = line.substr(colon + 1);
-    std::array<std::string, 3> tokens;
-    std::size_t pos = 0;
-    for (int t = 0; t < 3; ++t) {
-      const auto comma = rest.find(',', pos);
-      const auto end = (t == 2) ? rest.size() : comma;
-      if (t < 2 && comma == std::string::npos) {
-        throw std::runtime_error("expected three operands in line: " + line);
-      }
-      tokens[t] = trim(rest.substr(pos, end - pos));
-      pos = (t == 2) ? end : comma + 1;
-    }
-    const Operand a = parse_operand(tokens[0], inputs);
-    const Operand b = parse_operand(tokens[1], inputs);
-    const Operand z = parse_operand(tokens[2], inputs);
-    if (!z.is_rram()) {
-      throw std::runtime_error("destination must be an RRAM cell: " + line);
-    }
-    p.append(a, b, z.address());
+  ListingReader reader;
+  reader.read(
+      text, [](std::string_view) {},
+      [&](std::string_view body) { p.append(reader.instruction(body)); });
+  reader.declare_ports(p);
+  if (const auto err = p.validate(); !err.empty()) {
+    throw std::runtime_error("invalid program: " + err);
   }
   return p;
 }
 
-}  // namespace
-
-Program parse_program(const std::string& text) {
-  try {
-    return parse_program_impl(text);
-  } catch (const std::logic_error& e) {
-    // std::stoul reports malformed/overflowing numbers as logic_errors;
-    // translate to the documented std::runtime_error contract.
-    throw std::runtime_error(std::string("malformed number in program: ") +
-                             e.what());
+std::optional<std::uint64_t> parse_decimal(std::string_view text,
+                                           std::uint64_t max) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end || value > max) {
+    return std::nullopt;
   }
+  return value;
+}
+
+std::uint32_t parse_number(std::string_view text, std::string_view prefix,
+                           std::string_view field, std::uint32_t min,
+                           std::uint32_t max) {
+  text = trim(text);
+  const auto value = text.starts_with(prefix)
+                         ? parse_decimal(text.substr(prefix.size()), max)
+                         : std::nullopt;
+  if (!value || *value < min) {
+    throw std::runtime_error(
+        std::string(field) + " '" + std::string(text) + "' is not " +
+        std::string(prefix) + "<k> for a whole decimal k in " +
+        std::to_string(min) + ".." + std::to_string(max));
+  }
+  return static_cast<std::uint32_t>(*value);
+}
+
+std::ostream& operator<<(std::ostream& os, CellRef cell) {
+  return os << "@X" << (cell.index + 1);
+}
+
+std::uint32_t parse_cell(std::string_view token) {
+  return parse_number(token, "@X", "RRAM cell", 1) - 1;
+}
+
+std::string_view trim(std::string_view text) {
+  constexpr std::string_view kSpace = " \t\r";
+  const auto b = text.find_first_not_of(kSpace);
+  if (b == std::string_view::npos) {
+    return {};
+  }
+  return text.substr(b, text.find_last_not_of(kSpace) - b + 1);
+}
+
+std::vector<std::string_view> split(std::string_view text, char sep) {
+  std::vector<std::string_view> parts;
+  for (std::size_t pos = 0; !text.empty();) {
+    const auto end = text.find(sep, pos);
+    parts.push_back(trim(text.substr(pos, end - pos)));
+    if (end == std::string_view::npos) {
+      break;
+    }
+    pos = end + 1;
+  }
+  return parts;
+}
+
+std::pair<std::string_view, std::string_view> two_words(
+    std::string_view text, std::string_view form) {
+  text = trim(text);
+  const auto space = std::min(text.find_first_of(" \t\r"), text.size());
+  const auto second = trim(text.substr(space));
+  if (second.empty() || second.find_first_of(" \t\r") != second.npos) {
+    throw std::runtime_error("expected '" + std::string(form) + "'");
+  }
+  return {text.substr(0, space), second};
+}
+
+void write_inputs(std::ostream& os, const std::vector<std::string>& names) {
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    os << "# input " << i << ' ' << names[i] << '\n';
+  }
+}
+
+void write_counter(std::ostream& os, std::size_t number, std::size_t lines) {
+  os << (lines < 100 && number < 10 ? "0" : "") << number << ':';
+}
+
+void write_operands(std::ostream& os, const Instruction& instr,
+                    const std::vector<std::string>& input_names) {
+  for (const Operand op : {instr.a, instr.b}) {
+    if (op.is_constant()) {
+      os << (op.constant_value() ? '1' : '0');
+    } else if (op.is_input()) {
+      os << input_names[op.address()];
+    } else {
+      os << CellRef{op.address()};
+    }
+    os << ", ";
+  }
+  os << CellRef{instr.z};
+}
+
+void write_outputs(
+    std::ostream& os,
+    const std::vector<std::pair<std::string, std::uint32_t>>& outputs) {
+  for (const auto& [name, cell] : outputs) {
+    os << "# output " << name << ' ' << CellRef{cell} << '\n';
+  }
+}
+
+void ListingReader::read(std::string_view text, const Hook& comment,
+                         const Hook& body) {
+  for (std::size_t number = 1; !text.empty(); ++number) {
+    const auto eol = text.find('\n');
+    const auto line = trim(text.substr(0, eol));
+    text.remove_prefix(eol == std::string_view::npos ? text.size() : eol + 1);
+    try {
+      if (line.starts_with("# input ")) {
+        const auto [i, name] = two_words(line.substr(8), "# input <i> <name>");
+        const auto index = static_cast<std::uint32_t>(inputs_.size());
+        (void)parse_number(i, "", "input index", index, index);
+        inputs_.emplace_back(name);
+        input_index_.emplace(name, index);
+      } else if (line.starts_with("# output ")) {
+        const auto [name, cell] =
+            two_words(line.substr(9), "# output <name> @X<k>");
+        outputs_.emplace_back(name, parse_cell(cell));
+      } else if (line.starts_with('#')) {
+        comment(line);
+      } else if (!line.empty()) {
+        const auto colon = line.find(':');
+        if (colon == std::string_view::npos) {
+          throw std::runtime_error("missing the 'NN:' counter");
+        }
+        (void)parse_number(line.substr(0, colon), "", "counter");
+        body(trim(line.substr(colon + 1)));
+      }
+    } catch (const std::runtime_error& e) {
+      throw std::runtime_error("line " + std::to_string(number) + ": " +
+                               e.what());
+    }
+  }
+}
+
+Instruction ListingReader::instruction(std::string_view text) const {
+  const auto parts = split(text, ',');
+  if (parts.size() != 3) {
+    throw std::runtime_error("expected three operands 'a, b, @Xz'");
+  }
+  const auto operand = [&](std::string_view token) {
+    if (token == "0" || token == "1") {
+      return Operand::constant(token == "1");
+    }
+    if (token.starts_with("@X")) {
+      return Operand::rram(parse_cell(token));
+    }
+    const auto it = input_index_.find(token);
+    if (it == input_index_.end()) {
+      throw std::runtime_error("unknown operand '" + std::string(token) + "'");
+    }
+    return Operand::input(it->second);
+  };
+  return {operand(parts[0]), operand(parts[1]), parse_cell(parts[2])};
 }
 
 }  // namespace plim::arch

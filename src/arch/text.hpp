@@ -1,8 +1,12 @@
 #pragma once
 
+#include <functional>
 #include <iosfwd>
+#include <limits>
 #include <map>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "arch/program.hpp"
@@ -15,30 +19,85 @@ namespace plim::arch {
 ///   02: 1, i3, @X1
 ///   03: i1, i2, @X1
 ///
-/// Inputs print by their declared names; RRAM cells print as "@X<k>"
-/// (1-based, as in the paper). A trailing comment block lists the
-/// output-name → cell mapping.
+/// Inputs print by their declared names and RRAM cells as "@X<k>"
+/// (1-based, as in the paper). "# input <i> <name>" lines come first and
+/// "# output <name> @X<k>" lines last.
 [[nodiscard]] std::string to_text(const Program& program);
 void write_text(const Program& program, std::ostream& os);
 
-/// Parses the textual form back (round-trip of `to_text`). Input operands
-/// must use the names declared in the "# input" header lines that
-/// `to_text` emits. Throws std::runtime_error on malformed input.
+/// Parses the textual form back (round-trip of `to_text`). Throws
+/// std::runtime_error on malformed input or when the program fails
+/// Program::validate().
 [[nodiscard]] Program parse_program(const std::string& text);
 
-// ---- listing-syntax building blocks (shared with sched/text) ---------------
+/// A whole decimal number no larger than `max`: digits only, with no sign,
+/// space or trailing character (std::stoul takes "-1", " 7" and "3x").
+[[nodiscard]] std::optional<std::uint64_t> parse_decimal(
+    std::string_view text, std::uint64_t max);
 
-/// Renders one operand: "0"/"1", the input's declared name, or "@X<k>".
-void print_operand(std::ostream& os, Operand op,
-                   const std::vector<std::string>& input_names);
+// ---- the grammar both listings share; sched/text adds the bank lines -------
 
-/// Parses one operand token against the declared input-name table.
-/// Throws std::runtime_error on unknown names and malformed cell refs.
-[[nodiscard]] Operand parse_operand(
-    const std::string& token,
-    const std::map<std::string, std::uint32_t>& inputs);
+/// A listing number: trimmed `text` is `prefix` and then parse_decimal in
+/// [min, max], or std::runtime_error names `field`.
+[[nodiscard]] std::uint32_t parse_number(
+    std::string_view text, std::string_view prefix, std::string_view field,
+    std::uint32_t min = 0,
+    std::uint32_t max = std::numeric_limits<std::uint32_t>::max());
 
-/// Strips leading/trailing listing whitespace (spaces, tabs, '\r').
-[[nodiscard]] std::string trim(const std::string& s);
+/// A cell as listings write it, "@X<index + 1>". parse_cell reads @X1 to
+/// @X4294967295 and returns the index.
+struct CellRef {
+  std::uint32_t index = 0;
+};
+std::ostream& operator<<(std::ostream& os, CellRef cell);
+[[nodiscard]] std::uint32_t parse_cell(std::string_view token);
+
+/// `text` without surrounding spaces, tabs and '\r'; its trimmed parts
+/// between the separators `sep` (none when empty); its two words, or
+/// std::runtime_error quoting the line's `form`.
+[[nodiscard]] std::string_view trim(std::string_view text);
+[[nodiscard]] std::vector<std::string_view> split(std::string_view text,
+                                                  char sep);
+[[nodiscard]] std::pair<std::string_view, std::string_view> two_words(
+    std::string_view text, std::string_view form);
+
+/// The "# input" lines; the "NN:" counter of line `number` (1-based; two
+/// digits in listings of fewer than 100 lines); the "a, b, @Xz" operands;
+/// the "# output" lines.
+void write_inputs(std::ostream& os, const std::vector<std::string>& names);
+void write_counter(std::ostream& os, std::size_t number, std::size_t lines);
+void write_operands(std::ostream& os, const Instruction& instr,
+                    const std::vector<std::string>& input_names);
+void write_outputs(
+    std::ostream& os,
+    const std::vector<std::pair<std::string, std::uint32_t>>& outputs);
+
+/// Reads blank lines and the "# input" and "# output" ports, and hands
+/// every other "#" line to `comment` and the text after each "NN:" counter
+/// to `body`. Errors come back as std::runtime_error naming the line.
+class ListingReader {
+ public:
+  using Hook = std::function<void(std::string_view)>;
+  void read(std::string_view text, const Hook& comment, const Hook& body);
+
+  /// Parses "a, b, @Xz" against the inputs declared so far.
+  [[nodiscard]] Instruction instruction(std::string_view text) const;
+
+  /// Declares the ports read on `program` (a Program or ParallelProgram).
+  template <class P>
+  void declare_ports(P& program) const {
+    for (const auto& name : inputs_) {
+      program.add_input(name);
+    }
+    for (const auto& [name, cell] : outputs_) {
+      program.add_output(name, cell);
+    }
+  }
+
+ private:
+  std::vector<std::string> inputs_;
+  std::map<std::string, std::uint32_t, std::less<>> input_index_;
+  std::vector<std::pair<std::string, std::uint32_t>> outputs_;
+};
 
 }  // namespace plim::arch

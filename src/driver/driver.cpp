@@ -18,7 +18,6 @@
 #include "core/compiler.hpp"
 #include "core/verify.hpp"
 #include "io/blif.hpp"
-#include "mig/cleanup.hpp"
 #include "mig/rewriting.hpp"
 #include "sched/scheduler.hpp"
 #include "sched/verify.hpp"
@@ -215,23 +214,9 @@ CompileOutcome Driver::run_impl(const CompileRequest& request,
   mig::Mig optimized;
   try {
     const util::ScopedPhase phase("rewrite", &metrics.rewrite_ms);
-    if (options_.rewrite.effort > 0) {
-      optimized = mig::rewrite_for_plim(*network, options_.rewrite,
-                                        &out.stats.rewrite);
-    } else {
-      // Rewriting off: the "before/after" metrics still describe the
-      // network that is about to be compiled, so reports stay comparable
-      // across effort levels.
-      optimized = mig::cleanup_dangling(*network);
-      out.stats.rewrite.gates_before = network->num_gates();
-      out.stats.rewrite.gates_after = optimized.num_gates();
-      out.stats.rewrite.depth_before = network->depth();
-      out.stats.rewrite.depth_after = optimized.depth();
-      out.stats.rewrite.multi_complement_before =
-          mig::count_multi_complement(*network);
-      out.stats.rewrite.multi_complement_after =
-          mig::count_multi_complement(optimized);
-    }
+    // At effort 0 this only drops dangling gates, and before == after.
+    optimized = mig::rewrite_for_plim(*network, options_.rewrite,
+                                      &out.stats.rewrite);
   } catch (const std::exception& e) {
     out.diagnostics.push_back(Diagnostic::error("rewrite-failed", e.what()));
     return out;
@@ -421,13 +406,6 @@ CompileOutcome Driver::run_impl(const CompileRequest& request,
     }
     out.parallel = std::move(scheduled.program);
     out.stats.schedule = scheduled.stats;
-    metrics.refine_moves_tried = scheduled.stats.refine_moves_tried;
-    metrics.refine_moves_kept = scheduled.stats.refine_moves_kept;
-    metrics.refine_moves_screened = scheduled.stats.refine_moves_screened;
-    metrics.bus_stalls = scheduled.stats.bus_stalls;
-    for (const auto idle : scheduled.stats.bank_idle_cycles) {
-      metrics.bank_idle_cycles += idle;
-    }
   }
 
   out.stats.verified = options_.verify.enabled;

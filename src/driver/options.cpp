@@ -4,12 +4,6 @@
 
 namespace plim {
 
-namespace {
-
-constexpr std::uint32_t kMaxBanks = 1024;
-
-}  // namespace
-
 Options Options::textbook_naive() {
   Options opts;
   opts.rewrite.effort = 0;
@@ -23,11 +17,11 @@ Options Options::textbook_naive() {
 std::vector<Diagnostic> Options::validate() const {
   std::vector<Diagnostic> diags;
 
-  if (banks > kMaxBanks) {
+  if (banks > sched::kMaxBanks) {
     diags.push_back(Diagnostic::error(
         "banks-out-of-range",
         "banks = " + std::to_string(banks) + " exceeds the supported maximum "
-            "of " + std::to_string(kMaxBanks)));
+            "of " + std::to_string(sched::kMaxBanks)));
   }
   if (schedule.execution == sched::ExecutionModel::decoupled && banks == 0) {
     diags.push_back(Diagnostic::error(

@@ -19,7 +19,7 @@ struct Options {
   /// program only (no scheduling stage); 1 degenerates to the serial
   /// program modulo cell renaming. The scheduler assigns every value its
   /// bank after compilation (heavy-edge clustering + cost-model bank
-  /// assignment). Hard API bound: 1024.
+  /// assignment). Hard API bound: sched::kMaxBanks (1024).
   std::uint32_t banks = 0;
 
   /// MIG rewriting stage (Algorithm 1). `rewrite.effort` == 0 disables

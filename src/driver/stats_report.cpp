@@ -55,11 +55,6 @@ void StatsReport::write_json_fields(util::JsonWriter& json) const {
   json.field("verify_ms", metrics.verify_ms);
   json.field("schedule_ms", metrics.schedule_ms);
   json.field("schedule_verify_ms", metrics.schedule_verify_ms);
-  json.field("refine_moves_tried", metrics.refine_moves_tried);
-  json.field("refine_moves_kept", metrics.refine_moves_kept);
-  json.field("refine_moves_screened", metrics.refine_moves_screened);
-  json.field("bus_stalls", metrics.bus_stalls);
-  json.field("bank_idle_cycles", metrics.bank_idle_cycles);
   json.end_object();
   if (schedule) {
     json.begin_object("schedule");

@@ -40,11 +40,10 @@ struct StatsReport {
   /// (false when verification was disabled).
   bool verified = false;
 
-  /// Observability summary of the run: where the pipeline spent its
-  /// wall-clock, phase by phase, plus the scheduler/refinement counters
-  /// tuning loops feed on. The wall-clock fields are measured on every
-  /// run (two clock reads per phase, tracing not required) and are the
-  /// exact extents of the trace spans the driver emits under
+  /// Where the pipeline spent its wall-clock, phase by phase (the
+  /// scheduler's own counters are in `schedule`). The fields are measured
+  /// on every run (two clock reads per phase, tracing not required) and
+  /// are the exact extents of the trace spans the driver emits under
   /// Options::trace.
   struct Metrics {
     double total_ms = 0.0;    ///< whole request, load through verify
@@ -54,13 +53,6 @@ struct StatsReport {
     double verify_ms = 0.0;   ///< serial program vs network simulation
     double schedule_ms = 0.0;  ///< multi-bank scheduling, refinement incl.
     double schedule_verify_ms = 0.0;  ///< schedule vs serial equivalence
-    std::uint32_t refine_moves_tried = 0;  ///< KL trial moves priced
-    std::uint32_t refine_moves_kept = 0;   ///< of which kept
-    /// Of refine_moves_tried: rejected by the incremental estimate alone
-    /// (no exact re-schedule spent).
-    std::uint32_t refine_moves_screened = 0;
-    std::uint32_t bus_stalls = 0;  ///< bank-steps idled waiting on the bus
-    std::uint64_t bank_idle_cycles = 0;  ///< sum over banks
   } metrics;
 
   /// Zeroes *every* wall-clock field (metrics.*_ms plus the schedule's
@@ -72,7 +64,7 @@ struct StatsReport {
   /// Emits the report as fields of the currently open JSON object:
   /// benchmark, initial_gates, gates, instructions, rrams,
   /// peak_live_rrams, verified, a nested "rewrite" object, a nested
-  /// "metrics" object (per-phase timings + scheduler/refine counters),
+  /// "metrics" object (per-phase wall-clock),
   /// and — when a schedule ran — a nested "schedule" object (the
   /// sched::write_json_fields schema).
   void write_json_fields(util::JsonWriter& json) const;

@@ -76,6 +76,10 @@ enum class ExecutionModel { lockstep, decoupled };
 /// stops assigning them.
 enum class Objective { automatic, steps, makespan };
 
+/// The most banks a program may have: the hard bound plim::Options and
+/// the parallel listing parser enforce.
+inline constexpr std::uint32_t kMaxBanks = 1024;
+
 /// A multi-bank PLiM program: a sequence of *steps*, each holding at most
 /// one RM3 instruction per bank, executed in lockstep (all reads see the
 /// pre-step state, all writes commit together). Every bank owns a
@@ -159,6 +163,9 @@ class ParallelProgram {
   [[nodiscard]] const std::string& input_name(std::uint32_t i) const {
     return input_names_[i];
   }
+  [[nodiscard]] const std::vector<std::string>& input_names() const noexcept {
+    return input_names_;
+  }
   [[nodiscard]] std::uint32_t num_outputs() const noexcept {
     return static_cast<std::uint32_t>(outputs_.size());
   }
@@ -167,6 +174,11 @@ class ParallelProgram {
   }
   [[nodiscard]] std::uint32_t output_cell(std::uint32_t i) const {
     return outputs_[i].second;
+  }
+  /// (name, cell) per output, in declaration order.
+  [[nodiscard]] const std::vector<std::pair<std::string, std::uint32_t>>&
+  outputs() const noexcept {
+    return outputs_;
   }
 
   /// Structural sanity: bank ranges are disjoint and in bank order; every

@@ -1,65 +1,110 @@
 #include "sched/text.hpp"
 
 #include <algorithm>
-#include <array>
-#include <map>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
-#include <tuple>
-#include <vector>
 
 #include "arch/text.hpp"
 
 namespace plim::sched {
 
-using arch::trim;
+namespace {
+
+// Sync endpoint phases: f(etch), a (read A), b (read B), w(rite). Without
+// a suffix, a token signals at w and waits before f.
+constexpr std::string_view kPhaseLetters = "fabw";
+
+/// "# bank <k> @X<a>..@X<b>" or "# bank <k> empty". An empty bank sits at
+/// `highest_end`, after the cells so far, as validate()'s order demands.
+void read_bank(std::string_view args, ParallelProgram& p,
+               std::uint32_t& highest_end) {
+  const auto [k, range] = arch::two_words(args, "# bank <k> @X<a>..@X<b>");
+  const auto bank = arch::parse_number(k, "", "bank", 0, p.num_banks() - 1);
+  if (range == "empty") {
+    p.set_bank_range(bank, highest_end, highest_end);
+    return;
+  }
+  const auto dots = range.find("..");
+  const auto begin = arch::parse_cell(range.substr(0, dots));
+  const auto end = dots == std::string_view::npos
+                       ? 0
+                       : arch::parse_cell(range.substr(dots + 2)) + 1;
+  if (end <= begin) {
+    throw std::runtime_error("malformed bank range '" + std::string(range) +
+                             "'");
+  }
+  p.set_bank_range(bank, begin, end);
+  highest_end = std::max(highest_end, end);
+}
+
+/// "# sync t<id>: b<f>@<p>[.x] -> b<t>@<q>[.x]", with 1-based token ids
+/// and stream positions and an optional phase letter x.
+SyncEdge read_sync(std::string_view args, const ParallelProgram& p) {
+  const auto colon = args.find(':');
+  const auto arrow = args.find("->", colon);
+  if (arrow == std::string_view::npos ||
+      arch::parse_number(args.substr(0, colon), "t", "sync token id") !=
+          p.sync_edges().size() + 1) {
+    throw std::runtime_error("expected '# sync t" +
+                             std::to_string(p.sync_edges().size() + 1) +
+                             ": b<f>@<p> -> b<t>@<q>'");
+  }
+  SyncEdge e;
+  const auto endpoint = [&](std::string_view s, std::uint32_t& bank,
+                            std::uint32_t& pos, std::uint32_t& phase) {
+    s = arch::trim(s);
+    const auto at = s.find('@');
+    if (at == std::string_view::npos) {
+      throw std::runtime_error("malformed sync endpoint '" + std::string(s) +
+                               "'");
+    }
+    bank = arch::parse_number(s.substr(0, at), "b", "bank tag");
+    auto position = s.substr(at + 1);
+    if (const auto dot = position.find('.'); dot != std::string_view::npos) {
+      phase = static_cast<std::uint32_t>(
+          kPhaseLetters.find(position.substr(dot + 1)));
+      if (position.size() != dot + 2 || phase >= kPhaseLetters.size()) {
+        throw std::runtime_error("malformed sync phase (expected .f, .a, .b "
+                                 "or .w)");
+      }
+      position.remove_suffix(2);
+    }
+    pos = arch::parse_number(position, "", "sync position", 1) - 1;
+  };
+  endpoint(args.substr(colon + 1, arrow - colon - 1), e.from_bank, e.from_pos,
+           e.from_phase);
+  endpoint(args.substr(arrow + 2), e.to_bank, e.to_pos, e.to_phase);
+  return e;
+}
+
+}  // namespace
 
 void write_text(const ParallelProgram& program, std::ostream& os) {
   os << "# parallel banks " << program.num_banks() << '\n';
   if (program.bus_width() > 0) {
     os << "# bus " << program.bus_width() << '\n';
   }
-  std::vector<std::string> input_names;
-  input_names.reserve(program.num_inputs());
-  for (std::uint32_t i = 0; i < program.num_inputs(); ++i) {
-    os << "# input " << i << ' ' << program.input_name(i) << '\n';
-    input_names.push_back(program.input_name(i));
-  }
+  arch::write_inputs(os, program.input_names());
   for (std::uint32_t b = 0; b < program.num_banks(); ++b) {
     const auto [begin, end] = program.bank_range(b);
+    os << "# bank " << b << ' ';
     if (begin == end) {
-      os << "# bank " << b << " empty\n";
+      os << "empty\n";
     } else {
-      os << "# bank " << b << " @X" << (begin + 1) << "..@X" << end << '\n';
+      os << arch::CellRef{begin} << ".." << arch::CellRef{end - 1} << '\n';
     }
   }
-  const int width = program.num_steps() >= 100 ? 0 : 2;
   for (std::uint32_t s = 0; s < program.num_steps(); ++s) {
-    std::ostringstream num_os;
-    num_os << (s + 1);
-    auto num = num_os.str();
-    if (width > 0 && num.size() < static_cast<std::size_t>(width)) {
-      num.insert(0, static_cast<std::size_t>(width) - num.size(), '0');
-    }
-    os << num << ':';
-    bool first = true;
+    arch::write_counter(os, s + 1, program.num_steps());
+    const char* separator = " ";
     for (const auto& slot : program.step(s)) {
-      os << (first ? " " : " | ") << 'b' << slot.bank
-         << (slot.is_transfer ? "*: " : ": ");
-      first = false;
-      arch::print_operand(os, slot.instr.a, input_names);
-      os << ", ";
-      arch::print_operand(os, slot.instr.b, input_names);
-      os << ", @X" << (slot.instr.z + 1);
+      os << separator << 'b' << slot.bank << (slot.is_transfer ? "*: " : ": ");
+      arch::write_operands(os, slot.instr, program.input_names());
+      separator = " | ";
     }
     os << '\n';
   }
-  // Phase letters: f(etch)=0, a=read-A=1, b=read-B=2, w(rite)=3. The
-  // suffix pins the sync endpoint to a phase of the op's 4-phase cycle;
-  // tokens without a suffix parse as the legacy full-instruction edge
-  // (signal at write, wait before fetch).
-  constexpr const char* kPhaseLetters = "fabw";
   for (std::uint32_t i = 0; i < program.sync_edges().size(); ++i) {
     const auto& e = program.sync_edges()[i];
     os << "# sync t" << (i + 1) << ": b" << e.from_bank << '@'
@@ -67,10 +112,7 @@ void write_text(const ParallelProgram& program, std::ostream& os) {
        << " -> b" << e.to_bank << '@' << (e.to_pos + 1) << '.'
        << kPhaseLetters[e.to_phase & 3] << '\n';
   }
-  for (std::uint32_t i = 0; i < program.num_outputs(); ++i) {
-    os << "# output " << program.output_name(i) << " @X"
-       << (program.output_cell(i) + 1) << '\n';
-  }
+  arch::write_outputs(os, program.outputs());
 }
 
 std::string to_text(const ParallelProgram& program) {
@@ -79,240 +121,57 @@ std::string to_text(const ParallelProgram& program) {
   return os.str();
 }
 
-namespace {
-
-ParallelProgram parse_parallel_impl(const std::string& text) {
-  ParallelProgram p;
-  std::map<std::string, std::uint32_t> inputs;
-  bool saw_banks = false;
-  std::uint32_t highest_end = 0;  // anchors empty banks between neighbours
-  std::istringstream is(text);
-  std::string line;
-  while (std::getline(is, line)) {
-    line = trim(line);
-    if (line.empty()) {
-      continue;
+ParallelProgram parse_parallel_program(const std::string& text) {
+  ParallelProgram p;  // no banks until the "# parallel banks" line
+  std::uint32_t highest_end = 0;
+  const auto need_banks = [&] {
+    if (p.num_banks() == 0) {
+      throw std::runtime_error("'# parallel banks' must come first");
     }
-    if (line.rfind("# parallel banks ", 0) == 0) {
-      const auto banks =
-          static_cast<std::uint32_t>(std::stoul(line.substr(17)));
-      if (banks == 0) {
-        throw std::runtime_error("parallel program needs at least one bank");
+  };
+  arch::ListingReader reader;
+  const auto header = [&](std::string_view line) {
+    if (line.starts_with("# parallel banks ")) {
+      if (p.num_banks() != 0) {
+        throw std::runtime_error("second '# parallel banks' line");
       }
-      p = ParallelProgram(banks);
-      for (std::uint32_t b = 0; b < banks; ++b) {
+      p = ParallelProgram(
+          arch::parse_number(line.substr(17), "", "bank count", 1, kMaxBanks));
+      for (std::uint32_t b = 0; b < p.num_banks(); ++b) {
         p.set_bank_range(b, 0, 0);
       }
-      saw_banks = true;
-      continue;
+    } else if (line.starts_with("# bus ")) {
+      need_banks();
+      p.set_bus_width(arch::parse_number(line.substr(6), "", "bus width", 1));
+    } else if (line.starts_with("# bank ")) {
+      need_banks();
+      read_bank(line.substr(7), p, highest_end);
+    } else if (line.starts_with("# sync ")) {
+      need_banks();
+      p.add_sync(read_sync(line.substr(7), p));
     }
-    if (line.rfind("# bus ", 0) == 0) {
-      if (!saw_banks) {
-        throw std::runtime_error("bus width before '# parallel banks'");
-      }
-      const auto width =
-          static_cast<std::uint32_t>(std::stoul(line.substr(6)));
-      if (width == 0) {
-        throw std::runtime_error("declared bus width must be positive");
-      }
-      p.set_bus_width(width);
-      continue;
-    }
-    if (line.rfind("# input ", 0) == 0) {
-      std::istringstream ls(line.substr(8));
-      std::uint32_t index = 0;
-      std::string name;
-      ls >> index >> name;
-      if (name.empty()) {
-        throw std::runtime_error("malformed input declaration: " + line);
-      }
-      if (p.add_input(name) != index) {
-        throw std::runtime_error("non-contiguous input indices");
-      }
-      inputs.emplace(name, index);
-      continue;
-    }
-    if (line.rfind("# bank ", 0) == 0) {
-      if (!saw_banks) {
-        throw std::runtime_error("bank range before '# parallel banks'");
-      }
-      std::istringstream ls(line.substr(7));
-      std::uint32_t bank = 0;
-      std::string range;
-      ls >> bank >> range;
-      if (bank >= p.num_banks()) {
-        throw std::runtime_error("bank index out of range: " + line);
-      }
-      if (range == "empty") {
-        // An empty bank owns no cells; anchor it after the cells declared
-        // so far so that validate()'s monotone-range check still holds.
-        p.set_bank_range(bank, highest_end, highest_end);
-        continue;
-      }
-      const auto dots = range.find("..");
-      if (range.rfind("@X", 0) != 0 || dots == std::string::npos ||
-          range.compare(dots + 2, 2, "@X") != 0) {
-        throw std::runtime_error("malformed bank range: " + line);
-      }
-      const auto begin = std::stoul(range.substr(2, dots - 2));
-      const auto end = std::stoul(range.substr(dots + 4));
-      if (begin == 0 || end < begin) {
-        throw std::runtime_error("malformed bank range: " + line);
-      }
-      p.set_bank_range(bank, static_cast<std::uint32_t>(begin - 1),
-                       static_cast<std::uint32_t>(end));
-      highest_end = std::max(highest_end, static_cast<std::uint32_t>(end));
-      continue;
-    }
-    if (line.rfind("# sync ", 0) == 0) {
-      if (!saw_banks) {
-        throw std::runtime_error("sync token before '# parallel banks'");
-      }
-      // "t<id>: b<f>@<p>[.x] -> b<t>@<q>[.x]" (1-based stream
-      // positions; optional phase letter x in {f, a, b, w} = phases
-      // 0..3 — omitted means the legacy full-instruction edge:
-      // signal at write (w), wait before fetch (f)).
-      const auto rest = trim(line.substr(7));
-      const auto colon = rest.find(':');
-      if (rest.empty() || rest[0] != 't' || colon == std::string::npos) {
-        throw std::runtime_error("malformed sync token: " + line);
-      }
-      const auto id = std::stoul(rest.substr(1, colon - 1));
-      if (id != p.sync_edges().size() + 1) {
-        throw std::runtime_error(
-            "unmatched sync token: expected t" +
-            std::to_string(p.sync_edges().size() + 1) + " in line: " + line);
-      }
-      const auto body = trim(rest.substr(colon + 1));
-      const auto arrow = body.find("->");
-      if (arrow == std::string::npos) {
-        throw std::runtime_error(
-            "unmatched sync token (missing signal -> wait pair): " + line);
-      }
-      const auto endpoint = [&](std::string s, std::uint32_t default_phase) {
-        s = trim(s);
-        const auto at = s.find('@');
-        if (s.size() < 4 || s[0] != 'b' || at == std::string::npos ||
-            at < 2 || at + 1 >= s.size()) {
-          throw std::runtime_error("malformed sync endpoint in line: " + line);
-        }
-        const auto bank = std::stoul(s.substr(1, at - 1));
-        auto pos_text = s.substr(at + 1);
-        auto phase = default_phase;
-        if (const auto dot = pos_text.find('.'); dot != std::string::npos) {
-          const auto letter = pos_text.substr(dot + 1);
-          const std::string letters = "fabw";
-          const auto k = letters.find(letter);
-          if (letter.size() != 1 || k == std::string::npos) {
-            throw std::runtime_error("malformed sync phase (expected one of"
-                                     " .f .a .b .w) in line: " + line);
-          }
-          phase = static_cast<std::uint32_t>(k);
-          pos_text.resize(dot);
-        }
-        const auto pos = std::stoul(pos_text);
-        if (pos == 0) {
-          throw std::runtime_error("sync positions are 1-based: " + line);
-        }
-        return std::make_tuple(static_cast<std::uint32_t>(bank),
-                               static_cast<std::uint32_t>(pos - 1), phase);
-      };
-      const auto [fb, fp, fph] = endpoint(body.substr(0, arrow), 3);
-      const auto [tb, tp, tph] = endpoint(body.substr(arrow + 2), 0);
-      p.add_sync({fb, fp, tb, tp, fph, tph});
-      continue;
-    }
-    if (line.rfind("# output ", 0) == 0) {
-      std::istringstream ls(line.substr(9));
-      std::string name;
-      std::string cell;
-      ls >> name >> cell;
-      if (cell.size() < 3 || cell.rfind("@X", 0) != 0) {
-        throw std::runtime_error("malformed output declaration: " + line);
-      }
-      p.add_output(name,
-                   static_cast<std::uint32_t>(std::stoul(cell.substr(2)) - 1));
-      continue;
-    }
-    if (line[0] == '#') {
-      continue;  // other comments
-    }
-    if (!saw_banks) {
-      throw std::runtime_error("step line before '# parallel banks'");
-    }
-    // "NN: b<k>[*]: a, b, @Xz | b<k>[*]: a, b, @Xz | ..."
-    const auto colon = line.find(':');
-    if (colon == std::string::npos) {
-      throw std::runtime_error("missing step counter in line: " + line);
-    }
+  };
+  const auto step = [&](std::string_view body) {
+    need_banks();
     p.begin_step();
-    std::string rest = line.substr(colon + 1);
-    std::size_t pos = 0;
-    while (pos < rest.size()) {
-      auto bar = rest.find('|', pos);
-      if (bar == std::string::npos) {
-        bar = rest.size();
+    for (auto slot : arch::split(body, '|')) {
+      const auto colon = slot.find(':');
+      if (colon == std::string_view::npos) {
+        throw std::runtime_error("slot without a bank tag 'b<k>:'");
       }
-      const auto part = trim(rest.substr(pos, bar - pos));
-      pos = bar + 1;
-      if (part.empty()) {
-        throw std::runtime_error("empty slot in line: " + line);
-      }
-      const auto slot_colon = part.find(':');
-      if (part[0] != 'b' || slot_colon == std::string::npos) {
-        throw std::runtime_error("malformed bank tag in line: " + line);
-      }
-      auto tag = part.substr(1, slot_colon - 1);
-      bool is_transfer = false;
-      if (!tag.empty() && tag.back() == '*') {
-        is_transfer = true;
-        tag.pop_back();
-      }
-      if (tag.empty()) {
-        throw std::runtime_error("malformed bank tag in line: " + line);
-      }
-      const auto bank = static_cast<std::uint32_t>(std::stoul(tag));
-      std::string body = part.substr(slot_colon + 1);
-      std::array<std::string, 3> tokens;
-      std::size_t tpos = 0;
-      for (int t = 0; t < 3; ++t) {
-        const auto comma = body.find(',', tpos);
-        const auto end = (t == 2) ? body.size() : comma;
-        if (t < 2 && comma == std::string::npos) {
-          throw std::runtime_error("expected three operands in slot: " + part);
-        }
-        tokens[t] = trim(body.substr(tpos, end - tpos));
-        tpos = (t == 2) ? end : comma + 1;
-      }
-      const auto a = arch::parse_operand(tokens[0], inputs);
-      const auto b = arch::parse_operand(tokens[1], inputs);
-      const auto z = arch::parse_operand(tokens[2], inputs);
-      if (!z.is_rram()) {
-        throw std::runtime_error("destination must be an RRAM cell: " + part);
-      }
-      p.add_slot({bank, arch::Instruction{a, b, z.address()}, is_transfer});
+      auto tag = arch::trim(slot.substr(0, colon));
+      const bool is_transfer = tag.ends_with('*');
+      tag.remove_suffix(is_transfer ? 1 : 0);
+      p.add_slot({arch::parse_number(tag, "b", "bank tag"),
+                  reader.instruction(slot.substr(colon + 1)), is_transfer});
     }
-  }
-  if (!saw_banks) {
-    throw std::runtime_error("missing '# parallel banks' header");
-  }
+  };
+  reader.read(text, header, step);
+  reader.declare_ports(p);
   if (const auto err = p.validate(); !err.empty()) {
     throw std::runtime_error("invalid parallel program: " + err);
   }
   return p;
-}
-
-}  // namespace
-
-ParallelProgram parse_parallel_program(const std::string& text) {
-  try {
-    return parse_parallel_impl(text);
-  } catch (const std::logic_error& e) {
-    // std::stoul reports malformed/overflowing numbers as logic_errors;
-    // translate to the documented std::runtime_error contract.
-    throw std::runtime_error(
-        std::string("malformed number in parallel program: ") + e.what());
-  }
 }
 
 }  // namespace plim::sched

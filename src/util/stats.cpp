@@ -6,6 +6,8 @@
 #include <fstream>
 #include <iostream>
 
+#include "util/trace.hpp"
+
 namespace plim::util {
 
 Summary summarize(const std::vector<std::uint64_t>& samples) {
@@ -48,33 +50,7 @@ void JsonWriter::key(const std::string& k) {
 
 void JsonWriter::escape(const std::string& s) {
   out_ += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out_ += "\\\"";
-        break;
-      case '\\':
-        out_ += "\\\\";
-        break;
-      case '\n':
-        out_ += "\\n";
-        break;
-      case '\t':
-        out_ += "\\t";
-        break;
-      case '\r':
-        out_ += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out_ += buf;
-        } else {
-          out_ += c;
-        }
-    }
-  }
+  json_escape(s, out_);
   out_ += '"';
 }
 

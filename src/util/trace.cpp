@@ -29,6 +29,11 @@ void append_double(std::string& out, double v) {
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
+  json_escape(s, out);
+  return out;
+}
+
+void json_escape(const std::string& s, std::string& out) {
   for (const char c : s) {
     switch (c) {
       case '"':
@@ -56,7 +61,6 @@ std::string json_escape(const std::string& s) {
         }
     }
   }
-  return out;
 }
 
 Tracer& Tracer::global() {

@@ -168,6 +168,8 @@ class ScopedPhase {
 
 /// Escapes `s` as the contents of a JSON string (no surrounding quotes)
 /// — for building TraceSpan args ("\"benchmark\":\"" + escaped + "\"").
+/// The two-argument form appends to `out` instead (util::JsonWriter).
 [[nodiscard]] std::string json_escape(const std::string& s);
+void json_escape(const std::string& s, std::string& out);
 
 }  // namespace plim::util

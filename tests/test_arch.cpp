@@ -157,6 +157,43 @@ TEST(Text, ParseRejectsMalformed) {
   EXPECT_THROW((void)parse_program("01: 0, 1"), std::runtime_error);
   EXPECT_THROW((void)parse_program("01: 0, 1, unknown"), std::runtime_error);
   EXPECT_THROW((void)parse_program("01: 0, 1, @X0"), std::runtime_error);
+  // A cell is @X and a whole decimal number in 1..2^32 - 1: no trailing
+  // characters, signs, spaces, negative or wrapped values.
+  for (const char* cell : {"@X5abc", "@X+3", "@X 7", "@X-1", "@X4294967297",
+                           "@X", "@Y1"}) {
+    EXPECT_THROW((void)parse_program(std::string("01: 0, 1, ") + cell),
+                 std::runtime_error)
+        << cell;
+    EXPECT_THROW((void)parse_program(std::string("01: ") + cell + ", 1, @X1"),
+                 std::runtime_error)
+        << cell;
+  }
+  EXPECT_EQ(parse_program("01: 0, 1, @X4294967295").num_rrams(),
+            4294967295u);
+  // Outputs follow the same rule: @X0 would name cell 2^32 - 1.
+  EXPECT_THROW((void)parse_program("01: 0, 1, @X1\n# output f @X0"),
+               std::runtime_error);
+  EXPECT_THROW((void)parse_program("01: 0, 1, @X1\n# output f @X1 @X2"),
+               std::runtime_error);
+  EXPECT_THROW((void)parse_program("# input +0 a\n01: a, 1, @X1"),
+               std::runtime_error);
+  EXPECT_THROW((void)parse_program("# input 1 a\n01: a, 1, @X1"),
+               std::runtime_error);  // indices run 0, 1, ...
+  EXPECT_THROW((void)parse_program("0x1: 0, 1, @X1"), std::runtime_error);
+  EXPECT_THROW((void)parse_program("01: 0, 1, @X1, @X2"), std::runtime_error);
+}
+
+TEST(Text, ParseAcceptsSpacesAroundTokens) {
+  const auto p = parse_program(
+      "  # input   0\ta \r\n"
+      "\n"
+      "# a comment\n"
+      " 1 :a ,0,  @X2\t\r\n"
+      "# output  f   @X2\n");
+  ASSERT_EQ(p.num_instructions(), 1u);
+  EXPECT_EQ(p[0],
+            (Instruction{Operand::input(0), Operand::constant(false), 1}));
+  EXPECT_EQ(to_text(p), "# input 0 a\n01: a, 0, @X2\n# output f @X2\n");
 }
 
 }  // namespace

@@ -160,6 +160,32 @@ TEST(Driver, BlifRequestRoundTrips) {
   EXPECT_EQ(outcome.stats.benchmark, "int2float");
 }
 
+/// The rewrite report describes the network after the dangling-gate
+/// cleanup at every effort, so "before" reads the same with rewriting off.
+TEST(Driver, RewriteReportIgnoresDanglingGatesAtEveryEffort) {
+  const std::string path = "driver_dangling.blif";
+  {
+    std::ofstream out(path);
+    ASSERT_TRUE(out.good());
+    out << ".model dangling\n.inputs a b c\n.outputs f\n"
+           ".names a b unused\n11 1\n.names a c f\n11 1\n.end\n";
+  }
+  std::vector<CompileOutcome> outcomes;
+  for (const unsigned effort : {0u, 1u}) {
+    Options options;
+    options.rewrite.effort = effort;
+    outcomes.push_back(Driver(options).run(CompileRequest::from_blif(path)));
+  }
+  std::remove(path.c_str());
+  for (const auto& outcome : outcomes) {
+    ASSERT_TRUE(outcome.ok()) << outcome.error_summary();
+    EXPECT_EQ(outcome.stats.initial_gates, 2u);  // the raw network
+    EXPECT_EQ(outcome.stats.rewrite.gates_before, 1u);
+  }
+  EXPECT_EQ(outcomes[0].stats.rewrite.gates_after, 1u);
+  EXPECT_EQ(outcomes[0].stats.rewrite.cycles, 0u);
+}
+
 TEST(Driver, LoadFailuresAreStructured) {
   const Driver driver;
   const auto missing =

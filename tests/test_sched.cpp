@@ -514,6 +514,46 @@ TEST(ParallelText, ParseRejectsMalformed) {
       (void)parse_parallel_program(
           "# parallel banks 1\n# bank 0 @X1..@X1\n01: bzz: 0, 1, @X1"),
       std::runtime_error);  // malformed bank tag number
+  // Every number is a whole decimal number in its field's range.
+  for (const char* banks : {"4294967298", "2x", "1025", "0", "+2", "-1"}) {
+    EXPECT_THROW((void)parse_parallel_program(
+                     std::string("# parallel banks ") + banks + "\n"),
+                 std::runtime_error)
+        << banks;
+  }
+  EXPECT_EQ(parse_parallel_program("# parallel banks 1024\n").num_banks(),
+            kMaxBanks);
+  EXPECT_THROW((void)parse_parallel_program(
+                   "# parallel banks 1\n# parallel banks 1\n"),
+               std::runtime_error);  // it would drop what came before
+  const std::string two_banks =
+      "# parallel banks 2\n# bank 0 @X1..@X1\n# bank 1 @X2..@X2\n";
+  EXPECT_NO_THROW((void)parse_parallel_program(two_banks +
+                                               "01: b0: 0, 1, @X1\n"));
+  for (const char* bad :
+       {"# bus 1x\n", "# bus 0\n", "# bank 1 @X2..@X2x\n",
+        "# bank 1 @X0..@X2\n", "# bank 1 @X2..@X4294967297\n",
+        "# bank 2 empty\n", "01: b0: 0, 1, @X1abc\n",
+        "01: b4294967296: 0, 1, @X1\n", "01: b+0: 0, 1, @X1\n",
+        "01: b0: 0, 1, @X1 |\n", "01: b0: 0, 1, @X-1\n",
+        "01: b0: 0, 1, @X1\n# output f @X0\n"}) {
+    EXPECT_THROW((void)parse_parallel_program(two_banks + bad),
+                 std::runtime_error)
+        << bad;
+  }
+  // Sync ids and stream positions are 1-based whole decimal numbers.
+  const std::string steps =
+      two_banks + "01: b0: 0, 1, @X1\n02: b1: 0, 1, @X2\n";
+  EXPECT_NO_THROW(
+      (void)parse_parallel_program(steps + "# sync t1: b0@1.w -> b1@1.a\n"));
+  for (const char* bad :
+       {"# sync t1x: b0@1 -> b1@1\n", "# sync t1: b0@1x -> b1@1\n",
+        "# sync t1: b0@+1 -> b1@1\n", "# sync t1: b0@1 -> b1@4294967297\n",
+        "# sync t1: b0@1.z -> b1@1\n", "# sync t1: b0@1.wa -> b1@1\n",
+        "# sync t1: b4294967296@1 -> b1@1\n"}) {
+    EXPECT_THROW((void)parse_parallel_program(steps + bad), std::runtime_error)
+        << bad;
+  }
 }
 
 // ---- cost model -------------------------------------------------------------
