@@ -36,9 +36,11 @@
 #include <cstdio>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "arch/text.hpp"
 #include "circuits/epfl.hpp"
 #include "driver/driver.hpp"
 #include "mig/cleanup.hpp"
@@ -68,13 +70,33 @@ int main(int argc, char** argv) {
   unsigned rounds = 2;
   bool verify = true;
   bool smoke = false;
+  constexpr unsigned kMax = std::numeric_limits<unsigned>::max();
+  // Reads the value after flag argv[i] as a whole decimal number in
+  // [min, max] into `out` and steps past it; false after naming the flag.
+  const auto number = [&](int& i, std::uint64_t min, std::uint64_t max,
+                          unsigned& out) {
+    const auto value = plim::arch::parse_decimal(argv[i + 1], max);
+    if (!value || *value < min) {
+      std::cerr << "sched_speedup: " << argv[i]
+                << " needs a whole decimal number in " << min << ".." << max
+                << ", got '" << argv[i + 1] << "'\n";
+      return false;
+    }
+    out = static_cast<unsigned>(*value);
+    ++i;
+    return true;
+  };
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--benchmark") == 0 && i + 1 < argc) {
       only = argv[++i];
     } else if (std::strcmp(argv[i], "--effort") == 0 && i + 1 < argc) {
-      effort = static_cast<unsigned>(std::stoul(argv[++i]));
+      if (!number(i, 0, kMax, effort)) {
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--rounds") == 0 && i + 1 < argc) {
-      rounds = static_cast<unsigned>(std::stoul(argv[++i]));
+      if (!number(i, 1, kMax, rounds)) {
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--no-verify") == 0) {

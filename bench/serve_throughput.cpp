@@ -31,10 +31,12 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "arch/text.hpp"
 #include "circuits/epfl.hpp"
 #include "driver/driver.hpp"
 #include "serve/server.hpp"
@@ -116,11 +118,31 @@ int main(int argc, char** argv) {
   unsigned reps = 20;
   std::string json_path;
   bool smoke = false;
+  // Reads the value after flag argv[i] as a whole decimal number in
+  // [min, max] into `out` and steps past it; false after naming the flag.
+  const auto number = [&](int& i, std::uint64_t min, std::uint64_t max,
+                          unsigned& out) {
+    const auto value = plim::arch::parse_decimal(argv[i + 1], max);
+    if (!value || *value < min) {
+      std::cerr << "serve_throughput: " << argv[i]
+                << " needs a whole decimal number in " << min << ".." << max
+                << ", got '" << argv[i + 1] << "'\n";
+      return false;
+    }
+    out = static_cast<unsigned>(*value);
+    ++i;
+    return true;
+  };
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = static_cast<unsigned>(std::stoul(argv[++i]));
+      // One client thread per server worker.
+      if (!number(i, 1, plim::serve::ServerOptions::kMaxWorkers, threads)) {
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
-      reps = static_cast<unsigned>(std::stoul(argv[++i]));
+      if (!number(i, 1, std::numeric_limits<unsigned>::max(), reps)) {
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--smoke") == 0) {

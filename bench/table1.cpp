@@ -15,9 +15,11 @@
 #include <chrono>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
+#include "arch/text.hpp"
 #include "circuits/epfl.hpp"
 #include "core/verify.hpp"
 #include "driver/driver.hpp"
@@ -64,7 +66,15 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--benchmark") == 0 && i + 1 < argc) {
       only = argv[++i];
     } else if (std::strcmp(argv[i], "--effort") == 0 && i + 1 < argc) {
-      effort = static_cast<unsigned>(std::stoul(argv[++i]));
+      const auto value = plim::arch::parse_decimal(
+          argv[++i], std::numeric_limits<unsigned>::max());
+      if (!value) {
+        std::cerr << "table1: --effort needs a whole decimal number up to "
+                  << std::numeric_limits<unsigned>::max() << ", got '"
+                  << argv[i] << "'\n";
+        return 2;
+      }
+      effort = static_cast<unsigned>(*value);
     } else if (std::strcmp(argv[i], "--no-verify") == 0) {
       verify = false;
     } else {

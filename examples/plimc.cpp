@@ -82,12 +82,13 @@
 /// truncated); --listen takes at most 65535.
 ///
 /// Exit codes: 0 success, 1 request failed (I/O, compilation,
-/// verification), 2 usage or contradictory options (an unknown argument
-/// or a malformed value is named on stderr before the usage block;
-/// contradictory options are each rejected with a diagnostic from
-/// plim::Options::validate()). Warnings — validation
-/// warnings and run-produced ones like rram-cap-degraded — go to stderr
-/// and never change the exit code; only errors exit non-zero.
+/// verification, an input name no listing can carry), 2 usage or
+/// contradictory options (an unknown argument or a malformed value is
+/// named on stderr before the usage block; contradictory options are
+/// each rejected with a diagnostic from plim::Options::validate()).
+/// Warnings — validation warnings and run-produced ones like
+/// rram-cap-degraded — go to stderr and never change the exit code; only
+/// errors exit non-zero.
 
 #include <unistd.h>
 
@@ -99,6 +100,7 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -580,12 +582,19 @@ int main(int argc, char** argv) {
 
   // "--json -" without -o hands stdout to the JSON block and suppresses
   // the program listing (stats-only mode for pipelines / CI).
-  const bool suppress_listing = json_path == "-" && out_path.empty();
-  const auto text = outcome.parallel ? plim::sched::to_text(*outcome.parallel)
-                                     : plim::arch::to_text(outcome.program);
-  if (suppress_listing) {
-    // stdout belongs to the JSON block (emitted above).
-  } else if (out_path.empty()) {
+  if (json_path == "-" && out_path.empty()) {
+    return 0;
+  }
+  std::string text;
+  try {
+    text = outcome.parallel ? plim::sched::to_text(*outcome.parallel)
+                            : plim::arch::to_text(outcome.program);
+  } catch (const std::invalid_argument& e) {
+    // An input name the listing syntax cannot carry (arch::write_inputs).
+    std::cerr << "plimc: " << e.what() << '\n';
+    return 1;
+  }
+  if (out_path.empty()) {
     std::cout << text;
   } else {
     std::ofstream out(out_path);

@@ -8,6 +8,33 @@
 
 namespace plim::arch {
 
+namespace {
+
+using InputIndex = std::map<std::string, std::uint32_t, std::less<>>;
+
+/// Why a listing cannot declare an input named `name` after the inputs in
+/// `earlier` (see write_inputs), or an empty string when it can.
+std::string input_name_error(std::string_view name,
+                             const InputIndex& earlier) {
+  std::string_view flaw;
+  if (name.empty()) {
+    flaw = "is empty";
+  } else if (name == "0" || name == "1") {
+    flaw = "reads as a constant";
+  } else if (name.starts_with("@X")) {
+    flaw = "reads as a cell";
+  } else if (name.find_first_of(",| \t\n\v\f\r") != name.npos) {
+    flaw = "holds ',', '|' or whitespace";
+  } else if (earlier.contains(name)) {
+    flaw = "repeats an earlier input";
+  } else {
+    return {};
+  }
+  return "input '" + std::string(name) + "' " + std::string(flaw);
+}
+
+}  // namespace
+
 void write_text(const Program& program, std::ostream& os) {
   write_inputs(os, program.input_names());
   for (std::size_t i = 0; i < program.num_instructions(); ++i) {
@@ -107,6 +134,13 @@ std::pair<std::string_view, std::string_view> two_words(
 }
 
 void write_inputs(std::ostream& os, const std::vector<std::string>& names) {
+  InputIndex index;
+  for (std::uint32_t i = 0; i < names.size(); ++i) {
+    if (const auto err = input_name_error(names[i], index); !err.empty()) {
+      throw std::invalid_argument("cannot write a listing: " + err);
+    }
+    index.emplace(names[i], i);
+  }
   for (std::size_t i = 0; i < names.size(); ++i) {
     os << "# input " << i << ' ' << names[i] << '\n';
   }
@@ -150,6 +184,10 @@ void ListingReader::read(std::string_view text, const Hook& comment,
         const auto [i, name] = two_words(line.substr(8), "# input <i> <name>");
         const auto index = static_cast<std::uint32_t>(inputs_.size());
         (void)parse_number(i, "", "input index", index, index);
+        if (const auto err = input_name_error(name, input_index_);
+            !err.empty()) {
+          throw std::runtime_error(err);
+        }
         inputs_.emplace_back(name);
         input_index_.emplace(name, index);
       } else if (line.starts_with("# output ")) {

@@ -64,6 +64,13 @@ std::ostream& operator<<(std::ostream& os, CellRef cell);
 /// The "# input" lines; the "NN:" counter of line `number` (1-based; two
 /// digits in listings of fewer than 100 lines); the "a, b, @Xz" operands;
 /// the "# output" lines.
+///
+/// An operand names an input by its declared name, so the name has to
+/// read back as that input: it is not empty, 0 or 1, does not start with
+/// @X, holds no ',', '|' or whitespace, and repeats no earlier input.
+/// write_inputs throws std::invalid_argument naming the first input that
+/// breaks the rule, before it writes anything; ListingReader rejects the
+/// "# input" line.
 void write_inputs(std::ostream& os, const std::vector<std::string>& names);
 void write_counter(std::ostream& os, std::size_t number, std::size_t lines);
 void write_operands(std::ostream& os, const Instruction& instr,

@@ -82,7 +82,7 @@ Mig make_log2(unsigned frac_bits) {
   // Fixed-point binary logarithm of a 32-bit integer by the squaring
   // method: 5 integer bits (the leading-one position) followed by
   // `frac_bits` fraction bits f_0 (MSB) … f_{frac-1}. The software model
-  // in circuits/reference.hpp replicates this bit-exactly.
+  // in tests/test_epfl.cpp replicates this bit-exactly.
   Mig m;
   const Bus x = input_bus(m, 32, "x");
 
@@ -169,7 +169,7 @@ std::int64_t sin_atan_constant(int k) {
 Mig make_sin() {
   // 24-bit angle (fraction of a full turn) → 25-bit two's-complement sine
   // in 1.23 fixed point, computed with a 24-iteration CORDIC in rotation
-  // mode plus quadrant folding. circuits/reference.hpp mirrors it.
+  // mode plus quadrant folding. tests/test_epfl.cpp mirrors it.
   Mig m;
   const Bus t = input_bus(m, 24, "t");
   const Signal q0 = t[22];

@@ -52,7 +52,10 @@ struct StatsReport {
     double compile_ms = 0.0;  ///< MIG → RM3 translation (Algorithm 2)
     double verify_ms = 0.0;   ///< serial program vs network simulation
     double schedule_ms = 0.0;  ///< multi-bank scheduling, refinement incl.
-    double schedule_verify_ms = 0.0;  ///< schedule vs serial equivalence
+    /// The checks of the scheduled program: ParallelProgram::validate(),
+    /// the RRAM cap and, with verification on, equivalence to the serial
+    /// program.
+    double schedule_verify_ms = 0.0;
   } metrics;
 
   /// Zeroes *every* wall-clock field (metrics.*_ms plus the schedule's

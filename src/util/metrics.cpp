@@ -4,8 +4,6 @@
 #include <cmath>
 #include <cstdio>
 
-#include "util/stats.hpp"
-
 namespace plim::util {
 
 namespace {
@@ -174,38 +172,6 @@ MetricsRegistry::NameMap<HistogramSnapshot> MetricsRegistry::histograms()
     out.emplace(name, std::move(snap));
   }
   return out;
-}
-
-void MetricsRegistry::write_json(JsonWriter& json) const {
-  // Copy everything out first: JsonWriter calls must not run under the
-  // registry mutex (the tracer could be recording concurrently).
-  const auto counters = this->counters();
-  const auto gauges = this->gauges();
-  const auto histograms = this->histograms();
-
-  json.begin_object("counters");
-  for (const auto& [name, value] : counters) {
-    json.field(name, value);
-  }
-  json.end_object();
-  json.begin_object("gauges");
-  for (const auto& [name, value] : gauges) {
-    json.field(name, value);
-  }
-  json.end_object();
-  json.begin_object("histograms");
-  for (const auto& [name, h] : histograms) {
-    json.begin_object(name);
-    json.field("count", h.count);
-    json.field("sum", h.sum);
-    json.field("min", h.min);
-    json.field("max", h.max);
-    json.field("mean", h.mean());
-    json.field("p50", h.quantile(0.50));
-    json.field("p99", h.quantile(0.99));
-    json.end_object();
-  }
-  json.end_object();
 }
 
 std::string MetricsRegistry::summary() const {

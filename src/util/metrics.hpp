@@ -11,8 +11,6 @@
 
 namespace plim::util {
 
-class JsonWriter;
-
 /// Snapshot of one log2-bucketed histogram: bucket k counts samples in
 /// [2^(k−1), 2^k) (bucket 0 counts samples < 1). Quantiles are
 /// estimated by linear interpolation inside the selected bucket —
@@ -39,8 +37,7 @@ struct HistogramSnapshot {
 /// scheduler, refinement, the compile server) allocate nothing and
 /// cost nothing else while the registry is disabled; when enabled,
 /// each call takes one mutex. plimc enables it for --metrics / --trace
-/// and prints summary() at exit; the compile-server will export
-/// snapshot() per scrape.
+/// and prints summary() at exit.
 class MetricsRegistry {
  public:
   static MetricsRegistry& global();
@@ -72,12 +69,6 @@ class MetricsRegistry {
   [[nodiscard]] NameMap<std::uint64_t> counters() const;
   [[nodiscard]] NameMap<double> gauges() const;
   [[nodiscard]] NameMap<HistogramSnapshot> histograms() const;
-
-  /// Emits every metric as fields of the currently open JSON object:
-  /// "counters" / "gauges" as flat objects, "histograms" with
-  /// count/sum/min/max/mean/p50/p99 per entry. Deterministic order
-  /// (name-sorted).
-  void write_json(JsonWriter& json) const;
 
   /// Human-readable dump, one metric per line — what `plimc --metrics`
   /// prints to stderr.

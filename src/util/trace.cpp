@@ -112,36 +112,6 @@ void Tracer::end() {
   push(std::move(e));
 }
 
-void Tracer::counter(const char* name, double value) {
-  if (!enabled()) {
-    return;
-  }
-  Event e;
-  e.name = name;
-  e.cat = "compile";
-  e.ph = 'C';
-  e.pid = kCompilerPid;
-  e.tid = current_tid();
-  e.ts = now_us();
-  e.args_json = "\"value\":";
-  append_double(e.args_json, value);
-  push(std::move(e));
-}
-
-void Tracer::instant(const char* name) {
-  if (!enabled()) {
-    return;
-  }
-  Event e;
-  e.name = name;
-  e.cat = "compile";
-  e.ph = 'i';
-  e.pid = kCompilerPid;
-  e.tid = current_tid();
-  e.ts = now_us();
-  push(std::move(e));
-}
-
 std::uint32_t Tracer::reserve_pid() { return next_pid_.fetch_add(1); }
 
 void Tracer::name_process(std::uint32_t pid, const std::string& name) {
@@ -256,9 +226,6 @@ std::string Tracer::to_json() const {
       if (e.ph == 'f') {
         out += ",\"bp\":\"e\"";  // bind the arrow to the enclosing slice
       }
-    }
-    if (e.ph == 'i') {
-      out += ",\"s\":\"t\"";  // thread-scoped instant
     }
     if (!e.args_json.empty()) {
       out += ",\"args\":{" + e.args_json + "}";

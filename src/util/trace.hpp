@@ -13,9 +13,8 @@ namespace plim::util {
 /// format `chrome://tracing` and Perfetto load directly. Two kinds of
 /// timeline coexist in one file, separated by pid:
 ///
-///  - pid 1 ("plim compiler"): wall-clock duration spans (ph B/E) and
-///    counters, one tid per OS thread — the per-phase view of
-///    Driver::run and the per-thread worklist occupancy of run_batch;
+///  - pid 1 ("plim compiler"): wall-clock duration spans (ph B/E), one
+///    tid per OS thread — the per-phase view of Driver::run;
 ///  - pid ≥ 2 (one per reserve_pid() call): *virtual-clock* tracks
 ///    whose timestamps are machine cycles, one tid per PLiM bank — the
 ///    cycle-accurate execution timelines of decoupled schedules (see
@@ -34,7 +33,7 @@ class Tracer {
   struct Event {
     std::string name;
     std::string cat;
-    char ph = 'X';          ///< B/E span, X complete, C counter, s/f flow, M meta
+    char ph = 'X';          ///< B/E span, X complete, s/f flow, M meta
     std::uint32_t pid = 1;  ///< 1 = wall-clock compiler; ≥2 = cycle timelines
     std::uint32_t tid = 0;
     double ts = 0.0;   ///< µs for pid 1, machine cycles for pid ≥ 2
@@ -64,10 +63,6 @@ class Tracer {
   void begin(const char* name, const std::string& args_json = {});
   /// Closes the innermost span of the calling thread (ph "E").
   void end();
-  /// A counter sample (ph "C"): tracks a value over wall-clock time.
-  void counter(const char* name, double value);
-  /// An instant marker (ph "i").
-  void instant(const char* name);
 
   // ---- virtual-clock events (cycle timelines, explicit pid/tid) ----------
 

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "arch/isa.hpp"
 #include "arch/machine.hpp"
 #include "arch/program.hpp"
@@ -194,6 +198,38 @@ TEST(Text, ParseAcceptsSpacesAroundTokens) {
   EXPECT_EQ(p[0],
             (Instruction{Operand::input(0), Operand::constant(false), 1}));
   EXPECT_EQ(to_text(p), "# input 0 a\n01: a, 0, @X2\n# output f @X2\n");
+}
+
+TEST(Text, InputNamesReadBackAsThemselves) {
+  // An operand names an input by its declared name, so a name that reads
+  // as a constant, a cell, more than one operand or an earlier input
+  // cannot be written in a listing, and the writer names it (each list
+  // below ends in the name at fault).
+  const auto program = [](const std::vector<std::string>& names) {
+    Program p;
+    for (const auto& name : names) {
+      p.add_input(name);
+    }
+    p.append(Operand::constant(false), Operand::constant(true), 0);
+    p.append(Operand::input(0), Operand::constant(false), 0);
+    p.add_output("f", 0);
+    return p;
+  };
+  for (const std::vector<std::string>& names :
+       {std::vector<std::string>{"b", "1"}, {"a", "@X3"}, {"a,x"}, {"a|x"},
+        {"a x"}, {"a\tx"}, {""}, {"a", "b", "a"}}) {
+    try {
+      (void)to_text(program(names));
+      ADD_FAILURE() << "wrote input '" << names.back() << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + names.back() + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // Names that only contain 0, 1 or @X are names like any other.
+  const auto p = program({"10", "x@X1", "@x", "0a"});
+  EXPECT_EQ(to_text(parse_program(to_text(p))), to_text(p));
 }
 
 }  // namespace

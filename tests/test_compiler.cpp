@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "circuits/motivation.hpp"
 #include "core/verify.hpp"
 #include "mig/random.hpp"
 #include "mig/simulation.hpp"
@@ -231,6 +235,76 @@ TEST(Compiler, WorstCaseNodeBound) {
   opts.cache_complements = false;
   const auto r = compile_verified(m, opts);
   EXPECT_LE(r.stats.num_instructions, 7u + 5u /* keepalive chain + PO */);
+}
+
+TEST(Compiler, EveryCompiledCellIsWrittenBeforeRead) {
+  // The A and B operands read cells; Z is written (a fresh cell's first
+  // write is a reset that does not depend on what the cell held).
+  std::vector<Mig> networks{circuits::make_fig3b()};
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    networks.push_back(mig::random_mig({6, 60, 4, 35, 30}, seed));
+  }
+  for (const auto& m : networks) {
+    const auto& program = compile(m).program;
+    std::vector<bool> written(program.num_rrams(), false);
+    for (std::size_t i = 0; i < program.num_instructions(); ++i) {
+      const auto& ins = program[i];
+      for (const auto op : {ins.a, ins.b}) {
+        if (op.is_rram()) {
+          EXPECT_TRUE(written[op.address()])
+              << "instruction " << i << " reads uninitialized cell";
+        }
+      }
+      written[ins.z] = true;
+    }
+    EXPECT_EQ(std::count(written.begin(), written.end(), false), 0)
+        << "every cell of the program is written";
+  }
+}
+
+TEST(Compiler, PeakLiveMatchesCompilerStatistic) {
+  // The allocator tracks peak live cells online; the cells live at once
+  // in the emitted program (from a cell's first write to its last
+  // access, an output's to the end) can only be fewer, since the
+  // allocator holds a cell from request time and may keep a complement
+  // cached past its last use.
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    const auto r = compile(mig::random_mig({6, 60, 4, 35, 30}, seed));
+    const auto& program = r.program;
+    const auto n = program.num_instructions();
+    // first[c] == n marks a cell that is never written.
+    std::vector<std::size_t> first(program.num_rrams(), n);
+    std::vector<std::size_t> last(program.num_rrams(), 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto& ins = program[i];
+      for (const auto op : {ins.a, ins.b}) {
+        if (op.is_rram()) {
+          last[op.address()] = i;
+        }
+      }
+      first[ins.z] = std::min(first[ins.z], i);
+      last[ins.z] = i;
+    }
+    for (std::uint32_t o = 0; o < program.num_outputs(); ++o) {
+      last[program.output_cell(o)] = n - 1;
+    }
+    std::vector<int> delta(n + 1, 0);
+    for (std::size_t cell = 0; cell < first.size(); ++cell) {
+      if (first[cell] < n) {
+        ++delta[first[cell]];
+        --delta[last[cell] + 1];
+      }
+    }
+    int live = 0;
+    int peak = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      live += delta[i];
+      peak = std::max(peak, live);
+    }
+    EXPECT_LE(static_cast<std::uint32_t>(peak), r.stats.peak_live_rrams)
+        << "seed " << seed;
+    EXPECT_GT(peak, 0);
+  }
 }
 
 }  // namespace

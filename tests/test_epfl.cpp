@@ -5,12 +5,123 @@
 #include <algorithm>
 #include <cmath>
 
-#include "circuits/reference.hpp"
 #include "mig/simulation.hpp"
 #include "util/rng.hpp"
 
 namespace plim::circuits {
 namespace {
+
+// ---- bit-exact software models of the generators ------------------------
+// The non-trivial circuits are checked against these models; plain
+// arithmetic blocks (adder, multiplier, divider, sqrt, shifter, …) are
+// checked against built-in integer operations instead.
+
+constexpr int sin_frac = 24;
+constexpr int sin_width = 28;
+constexpr int sin_iters = 24;
+constexpr std::int64_t sin_mask = (std::int64_t{1} << sin_width) - 1;
+
+std::int64_t wrap(std::int64_t v) {
+  v &= sin_mask;
+  if (v & (std::int64_t{1} << (sin_width - 1))) {
+    v -= std::int64_t{1} << sin_width;
+  }
+  return v;
+}
+
+std::int64_t gain_constant() {
+  double k = 1.0;
+  for (int i = 0; i < sin_iters; ++i) {
+    k *= std::sqrt(1.0 + std::ldexp(1.0, -2 * i));
+  }
+  return std::llround(std::ldexp(1.0 / k, sin_frac));
+}
+
+std::int64_t atan_constant(int k) {
+  const double pi = 4.0 * std::atan(1.0);
+  const double turns = std::atan(std::ldexp(1.0, -k)) / (2.0 * pi);
+  return std::llround(std::ldexp(turns, sin_frac));
+}
+
+/// Model of make_log2(frac_bits): returns {e(5) : f_0…f_{frac-1}} packed
+/// little-endian exactly like the circuit's PO order (f first, e on top).
+std::uint64_t ref_log2(std::uint32_t x, unsigned frac_bits) {
+  // Leading-one position (0 when x == 0, like the circuit's encoder).
+  unsigned e = 0;
+  for (unsigned i = 0; i < 32; ++i) {
+    if ((x >> i) & 1u) {
+      e = i;
+    }
+  }
+  const std::uint32_t normalized = x == 0 ? 0 : x << (31 - e);
+  std::uint64_t mant = normalized >> 16;  // 1.15
+
+  std::uint64_t frac = 0;  // f_0 at bit frac_bits-1 (matches PO order)
+  for (unsigned k = 0; k < frac_bits; ++k) {
+    const std::uint64_t p = (mant * mant) & 0xffffffffULL;
+    const bool ge2 = (p >> 31) & 1;
+    if (ge2) {
+      frac |= std::uint64_t{1} << (frac_bits - 1 - k);
+    }
+    mant = ge2 ? (p >> 16) : (p >> 15);
+    mant &= 0xffffULL;
+  }
+  return frac | (std::uint64_t{e} << frac_bits);
+}
+
+/// Model of make_sin(): 24-bit turn fraction → 25-bit two's-complement
+/// 1.23 sine value (low 25 bits of the result).
+std::uint32_t ref_sin(std::uint32_t t) {
+  t &= 0xffffff;
+  const unsigned q = t >> 22;
+  const std::int64_t phi = t & 0x3fffff;
+
+  std::int64_t x = gain_constant();
+  std::int64_t y = 0;
+  std::int64_t z = phi;
+  for (int k = 0; k < sin_iters; ++k) {
+    const bool up = z >= 0;
+    const std::int64_t xs = x >> k;
+    const std::int64_t ys = y >> k;
+    if (up) {
+      x = wrap(x - ys);
+      y = wrap(y + xs);
+      z = wrap(z - atan_constant(k));
+    } else {
+      x = wrap(x + ys);
+      y = wrap(y - xs);
+      z = wrap(z + atan_constant(k));
+    }
+  }
+  std::int64_t v = (q & 1) ? x : y;
+  if (q & 2) {
+    v = wrap(-v);
+  }
+  // Drop one fraction bit, keep 25 bits (arithmetic shift then mask).
+  return static_cast<std::uint32_t>((v >> 1) & 0x1ffffff);
+}
+
+/// Model of make_int2float(): 11-bit two's-complement input → 7-bit
+/// {s, e[3], m[3]} packed little-endian (s = bit 0).
+std::uint32_t ref_int2float(std::uint32_t x11) {
+  x11 &= 0x7ff;
+  const bool sign = (x11 >> 10) & 1;
+  const std::uint32_t low = x11 & 0x3ff;
+  const std::uint32_t mag = (sign ? (1024 - low) : low) & 0x3ff;
+  if (mag == 0) {
+    return 0;
+  }
+  unsigned p = 0;
+  for (unsigned i = 0; i < 10; ++i) {
+    if ((mag >> i) & 1u) {
+      p = i;
+    }
+  }
+  const std::uint32_t norm = (mag << (9 - p)) & 0x3ff;
+  const std::uint32_t exp = p >= 8 ? 7 : p;
+  const std::uint32_t man = (norm >> 6) & 7;
+  return (sign ? 1u : 0u) | (exp << 1) | (man << 4);
+}
 
 std::uint64_t lane_of(const std::vector<std::uint64_t>& words,
                       std::size_t from, std::size_t count, unsigned lane) {

@@ -9,8 +9,6 @@
 #include "circuits/epfl.hpp"
 #include "expr/parser.hpp"
 #include "io/blif.hpp"
-#include "io/dot.hpp"
-#include "io/verilog.hpp"
 #include "mig/simulation.hpp"
 #include "util/rng.hpp"
 
@@ -356,44 +354,6 @@ TEST(Blif, OffSetCoverIsComplemented) {
   EXPECT_EQ(mig::simulate_vector(m, {true, false})[0], false);
   EXPECT_EQ(mig::simulate_vector(m, {false, false})[0], true);
   EXPECT_EQ(mig::simulate_vector(m, {true, true})[0], true);
-}
-
-TEST(Verilog, EmitsStructuralNetlist) {
-  const auto m = expr::build_from_expression("(a & b) | !c", "out");
-  const auto text = to_verilog(m, "unit");
-  EXPECT_NE(text.find("module unit"), std::string::npos);
-  EXPECT_NE(text.find("endmodule"), std::string::npos);
-  EXPECT_NE(text.find("input a;"), std::string::npos);
-  EXPECT_NE(text.find("output out;"), std::string::npos);
-  // One assign per gate plus one per PO.
-  std::size_t assigns = 0;
-  for (std::size_t pos = text.find("assign"); pos != std::string::npos;
-       pos = text.find("assign", pos + 1)) {
-    ++assigns;
-  }
-  EXPECT_EQ(assigns, m.num_gates() + m.num_pos());
-}
-
-TEST(Verilog, SanitizesAwkwardNames) {
-  mig::Mig m;
-  const auto a = m.create_pi("3bad-name");
-  m.create_po(a, "also bad");
-  const auto text = to_verilog(m);
-  EXPECT_EQ(text.find("3bad-name"), std::string::npos);
-  EXPECT_NE(text.find("s3bad_name"), std::string::npos);
-  EXPECT_NE(text.find("also_bad"), std::string::npos);
-}
-
-TEST(Dot, RendersEdgesWithComplementStyle) {
-  mig::Mig m;
-  const auto a = m.create_pi("a");
-  const auto b = m.create_pi("b");
-  const auto g = m.create_and(!a, b);
-  m.create_po(g, "f");
-  const auto text = to_dot(m);
-  EXPECT_NE(text.find("digraph mig"), std::string::npos);
-  EXPECT_NE(text.find("style=dashed"), std::string::npos);
-  EXPECT_NE(text.find("shape=invtriangle"), std::string::npos);
 }
 
 }  // namespace

@@ -69,8 +69,8 @@ TEST(ListingCorpus, EveryFileIsRejectedOrRoundTrips) {
     ++files;
   }
   // 9 plimc listings (ctrl, cavlc, int2float: serial, 4 lockstep banks,
-  // 4 decoupled banks on a 1-wide bus), 2 hand-written ones, 19 probes.
-  EXPECT_EQ(files, 30u);
+  // 4 decoupled banks on a 1-wide bus), 2 hand-written ones, 22 probes.
+  EXPECT_EQ(files, 33u);
 }
 
 }  // namespace

@@ -9,7 +9,6 @@
 
 #include "driver/driver.hpp"
 #include "util/metrics.hpp"
-#include "util/stats.hpp"
 #include "util/trace.hpp"
 
 // Counting replacements of the global allocation functions that every
@@ -145,24 +144,15 @@ TEST_F(MetricsTest, HistogramTracksDistribution) {
   EXPECT_LE(h.quantile(1.0), 100.0);
 }
 
-TEST_F(MetricsTest, WriteJsonEmitsEveryKind) {
+TEST_F(MetricsTest, SummaryListsEveryKind) {
   auto& reg = util::MetricsRegistry::global();
   reg.set_enabled(true);
   reg.counter_add("refine.moves_kept", 7);
   reg.gauge_set("banks", 4.0);
   reg.observe("gain", 2.0);
-  util::JsonWriter json;
-  json.begin_object();
-  reg.write_json(json);
-  json.end_object();
-  const auto& doc = json.str();
-  EXPECT_NE(doc.find("\"counters\":{\"refine.moves_kept\":7}"),
-            std::string::npos);
-  EXPECT_NE(doc.find("\"gauges\":{\"banks\":4"), std::string::npos);
-  EXPECT_NE(doc.find("\"histograms\":{\"gain\":{\"count\":1"),
-            std::string::npos);
   const auto summary = reg.summary();
-  EXPECT_NE(summary.find("refine.moves_kept = 7"), std::string::npos);
+  EXPECT_NE(summary.find("refine.moves_kept = 7\n"), std::string::npos);
+  EXPECT_NE(summary.find("banks = 4\n"), std::string::npos);
   EXPECT_NE(summary.find("gain: count=1"), std::string::npos);
 }
 

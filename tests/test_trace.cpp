@@ -36,8 +36,6 @@ TEST_F(TraceTest, DisabledTracerRecordsNothing) {
   ASSERT_FALSE(tracer.enabled());
   {
     util::TraceSpan span("should-not-appear");
-    tracer.counter("nope", 1.0);
-    tracer.instant("nope");
     tracer.complete("nope", "x", 2, 0, 0.0, 1.0);
   }
   EXPECT_EQ(tracer.num_events(), 0u);
@@ -105,7 +103,6 @@ TEST_F(TraceTest, ChromeTraceJsonShape) {
   tracer.set_enabled(true);
   {
     util::TraceSpan span("phase-a", "\"benchmark\":\"ctrl\"");
-    tracer.counter("queue", 3.0);
   }
   const auto pid = tracer.reserve_pid();
   ASSERT_GE(pid, 2u);

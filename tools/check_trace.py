@@ -127,8 +127,6 @@ def main():
                 name = event.get("args", {}).get("name", "")
                 if name.startswith("bank "):
                     bank_tracks.add((event["pid"], name))
-        elif ph in ("C", "i"):
-            pass
         else:
             return fail(f"{where}: unknown phase {ph!r}")
 
